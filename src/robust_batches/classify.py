@@ -153,9 +153,13 @@ def _group_by_position(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
 def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
     """Exact weighted-loss minimizer over k-interval decision regions.
 
-    Runs the O(s*k) dynamic program over distinct sample positions; region
-    endpoints land at midpoints between consecutive distinct x values (the
-    outermost runs extend to the infinities).  Ties prefer fewer intervals.
+    Runs the dynamic program over the s distinct sample positions as k
+    numpy passes of O(s) each, plus at most 2k+1 vector searches to recover
+    the region; endpoints land at midpoints between consecutive distinct x
+    values (the outermost runs extend to the infinities).  Ties prefer
+    fewer intervals.  With unit weights the losses are exact integers; with
+    fractional weights the prefix sums round differently from a sequential
+    walk, so near-ties may resolve differently at the last ulp.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -171,55 +175,35 @@ def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
             raise UsageError("weights must be nonnegative")
     pos, w0, w1 = _group_by_position(x, y, weights)
     g = pos.size
-    inf = math.inf
-    out = [0.0] + [inf] * k
-    ins = [inf] * (k + 1)
-    # parent codes per group: 0 stay-out, 1 close, 2 continue-in, 3 open
-    choices = np.zeros((g, k + 1, 2), dtype=np.int8)
-    for gi in range(g):
-        new_out = [inf] * (k + 1)
-        new_ins = [inf] * (k + 1)
-        for j in range(k + 1):
-            stay, close = out[j], ins[j]
-            if stay <= close:
-                new_out[j], choices[gi, j, 0] = stay + w1[gi], 0
-            else:
-                new_out[j], choices[gi, j, 0] = close + w1[gi], 1
-            cont = ins[j]
-            opened = out[j - 1] if j >= 1 else inf
-            if cont <= opened:
-                if cont < inf:
-                    new_ins[j], choices[gi, j, 1] = cont + w0[gi], 2
-            elif opened < inf:
-                new_ins[j], choices[gi, j, 1] = opened + w0[gi], 3
-        out, ins = new_out, new_ins
-    best_j, best_state, best_cost = 0, 0, inf
-    for j in range(k + 1):
-        for state, cost in ((0, out[j]), (1, ins[j])):
-            if cost < best_cost:
-                best_j, best_state, best_cost = j, state, cost
-    inside = np.zeros(g, dtype=bool)
-    j, state = best_j, best_state
-    for gi in range(g - 1, -1, -1):
-        code = choices[gi, j, state]
-        inside[gi] = state == 1
-        if state == 1 and code == 3:
-            state = 0
-            j -= 1
-        elif state == 0 and code == 1:
-            state = 1
+    c0 = np.concatenate(([0.0], np.cumsum(w0)))
+    c1 = np.concatenate(([0.0], np.cumsum(w1)))
+    # out[j, i] / ins[j, i]: least loss over the first i positions with j
+    # intervals opened, ending outside / inside the region.  Each layer is
+    # a running minimum over prefix sums of the label weights.
+    out = np.full((k + 1, g + 1), math.inf)
+    ins = np.full((k + 1, g + 1), math.inf)
+    out[0] = c1
+    for j in range(1, k + 1):
+        ins[j, 1:] = c0[1:] + np.minimum.accumulate(out[j - 1, :-1] - c0[:-1])
+        out[j, 1:] = c1[1:] + np.minimum.accumulate(ins[j, :-1] - c1[:-1])
+    # first minimum in (j, outside before inside) order: fewer intervals win
+    best = int(np.argmin(np.stack([out[:, g], ins[:, g]], axis=1)))
+    j, inside = divmod(best, 2)
+    # Walk back one run per step; ties keep the current state (staying out
+    # beats closing, continuing beats opening).
     intervals = []
-    gi = 0
-    while gi < g:
-        if inside[gi]:
-            start = gi
-            while gi + 1 < g and inside[gi + 1]:
-                gi += 1
-            lo = -math.inf if start == 0 else 0.5 * (pos[start - 1] + pos[start])
-            hi = math.inf if gi == g - 1 else 0.5 * (pos[gi] + pos[gi + 1])
+    i = g
+    while i > 0 and (inside or j > 0):
+        if inside:
+            t = int(np.flatnonzero(ins[j, :i] > out[j - 1, :i])[-1])
+            lo = -math.inf if t == 0 else 0.5 * (pos[t - 1] + pos[t])
+            hi = math.inf if i == g else 0.5 * (pos[i - 1] + pos[i])
             intervals.append(Interval(lo, hi))
-        gi += 1
-    return KIntervalHypothesis(IntervalUnion(tuple(intervals)))
+            j -= 1
+        else:
+            t = int(np.flatnonzero(out[j, :i] > ins[j, :i])[-1])
+        i, inside = t, not inside
+    return KIntervalHypothesis(IntervalUnion(tuple(intervals[::-1])))
 
 
 @dataclass(frozen=True)

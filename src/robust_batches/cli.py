@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classify import LabeledCollection, erm_k_intervals, risk, robust_classify
-from .clean import clean_pipeline, guidance_batches
+from .clean import ELL_BETA_FLOOR, clean_pipeline, guidance_batches
 from .core import BatchCollection, CorruptionParams, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .detect import DETECTORS
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a cleaning report against truth flags")
     p.add_argument("--input", required=True)
-    p.add_argument("--report", required=True, help="report produced by the clean command")
+    p.add_argument("--report", required=True, help="report written by clean, estimate or classify")
     p.add_argument("--target", default=None)
     p.add_argument("--subset", default=None, help="comma-separated 1-based bins for a corruption report")
     _add_common(p)
@@ -243,20 +243,43 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _eval_section(report) -> tuple[dict, bool]:
+    """The run summary inside a clean, estimate or classify report, and
+    whether it came from a labeled (classify) run."""
+    if isinstance(report, dict):
+        for key, keys, labeled in (
+            ("cleaning", ("retained_ids", "beta", "k", "ell"), False),
+            ("classification", ("retained_ids", "beta", "k"), True),
+        ):
+            section = report.get(key)
+            if isinstance(section, dict) and all(name in section for name in keys):
+                return section, labeled
+    raise UsageError("eval expects a report written by clean, estimate or classify")
+
+
 def _cmd_eval(args) -> int:
     collection = read_batches(args.input)
     report = read_json(args.report)
-    cleaning = report.get("cleaning", report)
-    retained_ids = cleaning["retained_ids"]
-    k = int(report.get("config", {}).get("k", 1) or 1)
-    beta = float(cleaning["beta"])
+    section, labeled = _eval_section(report)
+    if labeled != isinstance(collection, LabeledCollection):
+        raise UsageError("the report and the batch file disagree on labels")
+    try:
+        retained_ids = [int(i) for i in section["retained_ids"]]
+        k = int(section["k"])
+        beta = float(section["beta"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed report: {exc}") from exc
     target = parse_target(args.target) if args.target else None
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
     partition = None
-    if isinstance(collection, BatchCollection):
-        sizing_beta = beta if beta > 0 else 0.1
+    if not labeled:
+        sizing_beta = beta if beta > 0 else ELL_BETA_FLOOR
         ell = choose_ell(k, collection.n, sizing_beta, collection.m)
         partition = build_partition(collection.pooled_samples(), ell)
+        if partition.ell != section["ell"]:
+            raise UsageError("the report's partition does not match the batch file")
+    elif args.subset:
+        raise UsageError("--subset needs a clean or estimate report")
     if target is not None and collection.truth is not None:
         out["metrics"] = metrics(collection, retained_ids, target, k, partition)
     elif collection.truth is not None:
@@ -264,10 +287,10 @@ def _cmd_eval(args) -> int:
         out["metrics"] = {
             "retention_good": len(good & set(retained_ids)) / len(good) if good else None
         }
-    if args.subset and partition is not None:
+    if args.subset:
         members = frozenset(int(v) for v in args.subset.split(","))
         disc = discretize(collection, partition)
-        params = CorruptionParams(beta if beta > 0 else 0.1, collection.n, collection.m)
+        params = CorruptionParams(sizing_beta, collection.n, collection.m)
         out["corruption"] = corruption_collection(disc, BinSubset(members), params).to_dict()
     _emit(out, args)
     return 0

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate, optimize
 
 from .core import DomainError, UsageError
 from .distance import best_k_interval_union, fk_distance
@@ -225,6 +224,8 @@ def _solve_piece(
     if a_eq is not None and float((vand @ a_eq).min()) >= -1e-12:
         return a_eq, False
 
+    from scipy import optimize
+
     def objective(a: np.ndarray) -> float:
         return float(a @ G @ a - 2.0 * b @ a)
 
@@ -396,6 +397,8 @@ def yatracos_select(candidates, reference, k: int) -> int:
 def evaluate_density(fit: PiecewisePolynomial, target) -> float:
     """Total-variation distance between a fitted density and an analytic
     target, by adaptive quadrature split at both densities' breakpoints."""
+    from scipy import integrate
+
     t_lo, t_hi = target.support()
     lo = min(fit.support[0], t_lo)
     hi = max(fit.support[1], t_hi)

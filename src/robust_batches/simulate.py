@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .classify import KIntervalHypothesis, LabeledBatch, LabeledCollection
 from .core import ADVERSARIAL, GOOD, Batch, BatchCollection, DomainError, UsageError
@@ -219,13 +218,17 @@ class GaussianMixtureTarget:
         return out
 
     def cdf(self, x) -> np.ndarray:
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
         for w, mu, sd in zip(self.weights, self.means, self.sds):
-            out += w * special.ndtr((x - mu) / sd)
+            out += w * ndtr((x - mu) / sd)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        from scipy.special import ndtri
+
         # component choice then inverse-CDF, so a fixed generator stream
         # always yields the same points
         u_comp = rng.random(size)
@@ -236,7 +239,7 @@ class GaussianMixtureTarget:
         mu = np.asarray(self.means)[idx]
         sd = np.asarray(self.sds)[idx]
         u_val = np.clip(u_val, 1e-15, 1.0 - 1e-15)
-        return mu + sd * special.ndtri(u_val)
+        return mu + sd * ndtri(u_val)
 
     def support(self) -> tuple[float, float]:
         lo = min(m - 12.0 * s for m, s in zip(self.means, self.sds))

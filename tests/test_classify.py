@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robust_batches as rb
 from robust_batches.distance import iter_k_run_subsets
@@ -106,6 +110,92 @@ def test_erm_handles_tied_positions():
     h = rb.erm_k_intervals(x, y, 2)
     # tied x values are classified together; best loss is 1/3
     assert rb.risk(h, x, y) == pytest.approx(1.0 / 3.0)
+
+
+def loop_erm_regions(x, y, k):
+    """Reference: the per-position dynamic program as a plain Python loop,
+    with the same tie rules (stay out over close, continue over open, fewer
+    intervals at the end).  Returns the decision region as (lo, hi) pairs."""
+    pos, w0, w1 = np.unique(x), [], []
+    for v in pos:
+        w0.append(float(np.sum((x == v) & (y == 0))))
+        w1.append(float(np.sum((x == v) & (y == 1))))
+    g, inf = pos.size, math.inf
+    out, ins = [0.0] + [inf] * k, [inf] * (k + 1)
+    parents = []
+    for gi in range(g):
+        step = [[None, None] for _ in range(k + 1)]
+        new_out, new_ins = [inf] * (k + 1), [inf] * (k + 1)
+        for j in range(k + 1):
+            step[j][0] = out[j] > ins[j]  # closed here
+            new_out[j] = min(out[j], ins[j]) + w1[gi]
+            opened = out[j - 1] if j >= 1 else inf
+            step[j][1] = ins[j] > opened  # opened here
+            new_ins[j] = min(ins[j], opened) + w0[gi]
+        parents.append(step)
+        out, ins = new_out, new_ins
+    finals = [(c, j, st_) for j in range(k + 1) for st_, c in ((0, out[j]), (1, ins[j]))]
+    _, j, state = min(finals, key=lambda f: f[0])
+    inside = []
+    for gi in range(g - 1, -1, -1):
+        inside.append(state == 1)
+        if parents[gi][j][state]:
+            j, state = (j - 1, 0) if state == 1 else (j, 1)
+    inside = inside[::-1]
+    regions = []
+    for gi in range(g):
+        if inside[gi] and (gi == 0 or not inside[gi - 1]):
+            start = gi
+        if inside[gi] and (gi == g - 1 or not inside[gi + 1]):
+            lo = -inf if start == 0 else 0.5 * (pos[start - 1] + pos[start])
+            hi = inf if gi == g - 1 else 0.5 * (pos[gi] + pos[gi + 1])
+            regions.append((lo, hi))
+    return regions
+
+
+def regions_of(h):
+    return [(iv.lo, iv.hi) for iv in h.decision_region.intervals]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=1, max_size=16),
+    st.integers(1, 4),
+)
+def test_erm_exact_with_heavy_ties_property(samples, k):
+    x = np.array([float(v) for v, _ in samples])
+    y = np.array([c for _, c in samples])
+    h = rb.erm_k_intervals(x, y, k)
+    xs = np.unique(x)
+    w0 = np.array([np.sum((x == v) & (y == 0)) for v in xs])
+    w1 = np.array([np.sum((x == v) & (y == 1)) for v in xs])
+    optimal = {}
+    for subset in iter_k_run_subsets(xs.size, k):
+        mask = subset.as_mask(xs.size)
+        optimal.setdefault(int(w0[mask].sum() + w1[~mask].sum()), []).append(len(subset.runs()))
+    best = min(optimal)
+    inside = h.decision_region.contains(xs)
+    assert int(w0[inside].sum() + w1[~inside].sum()) == best
+    assert h.k == min(optimal[best])
+    assert regions_of(h) == loop_erm_regions(x, y, k)
+
+
+@pytest.mark.parametrize(
+    "seed, k, region",
+    [
+        # recorded from the per-position loop; each input has at least three
+        # optimal regions with the fewest intervals, so these pin tie-breaking
+        (1013, 1, [(-np.inf, 5.5)]),
+        (2006, 2, [(-np.inf, 0.5), (5.5, np.inf)]),
+        (3013, 3, [(0.5, 3.5), (4.5, 6.5)]),
+        (4006, 4, [(-np.inf, 1.5), (4.5, np.inf)]),
+    ],
+)
+def test_erm_tie_resolution_recorded(seed, k, region):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 8, 30).astype(float)
+    y = rng.integers(0, 2, 30)
+    assert regions_of(rb.erm_k_intervals(x, y, k)) == region
 
 
 def enumerate_fh_distance(p, q, k):

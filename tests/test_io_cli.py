@@ -196,6 +196,73 @@ def test_cli_eval_subset_corruption_report(tmp_path):
     assert len(data["corruption"]["per_batch_scores"]) == 50
 
 
+def test_cli_eval_classify_report(tmp_path):
+    labeled = tmp_path / "l.jsonl"
+    report = tmp_path / "cls.json"
+    target = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+    main([
+        "simulate", "--target", target, "--attack", "label_flip:1.0@0,0.25",
+        "--m", "40", "--n", "50", "--beta", "0.2", "--seed", "6", "--out", str(labeled),
+    ])
+    assert main([
+        "classify", "--input", str(labeled), "--k", "2", "--beta", "0.2", "--seed", "6",
+        "--trigger", "5", "--stop", "4", "--target", target, "--out", str(report),
+    ]) == 0
+    out = tmp_path / "eval.json"
+    assert main([
+        "eval", "--input", str(labeled), "--report", str(report),
+        "--target", target, "--out", str(out),
+    ]) == 0
+    cls = read_json(report)["classification"]
+    mets = read_json(out)["metrics"]
+    assert mets["retention_good"] == cls["retention_good"]
+    assert mets["retained"] == len(cls["retained_ids"])
+
+
+def test_cli_eval_estimate_report_uses_recorded_partition(tmp_path):
+    batches = tmp_path / "b.jsonl"
+    report = tmp_path / "est.json"
+    target = "uniform:0,1"
+    main([
+        "simulate", "--target", target, "--attack", "mean_shift:1.0@0.45,0.55",
+        "--m", "60", "--n", "100", "--beta", "0.2", "--seed", "8", "--out", str(batches),
+    ])
+    assert main([
+        "estimate", "--input", str(batches), "--t", "2", "--d", "1", "--beta", "0.2",
+        "--seed", "8", "--trigger", "5", "--stop", "4", "--target", target,
+        "--out", str(report),
+    ]) == 0
+    cleaning = read_json(report)["cleaning"]
+    assert cleaning["k"] == 4
+    out = tmp_path / "eval.json"
+    assert main([
+        "eval", "--input", str(batches), "--report", str(report),
+        "--target", target, "--subset", "1,2", "--out", str(out),
+    ]) == 0
+    data = read_json(out)
+    # the same partition and k as the run itself, so the same fk values
+    assert data["metrics"]["fk_before"] == cleaning["fk_before"]
+    assert data["metrics"]["fk_after"] == cleaning["fk_after"]
+    assert data["corruption"]["subset"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "report",
+    ['{"metrics": {"retention_good": 1.0}}', '[1, 2]', '{"cleaning": {"retained_ids": [0]}}'],
+)
+def test_cli_eval_rejects_unknown_report_shape(tmp_path, capsys, report):
+    batches = tmp_path / "b.jsonl"
+    main([
+        "simulate", "--target", "uniform:0,1", "--attack", "none",
+        "--m", "4", "--n", "10", "--beta", "0", "--seed", "0", "--out", str(batches),
+    ])
+    path = tmp_path / "r.json"
+    path.write_text(report)
+    rc = main(["eval", "--input", str(batches), "--report", str(path)])
+    assert rc == 2
+    assert "eval expects a report" in capsys.readouterr().err
+
+
 def test_cli_csv_export(tmp_path):
     batches = tmp_path / "b.jsonl"
     main([
