@@ -23,14 +23,11 @@ from .core import (
     UsageError,
     binomial_variance,
     empirical_prob,
-    empirical_variance,
-    pooled_empirical,
 )
 from .corruption import (
     CorruptionReport,
     batch_deletion,
     check_properties,
-    clean_over_cover,
     corruption_batch,
     corruption_collection,
     median_prob,

@@ -14,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BETA_MAX,
-    GOOD,
-    CorruptionParams,
-    DiscretizedCollection,
-    DomainError,
-    UsageError,
-)
+from .clean import prepare_cleaning
+from .core import Collection, DiscretizedCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .detect import clean_discrete
-from .partition import Interval, IntervalUnion, build_partition, choose_ell
+from .partition import Interval, IntervalUnion, build_partition
 
 LABELS = (0, 1)
 
@@ -39,13 +33,15 @@ class LabeledBatch:
 
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
             raise UsageError(f"batch {self.id}: x and y must be matching 1-d arrays")
         if not np.all(np.isfinite(x)):
             raise UsageError(f"batch {self.id}: x contains NaN or infinity")
-        if not np.isin(y, LABELS).all():
+        # checked before the integer cast, which would truncate 1.5 to 1
+        if y.dtype.kind not in "biuf" or not np.isin(y, LABELS).all():
             raise UsageError(f"batch {self.id}: labels must be 0 or 1")
+        y = y.astype(np.int64)
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -57,56 +53,13 @@ class LabeledBatch:
 
 
 @dataclass(frozen=True)
-class LabeledCollection:
-    """m labeled batches of n samples each, with optional truth flags."""
-
-    batches: tuple[LabeledBatch, ...]
-    truth: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "batches", tuple(self.batches))
-        if len(self.batches) < 1:
-            raise UsageError("a collection needs at least one batch")
-        n = self.batches[0].n
-        if any(b.n != n for b in self.batches):
-            raise UsageError("all batches must share the same n")
-        ids = [b.id for b in self.batches]
-        if len(set(ids)) != len(ids):
-            raise UsageError("batch ids must be unique")
-        if self.truth is not None:
-            object.__setattr__(self, "truth", tuple(self.truth))
-            if len(self.truth) != len(self.batches):
-                raise UsageError("truth flags must match the number of batches")
-
-    @property
-    def m(self) -> int:
-        return len(self.batches)
-
-    @property
-    def n(self) -> int:
-        return self.batches[0].n
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.batches)
-
-    def good_ids(self) -> frozenset[int]:
-        if self.truth is None:
-            raise UsageError("collection carries no truth flags")
-        return frozenset(b.id for b, t in zip(self.batches, self.truth) if t == GOOD)
+class LabeledCollection(Collection):
+    """A collection of labeled (x, y) batches."""
 
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
         x = np.concatenate([b.x for b in self.batches])
         y = np.concatenate([b.y for b in self.batches])
         return x, y
-
-    def subset(self, keep_ids) -> "LabeledCollection":
-        keep = frozenset(keep_ids)
-        idx = [i for i, b in enumerate(self.batches) if b.id in keep]
-        if not idx:
-            raise UsageError("subset would be empty")
-        truth = tuple(self.truth[i] for i in idx) if self.truth is not None else None
-        return LabeledCollection(tuple(self.batches[i] for i in idx), truth)
 
 
 @dataclass(frozen=True)
@@ -271,24 +224,13 @@ def robust_classify(
     ``risk_of(hypothesis)`` and ``optimal_risk()`` for the excess-risk
     entries of the report.
     """
-    if beta > BETA_MAX:
-        raise DomainError(
-            f"beta={beta} refused: the cleaning guarantees assume beta <= {BETA_MAX}"
-        )
-    if beta < 0.0:
-        raise DomainError("beta must be nonnegative")
-    if collection.m < 2:
-        raise UsageError("cleaning needs at least two batches")
-    n, m = collection.n, collection.m
-    sizing_beta = beta if beta > 0.0 else 0.1
-    ell = choose_ell(k, n, sizing_beta, m)
+    ell, params = prepare_cleaning(collection, k, beta)
     part0, counts0 = _label_slice_counts(collection, 0, ell)
     part1, counts1 = _label_slice_counts(collection, 1, ell)
     counts = np.concatenate([counts0, counts1], axis=1)
-    disc = DiscretizedCollection(counts, collection.ids, n, collection.truth)
+    disc = DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
     rounds = 0
     if beta > 0.0:
-        params = CorruptionParams(beta, n, m)
         cleaned, rounds = clean_discrete(
             disc, params, rng, detector, trigger_factor, stop_factor, candidates_budget
         )
@@ -298,11 +240,6 @@ def robust_classify(
     x, y = retained.pooled()
     hypothesis = erm_k_intervals(x, y, k)
     train = risk(hypothesis, x, y)
-    retention = None
-    if collection.truth is not None:
-        good = collection.good_ids()
-        if good:
-            retention = len(good & set(retained.ids)) / len(good)
     risk_target = excess = None
     if reference is not None:
         risk_target = float(reference.risk_of(hypothesis))
@@ -315,7 +252,7 @@ def robust_classify(
         ell_label1=counts1.shape[1],
         rounds=rounds,
         train_risk=train,
-        retention_good=retention,
+        retention_good=collection.retention_good(retained.ids),
         risk_vs_target=risk_target,
         excess_risk=excess,
     )

@@ -4,7 +4,10 @@ Given a contaminated collection, the pipeline sizes the partition from
 (k, n, beta), cuts it on the pooled samples, discretizes every batch, and
 runs the detect-and-delete loop.  The retained sub-collection's pooled
 empirical distribution is the estimator; in simulation mode the report
-scores it against the known target before and after cleaning.
+scores it against the known target before and after cleaning.  The
+checks on beta and m, the partition size and the thresholds come from one
+preparation step, :func:`prepare_cleaning`, which robust classification
+shares.
 """
 
 from __future__ import annotations
@@ -91,6 +94,37 @@ def _reference_masses(reference, partition: IntervalPartition) -> np.ndarray:
     return ref
 
 
+def prepare_cleaning(
+    collection, k: int, beta: float, delta: float = DEFAULT_DELTA
+) -> tuple[int, CorruptionParams]:
+    """Check beta and m, size the partition and derive the thresholds.
+
+    Returns the partition size ell and the corruption parameters.  ``beta
+    = 0`` declares the collection uncontaminated: both are sized with
+    ELL_BETA_FLOOR in place of beta, and callers run no deletion.  Below
+    the batch-count guidance the error bound may not hold, which is
+    reported as a UserWarning.
+    """
+    if not 0.0 <= beta <= BETA_MAX:
+        raise DomainError(
+            f"beta={beta} refused: the cleaning guarantees assume 0 <= beta <= {BETA_MAX}"
+        )
+    if collection.m < 2:
+        raise UsageError("cleaning needs at least two batches")
+    n, m = collection.n, collection.m
+    sizing_beta = beta if beta > 0.0 else ELL_BETA_FLOOR
+    ell = choose_ell(k, n, sizing_beta, m)
+    if beta > 0.0:
+        guide = guidance_batches(k, n, beta, delta)
+        if m < guide:
+            warnings.warn(
+                f"m={m} batches is below the sample-size guidance {guide:.0f} "
+                f"for k={k}, n={n}, beta={beta}; the error bound may not hold",
+                stacklevel=3,
+            )
+    return ell, CorruptionParams(sizing_beta, n, m)
+
+
 def clean_pipeline(
     collection: BatchCollection,
     k: int,
@@ -110,25 +144,7 @@ def clean_pipeline(
     no deletion runs.  ``reference`` (simulation mode) is a target with a
     ``bin_masses(partition)`` method, or a per-bin probability vector.
     """
-    if beta > BETA_MAX:
-        raise DomainError(
-            f"beta={beta} refused: the cleaning guarantees assume beta <= {BETA_MAX}"
-        )
-    if beta < 0.0:
-        raise DomainError("beta must be nonnegative")
-    if collection.m < 2:
-        raise UsageError("cleaning needs at least two batches")
-    n, m = collection.n, collection.m
-    sizing_beta = beta if beta > 0.0 else ELL_BETA_FLOOR
-    ell = choose_ell(k, n, sizing_beta, m)
-    if beta > 0.0:
-        guide = guidance_batches(k, n, beta, delta)
-        if m < guide:
-            warnings.warn(
-                f"m={m} batches is below the sample-size guidance {guide:.0f} "
-                f"for k={k}, n={n}, beta={beta}; the error bound may not hold",
-                stacklevel=2,
-            )
+    ell, params = prepare_cleaning(collection, k, beta, delta)
     pooled = collection.pooled_samples()
     partition = build_partition(pooled, ell)
     occupancy = int(cell_occupancy(partition, pooled).max())
@@ -138,7 +154,6 @@ def clean_pipeline(
         float(fk_distance(disc.pooled(), ref_vec, k)) if ref_vec is not None else None
     )
     if beta > 0.0:
-        params = CorruptionParams(beta, n, m)
         cleaned, rounds = clean_discrete(
             disc, params, rng, detector, trigger_factor, stop_factor, candidates_budget
         )
@@ -147,11 +162,6 @@ def clean_pipeline(
     fk_after = (
         float(fk_distance(cleaned.pooled(), ref_vec, k)) if ref_vec is not None else None
     )
-    retention = None
-    if collection.truth is not None:
-        good = collection.good_ids()
-        if good:
-            retention = len(good & set(cleaned.ids)) / len(good)
     report = CleaningReport(
         retained_ids=cleaned.ids,
         ell=partition.ell,
@@ -163,7 +173,7 @@ def clean_pipeline(
         max_cell_occupancy=occupancy,
         fk_before=fk_before,
         fk_after=fk_after,
-        retention_good=retention,
+        retention_good=collection.retention_good(cleaned.ids),
     )
     return CleanPipelineResult(
         retained=collection.subset(cleaned.ids),

@@ -1,15 +1,14 @@
 """Command-line surface: simulate, clean, estimate, classify, eval, selftest.
 
 Every command takes --seed and is deterministic given it.  Reports embed
-the resolved configuration; execution-only settings (--threads, --format)
-are excluded so reruns stay byte-identical whatever the thread count.
+the resolved configuration; the output format (--format) is excluded, so
+reruns stay byte-identical.
 Exit codes: 0 success, 2 usage or file-format error, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -17,32 +16,21 @@ import numpy as np
 
 from . import __version__
 from .classify import LabeledCollection, erm_k_intervals, risk, robust_classify
-from .clean import ELL_BETA_FLOOR, clean_pipeline, guidance_batches
-from .core import BatchCollection, CorruptionParams, DomainError, UsageError
+from .clean import clean_pipeline, guidance_batches, prepare_cleaning
+from .core import BatchCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .detect import DETECTORS
 from .distance import fk_distance, fk_distance_brute
 from .estimate import fit_piecewise
 from .io import FileFormatError, read_batches, read_json, write_batches, write_csv, write_json
-from .partition import BinSubset, build_partition, choose_ell, discretize
+from .partition import BinSubset, build_partition, discretize
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
-
-
-def _default_threads() -> int:
-    env = os.environ.get("ROBUST_BATCHES_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"ROBUST_BATCHES_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="rng seed (all commands are deterministic given it)")
     p.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (env ROBUST_BATCHES_THREADS)")
 
 
 def _add_cleaning_flags(p: argparse.ArgumentParser) -> None:
@@ -124,8 +112,7 @@ def _config(args, keys) -> dict:
 def _cmd_simulate(args) -> int:
     target = parse_target(args.target)
     attack = parse_attack(args.attack)
-    threads = args.threads or _default_threads()
-    collection = build_collection(target, attack, args.m, args.n, args.beta, args.seed, threads)
+    collection = build_collection(target, attack, args.m, args.n, args.beta, args.seed)
     if args.out is None:
         raise UsageError("simulate requires --out for the batch file")
     write_batches(collection, args.out)
@@ -267,30 +254,27 @@ def _cmd_eval(args) -> int:
         retained_ids = [int(i) for i in section["retained_ids"]]
         k = int(section["k"])
         beta = float(section["beta"])
+        members = frozenset(int(v) for v in args.subset.split(",")) if args.subset else None
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed report: {exc}") from exc
+        raise UsageError(f"malformed report or --subset: {exc}") from exc
     target = parse_target(args.target) if args.target else None
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
     partition = None
     if not labeled:
-        sizing_beta = beta if beta > 0 else ELL_BETA_FLOOR
-        ell = choose_ell(k, collection.n, sizing_beta, collection.m)
+        ell, params = prepare_cleaning(collection, k, beta)
         partition = build_partition(collection.pooled_samples(), ell)
         if partition.ell != section["ell"]:
             raise UsageError("the report's partition does not match the batch file")
-    elif args.subset:
+    elif members is not None:
         raise UsageError("--subset needs a clean or estimate report")
     if target is not None and collection.truth is not None:
         out["metrics"] = metrics(collection, retained_ids, target, k, partition)
     elif collection.truth is not None:
-        good = collection.good_ids()
-        out["metrics"] = {
-            "retention_good": len(good & set(retained_ids)) / len(good) if good else None
-        }
-    if args.subset:
-        members = frozenset(int(v) for v in args.subset.split(","))
+        out["metrics"] = {"retention_good": collection.retention_good(retained_ids)}
+    if members is not None:
+        if not all(1 <= j <= partition.ell for j in members):
+            raise UsageError(f"--subset bins must lie in 1..{partition.ell}")
         disc = discretize(collection, partition)
-        params = CorruptionParams(sizing_beta, collection.n, collection.m)
         out["corruption"] = corruption_collection(disc, BinSubset(members), params).to_dict()
     _emit(out, args)
     return 0
@@ -388,8 +372,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, DomainError, FileFormatError, FileNotFoundError) as exc:

@@ -50,14 +50,16 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class BatchCollection:
+class Collection:
     """m batches of n samples each, with optional ground-truth flags.
 
-    ``truth`` is simulation-only metadata: one of ``"good"`` or
+    The shared base of raw and labeled collections: ``batches`` are
+    :class:`Batch` or labeled batches, anything with an ``id`` and an
+    ``n``.  ``truth`` is simulation-only metadata: one of ``"good"`` or
     ``"adversarial"`` per batch, in batch order.
     """
 
-    batches: tuple[Batch, ...]
+    batches: tuple
     truth: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -96,17 +98,31 @@ class BatchCollection:
             raise UsageError("collection carries no truth flags")
         return frozenset(b.id for b, t in zip(self.batches, self.truth) if t == GOOD)
 
-    def pooled_samples(self) -> np.ndarray:
-        """All s = n*m samples, sorted non-decreasing."""
-        return np.sort(np.concatenate([b.samples for b in self.batches]))
+    def retention_good(self, kept_ids) -> float | None:
+        """Fraction of the good batches among ``kept_ids``; None without
+        truth flags or good batches."""
+        if self.truth is None:
+            return None
+        good = self.good_ids()
+        return len(good & set(kept_ids)) / len(good) if good else None
 
-    def subset(self, keep_ids) -> "BatchCollection":
+    def subset(self, keep_ids):
+        """The batches whose ids are in ``keep_ids``, in collection order."""
         keep = frozenset(keep_ids)
         idx = [i for i, b in enumerate(self.batches) if b.id in keep]
         if not idx:
             raise UsageError("subset would be empty")
         truth = tuple(self.truth[i] for i in idx) if self.truth is not None else None
-        return BatchCollection(tuple(self.batches[i] for i in idx), truth)
+        return type(self)(tuple(self.batches[i] for i in idx), truth)
+
+
+@dataclass(frozen=True)
+class BatchCollection(Collection):
+    """A collection of raw real-valued batches."""
+
+    def pooled_samples(self) -> np.ndarray:
+        """All s = n*m samples, sorted non-decreasing."""
+        return np.sort(np.concatenate([b.samples for b in self.batches]))
 
 
 @dataclass(frozen=True)
@@ -249,17 +265,6 @@ class CorruptionParams:
         }
 
 
-@dataclass(frozen=True)
-class PooledEmpirical:
-    """The grand empirical measure of a raw sub-collection (uniform weights)."""
-
-    samples: np.ndarray
-
-    def prob(self, subset) -> float:
-        inside = subset.contains(self.samples)
-        return int(np.count_nonzero(inside)) / self.samples.size
-
-
 def empirical_prob(batch, subset) -> float:
     """Empirical probability a batch assigns to a subset of the line.
 
@@ -294,24 +299,6 @@ def per_batch_probs(sub, subset) -> np.ndarray:
     raise UsageError(f"unsupported collection type {type(sub).__name__}")
 
 
-def pooled_empirical(sub):
-    """Mean of the per-batch empirical measures of a nonempty sub-collection.
-
-    For discretized input returns the length-ell probability vector; for raw
-    input returns a :class:`PooledEmpirical` over the pooled samples.
-    """
-    if isinstance(sub, DiscretizedCollection):
-        return sub.pooled()
-    if isinstance(sub, BatchCollection):
-        return PooledEmpirical(np.concatenate([b.samples for b in sub.batches]))
-    if isinstance(sub, (list, tuple)) and sub and isinstance(sub[0], DiscretizedBatch):
-        counts = np.stack([b.counts for b in sub])
-        return counts.sum(axis=0) / counts.sum()
-    if isinstance(sub, (list, tuple)) and sub and isinstance(sub[0], Batch):
-        return PooledEmpirical(np.concatenate([b.samples for b in sub]))
-    raise UsageError("pooled_empirical requires a nonempty sub-collection")
-
-
 def binomial_variance(r: float, n: int) -> float:
     """Variance r(1-r)/n of the mean of n Bernoulli(r) draws."""
     if not 0.0 <= r <= 1.0:
@@ -320,8 +307,3 @@ def binomial_variance(r: float, n: int) -> float:
         raise DomainError("n must be positive")
     return r * (1.0 - r) / n
 
-
-def empirical_variance(sub, subset) -> float:
-    """Empirical variance of the per-batch probabilities of ``subset``."""
-    mu = per_batch_probs(sub, subset)
-    return float(np.mean((mu - mu.mean()) ** 2))

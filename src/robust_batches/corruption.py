@@ -74,7 +74,8 @@ class CorruptionReport:
         return {
             "subset": sorted(self.subset),
             "median": self.median,
-            "per_batch_scores": {str(k): v for k, v in sorted(self.per_batch_scores.items())},
+            # [id, score] pairs: a JSON object would re-sort ids as strings
+            "per_batch_scores": [[k, v] for k, v in sorted(self.per_batch_scores.items())],
             "total": self.total,
         }
 
@@ -127,26 +128,6 @@ def batch_deletion(
             )
         total = float(scores[alive].sum())
     return sub.subset(alive)
-
-
-def clean_over_cover(
-    collection: DiscretizedCollection,
-    cover,
-    params: CorruptionParams,
-    rng: np.random.Generator,
-    trigger_factor: float = TRIGGER_FACTOR,
-    stop_factor: float = STOP_FACTOR,
-) -> DiscretizedCollection:
-    """Sweep a finite cover in order, running batch deletion on every subset
-    whose corruption score has reached trigger_factor*kappa_g."""
-    sub = collection
-    for subset in cover:
-        mu = per_batch_probs(sub, subset)
-        med = float(np.median(mu))
-        total = float(_score_vector(mu, med, params.tau).sum())
-        if total >= trigger_factor * params.kappa_g:
-            sub = batch_deletion(sub, subset, med, params, rng, stop_factor)
-    return sub
 
 
 @dataclass(frozen=True)

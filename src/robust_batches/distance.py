@@ -3,7 +3,9 @@
 The headline metric is the largest probability discrepancy over unions of
 at most k index-intervals, computed by an O(ell*k) dynamic program over
 (position, intervals-used, inside/outside) states, run once on d = p - q
-and once on -d.  A combinatorial enumeration doubles as a test oracle.
+and once on -d.  The same forward DP gives the value and, through its
+per-position tables, the maximizing union.  A combinatorial enumeration
+doubles as a test oracle.
 
 The DP accumulates each candidate union's sum left-to-right, so on inputs
 whose entries are exactly representable (e.g. dyadic rationals) it agrees
@@ -34,24 +36,9 @@ def _check_distribution(p, name: str) -> np.ndarray:
     return p
 
 
-def _best_sum(d, k: int) -> float:
-    """Max sum of d over unions of at most k index-intervals (>= 0)."""
-    f_out = [0.0] + [_NEG] * k
-    f_in = [_NEG] * (k + 1)
-    for di in d:
-        di = float(di)
-        new_out = [max(a, b) for a, b in zip(f_out, f_in)]
-        new_in = [_NEG] * (k + 1)
-        for j in range(1, k + 1):
-            prev = f_in[j] if f_in[j] >= f_out[j - 1] else f_out[j - 1]
-            if prev != _NEG:
-                new_in[j] = prev + di
-        f_out, f_in = new_out, new_in
-    return max(max(f_out), max(f_in))
-
-
 def _forward_tables(d, k: int) -> tuple[float, list, list]:
-    """Forward DP with per-position tables kept for witness extraction."""
+    """Best union sum of d (>= 0), with the per-position tables that
+    witness extraction reads."""
     ell = len(d)
     outs = [[0.0] + [_NEG] * k]
     ins = [[_NEG] * (k + 1)]
@@ -150,7 +137,7 @@ def fk_distance(p, q, k: int) -> float:
     if k < 1:
         raise DomainError("k must be at least 1")
     d = p - q
-    return max(_best_sum(d, k), _best_sum(-d, k))
+    return max(_forward_tables(d, k)[0], _forward_tables(-d, k)[0])
 
 
 @lru_cache(maxsize=256)

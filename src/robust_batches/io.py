@@ -65,7 +65,10 @@ def read_batches(path):
     for field in ("n", "m"):
         if field not in header:
             raise FileFormatError(f"{path}:1: header is missing {field!r}")
-    n, m = int(header["n"]), int(header["m"])
+    try:
+        n, m = int(header["n"]), int(header["m"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{path}:1: n and m must be integers: {exc}") from exc
     labeled = bool(header.get("labeled", False))
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != m:
@@ -78,6 +81,8 @@ def read_batches(path):
             if field not in obj:
                 raise FileFormatError(f"{path}:{lineno}: batch is missing {field!r}")
         samples = obj["samples"]
+        if not isinstance(samples, list):
+            raise FileFormatError(f"{path}:{lineno}: samples must be a list")
         if len(samples) != n:
             raise FileFormatError(
                 f"{path}:{lineno}: batch {obj['id']} has {len(samples)} samples, expected n={n}"
@@ -85,14 +90,14 @@ def read_batches(path):
         try:
             if labeled:
                 x = np.array([s[0] for s in samples], dtype=float)
-                y = np.array([s[1] for s in samples], dtype=int)
+                y = np.array([s[1] for s in samples])
                 batches.append(LabeledBatch(int(obj["id"]), x, y))
             else:
                 batches.append(Batch(int(obj["id"]), np.array(samples, dtype=float)))
-        except (TypeError, IndexError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: malformed samples: {exc}") from exc
         except UsageError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
+            raise FileFormatError(f"{path}:{lineno}: malformed samples: {exc}") from exc
         if "truth" in obj:
             truth.append(str(obj["truth"]))
     if truth and len(truth) != len(batches):

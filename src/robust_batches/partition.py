@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Batch,
-    BatchCollection,
-    DiscretizedCollection,
-    DomainError,
-    UsageError,
-)
+from .core import BatchCollection, DiscretizedCollection, DomainError, UsageError
 
 _CEIL_SLACK = 1e-9  # guards ceil() against float noise on exact integers
 
@@ -252,11 +246,6 @@ def discretize(collection: BatchCollection, partition: IntervalPartition) -> Dis
     for i, b in enumerate(collection.batches):
         counts[i] = np.bincount(partition.bin_of(b.samples), minlength=ell)
     return DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
-
-
-def discretize_batch(batch: Batch, partition: IntervalPartition) -> np.ndarray:
-    """Per-cell counts of a single batch (no token check)."""
-    return np.bincount(partition.bin_of(batch.samples), minlength=partition.ell)
 
 
 def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:

@@ -1,7 +1,7 @@
 """Ground-truth simulation: structured targets, batch generators, attacks.
 
 Collections are reproducible: batch i draws from a generator seeded with
-(seed, i), so generation order (or parallelism) cannot change the output.
+(seed, i), so generation order cannot change the output.
 Adversarial batches are generated after the good ones and may read the
 realized good samples, matching an adaptive adversary.
 """
@@ -545,22 +545,12 @@ def attack_fk_targeted(good_batches, target, k: int, n: int, count: int, beta: f
     return [attack.generate(i, batch_rng(seed, 10_000_000 + i), ctx) for i in range(count)]
 
 
-def _map_indexed(fn, ids, threads: int) -> list:
-    """Order-preserving map; per-id rngs make the result thread-safe."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, ids))
-    return [fn(i) for i in ids]
-
-
-def build_collection(target, attack, m: int, n: int, beta: float, seed: int, threads: int = 1):
+def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     """floor((1-beta)m) good batches from the target, the rest from the attack.
 
     Good batches come first (ids 0..), adversarial ones after; the attack
-    sees the realized good samples.  Identical seeds give identical
-    collections byte for byte, regardless of ``threads``.
+    sees the realized good samples.  Batch i draws from ``batch_rng(seed,
+    i)``, so identical seeds give identical collections byte for byte.
     """
     if not 0.0 <= beta <= 0.4:
         raise DomainError(f"beta must lie in [0, 0.4], got {beta}")
@@ -571,15 +561,8 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int, thr
     if n_adv > 0 and attack is None:
         raise UsageError("beta > 0 requires an attack")
     labeled = isinstance(target, ClassificationTarget)
-
-    def make_good(i: int):
-        rng = batch_rng(seed, i)
-        if labeled:
-            x, y = target.sample(rng, n)
-            return LabeledBatch(i, x, y)
-        return Batch(i, target.sample(rng, n))
-
-    good_batches = _map_indexed(make_good, range(n_good), threads)
+    make = (lambda i, xy: LabeledBatch(i, *xy)) if labeled else Batch
+    good_batches = [make(i, target.sample(batch_rng(seed, i), n)) for i in range(n_good)]
     if labeled:
         gx = np.concatenate([b.x for b in good_batches]) if good_batches else np.zeros(0)
         gy = np.concatenate([b.y for b in good_batches]) if good_batches else np.zeros(0, int)
@@ -590,19 +573,10 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int, thr
         ctx = SimContext(
             target=target, beta=max(beta, 1e-9), n=n, good_x=gx, good_batch_samples=samples
         )
-    # adversarial generation stays sequential: batches share the attack plan
-    adv_batches = []
-    for i in range(n_good, m):
-        rng = batch_rng(seed, i)
-        made = attack.generate(i, rng, ctx)
-        if labeled:
-            adv_batches.append(LabeledBatch(i, made[0], made[1]))
-        else:
-            adv_batches.append(Batch(i, made))
+    adv_batches = [make(i, attack.generate(i, batch_rng(seed, i), ctx)) for i in range(n_good, m)]
     truth = tuple([GOOD] * n_good + [ADVERSARIAL] * n_adv)
-    if labeled:
-        return LabeledCollection(tuple(good_batches + adv_batches), truth)
-    return BatchCollection(tuple(good_batches + adv_batches), truth)
+    kind = LabeledCollection if labeled else BatchCollection
+    return kind(tuple(good_batches + adv_batches), truth)
 
 
 def metrics(
@@ -617,10 +591,9 @@ def metrics(
     """Simulation-mode scoring of a cleaning / estimation / classification run."""
     if collection.truth is None:
         raise UsageError("metrics need truth flags (simulation mode)")
-    good = collection.good_ids()
     retained = set(retained_ids)
     out: dict = {
-        "retention_good": len(good & retained) / len(good) if good else None,
+        "retention_good": collection.retention_good(retained),
         "retained": len(retained),
         "m": collection.m,
     }

@@ -277,3 +277,23 @@ def test_robust_classify_label_flip_recovers():
     )
     assert naive > 0.1
     assert report.excess_risk <= 0.5 * naive
+
+
+def test_robust_classify_shares_the_cleaning_checks():
+    target = ClassificationTarget((0.0, 0.5, 1.0), (0.5, 0.5), (0.8, 0.2))
+    coll = rb.build_collection(target, LabelFlipAttack(1.0, (0.0, 0.25)), 40, 50, 0.2, 1)
+    with pytest.warns(UserWarning, match="guidance"):
+        rb.robust_classify(coll, 1, 0.2, np.random.default_rng(0), trigger_factor=5, stop_factor=4)
+    with pytest.raises(rb.DomainError, match="0.4"):
+        rb.robust_classify(coll, 1, 0.5, np.random.default_rng(0))
+    with pytest.raises(rb.UsageError):
+        rb.robust_classify(coll.subset([0]), 1, 0.2, np.random.default_rng(0))
+
+
+def test_labeled_collection_validates_truth_flags():
+    batch = rb.LabeledBatch(0, np.array([0.1, 0.9]), np.array([1, 0]))
+    with pytest.raises(rb.UsageError, match="unknown truth flags"):
+        rb.LabeledCollection((batch,), truth=("bogus",))
+    other = rb.LabeledBatch(1, np.array([0.5]), np.array([1]))
+    with pytest.raises(rb.UsageError, match="expected 2"):
+        rb.LabeledCollection((batch, other))

@@ -109,3 +109,15 @@ def test_vacuous_attack_does_not_hurt():
         # cleaning a vacuous attack must not hurt beyond noise
         assert report.fk_after <= report.fk_before + 0.02
     assert np.median(ratios) <= 2.0
+
+
+def test_beta_zero_sizes_with_the_floor():
+    from robust_batches.clean import ELL_BETA_FLOOR, prepare_cleaning
+    from robust_batches.partition import choose_ell
+
+    coll = small_collection(seed=2)
+    ell, params = prepare_cleaning(coll, 2, 0.0)
+    assert ell == choose_ell(2, coll.n, ELL_BETA_FLOOR, coll.m)
+    assert params.beta == ELL_BETA_FLOOR
+    with pytest.raises(rb.DomainError):
+        prepare_cleaning(coll, 2, float("nan"))

@@ -1,0 +1,119 @@
+"""Property tests: no user input makes the CLI exit with 1 (internal error).
+
+Malformed batch files and flags must exit 2 with a message; well-formed
+ones exit 0.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from robust_batches.cli import main
+
+N, M = 6, 4
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+MISSING = object()
+truths = st.sampled_from(["good", "adversarial", MISSING]) | json_values
+labels = st.sampled_from([0, 1]) | json_values
+values = st.floats(-2.0, 2.0) | json_values
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        return exc.code
+
+
+def _write(path, header, rows) -> None:
+    path.write_text("\n".join(json.dumps(r) for r in [header, *rows]) + "\n")
+
+
+def _rows(samples_of, truth_of):
+    rows = []
+    for i in range(M):
+        row = {"id": i, "samples": samples_of(i)}
+        if truth_of(i) is not MISSING:
+            row["truth"] = truth_of(i)
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def clean_run(workdir):
+    batches, report = workdir / "b.jsonl", workdir / "r.json"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "spike:1.0@0.5",
+        "--m", "20", "--n", "30", "--beta", "0.2", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    return batches, report
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text(max_size=12) | st.text(alphabet="0123456789,- ", max_size=12))
+@example("1,a")
+@example("1,,2")
+@example("99999999999999999999999")
+def test_eval_subset_never_exits_1(clean_run, subset):
+    batches, report = clean_run
+    argv = ["eval", "--input", str(batches), "--report", str(report), f"--subset={subset}"]
+    assert _exit_code(argv) in (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(truths, min_size=M, max_size=M), st.lists(labels, min_size=M, max_size=M))
+@example(["bogus", "good", "good", "good"], [1, 1, 1, 1])
+def test_labeled_file_never_exits_1(workdir, truth, label):
+    rng = np.random.default_rng(0)
+
+    def samples_of(i):
+        samples = [[float(x), int(x < 0.5)] for x in rng.random(N)]
+        samples[0][1] = label[i]
+        return samples
+
+    path = workdir / "labeled.jsonl"
+    _write(path, {"n": N, "m": M, "labeled": True}, _rows(samples_of, truth.__getitem__))
+    argv = ["classify", "--input", str(path), "--k", "1", "--beta", "0.2",
+            "--trigger", "5", "--stop", "4", "--out", str(workdir / "cls.json")]
+    rc = _exit_code(argv)
+    assert rc in (0, 2)
+    if "bogus" in truth:
+        assert rc == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(truths, min_size=M, max_size=M), st.lists(values, min_size=M, max_size=M))
+@example(["bogus", "good", "good", "good"], [0.5, 0.5, 0.5, 0.5])
+def test_unlabeled_file_never_exits_1(workdir, truth, value):
+    rng = np.random.default_rng(0)
+
+    def samples_of(i):
+        samples = [float(x) for x in rng.random(N)]
+        samples[0] = value[i]
+        return samples
+
+    path = workdir / "unlabeled.jsonl"
+    _write(path, {"n": N, "m": M}, _rows(samples_of, truth.__getitem__))
+    argv = ["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+            "--trigger", "5", "--stop", "4", "--out", str(workdir / "clean.json")]
+    rc = _exit_code(argv)
+    assert rc in (0, 2)
+    if "bogus" in truth:
+        assert rc == 2

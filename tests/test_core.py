@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
-from robust_batches.core import PooledEmpirical, per_batch_probs
+from robust_batches.core import per_batch_probs
 from robust_batches.partition import Interval, IntervalUnion
 
 
@@ -44,28 +44,29 @@ def test_empirical_prob_monotone_and_additive():
 
 
 def test_pooled_empirical_discretized():
-    d1 = rb.DiscretizedBatch(0, [1, 1])
-    d2 = rb.DiscretizedBatch(1, [2, 0])
-    np.testing.assert_allclose(rb.pooled_empirical([d1, d2]), [0.75, 0.25])
-    np.testing.assert_allclose(rb.pooled_empirical([d1]), [0.5, 0.5])
-    np.testing.assert_allclose(rb.pooled_empirical([d2, d2, d2]), [1.0, 0.0])
+    # the pooled measure of a sub-collection is the mean of its batches' measures
+    coll = rb.DiscretizedCollection(np.array([[1, 1], [2, 0]]), (0, 1), 2)
+    np.testing.assert_allclose(coll.pooled(), [0.75, 0.25])
+    np.testing.assert_allclose(coll.subset([0]).pooled(), [0.5, 0.5])
+    np.testing.assert_allclose(coll.subset([1]).pooled(), [1.0, 0.0])
 
 
 def test_pooled_empirical_matches_grand_count():
     rng = np.random.default_rng(1)
     coll = rb.BatchCollection(tuple(rb.Batch(i, rng.random(20)) for i in range(7)))
-    pooled = rb.pooled_empirical(coll)
-    assert isinstance(pooled, PooledEmpirical)
     region = union((0.25, 0.75))
-    direct = np.count_nonzero(
-        region.contains(np.concatenate([b.samples for b in coll.batches]))
-    ) / (20 * 7)
-    assert pooled.prob(region) == direct
+    pooled = coll.pooled_samples()
+    direct = np.count_nonzero(region.contains(pooled)) / pooled.size
+    assert pooled.size == 20 * 7
+    assert np.mean(per_batch_probs(coll, region)) == pytest.approx(direct, abs=1e-15)
 
 
 def test_pooled_empirical_empty():
+    # an empty sub-collection has no pooled measure: neither type can be built empty
     with pytest.raises(rb.UsageError):
-        rb.pooled_empirical([])
+        rb.BatchCollection(())
+    with pytest.raises(rb.UsageError):
+        rb.DiscretizedCollection(np.zeros((0, 2), dtype=np.int64), (), 2)
 
 
 def test_binomial_variance():
@@ -85,30 +86,6 @@ def test_variance_lipschitz_property():
     for r, s in rng.random((200, 2)):
         lhs = abs(rb.binomial_variance(r, n) - rb.binomial_variance(s, n))
         assert lhs <= abs(r - s) / n + 1e-15
-
-
-def test_empirical_variance():
-    d = [rb.DiscretizedBatch(i, [3, 1]) for i in range(4)]
-    coll = rb.DiscretizedCollection(np.stack([b.counts for b in d]), (0, 1, 2, 3), 4)
-    assert rb.empirical_variance(coll, rb.BinSubset.of(1)) == 0.0
-    two = rb.DiscretizedCollection(np.array([[0, 2], [2, 0]]), (0, 1), 2)
-    assert rb.empirical_variance(two, rb.BinSubset.of(1)) == 0.25
-
-
-def test_empirical_variance_tracks_binomial_variance():
-    # on seeded good-only collections the empirical variance sits within
-    # the 6*beta*ln(6e/beta)/n property margin of r(1-r)/n
-    beta, n, m = 0.1, 100, 400
-    margin = 6 * beta * np.log(6 * np.e / beta) / n
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        p = 0.35
-        counts = rng.binomial(n, p, size=m)
-        coll = rb.DiscretizedCollection(
-            np.column_stack([counts, n - counts]), tuple(range(m)), n
-        )
-        got = rb.empirical_variance(coll, rb.BinSubset.of(1))
-        assert abs(got - rb.binomial_variance(p, n)) <= margin
 
 
 def test_batch_rejects_nonfinite():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
-from robust_batches.corruption import clean_over_cover
 
 
 def collection_from_probs(probs, n, truth=None):
@@ -136,25 +135,6 @@ def test_removing_batches_reduces_corruption_for_any_subset():
         for i in range(sub.m)
     )
     assert reduced <= full
-
-
-def test_clean_over_cover_empty_cover():
-    coll = collection_from_probs([0.5, 0.5], 100)
-    params = rb.CorruptionParams(0.2, 100, 2)
-    out = clean_over_cover(coll, [], params, np.random.default_rng(0))
-    assert out.ids == coll.ids
-
-
-def test_clean_over_cover_single_hot_subset_reduces_to_one_deletion():
-    n = 10000
-    m = 40
-    params = rb.CorruptionParams(0.1, n, m)
-    probs = [0.5] * (m - 2) + [0.9, 0.9]
-    coll = collection_from_probs(probs, n)
-    swept = clean_over_cover(coll, [BIN1], params, np.random.Generator(np.random.PCG64(2)))
-    med = rb.median_prob(coll, BIN1)
-    direct = rb.batch_deletion(coll, BIN1, med, params, np.random.Generator(np.random.PCG64(2)))
-    assert swept.ids == direct.ids
 
 
 def test_check_properties_requires_good_only():

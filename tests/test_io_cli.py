@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_cli_selftest():
     assert main(["selftest", "--seed", "1"]) == 0
 
 
-def test_cli_reports_byte_identical_across_threads(tmp_path):
+def test_cli_reports_byte_identical_across_reruns(tmp_path):
     batches = tmp_path / "b.jsonl"
     main([
         "simulate", "--target", "uniform:0,1", "--attack", "mean_shift:1.0@0.4,0.6",
@@ -148,29 +150,47 @@ def test_cli_reports_byte_identical_across_threads(tmp_path):
     ])
     report = tmp_path / "report.json"
     outs = []
-    for threads in (1, 4):
+    for _ in range(2):
         rc = main([
             "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "9",
-            "--trigger", "5", "--stop", "4", "--threads", str(threads),
-            "--out", str(report),
+            "--trigger", "5", "--stop", "4", "--out", str(report),
         ])
         assert rc == 0
         outs.append(report.read_bytes())
-    # reports embed flags but not --threads, so the bytes must match
     assert outs[0] == outs[1]
-    assert b'"threads"' not in outs[0]
 
 
-def test_cli_threads_env_fallback(monkeypatch):
-    from robust_batches.cli import _default_threads
+def _write_labeled(path, truth="good", label=1):
+    """A 4-batch labeled file; batch 0 carries the given truth flag and label."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(4):
+        samples = [[float(x), int(x < 0.5)] for x in rng.random(6)]
+        row = {"id": i, "samples": samples, "truth": "good"}
+        if i == 0:
+            row["truth"] = truth
+            samples[0][1] = label
+        rows.append(row)
+    header = {"n": 6, "m": 4, "labeled": True}
+    path.write_text("\n".join(json.dumps(r) for r in [header, *rows]) + "\n")
 
-    monkeypatch.setenv("ROBUST_BATCHES_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("ROBUST_BATCHES_THREADS", "zero")
-    with pytest.raises(rb.UsageError):
-        _default_threads()
-    monkeypatch.delenv("ROBUST_BATCHES_THREADS")
-    assert _default_threads() >= 1
+
+def test_cli_labeled_file_with_unknown_truth_exits_2(tmp_path, capsys):
+    path = tmp_path / "l.jsonl"
+    _write_labeled(path, truth="bogus")
+    rc = main(["classify", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "unknown truth flags" in capsys.readouterr().err
+
+
+def test_cli_labeled_file_with_fractional_label_exits_2(tmp_path, capsys):
+    path = tmp_path / "l.jsonl"
+    _write_labeled(path, label=0.5)
+    rc = main(["classify", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "labels must be 0 or 1" in capsys.readouterr().err
 
 
 def test_cli_eval_subset_corruption_report(tmp_path):
@@ -194,6 +214,43 @@ def test_cli_eval_subset_corruption_report(tmp_path):
     assert data["corruption"]["subset"] == [1, 2, 3]
     assert data["corruption"]["total"] >= 0
     assert len(data["corruption"]["per_batch_scores"]) == 50
+
+
+def test_cli_eval_per_batch_scores_in_numeric_id_order(tmp_path):
+    batches = tmp_path / "b.jsonl"
+    report = tmp_path / "r.json"
+    main([
+        "simulate", "--target", "uniform:0,1", "--attack", "spike:1.0@0.5",
+        "--m", "101", "--n", "20", "--beta", "0.2", "--seed", "3", "--out", str(batches),
+    ])
+    assert main([
+        "clean", "--input", str(batches), "--k", "1", "--beta", "0.2", "--seed", "3",
+        "--out", str(report),
+    ]) == 0
+    out = tmp_path / "eval.json"
+    assert main([
+        "eval", "--input", str(batches), "--report", str(report),
+        "--subset", "1", "--out", str(out),
+    ]) == 0
+    scores = read_json(out)["corruption"]["per_batch_scores"]
+    assert [pair[0] for pair in scores] == list(range(101))
+
+
+@pytest.mark.parametrize("subset", ["1,a", "1,,2", ",", "0", "-3", "1.5", "99999999999999999999999"])
+def test_cli_eval_bad_subset_exits_2(tmp_path, capsys, subset):
+    batches = tmp_path / "b.jsonl"
+    report = tmp_path / "r.json"
+    main([
+        "simulate", "--target", "uniform:0,1", "--attack", "none",
+        "--m", "6", "--n", "20", "--beta", "0", "--seed", "0", "--out", str(batches),
+    ])
+    assert main([
+        "clean", "--input", str(batches), "--k", "1", "--beta", "0", "--out", str(report),
+    ]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--input", str(batches), "--report", str(report), f"--subset={subset}"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_eval_classify_report(tmp_path):

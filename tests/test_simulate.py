@@ -44,12 +44,11 @@ def test_build_collection_deterministic():
     )
 
 
-def test_build_collection_threads_do_not_change_output():
+def test_build_collection_batch_draws_from_its_own_rng():
     target = UniformTarget(0, 1)
-    a = rb.build_collection(target, None, 12, 30, 0.0, 7, threads=1)
-    b = rb.build_collection(target, None, 12, 30, 0.0, 7, threads=4)
-    for ba, bb in zip(a.batches, b.batches):
-        np.testing.assert_array_equal(ba.samples, bb.samples)
+    coll = rb.build_collection(target, SpikeAttack(0.5, 1.0), 12, 30, 0.25, 7)
+    for b in coll.batches[:9]:
+        np.testing.assert_array_equal(b.samples, target.sample(batch_rng(7, b.id), 30))
 
 
 def test_beta_zero_needs_no_attack_but_positive_does():
