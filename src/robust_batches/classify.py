@@ -1,8 +1,9 @@
 """Binary classification with k-interval decision regions.
 
 The empirical risk minimizer over hypotheses whose positive region is a
-union of at most k intervals is exact: a dynamic program walks the sorted
-distinct sample positions with (intervals-used, inside/outside) states.
+union of at most k intervals is exact: its loss is W1 - sum_inside(w1 - w0)
+over the sorted distinct sample positions, so it reads the interval-union
+tables of ``distance`` (the F_k kernel) on w1 - w0 and walks them back.
 The robust variant first cleans the batches over a per-label discretized
 product domain, then runs the ERM on the surviving samples.
 """
@@ -18,6 +19,7 @@ from .clean import prepare_cleaning
 from .core import Collection, DiscretizedCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .detect import clean_discrete
+from .distance import union_tables
 from .partition import Interval, IntervalUnion, build_partition
 
 LABELS = (0, 1)
@@ -106,7 +108,9 @@ def _group_by_position(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
 def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
     """Exact weighted-loss minimizer over k-interval decision regions.
 
-    Runs the dynamic program over the s distinct sample positions as k
+    The loss is W1 - sum_inside(w1 - w0), so the region is the best union
+    of the per-position label-weight differences w1 - w0:
+    :func:`distance.union_tables` over the s distinct sample positions, k
     numpy passes of O(s) each, plus at most 2k+1 vector searches to recover
     the region; endpoints land at midpoints between consecutive distinct x
     values (the outermost runs extend to the infinities).  Ties prefer
@@ -128,19 +132,9 @@ def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
             raise UsageError("weights must be nonnegative")
     pos, w0, w1 = _group_by_position(x, y, weights)
     g = pos.size
-    c0 = np.concatenate(([0.0], np.cumsum(w0)))
-    c1 = np.concatenate(([0.0], np.cumsum(w1)))
-    # out[j, i] / ins[j, i]: least loss over the first i positions with j
-    # intervals opened, ending outside / inside the region.  Each layer is
-    # a running minimum over prefix sums of the label weights.
-    out = np.full((k + 1, g + 1), math.inf)
-    ins = np.full((k + 1, g + 1), math.inf)
-    out[0] = c1
-    for j in range(1, k + 1):
-        ins[j, 1:] = c0[1:] + np.minimum.accumulate(out[j - 1, :-1] - c0[:-1])
-        out[j, 1:] = c1[1:] + np.minimum.accumulate(ins[j, :-1] - c1[:-1])
-    # first minimum in (j, outside before inside) order: fewer intervals win
-    best = int(np.argmin(np.stack([out[:, g], ins[:, g]], axis=1)))
+    out, ins = union_tables(w1 - w0, k)
+    # first maximum in (j, outside before inside) order: fewer intervals win
+    best = int(np.argmax(np.stack([out[:, g], ins[:, g]], axis=1)))
     j, inside = divmod(best, 2)
     # Walk back one run per step; ties keep the current state (staying out
     # beats closing, continuing beats opening).
@@ -148,13 +142,13 @@ def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
     i = g
     while i > 0 and (inside or j > 0):
         if inside:
-            t = int(np.flatnonzero(ins[j, :i] > out[j - 1, :i])[-1])
+            t = int(np.flatnonzero(ins[j, :i] < out[j - 1, :i])[-1])
             lo = -math.inf if t == 0 else 0.5 * (pos[t - 1] + pos[t])
             hi = math.inf if i == g else 0.5 * (pos[i - 1] + pos[i])
             intervals.append(Interval(lo, hi))
             j -= 1
         else:
-            t = int(np.flatnonzero(out[j, :i] > ins[j, :i])[-1])
+            t = int(np.flatnonzero(out[j, :i] < ins[j, :i])[-1])
         i, inside = t, not inside
     return KIntervalHypothesis(IntervalUnion(tuple(intervals[::-1])))
 

@@ -3,7 +3,8 @@
 Every command takes --seed and is deterministic given it.  Reports embed
 the resolved configuration; the output format (--format) is excluded, so
 reruns stay byte-identical.
-Exit codes: 0 success, 2 usage or file-format error, 1 runtime failure.
+Exit codes: 0 success, 2 usage, file-format or file-system error, 1 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .classify import LabeledCollection, erm_k_intervals, risk, robust_classify
 from .clean import clean_pipeline, guidance_batches, prepare_cleaning
-from .core import BatchCollection, DomainError, UsageError
+from .core import BETA_MAX, BatchCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .detect import DETECTORS
 from .distance import fk_distance, fk_distance_brute
@@ -34,7 +35,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_cleaning_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, required=True, help="adversarial batch fraction (<= 0.4)")
+    p.add_argument("--beta", type=float, required=True, help=f"adversarial batch fraction (<= {BETA_MAX})")
     p.add_argument("--detector", choices=DETECTORS, default="spectral")
     p.add_argument("--candidates", type=int, default=None, help="spectral candidate budget")
     p.add_argument("--trigger", type=float, default=TRIGGER_FACTOR, help="deletion trigger, multiples of kappa_g")
@@ -126,6 +127,17 @@ def _clean_config(args, extra=()) -> dict:
     return cfg
 
 
+def _cleaning_kwargs(args, target) -> dict:
+    """The cleaning flags as keywords of clean_pipeline and robust_classify."""
+    return {
+        "detector": args.detector,
+        "trigger_factor": args.trigger,
+        "stop_factor": args.stop,
+        "candidates_budget": args.candidates,
+        "reference": target,
+    }
+
+
 def _cmd_clean(args) -> int:
     collection = read_batches(args.input)
     if not isinstance(collection, BatchCollection):
@@ -133,15 +145,7 @@ def _cmd_clean(args) -> int:
     target = parse_target(args.target) if args.target else None
     rng = np.random.Generator(np.random.PCG64(args.seed))
     result = clean_pipeline(
-        collection,
-        args.k,
-        args.beta,
-        rng,
-        detector=args.detector,
-        trigger_factor=args.trigger,
-        stop_factor=args.stop,
-        candidates_budget=args.candidates,
-        reference=target,
+        collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
     )
     report = {
         "config": _clean_config(args, extra=["k", "target", "retained"]),
@@ -166,15 +170,7 @@ def _cmd_estimate(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     k_clean = max(1, 2 * args.t * args.d)
     result = clean_pipeline(
-        collection,
-        k_clean,
-        args.beta,
-        rng,
-        detector=args.detector,
-        trigger_factor=args.trigger,
-        stop_factor=args.stop,
-        candidates_budget=args.candidates,
-        reference=target,
+        collection, k_clean, args.beta, rng, **_cleaning_kwargs(args, target)
     )
     pooled = result.retained.pooled_samples()
     support = (float(pooled[0]), float(pooled[-1]))
@@ -203,15 +199,7 @@ def _cmd_classify(args) -> int:
         raise UsageError("classify needs a labeled: target")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     hypothesis, report = robust_classify(
-        collection,
-        args.k,
-        args.beta,
-        rng,
-        detector=args.detector,
-        trigger_factor=args.trigger,
-        stop_factor=args.stop,
-        candidates_budget=args.candidates,
-        reference=target,
+        collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
     )
     out = {
         "config": _clean_config(args, extra=["k", "target"]),
@@ -374,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError, FileFormatError, FileNotFoundError) as exc:
+    except (UsageError, DomainError, FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -1,20 +1,20 @@
 """Distances between discrete distributions over bins.
 
 The headline metric is the largest probability discrepancy over unions of
-at most k index-intervals, computed by an O(ell*k) dynamic program over
-(position, intervals-used, inside/outside) states, run once on d = p - q
-and once on -d.  The same forward DP gives the value and, through its
-per-position tables, the maximizing union.  A combinatorial enumeration
-doubles as a test oracle.
+at most k index-intervals.  One dynamic program, :func:`union_tables`,
+finds the best union of at most k runs of a signed vector: k running-
+maximum passes over its prefix sums, O(ell*k) in all.  F_k reads its
+value on d = p - q and on -d, the witnesses are walked back from its
+tables, and interval ERM (``classify``) runs it on the label-weight
+differences.  A combinatorial enumeration doubles as a test oracle.
 
-The DP accumulates each candidate union's sum left-to-right, so on inputs
-whose entries are exactly representable (e.g. dyadic rationals) it agrees
-bit-for-bit with the enumeration oracle.
+Every run's sum is a difference of prefix sums, as in the enumeration
+oracle, so on inputs whose entries are exactly representable (e.g. dyadic
+rationals) the two agree bit-for-bit.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -22,60 +22,64 @@ import numpy as np
 from .core import DomainError, UsageError
 from .partition import BinSubset, EMPTY_SUBSET
 
-_NEG = -math.inf
+
+def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    pair = []
+    for name, v in (("p", p), ("q", q)):
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 1 or v.size == 0:
+            raise DomainError(f"{name} must be a nonempty 1-d vector")
+        if np.any(v < -1e-12):
+            raise DomainError(f"{name} has negative entries")
+        if abs(float(v.sum()) - 1.0) > 1e-9:
+            raise DomainError(f"{name} must sum to 1 (got {float(v.sum())!r})")
+        pair.append(v)
+    if pair[0].size != pair[1].size:
+        raise DomainError("p and q must have the same length")
+    return pair[0], pair[1]
 
 
-def _check_distribution(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d vector")
-    if np.any(p < -1e-12):
-        raise DomainError(f"{name} has negative entries")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise DomainError(f"{name} must sum to 1 (got {float(p.sum())!r})")
-    return p
+def union_tables(d, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best sums of d over unions of runs, per prefix and run count.
+
+    ``out[j, i]`` / ``ins[j, i]`` is the largest sum of d over the first i
+    entries with exactly j runs, the i-th entry outside / inside the last
+    run (-inf when no such union exists).  Layer j is one running maximum
+    over the prefix sums of d.  The best union of at most k runs has sum
+    ``max(out[:, -1].max(), ins[:, -1].max())``.
+    """
+    if k < 1:
+        raise DomainError("k must be at least 1")
+    d = np.asarray(d, dtype=float)
+    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    out = np.full((k + 1, d.size + 1), -np.inf)
+    ins = np.full((k + 1, d.size + 1), -np.inf)
+    out[0] = 0.0
+    for j in range(1, k + 1):
+        ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
+        out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
+    return out, ins
 
 
-def _forward_tables(d, k: int) -> tuple[float, list, list]:
-    """Best union sum of d (>= 0), with the per-position tables that
-    witness extraction reads."""
-    ell = len(d)
-    outs = [[0.0] + [_NEG] * k]
-    ins = [[_NEG] * (k + 1)]
-    for di in d:
-        di = float(di)
-        f_out, f_in = outs[-1], ins[-1]
-        new_out = [max(a, b) for a, b in zip(f_out, f_in)]
-        new_in = [_NEG] * (k + 1)
-        for j in range(1, k + 1):
-            prev = f_in[j] if f_in[j] >= f_out[j - 1] else f_out[j - 1]
-            if prev != _NEG:
-                new_in[j] = prev + di
-        outs.append(new_out)
-        ins.append(new_in)
-    opt = max(max(outs[ell]), max(ins[ell]))
-    return opt, outs, ins
+def _table_max(out: np.ndarray, ins: np.ndarray) -> float:
+    return float(max(out[:, -1].max(), ins[:, -1].max()))
 
 
-def _extract_witness(d, k: int, opt: float, outs, ins) -> frozenset[int]:
+def _extract_witness(d, k: int, opt: float, out: np.ndarray) -> frozenset[int]:
     """Maximizing union with the smallest bitmask (high bins dropped first).
 
     Scans bins from the top, excluding a bin whenever some maximizer avoids
-    it; feasibility is read off the forward tables.  Mixing forward and
-    suffix partial sums costs a few ulps, hence the tolerance.
+    it; feasibility is read off the ``out`` table of :func:`union_tables`.
+    Mixing prefix and suffix partial sums costs a few ulps, hence the
+    tolerance.
     """
-    ell = len(d)
-    tol = 1e-10 * max(1.0, float(np.abs(np.asarray(d, dtype=float)).sum()))
+    tol = 1e-10 * max(1.0, float(np.abs(d).sum()))
     members: list[int] = []
     j_suf = 0  # interval runs fully decided above the scan point
     v_suf = 0.0
     bottom_open = False  # True when bin c+1 was included
-    for c in range(ell, 0, -1):
-        budget = k - j_suf
-        exclude_best = _NEG
-        for j in range(0, budget + 1):
-            exclude_best = max(exclude_best, outs[c][j])
-        if exclude_best + v_suf >= opt - tol:
+    for c in range(d.size, 0, -1):
+        if out[: k - j_suf + 1, c].max() + v_suf >= opt - tol:
             bottom_open = False
             continue
         members.append(c)
@@ -87,18 +91,19 @@ def _extract_witness(d, k: int, opt: float, outs, ins) -> frozenset[int]:
 
 
 def max_sum_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
-    """Signed variant: max of sum(d over S) itself, never of -d.
+    """Largest sum(d over S) over unions S of <= k index-intervals, with the
+    smallest-bitmask witness.
 
-    Useful when the caller cares which side of a zero-sum difference the
-    witness lies on (the absolute maximizer ties with its complement).
+    Signed: the max of sum(d over S) itself, never of -d.  Useful when the
+    caller cares which side of a zero-sum difference the witness lies on
+    (the absolute maximizer ties with its complement).
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise DomainError("d must be a nonempty 1-d vector")
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    opt, outs, ins = _forward_tables(d, k)
-    witness = _extract_witness(d, k, opt, outs, ins)
+    out, ins = union_tables(d, k)
+    opt = _table_max(out, ins)
+    witness = _extract_witness(d, k, opt, out)
     return opt, (BinSubset(witness) if witness else EMPTY_SUBSET)
 
 
@@ -110,34 +115,18 @@ def best_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
     vector yields the empty subset.
     """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise DomainError("d must be a nonempty 1-d vector")
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    opt_pos, outs_p, ins_p = _forward_tables(d, k)
-    opt_neg, outs_n, ins_n = _forward_tables(-d, k)
-    if opt_pos > opt_neg:
-        witness = _extract_witness(d, k, opt_pos, outs_p, ins_p)
-    elif opt_neg > opt_pos:
-        witness = _extract_witness(-d, k, opt_neg, outs_n, ins_n)
-    else:
-        w1 = _extract_witness(d, k, opt_pos, outs_p, ins_p)
-        w2 = _extract_witness(-d, k, opt_neg, outs_n, ins_n)
-        witness = min(w1, w2, key=lambda w: sum(1 << i for i in w))
-    value = max(opt_pos, opt_neg)
-    return value, (BinSubset(witness) if witness else EMPTY_SUBSET)
+    pos = max_sum_k_interval_union(d, k)
+    neg = max_sum_k_interval_union(-d, k)
+    if pos[0] != neg[0]:
+        return max(pos, neg, key=lambda r: r[0])
+    return min(pos, neg, key=lambda r: sum(1 << i for i in r[1].members))
 
 
 def fk_distance(p, q, k: int) -> float:
     """Max discrepancy |p(S) - q(S)| over unions S of at most k bin intervals."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.size != q.size:
-        raise DomainError("p and q must have the same length")
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    p, q = _check_pair(p, q)
     d = p - q
-    return max(_forward_tables(d, k)[0], _forward_tables(-d, k)[0])
+    return max(_table_max(*union_tables(d, k)), _table_max(*union_tables(-d, k)))
 
 
 @lru_cache(maxsize=256)
@@ -167,10 +156,7 @@ def iter_k_run_subsets(ell: int, k: int):
 
 def fk_distance_brute(p, q, k: int) -> float:
     """Exhaustive oracle for :func:`fk_distance`; refuses ell > 20."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.size != q.size:
-        raise DomainError("p and q must have the same length")
+    p, q = _check_pair(p, q)
     if k < 1:
         raise DomainError("k must be at least 1")
     ell = p.size
@@ -189,8 +175,5 @@ def fk_distance_brute(p, q, k: int) -> float:
 
 def tv_distance(p, q) -> float:
     """Total-variation distance, half the L1 distance."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.size != q.size:
-        raise DomainError("p and q must have the same length")
+    p, q = _check_pair(p, q)
     return 0.5 * float(np.abs(p - q).sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BatchCollection, DiscretizedCollection, DomainError, UsageError
+from .core import BETA_MAX, BatchCollection, DiscretizedCollection, DomainError, UsageError
 
 _CEIL_SLACK = 1e-9  # guards ceil() against float noise on exact integers
 
@@ -185,8 +185,8 @@ def choose_ell(k: int, n: int, beta: float, m: int | None = None) -> int:
         raise DomainError("k must be at least 1")
     if n < 1:
         raise DomainError("n must be positive")
-    if not 0.0 < beta <= 0.4:
-        raise DomainError(f"beta must lie in (0, 0.4], got {beta}")
+    if not 0.0 < beta <= BETA_MAX:
+        raise DomainError(f"beta must lie in (0, {BETA_MAX}], got {beta}")
     ell = math.ceil(2.0 * k * math.sqrt(n) / beta - _CEIL_SLACK)
     if m is not None:
         ell = min(ell, n * m)

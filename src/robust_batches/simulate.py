@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import KIntervalHypothesis, LabeledBatch, LabeledCollection
-from .core import ADVERSARIAL, GOOD, Batch, BatchCollection, DomainError, UsageError
+from .core import ADVERSARIAL, BETA_MAX, GOOD, Batch, BatchCollection, DomainError, UsageError
 from .distance import fk_distance, max_sum_k_interval_union
 from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
@@ -552,8 +552,8 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     sees the realized good samples.  Batch i draws from ``batch_rng(seed,
     i)``, so identical seeds give identical collections byte for byte.
     """
-    if not 0.0 <= beta <= 0.4:
-        raise DomainError(f"beta must lie in [0, 0.4], got {beta}")
+    if not 0.0 <= beta <= BETA_MAX:
+        raise DomainError(f"beta must lie in [0, {BETA_MAX}], got {beta}")
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
     n_good = int(math.floor((1.0 - beta) * m + _FLOOR_SLACK))

@@ -74,6 +74,31 @@ def test_best_k_interval_union_witness_is_minimal_maximizer():
         assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
 
 
+def test_max_sum_k_interval_union_witness_is_minimal_maximizer():
+    # the signed variant on the same exact grid: the value is the largest
+    # signed union sum and the witness the smallest maximizing bitmask
+    from robust_batches.distance import _k_run_unions, max_sum_k_interval_union
+
+    rng = np.random.default_rng(78)
+    for _ in range(400):
+        ell = int(rng.integers(1, 11))
+        k = int(rng.integers(1, 4))
+        d = rng.integers(-16, 17, ell) / 16.0
+        value, witness = max_sum_k_interval_union(d, k)
+        best_val = 0.0
+        best_masks = [0]
+        for runs in _k_run_unions(ell, min(k, (ell + 1) // 2)):
+            members = [i for a, b in runs for i in range(a, b + 1)]
+            v = sum(d[i - 1] for i in members)
+            mask = sum(1 << (i - 1) for i in members)
+            if v > best_val:
+                best_val, best_masks = v, [mask]
+            elif v == best_val:
+                best_masks.append(mask)
+        assert value == best_val
+        assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
+
+
 def test_best_k_interval_union_sign_symmetric():
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -105,6 +130,13 @@ def test_fk_matches_brute_on_dyadic_grid():
         k = int(rng.integers(1, 4))
         p, q = dyadic_pair(rng, ell)
         assert rb.fk_distance(p, q, k) == rb.fk_distance_brute(p, q, k)
+    # off the grid the kernel and the oracle add in different orders
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        ell = int(rng.integers(1, 13))
+        k = int(rng.integers(1, 4))
+        p, q = rng.dirichlet(np.ones(ell)), rng.dirichlet(np.ones(ell))
+        assert abs(rb.fk_distance(p, q, k) - rb.fk_distance_brute(p, q, k)) <= 1e-12
 
 
 def test_fk_monotone_in_k_and_caps_at_tv():

@@ -132,6 +132,23 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+def test_cli_simulate_out_directory_exits_2(tmp_path, capsys):
+    rc = main([
+        "simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5",
+        "--beta", "0", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_cli_clean_input_directory_exits_2(tmp_path, capsys):
+    rc = main(["clean", "--input", str(tmp_path), "--k", "1", "--beta", "0.2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["clean", "--frobnicate", "1"])
