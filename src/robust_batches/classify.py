@@ -206,7 +206,6 @@ def robust_classify(
     detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
-    candidates_budget: int | None = None,
     reference=None,
 ) -> tuple[KIntervalHypothesis, ClassifyReport]:
     """Clean labeled batches over a per-label discretization, then run ERM.
@@ -225,9 +224,7 @@ def robust_classify(
     disc = DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
     rounds = 0
     if beta > 0.0:
-        cleaned, rounds = clean_discrete(
-            disc, params, rng, detector, trigger_factor, stop_factor, candidates_budget
-        )
+        cleaned, rounds = clean_discrete(disc, params, rng, detector, trigger_factor, stop_factor)
         retained = collection.subset(cleaned.ids)
     else:
         retained = collection

@@ -38,7 +38,11 @@ DEFAULT_DELTA = 0.1
 
 @dataclass(frozen=True)
 class CleaningReport:
-    """Everything a cleaning run decided and measured."""
+    """Everything a cleaning run decided and measured.
+
+    ``source_token`` is the partition's fingerprint of the pooled samples,
+    so a report can be matched to the batch file it was written for.
+    """
 
     retained_ids: tuple[int, ...]
     ell: int
@@ -48,6 +52,7 @@ class CleaningReport:
     kappa_g: float
     rounds: int
     max_cell_occupancy: int
+    source_token: str
     fk_before: float | None = None
     fk_after: float | None = None
     retention_good: float | None = None
@@ -62,6 +67,7 @@ class CleaningReport:
             "kappa_g": self.kappa_g,
             "rounds": self.rounds,
             "max_cell_occupancy": self.max_cell_occupancy,
+            "source_token": self.source_token,
             "fk_before": self.fk_before,
             "fk_after": self.fk_after,
             "retention_good": self.retention_good,
@@ -133,7 +139,6 @@ def clean_pipeline(
     detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
-    candidates_budget: int | None = None,
     reference=None,
     delta: float = DEFAULT_DELTA,
 ) -> CleanPipelineResult:
@@ -154,9 +159,7 @@ def clean_pipeline(
         float(fk_distance(disc.pooled(), ref_vec, k)) if ref_vec is not None else None
     )
     if beta > 0.0:
-        cleaned, rounds = clean_discrete(
-            disc, params, rng, detector, trigger_factor, stop_factor, candidates_budget
-        )
+        cleaned, rounds = clean_discrete(disc, params, rng, detector, trigger_factor, stop_factor)
     else:
         params, cleaned, rounds = None, disc, 0
     fk_after = (
@@ -171,6 +174,7 @@ def clean_pipeline(
         kappa_g=params.kappa_g if params is not None else 0.0,
         rounds=rounds,
         max_cell_occupancy=occupancy,
+        source_token=partition.source_token,
         fk_before=fk_before,
         fk_after=fk_after,
         retention_good=collection.retention_good(cleaned.ids),

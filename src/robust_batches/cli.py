@@ -37,7 +37,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_cleaning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True, help=f"adversarial batch fraction (<= {BETA_MAX})")
     p.add_argument("--detector", choices=DETECTORS, default="spectral")
-    p.add_argument("--candidates", type=int, default=None, help="spectral candidate budget")
     p.add_argument("--trigger", type=float, default=TRIGGER_FACTOR, help="deletion trigger, multiples of kappa_g")
     p.add_argument("--stop", type=float, default=STOP_FACTOR, help="deletion stop, multiples of kappa_g")
 
@@ -111,17 +110,17 @@ def _config(args, keys) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out is None:
+        raise UsageError("simulate requires --out for the batch file")
     target = parse_target(args.target)
     attack = parse_attack(args.attack)
     collection = build_collection(target, attack, args.m, args.n, args.beta, args.seed)
-    if args.out is None:
-        raise UsageError("simulate requires --out for the batch file")
     write_batches(collection, args.out)
     return 0
 
 
 def _clean_config(args, extra=()) -> dict:
-    keys = ["seed", "beta", "detector", "candidates", "trigger", "stop", "input", "out"]
+    keys = ["seed", "beta", "detector", "trigger", "stop", "input", "out"]
     cfg = _config(args, keys + list(extra))
     cfg["command"] = args.command
     return cfg
@@ -133,7 +132,6 @@ def _cleaning_kwargs(args, target) -> dict:
         "detector": args.detector,
         "trigger_factor": args.trigger,
         "stop_factor": args.stop,
-        "candidates_budget": args.candidates,
         "reference": target,
     }
 
@@ -223,7 +221,7 @@ def _eval_section(report) -> tuple[dict, bool]:
     whether it came from a labeled (classify) run."""
     if isinstance(report, dict):
         for key, keys, labeled in (
-            ("cleaning", ("retained_ids", "beta", "k", "ell"), False),
+            ("cleaning", ("retained_ids", "beta", "k", "ell", "source_token"), False),
             ("classification", ("retained_ids", "beta", "k"), True),
         ):
             section = report.get(key)
@@ -251,7 +249,7 @@ def _cmd_eval(args) -> int:
     if not labeled:
         ell, params = prepare_cleaning(collection, k, beta)
         partition = build_partition(collection.pooled_samples(), ell)
-        if partition.ell != section["ell"]:
+        if (partition.ell, partition.source_token) != (section["ell"], section["source_token"]):
             raise UsageError("the report's partition does not match the batch file")
     elif members is not None:
         raise UsageError("--subset needs a clean or estimate report")

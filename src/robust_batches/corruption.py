@@ -36,7 +36,18 @@ TRIGGER_FACTOR = 25.0
 STOP_FACTOR = 20.0
 
 
-def _score_vector(mu: np.ndarray, med: float, tau: float) -> np.ndarray:
+def corruption_scores(mu: np.ndarray, tau: float, med=None) -> np.ndarray:
+    """Per-batch corruption scores of subset masses, the one scorer that
+    the detectors, the filter and the property checks share.
+
+    ``mu`` holds the per-batch masses of one subset, shape (m,), or of one
+    subset per column, shape (m, nc), in the unit of ``tau`` (the detectors
+    pass counts and tau*n).  A batch scores zero while it sits within
+    ``tau`` of ``med`` (by default the column medians) and the squared
+    deviation beyond that.
+    """
+    if med is None:
+        med = np.median(mu, axis=0)
     dev = mu - med
     return np.where(np.abs(dev) <= tau, 0.0, dev * dev)
 
@@ -84,7 +95,7 @@ def corruption_collection(sub, subset, params: CorruptionParams) -> CorruptionRe
     """Score every batch of ``sub`` against the sub-collection's own median."""
     mu = per_batch_probs(sub, subset)
     med = float(np.median(mu))
-    scores = _score_vector(mu, med, params.tau)
+    scores = corruption_scores(mu, params.tau, med)
     ids = sub.ids if isinstance(sub, DiscretizedCollection) else tuple(b.id for b in sub.batches)
     per_batch = {int(i): float(s) for i, s in zip(ids, scores)}
     return CorruptionReport(
@@ -111,8 +122,9 @@ def batch_deletion(
     """
     if not 0.0 <= med <= 1.0:
         raise UsageError(f"median must lie in [0, 1], got {med}")
-    mu = per_batch_probs(sub, subset)
-    scores = _score_vector(mu, med, params.tau)
+    if not stop_factor > 0.0:
+        raise UsageError(f"stop_factor must be positive, got {stop_factor}")
+    scores = corruption_scores(per_batch_probs(sub, subset), params.tau, med)
     alive = np.ones(sub.m, dtype=bool)
     threshold = stop_factor * params.kappa_g
     total = float(scores[alive].sum())
@@ -225,7 +237,6 @@ def check_properties(
         p_s = float(target[subset.indices0()].sum())
         mu = per_batch_probs(good_sub, subset)
         med = float(np.median(mu))
-        scores = _score_vector(mu, med, params.tau)
         msd = float(np.mean((mu - p_s) ** 2))
         checks.append(
             PropertyCheck(
@@ -236,7 +247,7 @@ def check_properties(
                 mean_bound=mean_bound,
                 msd_error=abs(msd - binomial_variance(p_s, n)),
                 msd_bound=msd_bound,
-                corruption_total=float(scores.sum()),
+                corruption_total=float(corruption_scores(mu, params.tau, med).sum()),
             )
         )
     return PropertyCheckReport(tuple(checks), params.kappa_g)

@@ -1,14 +1,21 @@
 """Finding bin subsets with high corruption score.
 
 The exhaustive search is exact but exponential in the bin count, so it is
-kept as an oracle for small domains.  The polynomial-time detector centers
-the per-batch probability matrix at the column medians, takes the leading
-eigenvector of the resulting covariance-like matrix by fixed-length power
-iteration, and scores the subsets obtained by thresholding the eigenvector
-at every distinct coordinate value (both signs), plus dyadic contiguous
-windows (per-bin deviations can sit far below tau individually while their
-contiguous aggregate clears it), plus all singletons.  Singleton inclusion
-guarantees single-bin attacks are always found.
+kept as an oracle for small domains.  The polynomial-time detector takes
+the leading eigenvector v of the median-centered per-batch probability
+matrix by fixed-length power iteration and scores three candidate families,
+each a table of per-batch subset counts with one column per candidate:
+
+- threshold sets {i: +-v_i >= t} at every distinct value t: columns of
+  ``counts[:, order].cumsum(axis=1)`` at the depths where the value changes;
+- dyadic contiguous windows, for attacks whose per-bin deviations sit far
+  below tau while their contiguous aggregate clears it: differences of one
+  ``counts.cumsum(axis=1)`` table with a leading zero column;
+- all singletons, ``counts`` itself, so single-bin attacks are always found.
+
+Every table is scored by :func:`corruption.corruption_scores`.  Tie rule:
+among the candidates with the largest score, if it is positive, the one
+with the smallest :meth:`BinSubset.bitmask` wins.
 """
 
 from __future__ import annotations
@@ -16,22 +23,25 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CorruptionParams, DiscretizedCollection, UsageError
-from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, median_prob
+from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, corruption_scores, median_prob
 from .partition import EMPTY_SUBSET, BinSubset
 
 _BRUTE_MAX_ELL = 20
 _BRUTE_CHUNK = 2048
 _POWER_ITERATIONS = 200
 _POWER_SEED = 0x5EEDC0DE  # detection keeps its own rng so the pipeline seed is untouched
-_DEFAULT_CANDIDATE_CAP = 4096  # threshold candidates; keeps huge partitions tractable
+_CANDIDATE_CAP = 4096  # per candidate family; keeps huge partitions tractable
 
 
-def _score_subsets(sub: DiscretizedCollection, masks: np.ndarray, tau: float) -> np.ndarray:
-    """Total corruption score for each column-mask in ``masks`` (ell, nc)."""
-    probs = sub.probs() @ masks
-    med = np.median(probs, axis=0)
-    dev = probs - med
-    return np.where(np.abs(dev) <= tau, 0.0, dev * dev).sum(axis=0)
+def _column_scores(table: np.ndarray, n: int, tau: float) -> np.ndarray:
+    """Total corruption score of each column of per-batch subset counts.
+
+    Scored in count units, where deviations from the median are exact
+    half-integers and their squares sum exactly, and divided by n^2 last, so
+    every tie is exact: a subset ties with its complement and with itself in
+    any table.
+    """
+    return corruption_scores(table, tau * n).sum(axis=0) / (n * n)
 
 
 def max_corruption_subset_brute(
@@ -50,8 +60,8 @@ def max_corruption_subset_brute(
     bit = np.arange(ell, dtype=np.uint32)
     for start in range(0, 1 << ell, _BRUTE_CHUNK):
         ints = np.arange(start, min(start + _BRUTE_CHUNK, 1 << ell), dtype=np.uint32)
-        masks = ((ints[:, None] >> bit) & 1).astype(np.float64).T
-        scores = _score_subsets(sub, masks, params.tau)
+        masks = (ints[:, None] >> bit) & 1
+        scores = _column_scores(sub.counts @ masks.T, sub.n, params.tau)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score = float(scores[i])
@@ -60,13 +70,15 @@ def max_corruption_subset_brute(
     return (BinSubset(members) if members else EMPTY_SUBSET), best_score
 
 
-def _leading_eigvec(centered: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of centered.T @ centered by power iteration.
+def _leading_eigvec(P: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of centered.T @ centered by power iteration,
+    where ``centered`` is P minus its column medians.
 
     When there are more bins than batches the iteration runs on the small
     m x m Gram matrix instead and maps back, which is the same vector.
     """
     rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
+    centered = P - np.median(P, axis=0)
     m, ell = centered.shape
     gram_side = centered @ centered.T if ell > m else centered.T @ centered
     v = rng.standard_normal(gram_side.shape[0])
@@ -85,108 +97,77 @@ def _leading_eigvec(centered: np.ndarray) -> np.ndarray:
     return v
 
 
-def _threshold_candidates(v: np.ndarray, budget: int | None) -> list[np.ndarray]:
-    """Index sets {i: v_i >= t} over every distinct threshold t, both signs."""
-    cands: list[np.ndarray] = []
-    for vec in (v, -v):
+def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(order, depths) for v and for -v: the threshold set {i: v_i >= t} at
+    each distinct value t is ``order[:depth]``.  Over both signs together at
+    most _CANDIDATE_CAP depths are kept, evenly spaced."""
+    orders, depths, signs = [], [], []
+    for sign, vec in enumerate((v, -v)):
         order = np.argsort(-vec, kind="stable")
-        sorted_vals = vec[order]
-        cuts = np.nonzero(np.diff(sorted_vals))[0] + 1
-        depths = list(cuts) + [vec.size]
-        for depth in depths:
-            cands.append(np.sort(order[:depth]))
-    if budget is not None and len(cands) > budget:
-        keep = np.unique(np.linspace(0, len(cands) - 1, budget).round().astype(int))
-        cands = [cands[i] for i in keep]
-    return cands
+        cuts = np.append(np.flatnonzero(np.diff(vec[order])) + 1, vec.size)
+        orders.append(order)
+        depths.append(cuts)
+        signs.append(np.full(cuts.size, sign))
+    depth, sign = np.concatenate(depths), np.concatenate(signs)
+    if depth.size > _CANDIDATE_CAP:
+        keep = np.unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
+        depth, sign = depth[keep], sign[keep]
+    return [(order, depth[sign == s]) for s, order in enumerate(orders)]
 
 
-def _window_candidates(ell: int, budget: int) -> list[np.ndarray]:
-    """Dyadic contiguous windows, longest first.
+def _windows(ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and stops of the dyadic contiguous windows [a, b), longest
+    first, at most _CANDIDATE_CAP of them.
 
-    Eigenvector thresholding can miss attacks whose per-bin deviations are
-    individually far below tau but aggregate over a contiguous range;
-    half-overlapping power-of-two windows cover every such range to within
-    half its length.  A window's complement scores identically (deviations
-    from the median are antisymmetric), so complements are not added.
+    Half-overlapping power-of-two windows cover every contiguous range to
+    within half its length.  A window's complement scores identically
+    (deviations from the median are antisymmetric), so complements are not
+    added.
     """
-    out: list[np.ndarray] = []
-    length = 1 << (ell - 1).bit_length()
-    length = min(length, ell)
-    while length >= 2 and len(out) < budget:
-        stride = max(1, length // 2)
-        starts = list(range(0, ell - length + 1, stride))
-        if starts[-1] != ell - length:
-            starts.append(ell - length)
-        for a in starts:
-            out.append(np.arange(a, a + length))
-            if len(out) >= budget:
-                break
+    starts, stops = [], []
+    length = min(1 << (ell - 1).bit_length(), ell)
+    while length >= 2 and len(starts) < _CANDIDATE_CAP:
+        a = list(range(0, ell - length + 1, max(1, length // 2)))
+        if a[-1] != ell - length:
+            a.append(ell - length)
+        starts += a
+        stops += [x + length for x in a]
         length //= 2
-    return out
+    return np.array(starts[:_CANDIDATE_CAP], dtype=int), np.array(stops[:_CANDIDATE_CAP], dtype=int)
+
+
+def _candidate_tables(counts: np.ndarray, v: np.ndarray):
+    """Yield each candidate family as (table, bins_of): the per-batch subset
+    counts, one column per candidate, and the 1-based bins of column c."""
+    for order, depth in _threshold_depths(v):
+        yield np.cumsum(counts[:, order], axis=1)[:, depth - 1], lambda c, o=order, d=depth: o[: d[c]] + 1
+    prefix = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=prefix[:, 1:])
+    starts, stops = _windows(counts.shape[1])
+    yield prefix[:, stops] - prefix[:, starts], lambda c: range(starts[c] + 1, stops[c] + 1)
+    yield counts, lambda c: (c + 1,)
 
 
 def max_corruption_subset_heuristic(
-    sub: DiscretizedCollection,
-    params: CorruptionParams,
-    candidates_budget: int | None = None,
+    sub: DiscretizedCollection, params: CorruptionParams
 ) -> tuple[BinSubset, float]:
     """Spectral stand-in for exhaustive detection, polynomial in m and ell.
 
     Candidates are eigenvector threshold sets (both signs), dyadic
-    contiguous windows, and all singletons; ``candidates_budget`` caps the
-    first two families (default 4096 each).  Singletons are evaluated by a
-    direct per-column pass, so single-bin attacks are always found.
+    contiguous windows and all singletons (see the module docstring); the
+    first two families hold at most _CANDIDATE_CAP candidates each.
     """
-    ell = sub.ell
-    P = sub.probs()
-    med = np.median(P, axis=0)
-    centered = P - med
-    v = _leading_eigvec(centered)
-    budget = candidates_budget if candidates_budget is not None else _DEFAULT_CANDIDATE_CAP
-    index_sets = _threshold_candidates(v, budget)
-    index_sets.extend(_window_candidates(ell, budget))
-    seen: set[bytes] = set()
-    masks = []
-    for idx in index_sets:
-        mask = np.zeros(ell, dtype=np.float64)
-        mask[idx] = 1.0
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            masks.append(mask)
-    scores = _score_subsets(sub, np.stack(masks, axis=1), params.tau)
-    best_score = 0.0
-    best_mask: np.ndarray | None = None
-    best_bits = 0
-    for mask, score in zip(masks, scores):
-        if score > best_score:
-            best_score = float(score)
-            best_mask = mask
-            best_bits = _bitmask(mask)
-        elif score == best_score and best_mask is not None and _bitmask(mask) < best_bits:
-            best_mask = mask
-            best_bits = _bitmask(mask)
-    # singleton scores, one column each
-    single = np.where(np.abs(centered) <= params.tau, 0.0, centered * centered).sum(axis=0)
-    j_best = int(np.argmax(single))
-    if single[j_best] > best_score or (
-        single[j_best] == best_score and best_mask is not None and (1 << j_best) < best_bits
-    ):
-        best_score = float(single[j_best])
-        best_mask = np.zeros(ell)
-        best_mask[j_best] = 1.0
-    if best_mask is None or best_score <= 0.0:
+    best_score, tied = 0.0, []
+    for table, bins_of in _candidate_tables(sub.counts, _leading_eigvec(sub.probs())):
+        totals = _column_scores(table, sub.n, params.tau)
+        top = float(totals.max(initial=0.0))
+        if top > best_score:
+            best_score, tied = top, []
+        if top == best_score > 0.0:
+            tied += [BinSubset.of(*bins_of(c)) for c in np.flatnonzero(totals == top)]
+    if not tied:
         return EMPTY_SUBSET, 0.0
-    members = frozenset(int(i) + 1 for i in np.nonzero(best_mask)[0])
-    return BinSubset(members), best_score
-
-
-def _bitmask(mask: np.ndarray) -> int:
-    out = 0
-    for i in np.nonzero(mask)[0]:
-        out |= 1 << int(i)
-    return out
+    return min(tied, key=BinSubset.bitmask), best_score
 
 
 DETECTORS = ("spectral", "brute")
@@ -199,7 +180,6 @@ def clean_discrete(
     detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
-    candidates_budget: int | None = None,
 ) -> tuple[DiscretizedCollection, int]:
     """Detect-and-delete loop over the discretized domain.
 
@@ -217,7 +197,7 @@ def clean_discrete(
         if detector == "brute":
             subset, score = max_corruption_subset_brute(sub, params)
         else:
-            subset, score = max_corruption_subset_heuristic(sub, params, candidates_budget)
+            subset, score = max_corruption_subset_heuristic(sub, params)
         if score < trigger_factor * params.kappa_g or not subset.members:
             break
         med = median_prob(sub, subset)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robust_batches as rb
 
@@ -116,6 +118,43 @@ def test_batch_deletion_total_never_increases():
     )
     assert after <= before
     assert after < 20 * params.kappa_g
+
+
+@st.composite
+def deletion_inputs(draw):
+    """Random bin counts, a bin subset, a frozen median and a stop factor,
+    median and stop factor also outside their valid ranges."""
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(50, 5000))
+    ell = draw(st.integers(1, 5))
+    cuts = draw(st.lists(
+        st.lists(st.integers(0, n), min_size=ell - 1, max_size=ell - 1), min_size=m, max_size=m
+    ))
+    counts = np.diff([[0, *sorted(row), n] for row in cuts], axis=1)
+    coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
+    subset = rb.BinSubset(draw(st.frozensets(st.integers(1, ell))))
+    params = rb.CorruptionParams(draw(st.floats(0.01, 0.4)), n, m)
+    med = draw(st.floats(-0.25, 1.25))
+    stop = draw(st.floats(-1.0, 30.0))
+    return coll, subset, params, med, stop, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deletion_inputs())
+def test_batch_deletion_invariants_property(inputs):
+    coll, subset, params, med, stop, seed = inputs
+    try:
+        out = rb.batch_deletion(coll, subset, med, params, np.random.default_rng(seed), stop)
+    except rb.UsageError:
+        return
+    kept = set(out.ids)
+    assert list(out.ids) == [i for i in coll.ids if i in kept]
+    score = {i: rb.corruption_batch(coll.batch(i), subset, med, params) for i in coll.ids}
+    assert all(score[i] > 0.0 for i in coll.ids if i not in kept)
+    before = sum(score[i] for i in coll.ids)
+    after = sum(rb.corruption_batch(out.batch(i), subset, med, params) for i in range(out.m))
+    assert after <= before
+    assert after < stop * params.kappa_g
 
 
 def test_removing_batches_reduces_corruption_for_any_subset():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
+from robust_batches import detect
 from robust_batches.detect import (
     clean_discrete,
     max_corruption_subset_brute,
@@ -100,14 +101,115 @@ def test_brute_upper_bounds_heuristic_and_half_ratio():
     assert at_least_half == rounds
 
 
-def test_heuristic_candidate_budget():
+def test_heuristic_candidate_budget(monkeypatch):
     rng = np.random.default_rng(5)
     counts = good_counts(rng, 20, 500, 12)
     coll = rb.DiscretizedCollection(counts, tuple(range(20)), 500)
     params = rb.CorruptionParams(0.2, 500, 20)
     full = max_corruption_subset_heuristic(coll, params)
-    capped = max_corruption_subset_heuristic(coll, params, candidates_budget=4)
+    monkeypatch.setattr(detect, "_CANDIDATE_CAP", 4)
+    capped = max_corruption_subset_heuristic(coll, params)
     assert capped[1] <= full[1] + 1e-12
+
+
+def _mask_matmul_heuristic(sub, params, budget=4096):
+    """Reference: the spectral detector as one dense probs() @ masks product
+    over deduplicated candidate masks, with running tie loops."""
+
+    def score_subsets(masks):
+        probs = sub.probs() @ masks
+        dev = probs - np.median(probs, axis=0)
+        return np.where(np.abs(dev) <= params.tau, 0.0, dev * dev).sum(axis=0)
+
+    def bitmask(mask):
+        return sum(1 << int(i) for i in np.nonzero(mask)[0])
+
+    ell = sub.ell
+    P = sub.probs()
+    centered = P - np.median(P, axis=0)
+    v = detect._leading_eigvec(P)
+    cands = []
+    for vec in (v, -v):
+        order = np.argsort(-vec, kind="stable")
+        cuts = np.nonzero(np.diff(vec[order]))[0] + 1
+        cands += [np.sort(order[:depth]) for depth in list(cuts) + [vec.size]]
+    if len(cands) > budget:
+        keep = np.unique(np.linspace(0, len(cands) - 1, budget).round().astype(int))
+        cands = [cands[i] for i in keep]
+    windows = []
+    length = min(1 << (ell - 1).bit_length(), ell)
+    while length >= 2 and len(windows) < budget:
+        starts = list(range(0, ell - length + 1, max(1, length // 2)))
+        if starts[-1] != ell - length:
+            starts.append(ell - length)
+        for a in starts:
+            windows.append(np.arange(a, a + length))
+            if len(windows) >= budget:
+                break
+        length //= 2
+    seen, masks = set(), []
+    for idx in cands + windows:
+        mask = np.zeros(ell)
+        mask[idx] = 1.0
+        if mask.tobytes() not in seen:
+            seen.add(mask.tobytes())
+            masks.append(mask)
+    scores = score_subsets(np.stack(masks, axis=1))
+    best_score, best_mask, best_bits = 0.0, None, 0
+    for mask, score in zip(masks, scores):
+        if score > best_score:
+            best_score, best_mask, best_bits = float(score), mask, bitmask(mask)
+        elif score == best_score and best_mask is not None and bitmask(mask) < best_bits:
+            best_mask, best_bits = mask, bitmask(mask)
+    single = np.where(np.abs(centered) <= params.tau, 0.0, centered * centered).sum(axis=0)
+    j = int(np.argmax(single))
+    if single[j] > best_score or (
+        single[j] == best_score and best_mask is not None and (1 << j) < best_bits
+    ):
+        best_score, best_mask = float(single[j]), np.eye(ell)[j]
+    if best_mask is None or best_score <= 0.0:
+        return rb.BinSubset(frozenset()), 0.0
+    return rb.BinSubset.from_mask(best_mask), best_score
+
+
+def _equivalence_cases(rng):
+    """Small collections: clean, a planted single-bin attack, a planted
+    window attack, and heavily tied counts (few samples, repeated rows)."""
+    for _ in range(60):
+        ell = int(rng.integers(2, 41))
+        m = int(rng.integers(6, 40))
+        kind = int(rng.integers(0, 4))
+        n = 12 if kind == 3 else int(rng.integers(200, 2000))
+        params = rb.CorruptionParams(0.2, n, m)
+        counts = good_counts(rng, m, n, ell)
+        n_bad = int(rng.integers(1, max(2, m // 4)))
+        if kind == 1:
+            dev = int(round(rng.uniform(1.0, 3.0) * params.tau * n))
+            counts = plant_single_bin(counts, range(n_bad), int(rng.integers(0, ell)), dev)
+        elif kind == 2:
+            a = int(rng.integers(0, ell - 1))
+            for b in range(a, min(ell, a + int(rng.integers(2, 8)))):
+                counts = plant_single_bin(counts, range(n_bad), b, int(0.6 * params.tau * n))
+        elif kind == 3:
+            counts[m // 2 :] = counts[0]
+        yield rb.DiscretizedCollection(counts, tuple(range(m)), n), params
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_heuristic_matches_mask_matmul_reference(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(detect, "_CANDIDATE_CAP", cap)
+    for coll, params in _equivalence_cases(np.random.default_rng(17)):
+        subset, score = max_corruption_subset_heuristic(coll, params)
+        ref_subset, ref_score = _mask_matmul_heuristic(coll, params, cap or 4096)
+        assert abs(score - ref_score) <= 1e-12
+        if subset != ref_subset:
+            # A subset and its complement score the same; the reference sums
+            # probabilities in floats and broke that tie by rounding, the
+            # tie rule takes the smaller bitmask.
+            assert subset.members | ref_subset.members == set(range(1, coll.ell + 1))
+            assert not subset.members & ref_subset.members
+            assert subset.bitmask() < ref_subset.bitmask()
 
 
 def test_clean_discrete_good_only_no_deletions():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
+from robust_batches import cli
 from robust_batches.cli import main
 from robust_batches.io import FileFormatError, read_batches, read_json, write_batches
 from robust_batches.simulate import SpikeAttack, UniformTarget
@@ -140,6 +141,18 @@ def test_cli_simulate_out_directory_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_cli_simulate_checks_out_before_generating(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate generated a collection without --out")
+
+    monkeypatch.setattr(cli, "build_collection", fail)
+    rc = main([
+        "simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
+    ])
+    assert rc == 2
+    assert "requires --out" in capsys.readouterr().err
 
 
 def test_cli_clean_input_directory_exits_2(tmp_path, capsys):
@@ -318,6 +331,26 @@ def test_cli_eval_estimate_report_uses_recorded_partition(tmp_path):
     assert data["metrics"]["fk_before"] == cleaning["fk_before"]
     assert data["metrics"]["fk_after"] == cleaning["fk_after"]
     assert data["corruption"]["subset"] == [1, 2]
+
+
+def test_cli_eval_refuses_report_of_another_batch_file(tmp_path, capsys):
+    files = []
+    for seed in (1, 2):
+        path = tmp_path / f"b{seed}.jsonl"
+        assert main([
+            "simulate", "--target", "uniform:0,1", "--attack", "mean_shift:1.0@0.45,0.55",
+            "--m", "300", "--n", "100", "--beta", "0.2", "--seed", str(seed), "--out", str(path),
+        ]) == 0
+        files.append(path)
+    report = tmp_path / "clean.json"
+    assert main([
+        "clean", "--input", str(files[0]), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    assert main(["eval", "--input", str(files[0]), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--input", str(files[1]), "--report", str(report)]) == 2
+    assert "does not match the batch file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
