@@ -38,7 +38,7 @@ from .detect import (
     max_corruption_subset_heuristic,
 )
 from .distance import best_k_interval_union, fk_distance, fk_distance_brute, tv_distance
-from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise, yatracos_select
+from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import (
     BinSubset,
     Interval,
@@ -49,4 +49,4 @@ from .partition import (
     discretize,
     lift_subset,
 )
-from .simulate import attack_fk_targeted, build_collection, metrics, parse_attack, parse_target
+from .simulate import build_collection, metrics, parse_attack, parse_target

@@ -22,7 +22,7 @@ from .core import BETA_MAX, BatchCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .detect import DETECTORS
 from .distance import fk_distance, fk_distance_brute
-from .estimate import fit_piecewise
+from .estimate import evaluate_density, fit_piecewise
 from .io import FileFormatError, read_batches, read_json, write_batches, write_csv, write_json
 from .partition import BinSubset, build_partition, discretize
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
@@ -179,8 +179,6 @@ def _cmd_estimate(args) -> int:
         "fit": fit.to_dict(),
     }
     if target is not None:
-        from .estimate import evaluate_density
-
         report["tv_to_target"] = float(evaluate_density(fit.density, target))
     if args.fit_out:
         write_json(fit.density.to_dict(), args.fit_out)
@@ -237,8 +235,11 @@ def _cmd_eval(args) -> int:
     if labeled != isinstance(collection, LabeledCollection):
         raise UsageError("the report and the batch file disagree on labels")
     try:
-        retained_ids = [int(i) for i in section["retained_ids"]]
-        k = int(section["k"])
+        retained_ids = list(section["retained_ids"])
+        k = section["k"]
+        for v in (k, *retained_ids):  # refused, not truncated
+            if type(v) is not int:
+                raise UsageError(f"malformed report: {v!r} is not an integer")
         beta = float(section["beta"])
         members = frozenset(int(v) for v in args.subset.split(",")) if args.subset else None
     except (TypeError, ValueError) as exc:

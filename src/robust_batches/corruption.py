@@ -122,11 +122,11 @@ def batch_deletion(
     """
     if not 0.0 <= med <= 1.0:
         raise UsageError(f"median must lie in [0, 1], got {med}")
-    if not stop_factor > 0.0:
+    threshold = stop_factor * params.kappa_g
+    if not threshold > 0.0:  # also a positive stop_factor that underflows
         raise UsageError(f"stop_factor must be positive, got {stop_factor}")
     scores = corruption_scores(per_batch_probs(sub, subset), params.tau, med)
     alive = np.ones(sub.m, dtype=bool)
-    threshold = stop_factor * params.kappa_g
     total = float(scores[alive].sum())
     while total >= threshold and total > 0.0:
         cum = np.cumsum(scores[alive])

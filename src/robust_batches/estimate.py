@@ -6,20 +6,23 @@ masses) and then solves each piece's coefficients under a mass-preserving
 equality constraint with nonnegativity enforced at Chebyshev check-points.
 Minimizing the squared bin residuals is a surrogate for the interval-union
 distance the selection theory wants; the achieved distance is computed
-exactly afterwards and reported alongside the fit.
+exactly afterwards and reported alongside the fit.  Every integral of a
+piecewise polynomial (CDF, bin masses, total mass, inverse-CDF sampling)
+reads one antiderivative table, and the total-variation distance to a
+target is computed from CDFs at the sign changes (Scheffé's identity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
 from .core import DomainError, UsageError
-from .distance import best_k_interval_union, fk_distance
+from .distance import fk_distance
 from .partition import IntervalPartition
 
 CHEB_POINTS = 64
@@ -28,6 +31,8 @@ MAX_CUT_CANDIDATES = 256
 
 _NONNEG_TOL = 1e-9
 _MASS_TOL = 1e-6
+# halvings that take a unit bracket far below one ulp
+_BISECT_STEPS = 100
 
 
 def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
@@ -36,9 +41,30 @@ def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (count - 1))
 
 
-def _poly_integral(coef: np.ndarray, a: float, b: float) -> float:
-    anti = npoly.polyint(np.asarray(coef, dtype=float))
-    return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+def _antiderivative_table(bp, coefs) -> tuple[np.ndarray, np.ndarray]:
+    """Per piece, the antiderivative's ascending coefficients (zero-padded),
+    shifted to vanish at the piece's left end; and the cumulative mass at
+    every breakpoint."""
+    anti = np.zeros((len(coefs), max(len(c) for c in coefs) + 1))
+    for j, c in enumerate(coefs):
+        row = npoly.polyint(np.asarray(c, dtype=float), lbnd=bp[j])
+        anti[j, : row.size] = row
+    masses = npoly.polyval(np.asarray(bp[1:], dtype=float), anti.T, tensor=False)
+    return anti, np.concatenate(([0.0], np.cumsum(masses)))
+
+
+def _bisect(f, lo, hi) -> np.ndarray:
+    """Vectorized bisection: narrows each bracket [lo[i], hi[i]], across
+    which ``f > 0`` flips, to the point where it flips."""
+    lo_pos = f(lo) > 0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not np.any((mid != lo) & (mid != hi)):
+            break
+        same = (f(mid) > 0) == lo_pos
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -48,11 +74,14 @@ class PiecewisePolynomial:
     ``coefficients[j]`` are ascending monomial coefficients on
     ``[breakpoints[j], breakpoints[j+1]]``.  Construction checks
     nonnegativity at Chebyshev check-points of every piece and that the
-    total mass is 1 within 1e-6.
+    total mass is 1 within 1e-6, and builds the antiderivative table that
+    ``cdf``, ``integral`` and ``bin_masses`` read.
     """
 
     breakpoints: tuple[float, ...]
     coefficients: tuple[tuple[float, ...], ...]
+    antiderivatives: np.ndarray = field(init=False, repr=False, compare=False)
+    cum_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp = tuple(float(x) for x in self.breakpoints)
@@ -69,16 +98,15 @@ class PiecewisePolynomial:
             vals = npoly.polyval(_cheb_nodes(bp[j], bp[j + 1]), np.asarray(piece))
             if np.min(vals) < -_NONNEG_TOL:
                 raise UsageError(f"piece {j} dips below zero at a check-point")
+        anti, cum = _antiderivative_table(bp, coefs)
+        object.__setattr__(self, "antiderivatives", anti)
+        object.__setattr__(self, "cum_mass", cum)
         if abs(self.integral() - 1.0) > _MASS_TOL:
             raise UsageError(f"density integrates to {self.integral()!r}, not 1")
 
     @property
     def t(self) -> int:
         return len(self.coefficients)
-
-    @property
-    def degree(self) -> int:
-        return max(len(piece) for piece in self.coefficients) - 1
 
     @property
     def support(self) -> tuple[float, float]:
@@ -96,32 +124,24 @@ class PiecewisePolynomial:
                 out[sel] = npoly.polyval(x[sel], np.asarray(self.coefficients[j]))
         return out
 
-    def mass_between(self, a: float, b: float) -> float:
-        """Integral of the density over [a, b] (clipped to the support)."""
-        if b <= a:
-            return 0.0
-        total = 0.0
-        for j in range(self.t):
-            lo, hi = self.breakpoints[j], self.breakpoints[j + 1]
-            aa, bb = max(a, lo), min(b, hi)
-            if bb > aa:
-                total += _poly_integral(self.coefficients[j], aa, bb)
-        return total
+    def piece_mass(self, j, x) -> np.ndarray:
+        """Mass of piece ``j`` between its left end and ``x`` (inside it);
+        an array ``j`` pairs one piece with each ``x``."""
+        return npoly.polyval(x, self.antiderivatives[j].T, tensor=False)
+
+    def cdf(self, x) -> np.ndarray:
+        """Mass of the density below ``x``."""
+        x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support)
+        j = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, self.t - 1)
+        return self.cum_mass[j] + self.piece_mass(j, x)
 
     def integral(self) -> float:
-        return self.mass_between(self.breakpoints[0], self.breakpoints[-1])
+        return float(self.cum_mass[-1])
 
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
         """Mass assigned to each cell of an interval partition."""
-        lo, hi = self.support
-        edges = [-math.inf, *partition.boundaries, math.inf]
-        out = np.zeros(partition.ell)
-        for j in range(partition.ell):
-            out[j] = self.mass_between(max(edges[j], lo), min(edges[j + 1], hi))
-        return out
-
-    def breakpoint_list(self) -> list[float]:
-        return list(self.breakpoints)
+        inner = self.cdf(partition.boundaries)
+        return np.diff(inner, prepend=0.0, append=self.integral())
 
     def to_dict(self) -> dict:
         return {
@@ -349,9 +369,7 @@ def fit_piecewise(
         pieces_x.append(coef_x * scale)
         bp_x.append(float(edges_x[b_cell]))
 
-    total = sum(
-        _poly_integral(c, a, b) for c, a, b in zip(pieces_x, bp_x, bp_x[1:])
-    )
+    total = float(_antiderivative_table(bp_x, pieces_x)[1][-1])
     if total > 0 and abs(total - 1.0) > 1e-12:
         pieces_x = [c / total for c in pieces_x]
     density = PiecewisePolynomial(tuple(bp_x), tuple(tuple(c) for c in pieces_x))
@@ -363,57 +381,26 @@ def fit_piecewise(
     return PiecewiseFitResult(density, float(achieved), fk_family_k, best_effort)
 
 
-def yatracos_select(candidates, reference, k: int) -> int:
-    """Pick the candidate whose worst witness-set discrepancy to the
-    reference is smallest.
-
-    Witness sets are the best k-interval-union witnesses of all candidate
-    differences; because each witness attains the pairwise distance
-    exactly, the winner's distance to the reference is at most three times
-    the best candidate's.  Ties go to the lowest index.
-    """
-    cands = [np.asarray(c, dtype=float) for c in candidates]
-    if not cands:
-        raise UsageError("need at least one candidate")
-    ref = np.asarray(reference, dtype=float)
-    if any(c.shape != ref.shape for c in cands):
-        raise UsageError("candidates and reference must share one domain")
-    if len(cands) == 1:
-        return 0
-    witnesses = []
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            _, w = best_k_interval_union(cands[i] - cands[j], k)
-            if w.members:
-                witnesses.append(w.indices0())
-    if not witnesses:
-        return 0
-    scores = []
-    for c in cands:
-        scores.append(max(abs(float(c[idx].sum() - ref[idx].sum())) for idx in witnesses))
-    return int(np.argmin(scores))
-
-
 def evaluate_density(fit: PiecewisePolynomial, target) -> float:
     """Total-variation distance between a fitted density and an analytic
-    target, by adaptive quadrature split at both densities' breakpoints."""
-    from scipy import integrate
+    target, by Scheffé's identity: half the sum of |ΔF_fit − ΔF_target|
+    over the intervals on which fit − target keeps one sign.
 
-    t_lo, t_hi = target.support()
-    lo = min(fit.support[0], t_lo)
-    hi = max(fit.support[1], t_hi)
-    pts = {lo, hi}
-    pts.update(p for p in fit.breakpoints if lo <= p <= hi)
-    pts.update(p for p in target.breakpoints() if lo <= p <= hi)
-    grid = sorted(pts)
-    total = 0.0
-    for a, b in zip(grid, grid[1:]):
-        val, _ = integrate.quad(
-            lambda x: abs(float(fit.pdf(x)[0]) - float(target.pdf(np.asarray([x]))[0])),
-            a,
-            b,
-            epsabs=1e-9,
-            limit=200,
-        )
-        total += val
-    return 0.5 * total
+    Sign changes are found on Chebyshev nodes between consecutive
+    breakpoints of either density and refined by bisection.  The end nodes
+    sit one ulp inside, because either density may jump at a breakpoint.
+    """
+    grid = np.unique([*fit.breakpoints, *target.breakpoints()])
+    a, b = grid[:-1, None], grid[1:, None]
+    nodes = _cheb_nodes(a, b)
+    nodes[:, 0] = np.nextafter(b[:, 0], a[:, 0])
+    nodes[:, -1] = np.nextafter(a[:, 0], b[:, 0])
+
+    def gap(x):
+        return fit.pdf(x) - target.pdf(x)
+
+    pos = gap(nodes.ravel()).reshape(nodes.shape) > 0
+    row, col = np.nonzero(pos[:, 1:] != pos[:, :-1])
+    crossings = _bisect(gap, nodes[row, col], nodes[row, col + 1])
+    cuts = np.sort(np.concatenate([grid, crossings]))
+    return 0.5 * float(np.abs(np.diff(fit.cdf(cuts)) - np.diff(target.cdf(cuts))).sum())

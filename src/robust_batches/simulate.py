@@ -17,7 +17,7 @@ import numpy as np
 from .classify import KIntervalHypothesis, LabeledBatch, LabeledCollection
 from .core import ADVERSARIAL, BETA_MAX, GOOD, Batch, BatchCollection, DomainError, UsageError
 from .distance import fk_distance, max_sum_k_interval_union
-from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
+from .estimate import PiecewisePolynomial, _bisect
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
 
 _FLOOR_SLACK = 1e-9
@@ -136,18 +136,13 @@ class PiecewisePolynomialTarget:
         return self.density.pdf(x)
 
     def cdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([self.density.mass_between(self.density.support[0], v) for v in x])
+        return self.density.cdf(x)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        bp = self.density.breakpoints
-        piece_mass = np.array(
-            [self.density.mass_between(a, b) for a, b in zip(bp, bp[1:])]
-        )
-        cum = np.concatenate(([0.0], np.cumsum(piece_mass)))
+        cum = self.density.cum_mass.copy()
         cum[-1] = max(cum[-1], 1.0)
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(piece_mass) - 1)
+        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.density.t - 1)
         out = np.empty(size)
         for j in np.unique(idx):
             sel = idx == j
@@ -155,7 +150,7 @@ class PiecewisePolynomialTarget:
         return out
 
     def _invert_piece(self, j: int, residual: np.ndarray) -> np.ndarray:
-        """Solve mass_between(a, x) = residual inside piece j."""
+        """Solve piece_mass(j, x) = residual inside piece j."""
         a, b = self.density.breakpoints[j], self.density.breakpoints[j + 1]
         coef = np.asarray(self.density.coefficients[j])
         if coef.size <= 2:
@@ -169,12 +164,11 @@ class PiecewisePolynomialTarget:
             disc = (c0 + c1 * a) ** 2 + 2.0 * c1 * residual
             root = (-c0 + np.sqrt(np.clip(disc, 0.0, None))) / c1
             return np.clip(root, a, b)
-        from scipy import optimize as _opt
-
-        out = np.empty(residual.size)
-        for i, r in enumerate(residual):
-            out[i] = _opt.brentq(lambda x: self.density.mass_between(a, x) - r, a, b)
-        return out
+        return _bisect(
+            lambda x: self.density.piece_mass(j, x) - residual,
+            np.full(residual.size, a),
+            np.full(residual.size, b),
+        )
 
     def support(self) -> tuple[float, float]:
         return self.density.support
@@ -461,7 +455,20 @@ class FkTargetedAttack(_AttackBase):
 
     def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
         plan = _fk_attack_plan(ctx, self.magnitude, self.k)
-        return _fk_attack_batch(plan, ctx, rng, self.margin)
+        xs = ctx.target.sample(rng, ctx.n)
+        goal = min(1.0, plan.med_good + self.margin * plan.tau)
+        inside = plan.region.contains(xs)
+        need = int(math.ceil(goal * ctx.n)) - int(inside.sum())
+        if need > 0:
+            outside_idx = np.nonzero(~inside)[0][:need]
+            iv = plan.region.intervals[0]
+            lo = iv.lo if math.isfinite(iv.lo) else float(ctx.good_x.min()) - 1.0
+            hi = iv.hi if math.isfinite(iv.hi) else float(ctx.good_x.max()) + 1.0
+            draws = lo + (hi - lo) * rng.random(outside_idx.size)
+            # cells are open on the left; nudge exact-boundary draws inward
+            draws[draws <= lo] = np.nextafter(lo, hi)
+            xs[outside_idx] = draws
+        return xs
 
     def describe(self) -> str:
         return f"fk_targeted:{self.magnitude}@{self.k}"
@@ -500,49 +507,6 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     plan = _FkAttackPlan(region, med, tau)
     ctx.cache[key] = plan
     return plan
-
-
-def _fk_attack_batch(
-    plan: _FkAttackPlan, ctx: SimContext, rng: np.random.Generator, margin: float
-) -> np.ndarray:
-    xs = ctx.target.sample(rng, ctx.n)
-    goal = min(1.0, plan.med_good + margin * plan.tau)
-    inside = plan.region.contains(xs)
-    need = int(math.ceil(goal * ctx.n)) - int(inside.sum())
-    if need > 0:
-        outside_idx = np.nonzero(~inside)[0][:need]
-        iv = plan.region.intervals[0]
-        lo = iv.lo if math.isfinite(iv.lo) else float(ctx.good_x.min()) - 1.0
-        hi = iv.hi if math.isfinite(iv.hi) else float(ctx.good_x.max()) + 1.0
-        draws = lo + (hi - lo) * rng.random(outside_idx.size)
-        # cells are open on the left; nudge exact-boundary draws inward
-        draws[draws <= lo] = np.nextafter(lo, hi)
-        xs[outside_idx] = draws
-    return xs
-
-
-def attack_fk_targeted(good_batches, target, k: int, n: int, count: int, beta: float, seed: int):
-    """Adversarial batches aimed at the pooled empirical's witness bins.
-
-    Every returned batch's empirical probability of the targeted region
-    exceeds the good median by more than tau (construction invariant).
-    """
-    if count < 0:
-        raise DomainError("count must be nonnegative")
-    if count == 0:
-        return []
-    samples = tuple(
-        np.asarray(b.samples if isinstance(b, Batch) else b, dtype=float) for b in good_batches
-    )
-    ctx = SimContext(
-        target=target,
-        beta=beta,
-        n=n,
-        good_x=np.concatenate(samples),
-        good_batch_samples=samples,
-    )
-    attack = FkTargetedAttack(magnitude=0.3, k=k)
-    return [attack.generate(i, batch_rng(seed, 10_000_000 + i), ctx) for i in range(count)]
 
 
 def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
@@ -585,8 +549,6 @@ def metrics(
     target,
     k: int,
     partition: IntervalPartition | None = None,
-    fit: PiecewisePolynomial | None = None,
-    hypothesis: KIntervalHypothesis | None = None,
 ) -> dict:
     """Simulation-mode scoring of a cleaning / estimation / classification run."""
     if collection.truth is None:
@@ -602,23 +564,7 @@ def metrics(
         disc = discretize(collection, partition)
         out["fk_before"] = float(fk_distance(disc.pooled(), ref, k))
         out["fk_after"] = float(fk_distance(disc.subset(retained).pooled(), ref, k))
-    if fit is not None:
-        out["tv_fit"] = float(evaluate_density(fit, target))
-    if hypothesis is not None and isinstance(target, ClassificationTarget):
-        r = target.risk_of(hypothesis)
-        out["risk"] = float(r)
-        out["excess_risk"] = float(r - target.optimal_risk())
     return out
-
-
-def opt_estimate(target, t: int, d: int, resolution: int = 512) -> float:
-    """Approximation floor: TV from the target to the best t-piece degree-d
-    fit of its own high-resolution discretization."""
-    lo, hi = target.support()
-    cuts = np.linspace(lo, hi, resolution + 1)[1:-1]
-    part = IntervalPartition(tuple(float(c) for c in cuts))
-    result = fit_piecewise(target.bin_masses(part), part, t, d, (lo, hi))
-    return float(evaluate_density(result.density, target))
 
 
 _GM_RE = re.compile(r"^([\d.eE+-]+)N\(([\d.eE+-]+),([\d.eE+-]+)\)$")

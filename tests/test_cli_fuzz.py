@@ -1,10 +1,11 @@
 """Property tests: no user input makes the CLI exit with 1 (internal error).
 
-Malformed batch files and flags must exit 2 with a message; well-formed
-ones exit 0.
+Malformed batch files, reports and flags must exit 2 with a message;
+well-formed ones exit 0.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,4 +117,47 @@ def test_unlabeled_file_never_exits_1(workdir, truth, value):
     rc = _exit_code(argv)
     assert rc in (0, 2)
     if "bogus" in truth:
+        assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def classify_run(workdir):
+    batches, report = workdir / "l.jsonl", workdir / "cls.json"
+    assert main([
+        "simulate", "--target", "labeled:0,0.5,1|0.5,0.5|0.8,0.2", "--attack",
+        "label_flip:1.0@0,0.25", "--m", "20", "--n", "30", "--beta", "0.2", "--seed", "1",
+        "--out", str(batches),
+    ]) == 0
+    assert main([
+        "classify", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    return batches, report
+
+
+bad_fields = (
+    st.text(max_size=4)
+    | st.floats(-1e6, 1e6).map(lambda v: math.floor(v) + 0.5)
+    | st.booleans()
+    | st.none()
+    | st.lists(json_values, max_size=3)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["cleaning", "classification"]), st.data())
+def test_eval_fuzzed_report_never_exits_1(workdir, clean_run, classify_run, key, data):
+    batches, report = clean_run if key == "cleaning" else classify_run
+    target = "uniform:0,1" if key == "cleaning" else "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+    doc = json.loads(report.read_text())
+    field = data.draw(st.sampled_from([None, *sorted(doc[key])]), label="field")
+    if field is None:
+        doc = data.draw(json_values, label="report")
+    else:
+        doc[key][field] = data.draw(bad_fields, label="value")
+    path = workdir / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    rc = _exit_code(["eval", "--input", str(batches), "--report", str(path), "--target", target])
+    assert rc in (0, 2)
+    if field == "k":
         assert rc == 2

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import robust_batches as rb
-from robust_batches.estimate import fit_piecewise
-from robust_batches.simulate import PiecewisePolynomialTarget, UniformTarget
+from robust_batches.estimate import _cheb_nodes, fit_piecewise
+from robust_batches.simulate import PiecewisePolynomialTarget, UniformTarget, parse_target
 
 
 def test_piecewise_polynomial_invariants():
@@ -75,8 +76,6 @@ def test_fit_nonnegative_under_rough_input():
     masses = rng.multinomial(400, np.full(ell, 1.0 / ell)) / 400.0
     part = rb.IntervalPartition(tuple(np.linspace(0.025, 0.975, ell - 1)))
     res = fit_piecewise(masses, part, 4, 3, (0.0, 1.0))
-    from robust_batches.estimate import _cheb_nodes
-
     for j in range(res.density.t):
         nodes = _cheb_nodes(res.density.breakpoints[j], res.density.breakpoints[j + 1])
         assert res.density.pdf(nodes).min() >= -1e-9
@@ -107,28 +106,111 @@ def test_fit_triangle_inequality_chain():
     assert tv_fit_target <= tv_emp_target_binned + 2 * res.fk_to_input + slack
 
 
-def test_yatracos_select_examples():
-    ref = np.array([0.5, 0.3, 0.2])
-    far = np.array([0.1, 0.1, 0.8])
-    assert rb.yatracos_select([ref, far], ref, 2) == 0
-    assert rb.yatracos_select([far], ref, 2) == 0
-    with pytest.raises(rb.UsageError):
-        rb.yatracos_select([], ref, 2)
-
-
-def test_yatracos_selection_is_3_competitive():
-    rng = np.random.default_rng(12)
-    for _ in range(25):
-        ell, k = 10, 3
-        ref = rng.dirichlet(np.ones(ell))
-        candidates = [rng.dirichlet(np.ones(ell)) for _ in range(5)]
-        chosen = rb.yatracos_select(candidates, ref, k)
-        dists = [rb.fk_distance(c, ref, k) for c in candidates]
-        assert dists[chosen] <= 3.0 * min(dists) + 1e-9
-
-
 def test_evaluate_density_examples():
     flat = rb.PiecewisePolynomial((0.0, 1.0), ((1.0,),))
     assert rb.evaluate_density(flat, UniformTarget(0, 1)) == pytest.approx(0.0, abs=1e-9)
     assert rb.evaluate_density(flat, UniformTarget(0.5, 1.5)) == pytest.approx(0.5, abs=1e-7)
     assert rb.evaluate_density(flat, UniformTarget(5, 6)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _mass_below(dens, x):
+    """Reference CDF: per-piece differences of ``polyint`` antiderivatives."""
+    total = 0.0
+    for c, a, b in zip(dens.coefficients, dens.breakpoints, dens.breakpoints[1:]):
+        hi = min(x, b)
+        if hi > a:
+            anti = npoly.polyint(np.asarray(c))
+            total += npoly.polyval(hi, anti) - npoly.polyval(a, anti)
+    return total
+
+
+def _random_density(rng):
+    t = int(rng.integers(1, 5))
+    bp = np.cumsum(rng.uniform(0.05, 1.0, t + 1)) - 1.0
+    pieces = []
+    for a, b in zip(bp, bp[1:]):
+        c = rng.normal(size=int(rng.integers(1, 6)))
+        c[0] += 0.1 - npoly.polyval(_cheb_nodes(a, b), c).min()
+        pieces.append(c)
+    mass = sum(
+        npoly.polyval(b, npoly.polyint(c)) - npoly.polyval(a, npoly.polyint(c))
+        for c, a, b in zip(pieces, bp, bp[1:])
+    )
+    return rb.PiecewisePolynomial(tuple(bp), tuple(tuple(c / mass) for c in pieces))
+
+
+def test_cdf_table_matches_polyint_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        dens = _random_density(rng)
+        lo, hi = dens.support
+        xs = np.sort(np.concatenate([rng.uniform(lo - 0.5, hi + 0.5, 200), dens.breakpoints]))
+        cdf = dens.cdf(xs)
+        np.testing.assert_allclose(cdf, [_mass_below(dens, x) for x in xs], rtol=0, atol=1e-13)
+        assert np.all(np.diff(cdf) >= 0)
+        part = rb.IntervalPartition(tuple(np.sort(rng.uniform(lo, hi, 7))))
+        masses = dens.bin_masses(part)
+        assert masses.sum() == pytest.approx(dens.integral(), abs=1e-14)
+        assert dens.integral() == pytest.approx(1.0, abs=1e-12)
+
+
+def _tv_reference(fit, target):
+    """TV by a dense sign scan of fit - target, crossings refined by
+    brentq, then quad of the signed gap between crossings."""
+    from scipy import integrate, optimize
+
+    grid = sorted({*fit.breakpoints, *target.breakpoints()})
+
+    def gap(x):
+        return float(fit.pdf(x)[0] - target.pdf(np.array([x]))[0])
+
+    total = 0.0
+    for a, b in zip(grid, grid[1:]):
+        xs = np.linspace(a, b, 200_001)
+        xs[0], xs[-1] = np.nextafter(a, b), np.nextafter(b, a)
+        pos = fit.pdf(xs) - target.pdf(xs) > 0
+        flips = np.nonzero(pos[1:] != pos[:-1])[0]
+        cuts = [a, *(optimize.brentq(gap, xs[i], xs[i + 1], xtol=1e-15) for i in flips), b]
+        for c, d in zip(cuts, cuts[1:]):
+            total += abs(integrate.quad(gap, c, d, epsabs=1e-14, epsrel=1e-13, limit=500)[0])
+    return 0.5 * total
+
+
+# Two fits recorded from seeded runs, with their reference TVs; quadrature
+# of |fit - target| at epsabs 1e-9 was off by 1.5e-7 and 2.3e-8 on them.
+RECORDED_FITS = [
+    (  # clean_pipeline k=6, trigger 5, stop 4, then t=3, d=1; seed 3 of
+        # mean_shift:1.0@1.4,1.6 at m=1000, n=100, beta=0.2
+        "gm:0.6N(0,1)+0.4N(3,0.5)",
+        (-4.116916656230595, -1.0143997460514467, 2.4089159692570923, 4.979629324298699),
+        (
+            (0.07689471005803289, 0.018677742708650528),
+            (0.20009672489984595, -0.048632575519183305),
+            (0.5141902700328649, -0.1032587440843863),
+        ),
+        0.159922554517,
+    ),
+    (  # the naive pooled histogram of C9's target under
+        # MeanShiftAttack(1.0, (0.45, 0.55)), seed 2, fitted at t=3, d=3;
+        # it crosses the target 1.3e-4 from the support start
+        "pwpoly:0,0.3,0.7,1|0.5 1;2 -1.5;0.33666666666666667 0.8",
+        (2.355605944526218e-06, 0.4499260750498246, 0.5490922056247927, 0.9999891261123097),
+        (
+            (0.500375425808432, -1.9189319296920795, 14.835164727527955, -15.192918282048709),
+            (-66.03697089121997, 397.4996624380965, -756.5608646644081, 475.6774453975179),
+            (6.029946174213349, -17.4422193292235, 18.538443257023193, -6.189118770684061),
+        ),
+        0.173894296762,
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, breakpoints, coefficients, recorded", RECORDED_FITS)
+def test_evaluate_density_matches_reference_on_recorded_fits(
+    spec, breakpoints, coefficients, recorded
+):
+    fit = rb.PiecewisePolynomial(breakpoints, coefficients)
+    target = parse_target(spec)
+    reference = _tv_reference(fit, target)
+    assert reference == pytest.approx(recorded, abs=1e-11)
+    assert rb.evaluate_density(fit, target) == pytest.approx(reference, abs=1e-9)

@@ -1,6 +1,6 @@
-"""scipy is imported only by the functions that call it (gm: targets, the
-piecewise-fit SLSQP fallback, TV quadrature), so the CLI and the labeled
-simulate + classify path start without it."""
+"""scipy is imported only by the functions that call it (gm: targets and
+the piecewise-fit SLSQP fallback), so the CLI, the labeled simulate +
+classify path and the pwpoly: simulate + estimate path run without it."""
 
 import os
 import subprocess
@@ -30,6 +30,20 @@ with tempfile.TemporaryDirectory() as tmp:
         "classify", "--input", batches, "--k", "2", "--beta", "0.2", "--seed", "1",
         "--trigger", "5", "--stop", "4", "--target", target,
         "--out", str(Path(tmp) / "cls.json"),
+    ]) == 0
+    assert not scipy_modules(), scipy_modules()[:5]
+    # degree-2 sampling and TV to the target; seed 1's fit keeps every
+    # piece nonnegative, so the SLSQP fallback (scipy.optimize) never runs
+    target = "pwpoly:0,0.5,1|0 0 3;0 0 3"
+    batches = str(Path(tmp) / "p.jsonl")
+    assert cli.main([
+        "simulate", "--target", target, "--m", "50", "--n", "20", "--beta", "0",
+        "--seed", "1", "--out", batches,
+    ]) == 0
+    assert not scipy_modules(), scipy_modules()[:5]
+    assert cli.main([
+        "estimate", "--input", batches, "--t", "2", "--d", "1", "--beta", "0",
+        "--seed", "1", "--target", target, "--out", str(Path(tmp) / "est.json"),
     ]) == 0
     assert not scipy_modules(), scipy_modules()[:5]
 """

@@ -384,3 +384,27 @@ def test_cli_csv_export(tmp_path):
     text = (tmp_path / "r.csv").read_text()
     assert text.startswith("key,value")
     assert "cleaning.retained_ids" in text
+
+
+@pytest.mark.parametrize("field", ["k", "retained_ids"])
+def test_cli_eval_refuses_fractional_report_integers(tmp_path, capsys, field):
+    batches = tmp_path / "b.jsonl"
+    report = tmp_path / "r.json"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "mean_shift:1.0@0.45,0.55",
+        "--m", "300", "--n", "100", "--beta", "0.2", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    doc = read_json(report)
+    if field == "k":
+        doc["cleaning"]["k"] = 2.7
+    else:
+        doc["cleaning"]["retained_ids"][0] += 0.5
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--input", str(batches), "--report", str(report), "--target", "uniform:0,1"])
+    assert rc == 2
+    assert "is not an integer" in capsys.readouterr().err
