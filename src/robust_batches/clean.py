@@ -28,7 +28,7 @@ from .core import (
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .detect import clean_discrete
 from .distance import fk_distance
-from .partition import IntervalPartition, build_partition, cell_occupancy, choose_ell, discretize
+from .partition import IntervalPartition, build_partition, choose_ell, discretize
 
 # Partition sizing needs beta > 0; an uncontaminated run still needs bins.
 ELL_BETA_FLOOR = 0.1
@@ -83,12 +83,13 @@ class CleanPipelineResult:
     partition: IntervalPartition
     discretized: DiscretizedCollection
     cleaned: DiscretizedCollection
-    params: CorruptionParams | None
 
 
 def guidance_batches(k: int, n: int, beta: float, delta: float = DEFAULT_DELTA) -> float:
-    """Batch-count guidance (k*log(n/beta) + log(1/delta)) * sqrt(n) / beta^3."""
-    return (k * np.log(n / beta) + np.log(1.0 / delta)) * np.sqrt(n) / beta**3
+    """Batch-count guidance (k*log(n/beta) + log(1/delta)) * sqrt(n) / beta^3;
+    infinite once beta^3 underflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (k * np.log(n / beta) + np.log(1.0 / delta)) * np.sqrt(n) / beta**3
 
 
 def _reference_masses(reference, partition: IntervalPartition) -> np.ndarray:
@@ -122,6 +123,8 @@ def prepare_cleaning(
     ell = choose_ell(k, n, sizing_beta, m)
     if beta > 0.0:
         guide = guidance_batches(k, n, beta, delta)
+        if not np.isfinite(guide):
+            raise DomainError(f"beta={beta} refused: too small for a finite batch-count guidance")
         if m < guide:
             warnings.warn(
                 f"m={m} batches is below the sample-size guidance {guide:.0f} "
@@ -150,9 +153,7 @@ def clean_pipeline(
     ``bin_masses(partition)`` method, or a per-bin probability vector.
     """
     ell, params = prepare_cleaning(collection, k, beta, delta)
-    pooled = collection.pooled_samples()
-    partition = build_partition(pooled, ell)
-    occupancy = int(cell_occupancy(partition, pooled).max())
+    partition = build_partition(collection.pooled_samples(), ell)
     disc = discretize(collection, partition)
     ref_vec = _reference_masses(reference, partition) if reference is not None else None
     fk_before = (
@@ -173,7 +174,7 @@ def clean_pipeline(
         tau=params.tau if params is not None else 0.0,
         kappa_g=params.kappa_g if params is not None else 0.0,
         rounds=rounds,
-        max_cell_occupancy=occupancy,
+        max_cell_occupancy=int(disc.counts.sum(axis=0).max()),
         source_token=partition.source_token,
         fk_before=fk_before,
         fk_after=fk_after,
@@ -185,7 +186,6 @@ def clean_pipeline(
         partition=partition,
         discretized=disc,
         cleaned=cleaned,
-        params=params,
     )
 
 

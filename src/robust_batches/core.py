@@ -192,11 +192,6 @@ class DiscretizedCollection:
     def batches(self) -> tuple[DiscretizedBatch, ...]:
         return tuple(self.batch(i) for i in range(self.m))
 
-    def good_ids(self) -> frozenset[int]:
-        if self.truth is None:
-            raise UsageError("collection carries no truth flags")
-        return frozenset(i for i, t in zip(self.ids, self.truth) if t == GOOD)
-
     def probs(self) -> np.ndarray:
         """Per-batch empirical bin probabilities, shape (m, ell)."""
         return self.counts / self.n

@@ -101,7 +101,7 @@ class PiecewisePolynomial:
         anti, cum = _antiderivative_table(bp, coefs)
         object.__setattr__(self, "antiderivatives", anti)
         object.__setattr__(self, "cum_mass", cum)
-        if abs(self.integral() - 1.0) > _MASS_TOL:
+        if not abs(self.integral() - 1.0) <= _MASS_TOL:  # NaN fails too
             raise UsageError(f"density integrates to {self.integral()!r}, not 1")
 
     @property

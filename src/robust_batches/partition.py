@@ -153,14 +153,6 @@ class IntervalPartition:
         x = np.asarray(x, dtype=float)
         return np.searchsorted(np.asarray(self.boundaries), x, side="left")
 
-    def cell(self, j: int) -> Interval:
-        """The 1-based j-th cell as an interval."""
-        if not 1 <= j <= self.ell:
-            raise UsageError(f"cell index {j} outside 1..{self.ell}")
-        lo = -math.inf if j == 1 else self.boundaries[j - 2]
-        hi = math.inf if j == self.ell else self.boundaries[j - 1]
-        return Interval(lo, hi, lo_closed=False, hi_closed=not math.isinf(hi))
-
     def to_dict(self) -> dict:
         out = {"ell": self.ell, "boundaries": list(self.boundaries)}
         if self.source_token is not None:
@@ -187,10 +179,10 @@ def choose_ell(k: int, n: int, beta: float, m: int | None = None) -> int:
         raise DomainError("n must be positive")
     if not 0.0 < beta <= BETA_MAX:
         raise DomainError(f"beta must lie in (0, {BETA_MAX}], got {beta}")
-    ell = math.ceil(2.0 * k * math.sqrt(n) / beta - _CEIL_SLACK)
+    ell = 2.0 * k * math.sqrt(n) / beta  # infinite for a subnormal beta
     if m is not None:
         ell = min(ell, n * m)
-    return max(ell, 1)
+    return max(math.ceil(ell - _CEIL_SLACK), 1)
 
 
 def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
@@ -199,8 +191,8 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
     Boundaries sit at the Delta-th, 2*Delta-th, ... order statistics with
     Delta = ceil(s/ell).  Runs of identical boundary values are collapsed,
     so under heavy ties the realized cell count can drop below ell and a
-    cell can exceed Delta points; the realized occupancy is reported by
-    :func:`cell_occupancy`.
+    cell can exceed Delta points; the cleaning report records the realized
+    maximum occupancy.
     """
     x = np.asarray(all_samples, dtype=float)
     if x.ndim != 1:
@@ -222,12 +214,6 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
         if not boundaries or val > boundaries[-1]:
             boundaries.append(val)
     return IntervalPartition(tuple(boundaries), _samples_token(x))
-
-
-def cell_occupancy(partition: IntervalPartition, sorted_samples: np.ndarray) -> np.ndarray:
-    """Number of samples in each cell (length ell)."""
-    idx = partition.bin_of(sorted_samples)
-    return np.bincount(idx, minlength=partition.ell)
 
 
 def discretize(collection: BatchCollection, partition: IntervalPartition) -> DiscretizedCollection:

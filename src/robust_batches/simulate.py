@@ -21,6 +21,8 @@ from .estimate import PiecewisePolynomial, _bisect
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
 
 _FLOOR_SLACK = 1e-9
+# how PiecewisePolynomialTarget.sample inverts a piece's CDF, by degree
+_FLAT, _LINEAR, _CURVED = 0, 1, 2
 
 
 def batch_rng(seed: int, batch_id: int) -> np.random.Generator:
@@ -35,102 +37,36 @@ def _bin_masses_from_cdf(cdf, partition: IntervalPartition) -> np.ndarray:
     return np.diff(full)
 
 
-@dataclass(frozen=True)
-class UniformTarget:
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError("uniform target needs lo < hi")
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.random(size)
-
-    def support(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
-    def breakpoints(self) -> list[float]:
-        return [self.lo, self.hi]
-
-    def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
-        return _bin_masses_from_cdf(self.cdf, partition)
-
-    def describe(self) -> str:
-        return f"uniform:{self.lo},{self.hi}"
-
-
-@dataclass(frozen=True)
-class HistogramTarget:
-    """Piecewise-constant density over consecutive cells."""
-
-    edges: tuple[float, ...]
-    masses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.edges)
-        masses = tuple(float(w) for w in self.masses)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "masses", masses)
-        if len(edges) != len(masses) + 1 or len(masses) < 1:
-            raise DomainError("need one more edge than mass")
-        if any(a >= b for a, b in zip(edges, edges[1:])):
-            raise DomainError("edges must be strictly increasing")
-        if any(w < 0 for w in masses) or abs(sum(masses) - 1.0) > 1e-9:
-            raise DomainError("masses must be a probability vector")
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(self.edges)
-        idx = np.clip(np.searchsorted(e, x, side="right") - 1, 0, len(self.masses) - 1)
-        dens = np.asarray(self.masses) / np.diff(e)
-        return np.where((x >= e[0]) & (x <= e[-1]), dens[idx], 0.0)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(self.edges)
-        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        idx = np.clip(np.searchsorted(e, x, side="right") - 1, 0, len(self.masses) - 1)
-        frac = np.clip((x - e[idx]) / (e[idx + 1] - e[idx]), 0.0, 1.0)
-        out = cum[idx] + frac * np.asarray(self.masses)[idx]
-        return np.clip(np.where(x < e[0], 0.0, np.where(x > e[-1], 1.0, out)), 0.0, 1.0)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(self.masses) - 1)
-        e = np.asarray(self.edges)
-        w = np.asarray(self.masses)
-        frac = np.where(w[idx] > 0, (u - cum[idx]) / np.where(w[idx] > 0, w[idx], 1.0), 0.0)
-        return e[idx] + frac * (e[idx + 1] - e[idx])
-
-    def support(self) -> tuple[float, float]:
-        return self.edges[0], self.edges[-1]
-
-    def breakpoints(self) -> list[float]:
-        return list(self.edges)
-
-    def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
-        return _bin_masses_from_cdf(self.cdf, partition)
-
-    def describe(self) -> str:
-        return "hist:" + ",".join(map(str, self.edges)) + "|" + ",".join(map(str, self.masses))
+def _histogram_density(edges, masses) -> PiecewisePolynomial:
+    """The density of a cell histogram: one constant piece of height
+    mass/width per cell, after the checks on the spelled-out cells."""
+    edges = tuple(float(e) for e in edges)
+    masses = tuple(float(w) for w in masses)
+    if len(edges) != len(masses) + 1 or len(masses) < 1:
+        raise DomainError("need one more edge than mass")
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise DomainError("edges must be strictly increasing")
+    if any(w < 0 for w in masses) or not abs(sum(masses) - 1.0) <= 1e-9:
+        raise DomainError("masses must be a probability vector")
+    heights = tuple((w / (b - a),) for w, a, b in zip(masses, edges, edges[1:]))
+    return PiecewisePolynomial(edges, heights)
 
 
 @dataclass(frozen=True)
 class PiecewisePolynomialTarget:
-    """Analytic target backed by a piecewise-polynomial density."""
+    """Analytic target backed by a piecewise-polynomial density; uniform
+    and histogram targets are its constant-piece case."""
 
     density: PiecewisePolynomial
+    _c01: np.ndarray = field(init=False, repr=False, compare=False)
+    _kinds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        coefs = self.density.coefficients
+        c01 = np.array([(*c, 0.0)[:2] for c in coefs])
+        kinds = np.where(np.abs(c01[:, 1]) < 1e-14, _FLAT, _LINEAR)
+        object.__setattr__(self, "_c01", c01)
+        object.__setattr__(self, "_kinds", np.where([any(c[2:]) for c in coefs], _CURVED, kinds))
 
     def pdf(self, x) -> np.ndarray:
         return self.density.pdf(x)
@@ -139,50 +75,37 @@ class PiecewisePolynomialTarget:
         return self.density.cdf(x)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Inverse CDF: each uniform picks a piece, then solves
+        piece_mass(j, x) = residual inside it, in closed form up to degree
+        1 and by bisection above."""
+        dens = self.density
         u = rng.random(size)
-        cum = self.density.cum_mass.copy()
-        cum[-1] = max(cum[-1], 1.0)
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, self.density.t - 1)
+        j = np.searchsorted(dens.cum_mass[1:-1], u, side="right")
+        residual = u - dens.cum_mass[j]
+        bp = np.asarray(dens.breakpoints)
+        a, b = bp[j], bp[j + 1]
+        kinds = sorted(set(self._kinds.tolist()))
         out = np.empty(size)
-        for j in np.unique(idx):
-            sel = idx == j
-            out[sel] = self._invert_piece(j, u[sel] - cum[j])
+        for k in kinds:
+            sel = self._kinds[j] == k if len(kinds) > 1 else slice(None)
+            r, lo, hi = residual[sel], a[sel], b[sel]
+            if k == _CURVED:
+                js = j[sel]
+                out[sel] = _bisect(lambda y: dens.piece_mass(js, y) - r, lo, hi)
+                continue
+            c0, c1 = self._c01[j[sel]].T
+            if k == _FLAT:  # c0 (x - a) = r
+                x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
+            else:  # c0 (x - a) + c1 (x^2 - a^2) / 2 = r
+                x = (-c0 + np.sqrt(np.clip((c0 + c1 * lo) ** 2 + 2.0 * c1 * r, 0.0, None))) / c1
+            out[sel] = np.clip(x, lo, hi)
         return out
-
-    def _invert_piece(self, j: int, residual: np.ndarray) -> np.ndarray:
-        """Solve piece_mass(j, x) = residual inside piece j."""
-        a, b = self.density.breakpoints[j], self.density.breakpoints[j + 1]
-        coef = np.asarray(self.density.coefficients[j])
-        if coef.size <= 2:
-            c0 = float(coef[0]) if coef.size > 0 else 0.0
-            c1 = float(coef[1]) if coef.size > 1 else 0.0
-            # antiderivative c0*(x-a) + c1*(x^2-a^2)/2 = residual
-            if abs(c1) < 1e-14:
-                width = b - a
-                out = a + np.where(c0 > 0, residual / max(c0, 1e-300), 0.5 * width)
-                return np.clip(out, a, b)
-            disc = (c0 + c1 * a) ** 2 + 2.0 * c1 * residual
-            root = (-c0 + np.sqrt(np.clip(disc, 0.0, None))) / c1
-            return np.clip(root, a, b)
-        return _bisect(
-            lambda x: self.density.piece_mass(j, x) - residual,
-            np.full(residual.size, a),
-            np.full(residual.size, b),
-        )
-
-    def support(self) -> tuple[float, float]:
-        return self.density.support
 
     def breakpoints(self) -> list[float]:
         return list(self.density.breakpoints)
 
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
         return self.density.bin_masses(partition)
-
-    def describe(self) -> str:
-        bks = ",".join(map(str, self.density.breakpoints))
-        pieces = ";".join(" ".join(map(str, p)) for p in self.density.coefficients)
-        return f"pwpoly:{bks}|{pieces}"
 
 
 @dataclass(frozen=True)
@@ -247,11 +170,6 @@ class GaussianMixtureTarget:
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
         return _bin_masses_from_cdf(self.cdf, partition)
 
-    def describe(self) -> str:
-        return "gm:" + "+".join(
-            f"{w}N({m},{s})" for w, m, s in zip(self.weights, self.means, self.sds)
-        )
-
 
 @dataclass(frozen=True)
 class ClassificationTarget:
@@ -260,27 +178,21 @@ class ClassificationTarget:
     edges: tuple[float, ...]
     masses: tuple[float, ...]
     eta: tuple[float, ...]
+    marginal: PiecewisePolynomialTarget = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        marg = HistogramTarget(self.edges, self.masses)  # validates edges/masses
-        object.__setattr__(self, "edges", marg.edges)
-        object.__setattr__(self, "masses", marg.masses)
+        density = _histogram_density(self.edges, self.masses)
+        object.__setattr__(self, "edges", density.breakpoints)
+        object.__setattr__(self, "masses", tuple(float(w) for w in self.masses))
+        object.__setattr__(self, "marginal", PiecewisePolynomialTarget(density))
         eta = tuple(float(v) for v in self.eta)
         if len(eta) != len(self.masses) or any(not 0 <= v <= 1 for v in eta):
             raise DomainError("eta must give one probability per cell")
         object.__setattr__(self, "eta", eta)
 
-    def _marginal(self) -> HistogramTarget:
-        return HistogramTarget(self.edges, self.masses)
-
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        x = self._marginal().sample(rng, size)
-        cell = np.clip(
-            np.searchsorted(np.asarray(self.edges), x, side="right") - 1,
-            0,
-            len(self.masses) - 1,
-        )
-        y = (rng.random(size) < np.asarray(self.eta)[cell]).astype(np.int64)
+        x = self.marginal.sample(rng, size)
+        y = (rng.random(size) < self.eta_at(x)).astype(np.int64)
         return x, y
 
     def eta_at(self, x) -> np.ndarray:
@@ -324,16 +236,6 @@ class ClassificationTarget:
             total += m * (frac * (1.0 - e) + (1.0 - frac) * e)
         return float(total)
 
-    def describe(self) -> str:
-        return (
-            "labeled:"
-            + ",".join(map(str, self.edges))
-            + "|"
-            + ",".join(map(str, self.masses))
-            + "|"
-            + ",".join(map(str, self.eta))
-        )
-
 
 @dataclass(frozen=True)
 class SimContext:
@@ -371,9 +273,6 @@ class MeanShiftAttack(_AttackBase):
             xs[idx] = lo + (hi - lo) * rng.random(idx.size)
         return xs
 
-    def describe(self) -> str:
-        return f"mean_shift:{self.magnitude}@{self.region[0]},{self.region[1]}"
-
 
 @dataclass(frozen=True)
 class SpikeAttack(_AttackBase):
@@ -389,9 +288,6 @@ class SpikeAttack(_AttackBase):
             idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
             xs[idx] = self.point
         return xs
-
-    def describe(self) -> str:
-        return f"spike:{self.magnitude}@{self.point}"
 
 
 @dataclass(frozen=True)
@@ -415,9 +311,6 @@ class ReplaySkewAttack(_AttackBase):
             out[~biased] = pool[rng.integers(0, pool.size, ctx.n - n_biased)]
         return out
 
-    def describe(self) -> str:
-        return f"replay_skew:{self.magnitude}@{self.region[0]},{self.region[1]}"
-
 
 @dataclass(frozen=True)
 class LabelFlipAttack(_AttackBase):
@@ -439,9 +332,6 @@ class LabelFlipAttack(_AttackBase):
         wrong = (ctx.target.eta_at(x) <= 0.5).astype(np.int64)
         y[in_region] = wrong[in_region]
         return x, y
-
-    def describe(self) -> str:
-        return f"label_flip:{self.magnitude}@{self.region[0]},{self.region[1]}"
 
 
 @dataclass(frozen=True)
@@ -469,9 +359,6 @@ class FkTargetedAttack(_AttackBase):
             draws[draws <= lo] = np.nextafter(lo, hi)
             xs[outside_idx] = draws
         return xs
-
-    def describe(self) -> str:
-        return f"fk_targeted:{self.magnitude}@{self.k}"
 
 
 @dataclass(frozen=True)
@@ -571,12 +458,14 @@ _GM_RE = re.compile(r"^([\d.eE+-]+)N\(([\d.eE+-]+),([\d.eE+-]+)\)$")
 
 
 def parse_target(spec: str):
-    """Build a target from its CLI spelling; see the describe() methods."""
+    """Build a target from its CLI spelling (listed in README).
+
+    ``uniform:`` and ``hist:`` become constant-piece ``pwpoly:`` densities."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "uniform":
-            lo, hi = (float(v) for v in rest.split(","))
-            return UniformTarget(lo, hi)
+            lo, hi = rest.split(",")
+            return PiecewisePolynomialTarget(_histogram_density((lo, hi), (1.0,)))
         if kind == "gm":
             weights, means, sds = [], [], []
             for part in rest.split("+"):
@@ -589,9 +478,8 @@ def parse_target(spec: str):
             return GaussianMixtureTarget(tuple(weights), tuple(means), tuple(sds))
         if kind == "hist":
             edges_s, masses_s = rest.split("|")
-            return HistogramTarget(
-                tuple(float(v) for v in edges_s.split(",")),
-                tuple(float(v) for v in masses_s.split(",")),
+            return PiecewisePolynomialTarget(
+                _histogram_density(edges_s.split(","), masses_s.split(","))
             )
         if kind == "pwpoly":
             bks_s, pieces_s = rest.split("|")

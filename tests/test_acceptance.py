@@ -32,7 +32,7 @@ from robust_batches.simulate import (
     LabelFlipAttack,
     MeanShiftAttack,
     PiecewisePolynomialTarget,
-    UniformTarget,
+    parse_target,
 )
 
 warnings.filterwarnings("ignore", message="m=.*guidance")
@@ -112,7 +112,7 @@ def test_c02_erm_oracle_equivalence():
 def test_c03_cover_lemma():
     started = time.perf_counter()
     n, m, ell = 100, 100, 100  # ell divides s = n*m, so the bound is exact
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     violations = 0
     checked = 0
     for seed in SEEDS:
@@ -158,7 +158,7 @@ def test_c04_concentration_properties():
     ell = rb.choose_ell(k, n, beta, m)
     results = {}
     for name, target in (
-        ("uniform", UniformTarget(0, 1)),
+        ("uniform", parse_target("uniform:0,1")),
         ("gm2", GaussianMixtureTarget((0.5, 0.5), (0.0, 3.0), (1.0, 0.5))),
     ):
         passes = 0
@@ -188,7 +188,7 @@ def test_c04_concentration_properties():
 
 @pytest.fixture(scope="module")
 def mean_shift_runs():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     n = 100
     attack = MeanShiftAttack(10.0 / math.sqrt(n), (0.45, 0.55))
     reports = []

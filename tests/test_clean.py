@@ -4,11 +4,11 @@ import pytest
 import robust_batches as rb
 from robust_batches.clean import guidance_batches
 from robust_batches.io import canonical_json
-from robust_batches.simulate import MeanShiftAttack, UniformTarget
+from robust_batches.simulate import MeanShiftAttack, parse_target
 
 
 def small_collection(seed=0, beta=0.0, m=40, n=50, attack=None):
-    return rb.build_collection(UniformTarget(0, 1), attack, m, n, beta, seed)
+    return rb.build_collection(parse_target("uniform:0,1"), attack, m, n, beta, seed)
 
 
 def test_beta_above_limit_refused():
@@ -55,7 +55,7 @@ def test_report_fk_fields_only_with_reference():
     _, plain = rb.robust_clean_fk(coll, 2, 0.0, np.random.default_rng(0))
     assert plain.fk_before is None and plain.fk_after is None
     _, scored = rb.robust_clean_fk(
-        coll, 2, 0.0, np.random.default_rng(0), reference=UniformTarget(0, 1)
+        coll, 2, 0.0, np.random.default_rng(0), reference=parse_target("uniform:0,1")
     )
     assert scored.fk_before is not None
     assert scored.fk_after == scored.fk_before  # nothing deleted
@@ -74,7 +74,7 @@ def test_pipeline_deterministic_given_seed():
                 np.random.Generator(np.random.PCG64(123)),
                 trigger_factor=5,
                 stop_factor=4,
-                reference=UniformTarget(0, 1),
+                reference=parse_target("uniform:0,1"),
             )
         reports.append(canonical_json(report.to_dict()))
     assert reports[0] == reports[1]
@@ -87,7 +87,7 @@ def test_vacuous_attack_does_not_hurt():
         def generate(self, batch_id, rng, ctx):
             return ctx.target.sample(rng, ctx.n)
 
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     ratios = []
     for seed in range(5):
         coll = rb.build_collection(target, HonestAttack(), 200, 100, 0.2, seed)

@@ -4,7 +4,7 @@ from numpy.polynomial import polynomial as npoly
 
 import robust_batches as rb
 from robust_batches.estimate import _cheb_nodes, fit_piecewise
-from robust_batches.simulate import PiecewisePolynomialTarget, UniformTarget, parse_target
+from robust_batches.simulate import PiecewisePolynomialTarget, parse_target
 
 
 def test_piecewise_polynomial_invariants():
@@ -108,9 +108,9 @@ def test_fit_triangle_inequality_chain():
 
 def test_evaluate_density_examples():
     flat = rb.PiecewisePolynomial((0.0, 1.0), ((1.0,),))
-    assert rb.evaluate_density(flat, UniformTarget(0, 1)) == pytest.approx(0.0, abs=1e-9)
-    assert rb.evaluate_density(flat, UniformTarget(0.5, 1.5)) == pytest.approx(0.5, abs=1e-7)
-    assert rb.evaluate_density(flat, UniformTarget(5, 6)) == pytest.approx(1.0, abs=1e-9)
+    assert rb.evaluate_density(flat, parse_target("uniform:0,1")) == pytest.approx(0.0, abs=1e-9)
+    assert rb.evaluate_density(flat, parse_target("uniform:0.5,1.5")) == pytest.approx(0.5, abs=1e-7)
+    assert rb.evaluate_density(flat, parse_target("uniform:5,6")) == pytest.approx(1.0, abs=1e-9)
 
 
 def _mass_below(dens, x):

@@ -7,11 +7,11 @@ import robust_batches as rb
 from robust_batches import cli
 from robust_batches.cli import main
 from robust_batches.io import FileFormatError, read_batches, read_json, write_batches
-from robust_batches.simulate import SpikeAttack, UniformTarget
+from robust_batches.simulate import SpikeAttack, parse_target
 
 
 def test_batch_file_roundtrip(tmp_path):
-    coll = rb.build_collection(UniformTarget(0, 1), SpikeAttack(1.0, 0.5), 6, 10, 0.3, 1)
+    coll = rb.build_collection(parse_target("uniform:0,1"), SpikeAttack(1.0, 0.5), 6, 10, 0.3, 1)
     path = tmp_path / "batches.jsonl"
     write_batches(coll, path)
     loaded = read_batches(path)
@@ -408,3 +408,55 @@ def test_cli_eval_refuses_fractional_report_integers(tmp_path, capsys, field):
     rc = main(["eval", "--input", str(batches), "--report", str(report), "--target", "uniform:0,1"])
     assert rc == 2
     assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "uniform:1,0",  # reversed bounds
+        "hist:0,0.5,1|1.0",  # a missing mass
+        "hist:0,0.5,1|1.5,-0.5",  # a negative mass
+        "hist:0,0.5,0.5|0.5,0.5",  # non-increasing edges
+        "hist:0,0.5,1|0.5,0.4",  # masses summing to 0.9
+        "uniform:0,inf",
+        "hist:-inf,0,1|0.5,0.5",
+        "labeled:0,0.5,0.5|0.5,0.5|0.8,0.2",
+        "labeled:0,0.5,1|0.5,0.4|0.8,0.2",
+        "labeled:0,0.5,1|1.5,-0.5|0.8,0.2",
+        "labeled:-inf,0,1|0.5,0.5|0.8,0.2",
+        "hist:0,1|nan",
+        "pwpoly:0,1|nan",
+    ],
+)
+def test_cli_simulate_refuses_malformed_targets(tmp_path, capsys, spec):
+    rc = main([
+        "simulate", "--target", spec, "--attack", "none",
+        "--m", "4", "--n", "5", "--beta", "0", "--out", str(tmp_path / "b.jsonl"),
+    ])
+    assert rc == 2
+    assert "cannot parse target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["5e-324", "1e-310", "1e-200"])
+def test_cli_tiny_beta_is_refused_not_crashed(tmp_path, beta):
+    batches = tmp_path / "b.jsonl"
+    report = tmp_path / "clean.json"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "none",
+        "--m", "30", "--n", "10", "--beta", "0", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--out", str(report),
+    ]) == 0
+    doc = read_json(report)
+    doc["cleaning"]["beta"] = float(beta)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    runs = [
+        ["clean", "--input", str(batches), "--k", "2", "--beta", beta],
+        ["estimate", "--input", str(batches), "--t", "1", "--d", "1", "--beta", beta],
+        ["eval", "--input", str(batches), "--report", str(edited)],
+    ]
+    for argv in runs:
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) in (0, 2), argv

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.partition import cell_occupancy
+from robust_batches.clean import ELL_BETA_FLOOR, clean_pipeline
 
 
 def test_choose_ell_examples():
@@ -11,6 +13,7 @@ def test_choose_ell_examples():
     assert rb.choose_ell(3, 50, 0.1) == 425
     assert rb.choose_ell(2, 100, 0.4, m=1) == 100  # clamp to s = n*m
     assert rb.choose_ell(2, 4, 0.1, m=3) == 12
+    assert rb.choose_ell(2, 100, 5e-324, m=300) == 30000  # 2k*sqrt(n)/beta overflows
     with pytest.raises(rb.DomainError):
         rb.choose_ell(2, 100, 0.0)
 
@@ -30,13 +33,13 @@ def test_build_partition_single_cell():
 def test_build_partition_tied_values_collapse():
     part = rb.build_partition(np.array([1.0, 1, 1, 1, 2, 2, 2, 2]), 2)
     assert part.boundaries == (1.0,)
-    occ = cell_occupancy(part, np.array([1.0, 1, 1, 1, 2, 2, 2, 2]))
+    occ = np.bincount(part.bin_of([1.0, 1, 1, 1, 2, 2, 2, 2]), minlength=part.ell)
     assert occ.tolist() == [4, 4]
     # heavier ties can push a cell past Delta; the collapse keeps bins valid
     tied = np.array([1.0] * 6 + [2.0, 3.0])
     part2 = rb.build_partition(tied, 4)
     assert len(part2.boundaries) < 4
-    assert cell_occupancy(part2, tied).max() > 2
+    assert np.bincount(part2.bin_of(tied), minlength=part2.ell).max() > 2
 
 
 def test_build_partition_occupancy_bound():
@@ -47,7 +50,7 @@ def test_build_partition_occupancy_bound():
         xs = np.sort(rng.standard_normal(s))
         part = rb.build_partition(xs, ell)
         delta = -(-s // ell)
-        assert cell_occupancy(part, xs).max() <= delta
+        assert np.bincount(part.bin_of(xs), minlength=part.ell).max() <= delta
 
 
 def test_build_partition_requires_enough_samples():
@@ -55,6 +58,37 @@ def test_build_partition_requires_enough_samples():
         rb.build_partition(np.arange(3.0), 5)
     with pytest.raises(rb.UsageError):
         rb.build_partition(np.array([2.0, 1.0]), 2)
+
+
+@st.composite
+def tied_collections(draw):
+    """Batches over at most three distinct values (often one), plus a
+    requested ell up to the sample count, so cuts land inside tie runs."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=3))
+    rows = [
+        draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)) for _ in range(m)
+    ]
+    coll = rb.BatchCollection(tuple(rb.Batch(i, np.array(r)) for i, r in enumerate(rows)))
+    return coll, draw(st.integers(1, n * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_collections())
+def test_partition_and_discretize_under_heavy_ties(case):
+    coll, ell = case
+    pooled = coll.pooled_samples()
+    part = rb.build_partition(pooled, ell)
+    assert all(a < b for a, b in zip(part.boundaries, part.boundaries[1:]))
+    assert part.ell <= ell
+    disc = rb.discretize(coll, part)
+    assert (disc.counts.sum(axis=1) == coll.n).all()
+    report = clean_pipeline(coll, 1, 0.0, np.random.default_rng(0)).report
+    ref = rb.build_partition(pooled, rb.choose_ell(1, coll.n, ELL_BETA_FLOOR, coll.m))
+    assert report.ell == ref.ell
+    occupancy = np.bincount(ref.bin_of(pooled), minlength=ref.ell)
+    assert report.max_cell_occupancy == occupancy.max()
 
 
 def test_discretize_example():

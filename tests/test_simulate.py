@@ -7,13 +7,12 @@ from robust_batches.simulate import (
     ClassificationTarget,
     FkTargetedAttack,
     GaussianMixtureTarget,
-    HistogramTarget,
+    LabelFlipAttack,
     MeanShiftAttack,
     PiecewisePolynomialTarget,
     ReplaySkewAttack,
     SimContext,
     SpikeAttack,
-    UniformTarget,
     _fk_attack_plan,
     batch_rng,
     parse_attack,
@@ -22,7 +21,7 @@ from robust_batches.simulate import (
 
 
 def test_build_collection_counts():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     all_good = rb.build_collection(target, None, 10, 5, 0.0, 0)
     assert all_good.truth == ("good",) * 10
     attacked = rb.build_collection(target, SpikeAttack(1.0, 0.5), 10, 5, 0.4, 0)
@@ -44,14 +43,14 @@ def test_build_collection_deterministic():
 
 
 def test_build_collection_batch_draws_from_its_own_rng():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     coll = rb.build_collection(target, SpikeAttack(0.5, 1.0), 12, 30, 0.25, 7)
     for b in coll.batches[:9]:
         np.testing.assert_array_equal(b.samples, target.sample(batch_rng(7, b.id), 30))
 
 
 def test_beta_zero_needs_no_attack_but_positive_does():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     rb.build_collection(target, None, 4, 3, 0.0, 0)
     with pytest.raises(rb.UsageError):
         rb.build_collection(target, None, 4, 3, 0.25, 0)
@@ -59,7 +58,7 @@ def test_beta_zero_needs_no_attack_but_positive_does():
 
 def test_mean_shift_moves_expected_mass():
     # pooled uncleaned empirical differs from the target by about beta*delta
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     delta, beta, m, n = 0.5, 0.2, 400, 250
     region = (2.0, 2.1)  # far outside the support: moved mass is unambiguous
     coll = rb.build_collection(target, MeanShiftAttack(delta, region), m, n, beta, 17)
@@ -72,7 +71,7 @@ def test_mean_shift_moves_expected_mass():
 
 
 def test_spike_attack_exact_counts():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     atk = SpikeAttack(0.3, 7.5)
     ctx_coll = rb.build_collection(target, atk, 10, 40, 0.3, 5)
     for b, t in zip(ctx_coll.batches, ctx_coll.truth):
@@ -81,7 +80,7 @@ def test_spike_attack_exact_counts():
 
 
 def test_replay_skew_reuses_good_samples():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     atk = ReplaySkewAttack(0.0, (0.0, 1.0))
     coll = rb.build_collection(target, atk, 6, 50, 0.3, 21)
     good_pool = set()
@@ -94,7 +93,7 @@ def test_replay_skew_reuses_good_samples():
 
 
 def test_fk_targeted_attack_deviates_above_tau():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     beta, n = 0.2, 100
     coll = rb.build_collection(target, parse_attack("fk_targeted:0.3@2"), 60, n, beta, 42)
     good = tuple(b.samples for b, t in zip(coll.batches, coll.truth) if t == "good")
@@ -115,7 +114,7 @@ def test_fk_targeted_attack_end_to_end():
     # the tau-brushing adversary hurts the naive estimate but is cleanable
     import warnings
 
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     mag, beta, n = 0.3, 0.2, 100
     coll = rb.build_collection(target, FkTargetedAttack(mag, k=2), 400, n, beta, 7)
     pooled_part = rb.build_partition(coll.pooled_samples(), rb.choose_ell(2, n, beta, 400))
@@ -133,7 +132,7 @@ def test_fk_targeted_attack_end_to_end():
 
 
 def test_metrics_trivials():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     coll = rb.build_collection(target, SpikeAttack(1.0, 0.5), 20, 50, 0.2, 9)
     good = coll.good_ids()
     out = rb.metrics(coll, good, target, 2)
@@ -143,11 +142,11 @@ def test_metrics_trivials():
 def test_metrics_needs_truth():
     coll = rb.BatchCollection((rb.Batch(0, np.array([0.1, 0.2])),))
     with pytest.raises(rb.UsageError):
-        rb.metrics(coll, [0], UniformTarget(0, 1), 1)
+        rb.metrics(coll, [0], parse_target("uniform:0,1"), 1)
 
 
 def test_metrics_fk_before_after():
-    target = UniformTarget(0, 1)
+    target = parse_target("uniform:0,1")
     attack = MeanShiftAttack(1.0, (0.45, 0.55))
     coll = rb.build_collection(target, attack, 100, 100, 0.2, 4)
     import warnings
@@ -193,20 +192,25 @@ def test_gaussian_mixture_cdf_pdf_consistency():
     np.testing.assert_allclose(np.diff(cdf) / np.diff(xs), gm.pdf(mid), atol=2e-3)
 
 
-def test_parse_target_and_attack_roundtrip():
-    specs = [
-        "uniform:0,1",
-        "gm:0.5N(0,1)+0.5N(3,0.5)",
-        "hist:0,0.5,1|0.75,0.25",
-        "labeled:0,0.5,1|0.5,0.5|0.8,0.2",
-    ]
-    for s in specs:
-        t = parse_target(s)
-        assert parse_target(t.describe()).describe() == t.describe()
-    attacks = ["mean_shift:1.0@0.45,0.55", "spike:0.3@1.5", "label_flip:1.0@0,0.25"]
-    for s in attacks:
-        a = parse_attack(s)
-        assert parse_attack(a.describe()).describe() == a.describe()
+def test_parse_target_and_attack():
+    kinds = {
+        "uniform:0,1": PiecewisePolynomialTarget,
+        "gm:0.5N(0,1)+0.5N(3,0.5)": GaussianMixtureTarget,
+        "hist:0,0.5,1|0.75,0.25": PiecewisePolynomialTarget,
+        "labeled:0,0.5,1|0.5,0.5|0.8,0.2": ClassificationTarget,
+    }
+    for s, kind in kinds.items():
+        assert type(parse_target(s)) is kind
+    hist = parse_target("hist:0,0.5,1|0.75,0.25").density
+    assert hist.breakpoints == (0.0, 0.5, 1.0)
+    assert hist.coefficients == ((1.5,), (0.5,))
+    attacks = {
+        "mean_shift:1.0@0.45,0.55": MeanShiftAttack(1.0, (0.45, 0.55)),
+        "spike:0.3@1.5": SpikeAttack(0.3, 1.5),
+        "label_flip:1.0@0,0.25": LabelFlipAttack(1.0, (0.0, 0.25)),
+    }
+    for s, attack in attacks.items():
+        assert parse_attack(s) == attack
     assert parse_attack("none") is None
     with pytest.raises(rb.UsageError):
         parse_target("weibull:1,2")
@@ -215,7 +219,7 @@ def test_parse_target_and_attack_roundtrip():
 
 
 def test_histogram_and_pwpoly_sampling_match_cdf():
-    hist = HistogramTarget((0.0, 0.25, 1.0), (0.5, 0.5))
+    hist = parse_target("hist:0,0.25,1|0.5,0.5")
     rng = np.random.default_rng(0)
     xs = hist.sample(rng, 50_000)
     assert abs(np.mean(xs <= 0.25) - 0.5) < 0.01
@@ -232,6 +236,8 @@ def test_histogram_and_pwpoly_sampling_match_cdf():
         "pwpoly:0,0.3,0.7,1|0.5 1;2 -1.5;0.33666666666666667 0.8",
         "pwpoly:0,0.5,1|0 0 3;0 0 3",
         "pwpoly:0,1,2|0 0 0 2;0.5",
+        "uniform:-2,3",
+        "hist:0,0.3,0.7,1|0.2,0.5,0.3",
     ],
 )
 def test_pwpoly_sample_inverts_cdf(spec):
