@@ -183,19 +183,21 @@ class ClassifyReport:
         }
 
 
-def _label_slice_counts(collection: LabeledCollection, label: int, ell: int):
-    pooled = np.sort(
-        np.concatenate([b.x[b.y == label] for b in collection.batches])
-    )
-    if pooled.size == 0:
-        return None, np.zeros((collection.m, 0), dtype=np.int64)
-    ell_eff = max(1, min(ell, pooled.size))
-    part = build_partition(pooled, ell_eff)
-    counts = np.zeros((collection.m, part.ell), dtype=np.int64)
-    for i, b in enumerate(collection.batches):
-        xs = b.x[b.y == label]
-        counts[i] = np.bincount(part.bin_of(xs), minlength=part.ell)
-    return part, counts
+def _label_slice_counts(collection: LabeledCollection, ell: int):
+    """Per label in LABELS: the partition of that label's pooled x values
+    (ell cells, clamped to the slice size; None for an empty slice) and the
+    (m, cells) table of each batch's counts in it."""
+    x, y = collection.pooled()
+    rows = np.repeat(np.arange(collection.m), collection.n)
+    out = []
+    for label in LABELS:
+        sel = y == label
+        if not sel.any():
+            out.append((None, np.zeros((collection.m, 0), dtype=np.int64)))
+            continue
+        part = build_partition(np.sort(x[sel]), min(ell, int(sel.sum())))
+        out.append((part, part.counts(x[sel], rows[sel], collection.m)))
+    return out
 
 
 def robust_classify(
@@ -203,7 +205,6 @@ def robust_classify(
     k: int,
     beta: float,
     rng: np.random.Generator,
-    detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
     reference=None,
@@ -218,13 +219,12 @@ def robust_classify(
     entries of the report.
     """
     ell, params = prepare_cleaning(collection, k, beta)
-    part0, counts0 = _label_slice_counts(collection, 0, ell)
-    part1, counts1 = _label_slice_counts(collection, 1, ell)
+    (_, counts0), (_, counts1) = _label_slice_counts(collection, ell)
     counts = np.concatenate([counts0, counts1], axis=1)
     disc = DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
     rounds = 0
     if beta > 0.0:
-        cleaned, rounds = clean_discrete(disc, params, rng, detector, trigger_factor, stop_factor)
+        cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
         retained = collection.subset(cleaned.ids)
     else:
         retained = collection

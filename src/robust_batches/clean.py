@@ -139,7 +139,6 @@ def clean_pipeline(
     k: int,
     beta: float,
     rng: np.random.Generator,
-    detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
     reference=None,
@@ -160,7 +159,7 @@ def clean_pipeline(
         float(fk_distance(disc.pooled(), ref_vec, k)) if ref_vec is not None else None
     )
     if beta > 0.0:
-        cleaned, rounds = clean_discrete(disc, params, rng, detector, trigger_factor, stop_factor)
+        cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
     else:
         params, cleaned, rounds = None, disc, 0
     fk_after = (
@@ -194,11 +193,10 @@ def robust_clean_fk(
     k: int,
     beta: float,
     rng: np.random.Generator,
-    detector: str = "spectral",
     **kwargs,
 ) -> tuple[BatchCollection, CleaningReport]:
     """Clean a collection so its pooled empirical distribution is close to
     the target in the k-interval-union distance.  See :func:`clean_pipeline`
     for the keyword knobs; returns the retained batches and the report."""
-    result = clean_pipeline(collection, k, beta, rng, detector, **kwargs)
+    result = clean_pipeline(collection, k, beta, rng, **kwargs)
     return result.retained, result.report

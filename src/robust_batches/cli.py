@@ -1,8 +1,9 @@
 """Command-line surface: simulate, clean, estimate, classify, eval, selftest.
 
-Every command takes --seed and is deterministic given it.  Reports embed
-the resolved configuration; the output format (--format) is excluded, so
-reruns stay byte-identical.
+simulate, clean, estimate, classify and selftest draw randomness; they
+take --seed and are deterministic given it.  Each command takes only the
+flags it reads.  Reports embed the resolved configuration; the output
+format (--format) is excluded, so reruns stay byte-identical.
 Exit codes: 0 success, 2 usage, file-format or file-system error, 1 runtime
 failure.
 """
@@ -20,7 +21,6 @@ from .classify import LabeledCollection, erm_k_intervals, risk, robust_classify
 from .clean import clean_pipeline, guidance_batches, prepare_cleaning
 from .core import BETA_MAX, BatchCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
-from .detect import DETECTORS
 from .distance import fk_distance, fk_distance_brute
 from .estimate import evaluate_density, fit_piecewise
 from .io import FileFormatError, read_batches, read_json, write_batches, write_csv, write_json
@@ -28,17 +28,28 @@ from .partition import BinSubset, build_partition, discretize
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="rng seed (all commands are deterministic given it)")
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy's seeding refuses it
+        raise argparse.ArgumentTypeError(f"--seed must be nonnegative, got {seed}")
+    return seed
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_seed, default=0, help="rng seed (the command is deterministic given it)")
+
+
+def _add_report_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_cleaning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True, help=f"adversarial batch fraction (<= {BETA_MAX})")
-    p.add_argument("--detector", choices=DETECTORS, default="spectral")
     p.add_argument("--trigger", type=float, default=TRIGGER_FACTOR, help="deletion trigger, multiples of kappa_g")
     p.add_argument("--stop", type=float, default=STOP_FACTOR, help="deletion stop, multiples of kappa_g")
+    _add_seed(p)
+    _add_report_out(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None, help="batch file path (jsonl)")
+    _add_seed(p)
 
     p = sub.add_parser("clean", help="partition, discretize, detect-and-delete")
     p.add_argument("--input", required=True)
@@ -64,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retained", default=None, help="write surviving batches here (jsonl)")
     p.add_argument("--partition-out", default=None, help="write the partition here (json)")
     _add_cleaning_flags(p)
-    _add_common(p)
 
     p = sub.add_parser("estimate", help="clean, then fit a piecewise-polynomial density")
     p.add_argument("--input", required=True)
@@ -73,24 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--fit-out", default=None, help="write the fitted density here (json)")
     _add_cleaning_flags(p)
-    _add_common(p)
 
     p = sub.add_parser("classify", help="clean labeled batches, then interval ERM")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", default=None)
     _add_cleaning_flags(p)
-    _add_common(p)
 
     p = sub.add_parser("eval", help="score a cleaning report against truth flags")
     p.add_argument("--input", required=True)
     p.add_argument("--report", required=True, help="report written by clean, estimate or classify")
     p.add_argument("--target", default=None)
     p.add_argument("--subset", default=None, help="comma-separated 1-based bins for a corruption report")
-    _add_common(p)
+    _add_report_out(p)
 
     p = sub.add_parser("selftest", help="run the oracle-equivalence suites")
-    _add_common(p)
+    _add_seed(p)
     return parser
 
 
@@ -120,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _clean_config(args, extra=()) -> dict:
-    keys = ["seed", "beta", "detector", "trigger", "stop", "input", "out"]
+    keys = ["seed", "beta", "trigger", "stop", "input", "out"]
     cfg = _config(args, keys + list(extra))
     cfg["command"] = args.command
     return cfg
@@ -129,7 +138,6 @@ def _clean_config(args, extra=()) -> dict:
 def _cleaning_kwargs(args, target) -> dict:
     """The cleaning flags as keywords of clean_pipeline and robust_classify."""
     return {
-        "detector": args.detector,
         "trigger_factor": args.trigger,
         "stop_factor": args.stop,
         "reference": target,

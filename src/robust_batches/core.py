@@ -188,10 +188,6 @@ class DiscretizedCollection:
     def batch(self, i: int) -> DiscretizedBatch:
         return DiscretizedBatch(self.ids[i], self.counts[i])
 
-    @property
-    def batches(self) -> tuple[DiscretizedBatch, ...]:
-        return tuple(self.batch(i) for i in range(self.m))
-
     def probs(self) -> np.ndarray:
         """Per-batch empirical bin probabilities, shape (m, ell)."""
         return self.counts / self.n

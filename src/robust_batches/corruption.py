@@ -96,8 +96,7 @@ def corruption_collection(sub, subset, params: CorruptionParams) -> CorruptionRe
     mu = per_batch_probs(sub, subset)
     med = float(np.median(mu))
     scores = corruption_scores(mu, params.tau, med)
-    ids = sub.ids if isinstance(sub, DiscretizedCollection) else tuple(b.id for b in sub.batches)
-    per_batch = {int(i): float(s) for i, s in zip(ids, scores)}
+    per_batch = {int(i): float(s) for i, s in zip(sub.ids, scores)}
     return CorruptionReport(
         subset=frozenset(getattr(subset, "members", frozenset())),
         median=med,

@@ -1,10 +1,11 @@
 """Finding bin subsets with high corruption score.
 
 The exhaustive search is exact but exponential in the bin count, so it is
-kept as an oracle for small domains.  The polynomial-time detector takes
-the leading eigenvector v of the median-centered per-batch probability
-matrix by fixed-length power iteration and scores three candidate families,
-each a table of per-batch subset counts with one column per candidate:
+kept as an oracle for small domains.  The polynomial-time spectral
+detector, the one the detect-and-delete loop runs, takes the leading
+eigenvector v of the median-centered per-batch probability matrix by
+fixed-length power iteration and scores three candidate families, each a
+table of per-batch subset counts with one column per candidate:
 
 - threshold sets {i: +-v_i >= t} at every distinct value t: columns of
   ``counts[:, order].cumsum(axis=1)`` at the depths where the value changes;
@@ -170,34 +171,26 @@ def max_corruption_subset_heuristic(
     return min(tied, key=BinSubset.bitmask), best_score
 
 
-DETECTORS = ("spectral", "brute")
-
-
 def clean_discrete(
     sub: DiscretizedCollection,
     params: CorruptionParams,
     rng: np.random.Generator,
-    detector: str = "spectral",
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
 ) -> tuple[DiscretizedCollection, int]:
     """Detect-and-delete loop over the discretized domain.
 
-    Each round finds the highest-corruption subset the detector can see;
-    if its score reaches trigger_factor*kappa_g, the cross-batch median is
-    recomputed on the surviving sub-collection and batch deletion runs down
-    to stop_factor*kappa_g.  Returns the survivors and the round count.
+    Each round finds the highest-corruption subset the spectral detector
+    can see; if its score reaches trigger_factor*kappa_g, the cross-batch
+    median is recomputed on the surviving sub-collection and batch deletion
+    runs down to stop_factor*kappa_g.  Returns the survivors and the round
+    count.
     """
-    if detector not in DETECTORS:
-        raise UsageError(f"unknown detector {detector!r}; expected one of {DETECTORS}")
     if not 0.0 < stop_factor <= trigger_factor:
         raise UsageError("need 0 < stop_factor <= trigger_factor")
     rounds = 0
     while True:
-        if detector == "brute":
-            subset, score = max_corruption_subset_brute(sub, params)
-        else:
-            subset, score = max_corruption_subset_heuristic(sub, params)
+        subset, score = max_corruption_subset_heuristic(sub, params)
         if score < trigger_factor * params.kappa_g or not subset.members:
             break
         med = median_prob(sub, subset)

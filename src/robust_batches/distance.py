@@ -46,11 +46,13 @@ def union_tables(d, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries with exactly j runs, the i-th entry outside / inside the last
     run (-inf when no such union exists).  Layer j is one running maximum
     over the prefix sums of d.  The best union of at most k runs has sum
-    ``max(out[:, -1].max(), ins[:, -1].max())``.
+    ``max(out[:, -1].max(), ins[:, -1].max())``.  No union of runs has
+    more than (d.size + 1) // 2 of them, so a larger k is clamped to that.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
     d = np.asarray(d, dtype=float)
+    k = min(k, (d.size + 1) // 2)
     prefix = np.concatenate(([0.0], np.cumsum(d)))
     out = np.full((k + 1, d.size + 1), -np.inf)
     ins = np.full((k + 1, d.size + 1), -np.inf)

@@ -153,6 +153,12 @@ class IntervalPartition:
         x = np.asarray(x, dtype=float)
         return np.searchsorted(np.asarray(self.boundaries), x, side="left")
 
+    def counts(self, x, rows, m: int) -> np.ndarray:
+        """(m, ell) table of how many values of each row fall in each cell,
+        where ``rows[i]`` in [0, m) is the row of ``x[i]``."""
+        flat = np.asarray(rows, dtype=np.int64) * self.ell + self.bin_of(x)
+        return np.bincount(flat, minlength=m * self.ell).reshape(m, self.ell)
+
     def to_dict(self) -> dict:
         out = {"ell": self.ell, "boundaries": list(self.boundaries)}
         if self.source_token is not None:
@@ -171,17 +177,16 @@ def _samples_token(sorted_samples: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(sorted_samples).tobytes()).hexdigest()[:16]
 
 
-def choose_ell(k: int, n: int, beta: float, m: int | None = None) -> int:
-    """Partition size ell = ceil(2k*sqrt(n)/beta), clamped to the sample count."""
+def choose_ell(k: int, n: int, beta: float, m: int) -> int:
+    """Partition size ell = ceil(2k*sqrt(n)/beta), clamped to the sample
+    count n*m (which also bounds the infinite value of a subnormal beta)."""
     if k < 1:
         raise DomainError("k must be at least 1")
     if n < 1:
         raise DomainError("n must be positive")
     if not 0.0 < beta <= BETA_MAX:
         raise DomainError(f"beta must lie in (0, {BETA_MAX}], got {beta}")
-    ell = 2.0 * k * math.sqrt(n) / beta  # infinite for a subnormal beta
-    if m is not None:
-        ell = min(ell, n * m)
+    ell = min(2.0 * k * math.sqrt(n) / beta, n * m)
     return max(math.ceil(ell - _CEIL_SLACK), 1)
 
 
@@ -223,15 +228,13 @@ def discretize(collection: BatchCollection, partition: IntervalPartition) -> Dis
     samples of ``collection``; hand-built partitions (no token) skip the
     check.
     """
+    x = np.concatenate([b.samples for b in collection.batches])
     if partition.source_token is not None:
-        token = _samples_token(collection.pooled_samples())
-        if token != partition.source_token:
+        if _samples_token(np.sort(x)) != partition.source_token:
             raise UsageError("partition was not built from this collection's samples")
-    ell = partition.ell
-    counts = np.zeros((collection.m, ell), dtype=np.int64)
-    for i, b in enumerate(collection.batches):
-        counts[i] = np.bincount(partition.bin_of(b.samples), minlength=ell)
-    return DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
+    m, n = collection.m, collection.n
+    counts = partition.counts(x, np.repeat(np.arange(m), n), m)
+    return DiscretizedCollection(counts, collection.ids, n, collection.truth)
 
 
 def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:

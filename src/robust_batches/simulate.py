@@ -245,8 +245,7 @@ class SimContext:
     beta: float
     n: int
     good_x: np.ndarray
-    good_y: np.ndarray | None = None
-    good_batch_samples: tuple[np.ndarray, ...] | None = None
+    good_batch_samples: tuple[np.ndarray, ...]
     cache: dict = field(default_factory=dict, compare=False)
 
 
@@ -373,7 +372,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     key = ("fk_plan", magnitude, k)
     if key in ctx.cache:
         return ctx.cache[key]
-    if ctx.good_batch_samples is None or not ctx.good_batch_samples:
+    if not ctx.good_batch_samples:
         raise UsageError("the targeted attack needs the realized good batches")
     from .partition import BinSubset
 
@@ -412,18 +411,13 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     if n_adv > 0 and attack is None:
         raise UsageError("beta > 0 requires an attack")
     labeled = isinstance(target, ClassificationTarget)
+    if attack is not None and getattr(attack, "labeled", False) != labeled:
+        raise UsageError("label_flip needs a labeled: target, every other attack an unlabeled one")
     make = (lambda i, xy: LabeledBatch(i, *xy)) if labeled else Batch
     good_batches = [make(i, target.sample(batch_rng(seed, i), n)) for i in range(n_good)]
-    if labeled:
-        gx = np.concatenate([b.x for b in good_batches]) if good_batches else np.zeros(0)
-        gy = np.concatenate([b.y for b in good_batches]) if good_batches else np.zeros(0, int)
-        ctx = SimContext(target=target, beta=max(beta, 1e-9), n=n, good_x=gx, good_y=gy)
-    else:
-        samples = tuple(b.samples for b in good_batches)
-        gx = np.concatenate(samples) if samples else np.zeros(0)
-        ctx = SimContext(
-            target=target, beta=max(beta, 1e-9), n=n, good_x=gx, good_batch_samples=samples
-        )
+    good_x = tuple(b.x if labeled else b.samples for b in good_batches)
+    pool = np.concatenate(good_x) if good_x else np.zeros(0)
+    ctx = SimContext(target, max(beta, 1e-9), n, pool, good_x)
     adv_batches = [make(i, attack.generate(i, batch_rng(seed, i), ctx)) for i in range(n_good, m)]
     truth = tuple([GOOD] * n_good + [ADVERSARIAL] * n_adv)
     kind = LabeledCollection if labeled else BatchCollection
@@ -508,6 +502,8 @@ def parse_attack(spec: str):
     mag_s, _, param = rest.partition("@")
     try:
         mag = float(mag_s)
+        if not math.isfinite(mag):
+            raise ValueError("the magnitude must be finite")
         if kind == "mean_shift":
             lo, hi = (float(v) for v in param.split(","))
             return MeanShiftAttack(mag, (lo, hi))

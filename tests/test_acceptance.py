@@ -199,7 +199,6 @@ def mean_shift_runs():
             2,
             0.2,
             np.random.default_rng(seed),
-            detector="spectral",
             trigger_factor=TRIGGER,
             stop_factor=STOP,
             reference=target,

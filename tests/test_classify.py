@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
+from robust_batches.classify import LABELS, _label_slice_counts
 from robust_batches.distance import iter_k_run_subsets
 from robust_batches.partition import Interval, IntervalUnion
 from robust_batches.simulate import ClassificationTarget, LabelFlipAttack
@@ -297,3 +298,44 @@ def test_labeled_collection_validates_truth_flags():
     other = rb.LabeledBatch(1, np.array([0.5]), np.array([1]))
     with pytest.raises(rb.UsageError, match="expected 2"):
         rb.LabeledCollection((batch, other))
+
+
+def _per_batch_label_counts(batches, label, part):
+    """Reference for the label-slice table: one bincount per batch."""
+    return np.stack([
+        np.bincount(part.bin_of(b.x[b.y == label]), minlength=part.ell) for b in batches
+    ])
+
+
+def _check_label_slice_counts(batches, ell):
+    coll = rb.LabeledCollection(tuple(batches))
+    for label, (part, counts) in zip((0, 1), _label_slice_counts(coll, ell)):
+        per_batch = [int(np.count_nonzero(b.y == label)) for b in batches]
+        assert counts.dtype == np.int64
+        assert counts.sum(axis=1).tolist() == per_batch
+        if part is None:  # a label no batch contains: the ell-0 table
+            assert sum(per_batch) == 0 and counts.shape == (coll.m, 0)
+            continue
+        assert part.ell <= min(ell, sum(per_batch))
+        assert np.array_equal(counts, _per_batch_label_counts(batches, label, part))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 12), st.data())
+def test_label_slice_counts_match_per_batch_bincount(m, n, ell, data):
+    # x from four values, so ties are heavy; a slice is often smaller than ell
+    xs = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    ys = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
+    batches = [
+        rb.LabeledBatch(i, np.array(data.draw(xs), dtype=float) / 2, data.draw(ys))
+        for i in range(m)
+    ]
+    _check_label_slice_counts(batches, ell)
+
+
+def test_label_slice_counts_absent_label_and_short_slice():
+    rng = np.random.default_rng(0)
+    only0 = [rb.LabeledBatch(i, rng.random(5), np.zeros(5, int)) for i in range(3)]
+    _check_label_slice_counts(only0, 4)
+    one1 = [rb.LabeledBatch(i, rng.random(5), np.array([0, 0, 0, 0, i % 2])) for i in range(3)]
+    _check_label_slice_counts(one1, 10)

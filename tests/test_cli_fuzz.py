@@ -161,3 +161,54 @@ def test_eval_fuzzed_report_never_exits_1(workdir, clean_run, classify_run, key,
     assert rc in (0, 2)
     if field == "k":
         assert rc == 2
+
+
+SIZES = [-1, 0, 1, 2, 9, 10**6, 10**12]
+FACTORS = ["nan", "inf", "-1", "0", "0.5", "5"]
+BETAS = ["nan", "-0.1", "0", "0.2", "0.4", "0.41"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["clean", "estimate", "classify"]),
+    st.sampled_from(SIZES),
+    st.sampled_from(SIZES),
+    st.sampled_from(FACTORS),
+    st.sampled_from(FACTORS),
+    st.sampled_from(BETAS),
+)
+@example("clean", 10**12, 0, "5", "4", "0.2")
+@example("estimate", 10**6, 1, "5", "4", "0.2")
+@example("classify", 10**12, 0, "5", "4", "0.2")
+def test_cleaning_flag_values_never_exit_1(
+    workdir, clean_run, classify_run, command, size, degree, trigger, stop, beta
+):
+    if command == "classify":
+        batches, target = classify_run[0], "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+        shape = ["--k", str(size)]
+    else:
+        batches, target = clean_run[0], "uniform:0,1"
+        shape = ["--t", str(size), "--d", str(degree)] if command == "estimate" else ["--k", str(size)]
+    argv = [
+        command, "--input", str(batches), *shape, f"--beta={beta}", f"--trigger={trigger}",
+        f"--stop={stop}", "--target", target, "--out", str(workdir / "flags.json"),
+    ]
+    assert _exit_code(argv) in (0, 2)
+
+
+ATTACKS = ["mean_shift:{}@0.4,0.6", "spike:{}@0.5", "replay_skew:{}@0.4,0.6",
+           "label_flip:{}@0,0.25", "fk_targeted:{}@2"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["uniform:0,1", "labeled:0,0.5,1|0.5,0.5|0.8,0.2"]),
+    st.sampled_from(ATTACKS),
+    st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "2"]),
+)
+def test_simulate_attack_magnitudes_never_exit_1(workdir, target, attack, magnitude):
+    argv = [
+        "simulate", "--target", target, "--attack", attack.format(magnitude), "--m", "10",
+        "--n", "5", "--beta", "0.2", "--seed", "1", "--out", str(workdir / "sim.jsonl"),
+    ]
+    assert _exit_code(argv) in (0, 2)

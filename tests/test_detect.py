@@ -212,18 +212,20 @@ def test_heuristic_matches_mask_matmul_reference(monkeypatch, cap):
             assert subset.bitmask() < ref_subset.bitmask()
 
 
-def test_clean_discrete_good_only_no_deletions():
+def test_clean_discrete_good_only_no_deletions(monkeypatch):
+    monkeypatch.setattr(detect, "max_corruption_subset_heuristic", max_corruption_subset_brute)
     rng = np.random.default_rng(2)
     n, m, ell = 1000, 80, 8
     counts = good_counts(rng, m, n, ell)
     coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
     params = rb.CorruptionParams(0.1, n, m)
-    out, rounds = clean_discrete(coll, params, np.random.default_rng(0), detector="brute")
+    out, rounds = clean_discrete(coll, params, np.random.default_rng(0))
     assert rounds == 0
     assert out.ids == coll.ids
 
 
-def test_clean_discrete_single_bin_attack_brute_certified():
+def test_clean_discrete_single_bin_attack_brute_certified(monkeypatch):
+    monkeypatch.setattr(detect, "max_corruption_subset_heuristic", max_corruption_subset_brute)
     rng = np.random.default_rng(3)
     n, m, ell = 2500, 80, 10
     params = rb.CorruptionParams(0.1, n, m)
@@ -231,7 +233,7 @@ def test_clean_discrete_single_bin_attack_brute_certified():
     dev = int(round(2.5 * params.tau * n))
     counts = plant_single_bin(counts, range(16), 3, dev)
     coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
-    out, rounds = clean_discrete(coll, params, np.random.default_rng(11), detector="brute")
+    out, rounds = clean_discrete(coll, params, np.random.default_rng(11))
     assert rounds >= 1
     _, residual = max_corruption_subset_brute(out, params)
     assert residual < 25 * params.kappa_g
@@ -247,9 +249,7 @@ def test_clean_discrete_heuristic_matches_brute_termination():
         dev = int(round(2.5 * params.tau * n))
         counts = plant_single_bin(counts, range(10), 5, dev)
         coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
-        out, _ = clean_discrete(
-            coll, params, np.random.default_rng(seed), detector="spectral"
-        )
+        out, _ = clean_discrete(coll, params, np.random.default_rng(seed))
         _, residual = max_corruption_subset_brute(out, params)
         if residual < 25 * params.kappa_g:
             agree += 1
@@ -261,5 +261,3 @@ def test_clean_discrete_validates_factors():
     params = rb.CorruptionParams(0.2, 2, 2)
     with pytest.raises(rb.UsageError):
         clean_discrete(coll, params, np.random.default_rng(0), trigger_factor=5, stop_factor=9)
-    with pytest.raises(rb.UsageError):
-        clean_discrete(coll, params, np.random.default_rng(0), detector="magic")

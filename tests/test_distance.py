@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.distance import iter_k_run_subsets
+from robust_batches.distance import iter_k_run_subsets, union_tables
 
 
 def dyadic_pair(rng, ell, grain=64):
@@ -178,6 +178,20 @@ def test_fk_brute_equivalence_property(ell, k, seed):
     rng = np.random.default_rng(seed)
     p, q = dyadic_pair(rng, ell)
     assert rb.fk_distance(p, q, k) == rb.fk_distance_brute(p, q, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 2**32 - 1))
+def test_union_tables_clamp_huge_k(ell, seed):
+    """No union over ell bins has more than (ell + 1) // 2 runs, so any
+    larger k gives the same tables, distance and witness."""
+    rng = np.random.default_rng(seed)
+    p, q = dyadic_pair(rng, ell)
+    tight = (ell + 1) // 2
+    for a, b in zip(union_tables(p - q, 10**12), union_tables(p - q, tight)):
+        assert np.array_equal(a, b)
+    assert rb.fk_distance(p, q, 10**12) == rb.fk_distance_brute(p, q, tight)
+    assert rb.best_k_interval_union(p - q, 10**12) == rb.best_k_interval_union(p - q, tight)
 
 
 def test_brute_refuses_large_domains():

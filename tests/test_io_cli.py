@@ -460,3 +460,85 @@ def test_cli_tiny_beta_is_refused_not_crashed(tmp_path, beta):
     ]
     for argv in runs:
         assert main([*argv, "--out", str(tmp_path / "out.json")]) in (0, 2), argv
+
+
+LABELED_TARGET = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+
+
+def test_cli_huge_k_is_clamped_not_allocated(tmp_path):
+    """No union of runs over s cells has more than (s + 1) // 2 runs, so a
+    k far beyond that must neither allocate k table rows nor fail."""
+    unlabeled, labeled = tmp_path / "u.jsonl", tmp_path / "l.jsonl"
+    for target, attack, path in (
+        ("uniform:0,1", "spike:1.0@0.5", unlabeled),
+        (LABELED_TARGET, "label_flip:1.0@0,0.25", labeled),
+    ):
+        assert main([
+            "simulate", "--target", target, "--attack", attack, "--m", "60", "--n", "30",
+            "--beta", "0.2", "--seed", "1", "--out", str(path),
+        ]) == 0
+    huge = str(10**12)
+    flags = ["--beta", "0.2", "--trigger", "5", "--stop", "4", "--out", str(tmp_path / "r.json")]
+    assert main(["classify", "--input", str(labeled), "--k", huge, *flags]) == 0
+    assert main([
+        "clean", "--input", str(unlabeled), "--k", huge, "--target", "uniform:0,1", *flags,
+    ]) == 0
+
+
+@pytest.mark.parametrize(
+    "target, attack",
+    [
+        ("uniform:0,1", "label_flip:1.0@0,0.25"),
+        (LABELED_TARGET, "mean_shift:1.0@0.4,0.6"),
+        (LABELED_TARGET, "spike:1.0@0.5"),
+        (LABELED_TARGET, "replay_skew:1.0@0.4,0.6"),
+        ("uniform:0,1", "spike:nan@0.5"),
+        ("uniform:0,1", "spike:inf@0.5"),
+        ("uniform:0,1", "mean_shift:nan@0.4,0.6"),
+        ("uniform:0,1", "fk_targeted:nan@2"),
+    ],
+)
+def test_cli_simulate_refuses_mismatched_or_nonfinite_attacks(tmp_path, capsys, target, attack):
+    rc = main([
+        "simulate", "--target", target, "--attack", attack, "--m", "10", "--n", "5",
+        "--beta", "0.2", "--seed", "1", "--out", str(tmp_path / "b.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--out", "r.json"],
+        ["selftest", "--format", "csv"],
+        ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
+         "--out", "s.csv", "--format", "csv"],
+        ["eval", "--input", "b.jsonl", "--report", "r.json", "--seed", "1"],
+        ["clean", "--input", "b.jsonl", "--k", "2", "--beta", "0.2", "--detector", "brute"],
+    ],
+)
+def test_cli_offers_flags_only_where_read(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest"],
+        ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
+         "--out", "s.jsonl"],
+        ["clean", "--input", "b.jsonl", "--k", "1", "--beta", "0"],
+    ],
+)
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())

@@ -8,14 +8,14 @@ from robust_batches.clean import ELL_BETA_FLOOR, clean_pipeline
 
 
 def test_choose_ell_examples():
-    assert rb.choose_ell(2, 100, 0.4) == 100
-    assert rb.choose_ell(1, 1, 0.4) == 5
-    assert rb.choose_ell(3, 50, 0.1) == 425
+    assert rb.choose_ell(2, 100, 0.4, m=10) == 100
+    assert rb.choose_ell(1, 1, 0.4, m=10) == 5
+    assert rb.choose_ell(3, 50, 0.1, m=10) == 425
     assert rb.choose_ell(2, 100, 0.4, m=1) == 100  # clamp to s = n*m
     assert rb.choose_ell(2, 4, 0.1, m=3) == 12
     assert rb.choose_ell(2, 100, 5e-324, m=300) == 30000  # 2k*sqrt(n)/beta overflows
     with pytest.raises(rb.DomainError):
-        rb.choose_ell(2, 100, 0.0)
+        rb.choose_ell(2, 100, 0.0, m=10)
 
 
 def test_build_partition_basic():
