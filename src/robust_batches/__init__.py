@@ -6,23 +6,19 @@ __version__ = "0.1.0"
 
 from .classify import (
     KIntervalHypothesis,
-    LabeledBatch,
     LabeledCollection,
     erm_k_intervals,
     risk,
     robust_classify,
 )
-from .clean import CleaningReport, clean_pipeline, robust_clean_fk
+from .clean import CleaningReport, clean_pipeline
 from .core import (
-    Batch,
     BatchCollection,
     CorruptionParams,
-    DiscretizedBatch,
     DiscretizedCollection,
     DomainError,
     UsageError,
     binomial_variance,
-    empirical_prob,
 )
 from .corruption import (
     CorruptionReport,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clean import prepare_cleaning
-from .core import Collection, DiscretizedCollection, DomainError, UsageError
+from .core import Collection, DiscretizedCollection, DomainError, UsageError, row_array
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .detect import clean_discrete
 from .distance import union_tables
@@ -26,42 +26,34 @@ LABELS = (0, 1)
 
 
 @dataclass(frozen=True)
-class LabeledBatch:
-    """One batch of (x, y) samples with y in {0, 1}."""
+class LabeledCollection(Collection):
+    """m batches of n labeled samples: the rows of ``x`` and of ``y`` in {0, 1}."""
 
-    id: int
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray  # shape (m, n)
+    y: np.ndarray  # shape (m, n)
+    ids: tuple[int, ...]
+    truth: tuple[str, ...] | None = None
+    ROWS = ("x", "y")
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=np.float64)
-        y = np.asarray(self.y)
-        if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
-            raise UsageError(f"batch {self.id}: x and y must be matching 1-d arrays")
+        x = row_array(self.x, np.float64, "x")
+        y = row_array(self.y, None, "y")
+        if y.shape != x.shape:
+            raise UsageError("x and y must have the same shape")
         if not np.all(np.isfinite(x)):
-            raise UsageError(f"batch {self.id}: x contains NaN or infinity")
+            raise UsageError("x contains NaN or infinity")
         # checked before the integer cast, which would truncate 1.5 to 1
         if y.dtype.kind not in "biuf" or not np.isin(y, LABELS).all():
-            raise UsageError(f"batch {self.id}: labels must be 0 or 1")
-        y = y.astype(np.int64)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+            raise UsageError("labels must be 0 or 1")
+        self._freeze(x=x, y=y.astype(np.int64))
 
     @property
     def n(self) -> int:
-        return int(self.x.size)
-
-
-@dataclass(frozen=True)
-class LabeledCollection(Collection):
-    """A collection of labeled (x, y) batches."""
+        return int(self.x.shape[1])
 
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.concatenate([b.x for b in self.batches])
-        y = np.concatenate([b.y for b in self.batches])
-        return x, y
+        """All n*m samples in batch order, as flat x and y arrays."""
+        return self.x.ravel(), self.y.ravel()
 
 
 @dataclass(frozen=True)
@@ -187,16 +179,15 @@ def _label_slice_counts(collection: LabeledCollection, ell: int):
     """Per label in LABELS: the partition of that label's pooled x values
     (ell cells, clamped to the slice size; None for an empty slice) and the
     (m, cells) table of each batch's counts in it."""
-    x, y = collection.pooled()
-    rows = np.repeat(np.arange(collection.m), collection.n)
     out = []
     for label in LABELS:
-        sel = y == label
+        sel = collection.y == label
         if not sel.any():
             out.append((None, np.zeros((collection.m, 0), dtype=np.int64)))
             continue
-        part = build_partition(np.sort(x[sel]), min(ell, int(sel.sum())))
-        out.append((part, part.counts(x[sel], rows[sel], collection.m)))
+        x = collection.x[sel]
+        part = build_partition(np.sort(x), min(ell, x.size))
+        out.append((part, part.counts(x, np.nonzero(sel)[0], collection.m)))
     return out
 
 
@@ -225,7 +216,7 @@ def robust_classify(
     rounds = 0
     if beta > 0.0:
         cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
-        retained = collection.subset(cleaned.ids)
+        retained = collection.subset(np.isin(collection.ids, cleaned.ids))
     else:
         retained = collection
     x, y = retained.pooled()

@@ -76,7 +76,8 @@ class CleaningReport:
 
 @dataclass(frozen=True)
 class CleanPipelineResult:
-    """Full pipeline state; ``robust_clean_fk`` returns the public slice."""
+    """Full pipeline state: the retained batches, the report and the
+    intermediate artifacts."""
 
     retained: BatchCollection
     report: CleaningReport
@@ -180,23 +181,10 @@ def clean_pipeline(
         retention_good=collection.retention_good(cleaned.ids),
     )
     return CleanPipelineResult(
-        retained=collection.subset(cleaned.ids),
+        retained=collection.subset(np.isin(collection.ids, cleaned.ids)),
         report=report,
         partition=partition,
         discretized=disc,
         cleaned=cleaned,
     )
 
-
-def robust_clean_fk(
-    collection: BatchCollection,
-    k: int,
-    beta: float,
-    rng: np.random.Generator,
-    **kwargs,
-) -> tuple[BatchCollection, CleaningReport]:
-    """Clean a collection so its pooled empirical distribution is close to
-    the target in the k-interval-union distance.  See :func:`clean_pipeline`
-    for the keyword knobs; returns the retained batches and the report."""
-    result = clean_pipeline(collection, k, beta, rng, **kwargs)
-    return result.retained, result.report

@@ -22,7 +22,7 @@ from .clean import clean_pipeline, guidance_batches, prepare_cleaning
 from .core import BETA_MAX, BatchCollection, DomainError, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .distance import fk_distance, fk_distance_brute
-from .estimate import evaluate_density, fit_piecewise
+from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import FileFormatError, read_batches, read_json, write_batches, write_csv, write_json
 from .partition import BinSubset, build_partition, discretize
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
@@ -172,6 +172,7 @@ def _cmd_estimate(args) -> int:
     collection = read_batches(args.input)
     if not isinstance(collection, BatchCollection):
         raise UsageError("estimate expects an unlabeled batch file")
+    check_fit_shape(args.t, args.d, collection.n * collection.m)
     target = parse_target(args.target) if args.target else None
     rng = np.random.Generator(np.random.PCG64(args.seed))
     k_clean = max(1, 2 * args.t * args.d)
@@ -317,13 +318,12 @@ def _hyp_from_subset(sub, xs):
 
 
 def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:
-    from .core import Batch, BatchCollection, empirical_prob
+    from .core import per_batch_probs
     from .partition import lift_subset
 
     for _ in range(rounds):
         n, m = 40, 6
-        batches = tuple(Batch(i, rng.standard_normal(n)) for i in range(m))
-        coll = BatchCollection(batches)
+        coll = BatchCollection(rng.standard_normal((m, n)), range(m))
         part = build_partition(coll.pooled_samples(), 12)
         disc = discretize(coll, part)
         members = frozenset(
@@ -331,9 +331,8 @@ def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:
         )
         subset = BinSubset(members)
         region = lift_subset(subset, part)
-        for i in range(m):
-            if empirical_prob(batches[i], region) != empirical_prob(disc.batch(i), subset):
-                return False
+        if not np.array_equal(per_batch_probs(coll, region), per_batch_probs(disc, subset)):
+            return False
     return True
 
 

@@ -1,8 +1,9 @@
 """Batched sample collections and their empirical measures.
 
-A collection holds m batches of n samples each.  Every batch induces an
-empirical measure; sub-collections induce the mean of their batches'
-measures.  All probabilities are multiples of 1/n: counting is done in
+A collection holds m batches of n samples each, as the rows of (m, n)
+arrays, or of an (m, ell) count table once discretized.  Every batch
+induces an empirical measure; sub-collections induce the mean of their
+batches' measures.  All probabilities are multiples of 1/n: counting is done in
 integers and division happens last, so equality tests inside the deletion
 loops are reproducible.
 """
@@ -10,7 +11,8 @@ loops are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,54 +30,49 @@ class DomainError(ValueError):
     """A parameter lies outside its mathematical domain."""
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One batch of raw real-valued samples."""
-
-    id: int
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise UsageError(f"batch {self.id}: samples must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise UsageError(f"batch {self.id}: samples contain NaN or infinity")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.samples.size)
+def row_array(values, dtype, what: str) -> np.ndarray:
+    """A private copy of ``values`` as a 2-d array with at least one column,
+    one row per batch; anything else is a usage error naming ``what``."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what} must be a 2-d array: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise UsageError(f"{what} must be a 2-d array with one row per batch, not {arr.shape}")
+    return arr
 
 
-@dataclass(frozen=True)
 class Collection:
-    """m batches of n samples each, with optional ground-truth flags.
+    """m batches as the rows of read-only arrays, with one id per row.
 
-    The shared base of raw and labeled collections: ``batches`` are
-    :class:`Batch` or labeled batches, anything with an ``id`` and an
-    ``n``.  ``truth`` is simulation-only metadata: one of ``"good"`` or
-    ``"adversarial"`` per batch, in batch order.
+    The shared base of the raw, labeled and discretized collections; each
+    names its ``(m, ...)`` row arrays in ``ROWS``.  ``ids`` are unique
+    integers, and ``truth`` is simulation-only metadata: one of ``"good"``
+    or ``"adversarial"`` per batch, in row order.
     """
 
-    batches: tuple
-    truth: tuple[str, ...] | None = None
+    ROWS: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "batches", tuple(self.batches))
-        if len(self.batches) < 1:
+    def _freeze(self, **rows: np.ndarray) -> None:
+        """Store the row arrays read-only; check ids and truth against them."""
+        m = len(next(iter(rows.values())))
+        if m < 1:
             raise UsageError("a collection needs at least one batch")
-        n = self.batches[0].n
-        for b in self.batches:
-            if b.n != n:
-                raise UsageError(f"batch {b.id} has {b.n} samples, expected {n}")
-        ids = [b.id for b in self.batches]
-        if len(set(ids)) != len(ids):
+        for name, arr in rows.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        try:
+            ids = tuple(operator.index(i) for i in self.ids)
+        except TypeError as exc:
+            raise UsageError(f"batch ids must be integers: {exc}") from exc
+        if len(ids) != m:
+            raise UsageError("ids must match the number of batches")
+        if len(set(ids)) != m:
             raise UsageError("batch ids must be unique")
+        object.__setattr__(self, "ids", ids)
         if self.truth is not None:
             object.__setattr__(self, "truth", tuple(self.truth))
-            if len(self.truth) != len(self.batches):
+            if len(self.truth) != m:
                 raise UsageError("truth flags must match the number of batches")
             bad = set(self.truth) - {GOOD, ADVERSARIAL}
             if bad:
@@ -83,20 +80,12 @@ class Collection:
 
     @property
     def m(self) -> int:
-        return len(self.batches)
-
-    @property
-    def n(self) -> int:
-        return self.batches[0].n
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.batches)
+        return len(self.ids)
 
     def good_ids(self) -> frozenset[int]:
         if self.truth is None:
             raise UsageError("collection carries no truth flags")
-        return frozenset(b.id for b, t in zip(self.batches, self.truth) if t == GOOD)
+        return frozenset(i for i, t in zip(self.ids, self.truth) if t == GOOD)
 
     def retention_good(self, kept_ids) -> float | None:
         """Fraction of the good batches among ``kept_ids``; None without
@@ -106,87 +95,68 @@ class Collection:
         good = self.good_ids()
         return len(good & set(kept_ids)) / len(good) if good else None
 
-    def subset(self, keep_ids):
-        """The batches whose ids are in ``keep_ids``, in collection order."""
-        keep = frozenset(keep_ids)
-        idx = [i for i, b in enumerate(self.batches) if b.id in keep]
-        if not idx:
+    def subset(self, keep):
+        """The batches selected by the boolean mask ``keep`` (one entry per
+        batch), in collection order."""
+        mask = np.asarray(keep)
+        if mask.dtype != bool or mask.shape != (self.m,):
+            raise UsageError("subset needs a boolean mask with one entry per batch")
+        if not mask.any():
             raise UsageError("subset would be empty")
-        truth = tuple(self.truth[i] for i in idx) if self.truth is not None else None
-        return type(self)(tuple(self.batches[i] for i in idx), truth)
+        idx = np.flatnonzero(mask)
+        return replace(
+            self,
+            **{name: getattr(self, name)[mask] for name in self.ROWS},
+            ids=[self.ids[i] for i in idx],
+            truth=None if self.truth is None else [self.truth[i] for i in idx],
+        )
 
 
 @dataclass(frozen=True)
 class BatchCollection(Collection):
-    """A collection of raw real-valued batches."""
+    """m batches of n real-valued samples, the rows of ``samples``."""
 
-    def pooled_samples(self) -> np.ndarray:
-        """All s = n*m samples, sorted non-decreasing."""
-        return np.sort(np.concatenate([b.samples for b in self.batches]))
-
-
-@dataclass(frozen=True)
-class DiscretizedBatch:
-    """Per-bin sample counts of one batch under an interval partition."""
-
-    id: int
-    counts: np.ndarray
+    samples: np.ndarray  # shape (m, n)
+    ids: tuple[int, ...]
+    truth: tuple[str, ...] | None = None
+    ROWS = ("samples",)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise UsageError(f"batch {self.id}: counts must be a nonempty 1-d array")
-        if np.any(arr < 0):
-            raise UsageError(f"batch {self.id}: counts must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        arr = row_array(self.samples, np.float64, "samples")
+        if not np.all(np.isfinite(arr)):
+            raise UsageError("samples contain NaN or infinity")
+        self._freeze(samples=arr)
 
     @property
     def n(self) -> int:
-        return int(self.counts.sum())
+        return int(self.samples.shape[1])
 
-    @property
-    def ell(self) -> int:
-        return int(self.counts.size)
+    def pooled_samples(self) -> np.ndarray:
+        """All s = n*m samples, sorted non-decreasing."""
+        return np.sort(self.samples, axis=None)
 
 
 @dataclass(frozen=True)
-class DiscretizedCollection:
-    """A collection of batches reduced to bin counts over a shared partition."""
+class DiscretizedCollection(Collection):
+    """m batches reduced to bin counts over a shared partition."""
 
     counts: np.ndarray  # shape (m, ell), row sums all equal n
     ids: tuple[int, ...]
     n: int
     truth: tuple[str, ...] | None = None
+    ROWS = ("counts",)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.counts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise UsageError("counts must be a nonempty (m, ell) array")
+        arr = row_array(self.counts, np.int64, "counts")
         if np.any(arr < 0):
             raise UsageError("counts must be nonnegative")
         if not np.all(arr.sum(axis=1) == self.n):
             raise UsageError(f"every batch's counts must sum to n={self.n}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        if len(self.ids) != arr.shape[0]:
-            raise UsageError("ids must match the number of rows")
-        if self.truth is not None:
-            object.__setattr__(self, "truth", tuple(self.truth))
-            if len(self.truth) != arr.shape[0]:
-                raise UsageError("truth flags must match the number of batches")
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.shape[0])
+        self._freeze(counts=arr)
 
     @property
     def ell(self) -> int:
         return int(self.counts.shape[1])
-
-    def batch(self, i: int) -> DiscretizedBatch:
-        return DiscretizedBatch(self.ids[i], self.counts[i])
 
     def probs(self) -> np.ndarray:
         """Per-batch empirical bin probabilities, shape (m, ell)."""
@@ -195,24 +165,6 @@ class DiscretizedCollection:
     def pooled(self) -> np.ndarray:
         """Pooled empirical distribution over bins (sums to 1)."""
         return self.counts.sum(axis=0) / (self.m * self.n)
-
-    def subset(self, keep) -> "DiscretizedCollection":
-        """Restrict to batches selected by a boolean mask or an id iterable."""
-        mask = np.asarray(keep)
-        if mask.dtype != bool:
-            keep_set = frozenset(keep)
-            mask = np.array([i in keep_set for i in self.ids])
-        if mask.shape != (self.m,):
-            raise UsageError("mask length must equal m")
-        if not mask.any():
-            raise UsageError("subset would be empty")
-        ids = tuple(i for i, k in zip(self.ids, mask) if k)
-        truth = (
-            tuple(t for t, k in zip(self.truth, mask) if k)
-            if self.truth is not None
-            else None
-        )
-        return DiscretizedCollection(self.counts[mask], ids, self.n, truth)
 
 
 @dataclass(frozen=True)
@@ -256,37 +208,24 @@ class CorruptionParams:
         }
 
 
-def empirical_prob(batch, subset) -> float:
-    """Empirical probability a batch assigns to a subset of the line.
-
-    Raw batches pair with interval unions, discretized batches with bin
-    subsets; mixing representations is a usage error.  The result is the
-    count of samples inside divided by n.
-    """
-    if isinstance(batch, Batch):
-        if not hasattr(subset, "contains"):
-            raise UsageError("raw batches require an interval-union subset")
-        inside = subset.contains(batch.samples)
-        return int(np.count_nonzero(inside)) / batch.n
-    if isinstance(batch, DiscretizedBatch):
-        if not hasattr(subset, "members"):
-            raise UsageError("discretized batches require a bin subset")
-        idx = subset.indices0()
-        if idx.size and idx.max() >= batch.ell:
-            raise UsageError("bin subset exceeds the batch's bin count")
-        return int(batch.counts[idx].sum()) / batch.n
-    raise UsageError(f"unsupported batch type {type(batch).__name__}")
-
-
 def per_batch_probs(sub, subset) -> np.ndarray:
-    """Vector of empirical probabilities of ``subset``, one entry per batch."""
+    """Empirical probability of ``subset`` under each batch, one entry per row.
+
+    Discretized collections pair with bin subsets (a sum of count columns),
+    raw collections with interval unions (each row's samples inside); mixing
+    representations is a usage error.  Each entry is a count divided by n.
+    """
     if isinstance(sub, DiscretizedCollection):
+        if not hasattr(subset, "members"):
+            raise UsageError("discretized collections require a bin subset")
         idx = subset.indices0()
         if idx.size and idx.max() >= sub.ell:
             raise UsageError("bin subset exceeds the collection's bin count")
         return sub.counts[:, idx].sum(axis=1) / sub.n
     if isinstance(sub, BatchCollection):
-        return np.array([empirical_prob(b, subset) for b in sub.batches])
+        if not hasattr(subset, "contains"):
+            raise UsageError("raw collections require an interval-union subset")
+        return np.count_nonzero(subset.contains(sub.samples), axis=1) / sub.n
     raise UsageError(f"unsupported collection type {type(sub).__name__}")
 
 

@@ -28,7 +28,6 @@ from .core import (
     DiscretizedCollection,
     UsageError,
     binomial_variance,
-    empirical_prob,
     per_batch_probs,
 )
 
@@ -62,11 +61,19 @@ def median_prob(sub, subset) -> float:
     return float(np.median(mu))
 
 
-def corruption_batch(batch, subset, med: float, params: CorruptionParams) -> float:
-    """Corruption score of one batch: 0 inside the tau-ball, else squared deviation."""
+def corruption_batch(counts, subset, med: float, params: CorruptionParams) -> float:
+    """Corruption score of one batch, given as its row of bin counts: 0
+    inside the tau-ball around ``med``, else the squared deviation.  The
+    scalar reference for :func:`corruption_scores`."""
     if not 0.0 <= med <= 1.0:
         raise UsageError(f"median must lie in [0, 1], got {med}")
-    dev = empirical_prob(batch, subset) - med
+    row = np.asarray(counts, dtype=np.int64)
+    idx = subset.indices0()
+    if row.ndim != 1 or np.any(row < 0) or row.sum() < 1:
+        raise UsageError("counts must be a 1-d row of nonnegative counts, not all zero")
+    if idx.size and idx.max() >= row.size:
+        raise UsageError("bin subset exceeds the batch's bin count")
+    dev = int(row[idx].sum()) / int(row.sum()) - med
     if abs(dev) <= params.tau:
         return 0.0
     return dev * dev

@@ -271,6 +271,19 @@ def _solve_piece(
     return const, True
 
 
+def check_fit_shape(t: int, d: int, cells: int) -> None:
+    """Refuse a t-piece degree-d fit that ``cells`` partition cells cannot
+    carry: t >= 1, 0 <= d <= MAX_DEGREE and 2*t*d <= cells.  A batch file
+    of n*m samples bounds every partition of it to n*m cells, so callers
+    can check before any partition is built."""
+    if t < 1:
+        raise DomainError("t must be at least 1")
+    if not 0 <= d <= MAX_DEGREE:
+        raise DomainError(f"d must lie in 0..{MAX_DEGREE}")
+    if cells < 2 * t * d:
+        raise UsageError(f"{cells} partition cells, need at least 2*t*d={2 * t * d}")
+
+
 def fit_piecewise(
     masses,
     partition: IntervalPartition,
@@ -288,12 +301,7 @@ def fit_piecewise(
     always-feasible constant density and flag the result instead of
     failing.
     """
-    if t < 1:
-        raise DomainError("t must be at least 1")
-    if not 0 <= d <= MAX_DEGREE:
-        raise DomainError(f"d must lie in 0..{MAX_DEGREE}")
-    if partition.ell < 2 * t * d:
-        raise UsageError(f"partition has {partition.ell} bins, need at least 2*t*d={2*t*d}")
+    check_fit_shape(t, d, partition.ell)
     lo, hi = float(support[0]), float(support[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError("support must be a finite nonempty interval")

@@ -2,8 +2,10 @@
 
 A batch file starts with a header line {"n": int, "m": int, "labeled":
 bool} followed by one object per batch: {"id": int, "samples": [...],
-"truth": "good"|"adversarial"} where samples are floats, or [x, y] pairs
-for labeled collections.  NaN or infinite values are a hard error.
+"truth": "good"|"adversarial"} where samples are numbers, or [x, y] pairs
+with an integer label y in {0, 1} for labeled collections.  n, m and ids
+are JSON integers (booleans and floats are refused).  NaN or infinite
+values are a hard error.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import LabeledBatch, LabeledCollection
-from .core import Batch, BatchCollection, UsageError
+from .classify import LABELS, LabeledCollection
+from .core import BatchCollection, UsageError
 
 
 class FileFormatError(UsageError):
@@ -43,15 +45,41 @@ def write_batches(collection, path) -> None:
     with path.open("w") as fh:
         header = {"n": collection.n, "m": collection.m, "labeled": labeled}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, b in enumerate(collection.batches):
+        for i, batch_id in enumerate(collection.ids):
             if labeled:
-                samples = [[float(x), int(y)] for x, y in zip(b.x, b.y)]
+                x, y = collection.x[i].tolist(), collection.y[i].tolist()
+                samples = [list(p) for p in zip(x, y)]
             else:
-                samples = [float(x) for x in b.samples]
-            row: dict = {"id": b.id, "samples": samples}
+                samples = collection.samples[i].tolist()
+            row: dict = {"id": batch_id, "samples": samples}
             if collection.truth is not None:
                 row["truth"] = collection.truth[i]
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _row_values(obj: dict, n: int, labeled: bool, where: str) -> list:
+    """The checked sample values of one batch line: [x] or [x, y] lists."""
+    samples = obj["samples"]
+    if not isinstance(samples, list):
+        raise FileFormatError(f"{where}: samples must be a list")
+    if len(samples) != n:
+        raise FileFormatError(
+            f"{where}: batch {obj['id']} has {len(samples)} samples, expected n={n}"
+        )
+    if labeled:
+        try:
+            columns = list(zip(*samples, strict=True))
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"{where}: malformed samples: {exc}") from exc
+        if len(columns) != 2:
+            raise FileFormatError(f"{where}: labeled samples must be [x, y] pairs")
+        if not (set(map(type, columns[1])) <= {int} and set(columns[1]) <= set(LABELS)):
+            raise FileFormatError(f"{where}: labels must be 0 or 1, as JSON integers")
+    else:
+        columns = [samples]
+    if not set(map(type, columns[0])) <= {int, float}:
+        raise FileFormatError(f"{where}: samples must be JSON numbers")
+    return columns
 
 
 def read_batches(path):
@@ -65,47 +93,44 @@ def read_batches(path):
     for field in ("n", "m"):
         if field not in header:
             raise FileFormatError(f"{path}:1: header is missing {field!r}")
-    try:
-        n, m = int(header["n"]), int(header["m"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}:1: n and m must be integers: {exc}") from exc
-    labeled = bool(header.get("labeled", False))
+    n, m = header["n"], header["m"]
+    # JSON integers only: type() refuses floats, and booleans (an int subclass)
+    if not (type(n) is type(m) is int and n >= 1 and m >= 1):
+        raise FileFormatError(f"{path}:1: n and m must be positive JSON integers")
+    labeled = header.get("labeled", False)
+    if type(labeled) is not bool:
+        raise FileFormatError(f"{path}:1: labeled must be a JSON boolean")
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != m:
         raise FileFormatError(f"{path}: header says m={m} but found {len(rows)} batches")
-    batches = []
+    ids: list[int] = []
     truth: list[str] = []
-    for lineno, line in enumerate(rows, start=2):
-        obj = _loads(line, path, lineno)
+    for i, line in enumerate(rows):
+        where = f"{path}:{i + 2}"
+        obj = _loads(line, path, i + 2)
         for field in ("id", "samples"):
             if field not in obj:
-                raise FileFormatError(f"{path}:{lineno}: batch is missing {field!r}")
-        samples = obj["samples"]
-        if not isinstance(samples, list):
-            raise FileFormatError(f"{path}:{lineno}: samples must be a list")
-        if len(samples) != n:
-            raise FileFormatError(
-                f"{path}:{lineno}: batch {obj['id']} has {len(samples)} samples, expected n={n}"
-            )
+                raise FileFormatError(f"{where}: batch is missing {field!r}")
+        if type(obj["id"]) is not int:
+            raise FileFormatError(f"{where}: id must be a JSON integer, got {obj['id']!r}")
+        columns = _row_values(obj, n, labeled, where)
+        if i == 0:  # allocated only once n matches a real line
+            values = np.empty((len(columns), m, n))
         try:
-            if labeled:
-                x = np.array([s[0] for s in samples], dtype=float)
-                y = np.array([s[1] for s in samples])
-                batches.append(LabeledBatch(int(obj["id"]), x, y))
-            else:
-                batches.append(Batch(int(obj["id"]), np.array(samples, dtype=float)))
-        except UsageError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-        except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
-            raise FileFormatError(f"{path}:{lineno}: malformed samples: {exc}") from exc
+            values[:, i] = columns
+        except OverflowError as exc:
+            raise FileFormatError(f"{where}: malformed samples: {exc}") from exc
+        if not np.all(np.isfinite(values[0, i])):
+            raise FileFormatError(f"{where}: batch {obj['id']}: samples contain NaN or infinity")
+        ids.append(obj["id"])
         if "truth" in obj:
             truth.append(str(obj["truth"]))
-    if truth and len(truth) != len(batches):
+    if truth and len(truth) != m:
         raise FileFormatError(f"{path}: truth flags must be present on all batches or none")
     try:
         if labeled:
-            return LabeledCollection(tuple(batches), tuple(truth) if truth else None)
-        return BatchCollection(tuple(batches), tuple(truth) if truth else None)
+            return LabeledCollection(values[0], values[1], ids, truth or None)
+        return BatchCollection(values[0], ids, truth or None)
     except UsageError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

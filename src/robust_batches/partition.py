@@ -228,12 +228,11 @@ def discretize(collection: BatchCollection, partition: IntervalPartition) -> Dis
     samples of ``collection``; hand-built partitions (no token) skip the
     check.
     """
-    x = np.concatenate([b.samples for b in collection.batches])
     if partition.source_token is not None:
-        if _samples_token(np.sort(x)) != partition.source_token:
+        if _samples_token(collection.pooled_samples()) != partition.source_token:
             raise UsageError("partition was not built from this collection's samples")
-    m, n = collection.m, collection.n
-    counts = partition.counts(x, np.repeat(np.arange(m), n), m)
+    m, n = collection.samples.shape
+    counts = partition.counts(collection.samples.ravel(), np.repeat(np.arange(m), n), m)
     return DiscretizedCollection(counts, collection.ids, n, collection.truth)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import KIntervalHypothesis, LabeledBatch, LabeledCollection
-from .core import ADVERSARIAL, BETA_MAX, GOOD, Batch, BatchCollection, DomainError, UsageError
+from .classify import KIntervalHypothesis, LabeledCollection
+from .core import ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError
 from .distance import fk_distance, max_sum_k_interval_union
 from .estimate import PiecewisePolynomial, _bisect
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
@@ -239,14 +239,19 @@ class ClassificationTarget:
 
 @dataclass(frozen=True)
 class SimContext:
-    """What an adaptive adversary gets to see before writing its batches."""
+    """What an adaptive adversary gets to see before writing its batches:
+    the good batches' (unlabeled) samples as the rows of ``good_rows``."""
 
     target: object
     beta: float
     n: int
-    good_x: np.ndarray
-    good_batch_samples: tuple[np.ndarray, ...]
+    good_rows: np.ndarray
     cache: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def good_x(self) -> np.ndarray:
+        """All good samples, pooled in batch order."""
+        return self.good_rows.ravel()
 
 
 class _AttackBase:
@@ -372,7 +377,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     key = ("fk_plan", magnitude, k)
     if key in ctx.cache:
         return ctx.cache[key]
-    if not ctx.good_batch_samples:
+    if not ctx.good_rows.size:
         raise UsageError("the targeted attack needs the realized good batches")
     from .partition import BinSubset
 
@@ -387,8 +392,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     _, witness = max_sum_k_interval_union(alt - good, k)
     members = witness.members if witness.members else frozenset({1})
     region = lift_subset(BinSubset(members), part)
-    per_batch = np.array([float(region.contains(s).mean()) for s in ctx.good_batch_samples])
-    med = float(np.median(per_batch))
+    med = float(np.median(region.contains(ctx.good_rows).mean(axis=1)))
     tau = 3.0 * math.sqrt(math.log(6.0 * math.e / ctx.beta) / ctx.n)
     plan = _FkAttackPlan(region, med, tau)
     ctx.cache[key] = plan
@@ -413,15 +417,15 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     labeled = isinstance(target, ClassificationTarget)
     if attack is not None and getattr(attack, "labeled", False) != labeled:
         raise UsageError("label_flip needs a labeled: target, every other attack an unlabeled one")
-    make = (lambda i, xy: LabeledBatch(i, *xy)) if labeled else Batch
-    good_batches = [make(i, target.sample(batch_rng(seed, i), n)) for i in range(n_good)]
-    good_x = tuple(b.x if labeled else b.samples for b in good_batches)
-    pool = np.concatenate(good_x) if good_x else np.zeros(0)
-    ctx = SimContext(target, max(beta, 1e-9), n, pool, good_x)
-    adv_batches = [make(i, attack.generate(i, batch_rng(seed, i), ctx)) for i in range(n_good, m)]
-    truth = tuple([GOOD] * n_good + [ADVERSARIAL] * n_adv)
-    kind = LabeledCollection if labeled else BatchCollection
-    return kind(tuple(good_batches + adv_batches), truth)
+    draws = [target.sample(batch_rng(seed, i), n) for i in range(n_good)]
+    good_rows = np.array([d[0] if labeled else d for d in draws]).reshape(n_good, n)
+    ctx = SimContext(target, max(beta, 1e-9), n, good_rows)
+    draws += [attack.generate(i, batch_rng(seed, i), ctx) for i in range(n_good, m)]
+    truth = [GOOD] * n_good + [ADVERSARIAL] * n_adv
+    if labeled:
+        x, y = (np.stack(rows) for rows in zip(*draws))
+        return LabeledCollection(x, y, range(m), truth)
+    return BatchCollection(np.stack(draws), range(m), truth)
 
 
 def metrics(
@@ -444,7 +448,8 @@ def metrics(
         ref = target.bin_masses(partition)
         disc = discretize(collection, partition)
         out["fk_before"] = float(fk_distance(disc.pooled(), ref, k))
-        out["fk_after"] = float(fk_distance(disc.subset(retained).pooled(), ref, k))
+        kept = disc.subset(np.isin(disc.ids, list(retained)))
+        out["fk_after"] = float(fk_distance(kept.pooled(), ref, k))
     return out
 
 

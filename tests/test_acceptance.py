@@ -194,7 +194,7 @@ def mean_shift_runs():
     reports = []
     for seed in SEEDS:
         coll = rb.build_collection(target, attack, 1000, n, 0.2, seed)
-        _, rep = rb.robust_clean_fk(
+        rep = clean_pipeline(
             coll,
             2,
             0.2,
@@ -202,7 +202,7 @@ def mean_shift_runs():
             trigger_factor=TRIGGER,
             stop_factor=STOP,
             reference=target,
-        )
+        ).report
         reports.append(rep)
     return reports
 

@@ -258,7 +258,9 @@ def test_robust_classify_no_adversary_equals_plain_erm():
 
 def test_robust_classify_requires_labels_everywhere():
     with pytest.raises(rb.UsageError):
-        rb.LabeledBatch(0, np.array([1.0, 2.0]), np.array([0, 2]))
+        rb.LabeledCollection([[1.0, 2.0]], [[0, 2]], (0,))
+    with pytest.raises(rb.UsageError):
+        rb.LabeledCollection([[1.0, 2.0]], [[0, 0.5]], (0,))
 
 
 def test_robust_classify_label_flip_recovers():
@@ -288,36 +290,36 @@ def test_robust_classify_shares_the_cleaning_checks():
     with pytest.raises(rb.DomainError, match="0.4"):
         rb.robust_classify(coll, 1, 0.5, np.random.default_rng(0))
     with pytest.raises(rb.UsageError):
-        rb.robust_classify(coll.subset([0]), 1, 0.2, np.random.default_rng(0))
+        rb.robust_classify(coll.subset(np.arange(coll.m) == 0), 1, 0.2, np.random.default_rng(0))
 
 
 def test_labeled_collection_validates_truth_flags():
-    batch = rb.LabeledBatch(0, np.array([0.1, 0.9]), np.array([1, 0]))
+    x, y = [[0.1, 0.9]], [[1, 0]]
     with pytest.raises(rb.UsageError, match="unknown truth flags"):
-        rb.LabeledCollection((batch,), truth=("bogus",))
-    other = rb.LabeledBatch(1, np.array([0.5]), np.array([1]))
-    with pytest.raises(rb.UsageError, match="expected 2"):
-        rb.LabeledCollection((batch, other))
+        rb.LabeledCollection(x, y, (0,), truth=("bogus",))
+    with pytest.raises(rb.UsageError, match="same shape"):
+        rb.LabeledCollection(x, [[1]], (0,))
 
 
-def _per_batch_label_counts(batches, label, part):
+def _per_batch_label_counts(coll, label, part):
     """Reference for the label-slice table: one bincount per batch."""
     return np.stack([
-        np.bincount(part.bin_of(b.x[b.y == label]), minlength=part.ell) for b in batches
+        np.bincount(part.bin_of(x[y == label]), minlength=part.ell)
+        for x, y in zip(coll.x, coll.y)
     ])
 
 
-def _check_label_slice_counts(batches, ell):
-    coll = rb.LabeledCollection(tuple(batches))
+def _check_label_slice_counts(x, y, ell):
+    coll = rb.LabeledCollection(x, y, range(len(x)))
     for label, (part, counts) in zip((0, 1), _label_slice_counts(coll, ell)):
-        per_batch = [int(np.count_nonzero(b.y == label)) for b in batches]
+        per_batch = np.count_nonzero(coll.y == label, axis=1).tolist()
         assert counts.dtype == np.int64
         assert counts.sum(axis=1).tolist() == per_batch
         if part is None:  # a label no batch contains: the ell-0 table
             assert sum(per_batch) == 0 and counts.shape == (coll.m, 0)
             continue
         assert part.ell <= min(ell, sum(per_batch))
-        assert np.array_equal(counts, _per_batch_label_counts(batches, label, part))
+        assert np.array_equal(counts, _per_batch_label_counts(coll, label, part))
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,16 +328,13 @@ def test_label_slice_counts_match_per_batch_bincount(m, n, ell, data):
     # x from four values, so ties are heavy; a slice is often smaller than ell
     xs = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     ys = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
-    batches = [
-        rb.LabeledBatch(i, np.array(data.draw(xs), dtype=float) / 2, data.draw(ys))
-        for i in range(m)
-    ]
-    _check_label_slice_counts(batches, ell)
+    x = np.array([data.draw(xs) for _ in range(m)], dtype=float) / 2
+    _check_label_slice_counts(x, [data.draw(ys) for _ in range(m)], ell)
 
 
 def test_label_slice_counts_absent_label_and_short_slice():
     rng = np.random.default_rng(0)
-    only0 = [rb.LabeledBatch(i, rng.random(5), np.zeros(5, int)) for i in range(3)]
-    _check_label_slice_counts(only0, 4)
-    one1 = [rb.LabeledBatch(i, rng.random(5), np.array([0, 0, 0, 0, i % 2])) for i in range(3)]
-    _check_label_slice_counts(one1, 10)
+    _check_label_slice_counts(rng.random((3, 5)), np.zeros((3, 5), int), 4)
+    one1 = np.zeros((3, 5), int)
+    one1[:, 4] = np.arange(3) % 2
+    _check_label_slice_counts(rng.random((3, 5)), one1, 10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
-from robust_batches.clean import guidance_batches
+from robust_batches.clean import clean_pipeline, guidance_batches
 from robust_batches.io import canonical_json
 from robust_batches.simulate import MeanShiftAttack, parse_target
 
@@ -14,18 +14,19 @@ def small_collection(seed=0, beta=0.0, m=40, n=50, attack=None):
 def test_beta_above_limit_refused():
     coll = small_collection()
     with pytest.raises(rb.DomainError, match="0.4"):
-        rb.robust_clean_fk(coll, 2, 0.5, np.random.default_rng(0))
+        clean_pipeline(coll, 2, 0.5, np.random.default_rng(0))
 
 
 def test_needs_two_batches():
-    coll = rb.BatchCollection((rb.Batch(0, np.zeros(3) + 0.5),))
+    coll = rb.BatchCollection(np.zeros((1, 3)) + 0.5, (0,))
     with pytest.raises(rb.UsageError):
-        rb.robust_clean_fk(coll, 1, 0.2, np.random.default_rng(0))
+        clean_pipeline(coll, 1, 0.2, np.random.default_rng(0))
 
 
 def test_beta_zero_keeps_everything():
     coll = small_collection(seed=3)
-    retained, report = rb.robust_clean_fk(coll, 2, 0.0, np.random.default_rng(0))
+    result = clean_pipeline(coll, 2, 0.0, np.random.default_rng(0))
+    retained, report = result.retained, result.report
     assert retained.ids == coll.ids
     assert report.rounds == 0
     assert report.retention_good == 1.0
@@ -34,7 +35,7 @@ def test_beta_zero_keeps_everything():
 def test_small_m_warns():
     coll = small_collection(seed=1, m=10)
     with pytest.warns(UserWarning, match="guidance"):
-        rb.robust_clean_fk(coll, 2, 0.2, np.random.default_rng(0), trigger_factor=5, stop_factor=4)
+        clean_pipeline(coll, 2, 0.2, np.random.default_rng(0), trigger_factor=5, stop_factor=4)
     assert guidance_batches(2, 100, 0.2) > 10_000
 
 
@@ -42,9 +43,10 @@ def test_retained_is_a_subset():
     attack = MeanShiftAttack(1.0, (0.4, 0.6))
     coll = small_collection(seed=5, beta=0.2, m=60, n=100, attack=attack)
     with pytest.warns(UserWarning):
-        retained, report = rb.robust_clean_fk(
+        result = clean_pipeline(
             coll, 2, 0.2, np.random.default_rng(2), trigger_factor=5, stop_factor=4
         )
+    retained, report = result.retained, result.report
     assert set(retained.ids) <= set(coll.ids)
     assert len(set(report.retained_ids)) == len(report.retained_ids)
     assert report.retained_ids == retained.ids
@@ -52,11 +54,11 @@ def test_retained_is_a_subset():
 
 def test_report_fk_fields_only_with_reference():
     coll = small_collection(seed=6)
-    _, plain = rb.robust_clean_fk(coll, 2, 0.0, np.random.default_rng(0))
+    plain = clean_pipeline(coll, 2, 0.0, np.random.default_rng(0)).report
     assert plain.fk_before is None and plain.fk_after is None
-    _, scored = rb.robust_clean_fk(
+    scored = clean_pipeline(
         coll, 2, 0.0, np.random.default_rng(0), reference=parse_target("uniform:0,1")
-    )
+    ).report
     assert scored.fk_before is not None
     assert scored.fk_after == scored.fk_before  # nothing deleted
 
@@ -67,7 +69,7 @@ def test_pipeline_deterministic_given_seed():
     reports = []
     for _ in range(2):
         with pytest.warns(UserWarning):
-            _, report = rb.robust_clean_fk(
+            report = clean_pipeline(
                 coll,
                 2,
                 0.2,
@@ -75,7 +77,7 @@ def test_pipeline_deterministic_given_seed():
                 trigger_factor=5,
                 stop_factor=4,
                 reference=parse_target("uniform:0,1"),
-            )
+            ).report
         reports.append(canonical_json(report.to_dict()))
     assert reports[0] == reports[1]
 
@@ -92,7 +94,7 @@ def test_vacuous_attack_does_not_hurt():
     for seed in range(5):
         coll = rb.build_collection(target, HonestAttack(), 200, 100, 0.2, seed)
         with pytest.warns(UserWarning):
-            _, report = rb.robust_clean_fk(
+            report = clean_pipeline(
                 coll,
                 2,
                 0.2,
@@ -100,11 +102,11 @@ def test_vacuous_attack_does_not_hurt():
                 trigger_factor=5,
                 stop_factor=4,
                 reference=target,
-            )
+            ).report
         baseline = rb.build_collection(target, None, 200, 100, 0.0, seed + 1000)
-        _, base_report = rb.robust_clean_fk(
+        base_report = clean_pipeline(
             baseline, 2, 0.0, np.random.default_rng(seed), reference=target
-        )
+        ).report
         ratios.append(report.fk_after / max(base_report.fk_after, 1e-12))
         # cleaning a vacuous attack must not hurt beyond noise
         assert report.fk_after <= report.fk_before + 0.02

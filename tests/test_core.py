@@ -11,49 +11,51 @@ def union(*pairs):
 
 
 def test_empirical_prob_raw():
-    b = rb.Batch(0, np.array([0.1, 0.5, 0.9, 0.3]))
-    assert rb.empirical_prob(b, union((0.0, 0.4))) == 0.5
-    assert rb.empirical_prob(b, union()) == 0.0
+    coll = rb.BatchCollection([[0.1, 0.5, 0.9, 0.3], [0.5, 0.6, 0.7, 0.8]], (0, 1))
+    assert per_batch_probs(coll, union((0.0, 0.4))).tolist() == [0.5, 0.0]
+    assert per_batch_probs(coll, union()).tolist() == [0.0, 0.0]
 
 
 def test_empirical_prob_discretized():
-    b = rb.DiscretizedBatch(0, [2, 0, 2])
-    assert rb.empirical_prob(b, rb.BinSubset.of(1, 3)) == 1.0
-    assert rb.empirical_prob(b, rb.BinSubset.of(2)) == 0.0
+    coll = rb.DiscretizedCollection([[2, 0, 2], [1, 2, 1]], (0, 1), 4)
+    assert per_batch_probs(coll, rb.BinSubset.of(1, 3)).tolist() == [1.0, 0.5]
+    assert per_batch_probs(coll, rb.BinSubset.of(2)).tolist() == [0.0, 0.5]
 
 
 def test_empirical_prob_mismatched_representation():
-    raw = rb.Batch(0, np.array([0.1, 0.2]))
-    disc = rb.DiscretizedBatch(0, [1, 1])
+    raw = rb.BatchCollection([[0.1, 0.2]], (0,))
+    disc = rb.DiscretizedCollection([[1, 1]], (0,), 2)
     with pytest.raises(rb.UsageError):
-        rb.empirical_prob(raw, rb.BinSubset.of(1))
+        per_batch_probs(raw, rb.BinSubset.of(1))
     with pytest.raises(rb.UsageError):
-        rb.empirical_prob(disc, union((0.0, 1.0)))
+        per_batch_probs(disc, union((0.0, 1.0)))
+    with pytest.raises(rb.UsageError):
+        per_batch_probs(disc, rb.BinSubset.of(3))
 
 
 def test_empirical_prob_monotone_and_additive():
     rng = np.random.default_rng(5)
-    b = rb.Batch(0, rng.random(50))
+    coll = rb.BatchCollection(rng.random((4, 50)), range(4))
     small = union((0.2, 0.4))
     big = union((0.2, 0.6))
     disjoint = union((0.6, 0.8))
-    assert rb.empirical_prob(b, small) <= rb.empirical_prob(b, big)
+    assert (per_batch_probs(coll, small) <= per_batch_probs(coll, big)).all()
     both = union((0.2, 0.6), (0.6000000001, 0.8))
-    got = rb.empirical_prob(b, big) + rb.empirical_prob(b, disjoint)
-    assert rb.empirical_prob(b, both) == pytest.approx(got, abs=1e-12)
+    got = per_batch_probs(coll, big) + per_batch_probs(coll, disjoint)
+    np.testing.assert_allclose(per_batch_probs(coll, both), got, rtol=0, atol=1e-12)
 
 
 def test_pooled_empirical_discretized():
     # the pooled measure of a sub-collection is the mean of its batches' measures
     coll = rb.DiscretizedCollection(np.array([[1, 1], [2, 0]]), (0, 1), 2)
     np.testing.assert_allclose(coll.pooled(), [0.75, 0.25])
-    np.testing.assert_allclose(coll.subset([0]).pooled(), [0.5, 0.5])
-    np.testing.assert_allclose(coll.subset([1]).pooled(), [1.0, 0.0])
+    np.testing.assert_allclose(coll.subset([True, False]).pooled(), [0.5, 0.5])
+    np.testing.assert_allclose(coll.subset([False, True]).pooled(), [1.0, 0.0])
 
 
 def test_pooled_empirical_matches_grand_count():
     rng = np.random.default_rng(1)
-    coll = rb.BatchCollection(tuple(rb.Batch(i, rng.random(20)) for i in range(7)))
+    coll = rb.BatchCollection(rng.random((7, 20)), range(7))
     region = union((0.25, 0.75))
     pooled = coll.pooled_samples()
     direct = np.count_nonzero(region.contains(pooled)) / pooled.size
@@ -64,7 +66,7 @@ def test_pooled_empirical_matches_grand_count():
 def test_pooled_empirical_empty():
     # an empty sub-collection has no pooled measure: neither type can be built empty
     with pytest.raises(rb.UsageError):
-        rb.BatchCollection(())
+        rb.BatchCollection(np.zeros((0, 2)), ())
     with pytest.raises(rb.UsageError):
         rb.DiscretizedCollection(np.zeros((0, 2), dtype=np.int64), (), 2)
 
@@ -90,33 +92,42 @@ def test_variance_lipschitz_property():
 
 def test_batch_rejects_nonfinite():
     with pytest.raises(rb.UsageError):
-        rb.Batch(0, np.array([1.0, np.nan]))
+        rb.BatchCollection([[1.0, 2.0], [1.0, np.nan]], (0, 1))
     with pytest.raises(rb.UsageError):
-        rb.Batch(0, np.array([np.inf]))
+        rb.BatchCollection([[np.inf]], (0,))
 
 
 def test_collection_invariants():
-    b0 = rb.Batch(0, np.array([1.0, 2.0]))
-    b1 = rb.Batch(1, np.array([1.0]))
+    row = [1.0, 2.0]
     with pytest.raises(rb.UsageError):
-        rb.BatchCollection((b0, b1))
+        rb.BatchCollection([row, [1.0]], (0, 1))  # ragged rows
     with pytest.raises(rb.UsageError):
-        rb.BatchCollection((b0,), truth=("good", "adversarial"))
+        rb.BatchCollection([row], (0,), truth=("good", "adversarial"))
     with pytest.raises(rb.UsageError):
-        rb.BatchCollection((b0,), truth=("fine",))
+        rb.BatchCollection([row], (0,), truth=("fine",))
+    with pytest.raises(rb.UsageError):
+        rb.BatchCollection([row, row], (0, 0))
+    with pytest.raises(rb.UsageError):
+        rb.BatchCollection([row, row], (0,))
+    with pytest.raises(rb.UsageError):
+        rb.BatchCollection([row], (0.5,))
+    coll = rb.BatchCollection(np.array([row, row]), range(2))
+    assert coll.ids == (0, 1) and (coll.m, coll.n) == (2, 2)
+    assert not coll.samples.flags.writeable
 
 
 def test_discretized_collection_subset():
     coll = rb.DiscretizedCollection(
         np.array([[1, 1], [2, 0], [0, 2]]), (10, 11, 12), 2, ("good", "adversarial", "good")
     )
-    sub = coll.subset([10, 12])
+    sub = coll.subset(np.isin(coll.ids, [10, 12]))
     assert sub.ids == (10, 12)
     assert sub.truth == ("good", "good")
-    mask_sub = coll.subset(np.array([True, False, True]))
-    assert mask_sub.ids == (10, 12)
+    assert sub.counts.tolist() == [[1, 1], [0, 2]]
     with pytest.raises(rb.UsageError):
-        coll.subset([])
+        coll.subset(np.zeros(3, dtype=bool))
+    with pytest.raises(rb.UsageError):  # ids are not a mask
+        coll.subset([10, 12])
 
 
 def test_per_batch_probs_matches_op():

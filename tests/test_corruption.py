@@ -26,24 +26,26 @@ def test_median_prob():
 
 def test_corruption_batch_examples():
     params = rb.CorruptionParams(0.1, 10000, 500)
-    batch = rb.DiscretizedBatch(0, [5000, 5000])
+    batch = [5000, 5000]
     assert rb.corruption_batch(batch, BIN1, 0.5, params) == 0.0
-    shifted = rb.DiscretizedBatch(1, [6000, 4000])
+    shifted = [6000, 4000]
     assert rb.corruption_batch(shifted, BIN1, 0.5, params) == pytest.approx(0.01)
     # a deviation of exactly tau still scores zero
     n = 10000
     dev_counts = int(round(params.tau * n))
-    at_tau = rb.DiscretizedBatch(2, [dev_counts, n - dev_counts])
+    at_tau = [dev_counts, n - dev_counts]
     med = 0.0
     assert dev_counts / n <= params.tau
     assert rb.corruption_batch(at_tau, BIN1, med, params) == 0.0
     with pytest.raises(rb.UsageError):
         rb.corruption_batch(batch, BIN1, 1.5, params)
+    with pytest.raises(rb.UsageError):
+        rb.corruption_batch(batch, rb.BinSubset.of(3), 0.5, params)
 
 
 def test_corruption_batch_continuous_outside_ball():
     params = rb.CorruptionParams(0.2, 100, 10)
-    batch = rb.DiscretizedBatch(0, [80, 20])
+    batch = [80, 20]
     score = rb.corruption_batch(batch, BIN1, 0.0, params)
     assert score == pytest.approx(0.64)
     assert score >= 0.0
@@ -98,7 +100,7 @@ def test_batch_deletion_seed_determinism():
     assert a.ids == b.ids
     np.testing.assert_array_equal(a.counts, b.counts)
     # a different seed still stops below the same threshold
-    after_c = sum(rb.corruption_batch(c.batch(i), BIN1, med, params) for i in range(c.m))
+    after_c = sum(rb.corruption_batch(c.counts[i], BIN1, med, params) for i in range(c.m))
     assert after_c < 20 * params.kappa_g
 
 
@@ -114,10 +116,33 @@ def test_batch_deletion_total_never_increases():
     out = rb.batch_deletion(coll, BIN1, med, params, np.random.default_rng(0))
     # med recomputed on the survivors may shift; score with the frozen med
     after = sum(
-        rb.corruption_batch(out.batch(i), BIN1, med, params) for i in range(out.m)
+        rb.corruption_batch(out.counts[i], BIN1, med, params) for i in range(out.m)
     )
     assert after <= before
     assert after < 20 * params.kappa_g
+
+
+def test_batch_deletion_samples_in_proportion_to_score():
+    # one deletion per run: each batch goes with probability score / total
+    n = 1000
+    probs = [0.0, 0.1, 0.3, 0.5, 0.6, 0.8]  # the first two sit inside tau
+    params = rb.CorruptionParams(0.1, n, len(probs))
+    coll = collection_from_probs(probs, n)
+    scores = np.array([rb.corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
+    assert scores[:2].tolist() == [0.0, 0.0] and (scores[2:] > 0).all()
+    total = scores.sum()
+    # stop anywhere in (total - smallest positive score, total]
+    stop = (total - 0.5 * scores[2]) / params.kappa_g
+    runs = 4000
+    deleted = np.zeros(coll.m)
+    for seed in range(runs):
+        out = rb.batch_deletion(coll, BIN1, 0.0, params, np.random.default_rng(seed), stop)
+        assert out.m == coll.m - 1
+        deleted += ~np.isin(coll.ids, out.ids)
+    share = scores / total
+    sd = np.sqrt(runs * share * (1.0 - share))
+    assert deleted[:2].tolist() == [0, 0]
+    assert (np.abs(deleted - runs * share) <= 5.0 * sd).all()
 
 
 @st.composite
@@ -149,10 +174,12 @@ def test_batch_deletion_invariants_property(inputs):
         return
     kept = set(out.ids)
     assert list(out.ids) == [i for i in coll.ids if i in kept]
-    score = {i: rb.corruption_batch(coll.batch(i), subset, med, params) for i in coll.ids}
+    score = {
+        i: rb.corruption_batch(row, subset, med, params) for i, row in zip(coll.ids, coll.counts)
+    }
     assert all(score[i] > 0.0 for i in coll.ids if i not in kept)
     before = sum(score[i] for i in coll.ids)
-    after = sum(rb.corruption_batch(out.batch(i), subset, med, params) for i in range(out.m))
+    after = sum(rb.corruption_batch(out.counts[i], subset, med, params) for i in range(out.m))
     assert after <= before
     assert after < stop * params.kappa_g
 
@@ -165,12 +192,12 @@ def test_removing_batches_reduces_corruption_for_any_subset():
     coll = rb.DiscretizedCollection(counts, tuple(range(12)), n)
     med = rb.median_prob(coll, rb.BinSubset.of(2, 3))
     full = sum(
-        rb.corruption_batch(coll.batch(i), rb.BinSubset.of(2, 3), med, params)
+        rb.corruption_batch(coll.counts[i], rb.BinSubset.of(2, 3), med, params)
         for i in range(coll.m)
     )
-    sub = coll.subset(list(range(6)))
+    sub = coll.subset(np.arange(12) < 6)
     reduced = sum(
-        rb.corruption_batch(sub.batch(i), rb.BinSubset.of(2, 3), med, params)
+        rb.corruption_batch(sub.counts[i], rb.BinSubset.of(2, 3), med, params)
         for i in range(sub.m)
     )
     assert reduced <= full

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ def test_batch_file_roundtrip(tmp_path):
     path = tmp_path / "batches.jsonl"
     write_batches(coll, path)
     loaded = read_batches(path)
-    assert loaded.truth == coll.truth
-    for a, b in zip(coll.batches, loaded.batches):
-        np.testing.assert_array_equal(a.samples, b.samples)
+    assert loaded.truth == coll.truth and loaded.ids == coll.ids
+    np.testing.assert_array_equal(loaded.samples, coll.samples)
 
 
 def test_labeled_file_roundtrip(tmp_path):
@@ -26,9 +26,9 @@ def test_labeled_file_roundtrip(tmp_path):
     path = tmp_path / "labeled.jsonl"
     write_batches(coll, path)
     loaded = read_batches(path)
-    for a, b in zip(coll.batches, loaded.batches):
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
+    np.testing.assert_array_equal(loaded.x, coll.x)
+    np.testing.assert_array_equal(loaded.y, coll.y)
+    assert loaded.y.dtype == np.int64
 
 
 def test_read_rejects_nan(tmp_path):
@@ -49,6 +49,52 @@ def test_read_rejects_wrong_counts(tmp_path):
     path.write_text('{"m": 2}\n')
     with pytest.raises(FileFormatError, match="missing 'n'"):
         read_batches(path)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ('{"n": 2.9, "m": 2}\n{"id": 2.7, "samples": [1, 2]}\n{"id": true, "samples": [1, 2]}',
+         1, "n and m"),
+        ('{"n": 2, "m": 2.0}\n{"id": 0, "samples": [1, 2]}\n{"id": 1, "samples": [1, 2]}',
+         1, "n and m"),
+        ('{"n": true, "m": 1}\n{"id": 0, "samples": [1]}', 1, "n and m"),
+        ('{"n": "2", "m": 1}\n{"id": 0, "samples": [1, 2]}', 1, "n and m"),
+        ('{"n": 0, "m": 1}\n{"id": 0, "samples": []}', 1, "n and m"),
+        ('{"n": 2, "m": 1, "labeled": "no"}\n{"id": 0, "samples": [1, 2]}', 1, "JSON boolean"),
+        ('{"n": 2, "m": 2}\n{"id": 0, "samples": [1, 2]}\n{"id": 2.7, "samples": [1, 2]}',
+         3, "id must be a JSON integer"),
+        ('{"n": 2, "m": 1}\n{"id": true, "samples": [1, 2]}', 2, "id must be a JSON integer"),
+        ('{"n": 2, "m": 1}\n{"id": "0", "samples": [1, 2]}', 2, "id must be a JSON integer"),
+        ('{"n": 2, "m": 1}\n{"id": 0, "samples": [0.5, true]}', 2, "JSON numbers"),
+        ('{"n": 2, "m": 1}\n{"id": 0, "samples": [0.5, "1"]}', 2, "JSON numbers"),
+        ('{"n": 2, "m": 1}\n{"id": 0, "samples": 7}', 2, "must be a list"),
+        ('{"n": 2, "m": 1}\n{"id": 0, "samples": [0.5, 1e999]}', 2, "NaN or infinity"),
+        ('{"n": 2, "m": 1}\n{"id": 0, "samples": [0.5, 1%s]}' % ("0" * 400), 2, "malformed"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[0.1, true], [0.2, 0]]}',
+         2, "labels must be 0 or 1"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[0.1, 1.0], [0.2, 0]]}',
+         2, "labels must be 0 or 1"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[true, 1], [0.2, 0]]}',
+         2, "JSON numbers"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[0.1, 1, 0], [0.2, 0, 1]]}',
+         2, r"\[x, y\] pairs"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[0.1, 1], 0.2]}',
+         2, "malformed"),
+        ('{"n": 2, "m": 1, "labeled": true}\n{"id": 0, "samples": [[0.1, 1], [0.2]]}',
+         2, "malformed"),
+    ],
+)
+def test_read_refuses_non_integral_and_boolean_fields(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n")
+    with pytest.raises(FileFormatError, match=message) as exc:
+        read_batches(path)
+    assert f"{path}:{line}:" in str(exc.value)
+    rc = main(["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert f"{path}:{line}:" in capsys.readouterr().err
 
 
 def test_cli_simulate_clean_eval_flow(tmp_path):
@@ -108,6 +154,29 @@ def test_cli_estimate_and_classify(tmp_path):
     assert rc == 0
     cls = read_json(tmp_path / "cls.json")
     assert cls["classification"]["excess_risk"] < 0.05
+
+
+@pytest.mark.parametrize(
+    "t, d, message",
+    [("1000000", "1", "2\\*t\\*d=2000000"), ("3", "9", "d must lie"), ("0", "1", "t must be")],
+)
+def test_cli_estimate_checks_the_fit_before_cleaning(tmp_path, monkeypatch, capsys, t, d, message):
+    batches = tmp_path / "b.jsonl"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "none",
+        "--m", "40", "--n", "30", "--beta", "0", "--seed", "0", "--out", str(batches),
+    ]) == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("estimate cleaned before checking --t and --d")
+
+    monkeypatch.setattr(cli, "clean_pipeline", fail)
+    rc = main([
+        "estimate", "--input", str(batches), "--t", t, "--d", d, "--beta", "0.2",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_cli_beta_guard_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import robust_batches as rb
 from robust_batches.clean import ELL_BETA_FLOOR, clean_pipeline
+from robust_batches.core import per_batch_probs
 
 
 def test_choose_ell_examples():
@@ -70,7 +71,7 @@ def tied_collections(draw):
     rows = [
         draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)) for _ in range(m)
     ]
-    coll = rb.BatchCollection(tuple(rb.Batch(i, np.array(r)) for i, r in enumerate(rows)))
+    coll = rb.BatchCollection(rows, range(m))
     return coll, draw(st.integers(1, n * m))
 
 
@@ -92,28 +93,28 @@ def test_partition_and_discretize_under_heavy_ties(case):
 
 
 def test_discretize_example():
-    coll = rb.BatchCollection((rb.Batch(0, np.array([0.5, 4.5, 9.0])),))
+    coll = rb.BatchCollection([[0.5, 4.5, 9.0]], (0,))
     part = rb.IntervalPartition((4.0, 8.0))
     disc = rb.discretize(coll, part)
     assert disc.counts[0].tolist() == [1, 1, 1]
 
 
 def test_discretize_all_first_cell():
-    coll = rb.BatchCollection((rb.Batch(0, np.array([0.0, 1.0, 2.0])),))
+    coll = rb.BatchCollection([[0.0, 1.0, 2.0]], (0,))
     part = rb.IntervalPartition((4.0, 8.0))
     assert rb.discretize(coll, part).counts[0].tolist() == [3, 0, 0]
 
 
 def test_discretize_boundary_is_right_closed():
-    coll = rb.BatchCollection((rb.Batch(0, np.array([4.0, 4.0000001])),))
+    coll = rb.BatchCollection([[4.0, 4.0000001]], (0,))
     part = rb.IntervalPartition((4.0,))
     assert rb.discretize(coll, part).counts[0].tolist() == [1, 1]
 
 
 def test_discretize_token_guard():
     rng = np.random.default_rng(0)
-    coll_a = rb.BatchCollection(tuple(rb.Batch(i, rng.random(10)) for i in range(3)))
-    coll_b = rb.BatchCollection(tuple(rb.Batch(i, rng.random(10)) for i in range(3)))
+    coll_a = rb.BatchCollection(rng.random((3, 10)), range(3))
+    coll_b = rb.BatchCollection(rng.random((3, 10)), range(3))
     part = rb.build_partition(coll_a.pooled_samples(), 5)
     rb.discretize(coll_a, part)
     with pytest.raises(rb.UsageError):
@@ -122,20 +123,19 @@ def test_discretize_token_guard():
 
 def test_discretize_roundtrip_against_raw_counting():
     rng = np.random.default_rng(11)
-    coll = rb.BatchCollection(tuple(rb.Batch(i, rng.standard_normal(30)) for i in range(5)))
+    coll = rb.BatchCollection(rng.standard_normal((5, 30)), range(5))
     part = rb.build_partition(coll.pooled_samples(), 12)
     disc = rb.discretize(coll, part)
     for _ in range(100):
         members = frozenset(int(j) + 1 for j in np.nonzero(rng.random(part.ell) < 0.4)[0])
         subset = rb.BinSubset(members)
         region = rb.lift_subset(subset, part)
-        for i, b in enumerate(coll.batches):
-            assert rb.empirical_prob(b, region) == rb.empirical_prob(disc.batch(i), subset)
+        assert np.array_equal(per_batch_probs(coll, region), per_batch_probs(disc, subset))
 
 
 def test_discretize_preserves_totals_and_pooled_masses():
     rng = np.random.default_rng(2)
-    coll = rb.BatchCollection(tuple(rb.Batch(i, rng.random(25)) for i in range(6)))
+    coll = rb.BatchCollection(rng.random((6, 25)), range(6))
     part = rb.build_partition(coll.pooled_samples(), 10)
     disc = rb.discretize(coll, part)
     assert (disc.counts.sum(axis=1) == 25).all()

@@ -27,26 +27,23 @@ def test_build_collection_counts():
     attacked = rb.build_collection(target, SpikeAttack(1.0, 0.5), 10, 5, 0.4, 0)
     assert attacked.truth.count("good") == 6
     assert attacked.truth.count("adversarial") == 4
-    assert all(b.n == 5 for b in attacked.batches)
+    assert attacked.samples.shape == (10, 5)
 
 
 def test_build_collection_deterministic():
     target = GaussianMixtureTarget((0.5, 0.5), (0.0, 3.0), (1.0, 0.5))
     a = rb.build_collection(target, SpikeAttack(0.5, 1.0), 8, 20, 0.25, 99)
     b = rb.build_collection(target, SpikeAttack(0.5, 1.0), 8, 20, 0.25, 99)
-    for ba, bb in zip(a.batches, b.batches):
-        np.testing.assert_array_equal(ba.samples, bb.samples)
+    np.testing.assert_array_equal(a.samples, b.samples)
     c = rb.build_collection(target, SpikeAttack(0.5, 1.0), 8, 20, 0.25, 100)
-    assert any(
-        not np.array_equal(ba.samples, bc.samples) for ba, bc in zip(a.batches, c.batches)
-    )
+    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_build_collection_batch_draws_from_its_own_rng():
     target = parse_target("uniform:0,1")
     coll = rb.build_collection(target, SpikeAttack(0.5, 1.0), 12, 30, 0.25, 7)
-    for b in coll.batches[:9]:
-        np.testing.assert_array_equal(b.samples, target.sample(batch_rng(7, b.id), 30))
+    for i in range(9):
+        np.testing.assert_array_equal(coll.samples[i], target.sample(batch_rng(7, coll.ids[i]), 30))
 
 
 def test_beta_zero_needs_no_attack_but_positive_does():
@@ -62,7 +59,7 @@ def test_mean_shift_moves_expected_mass():
     delta, beta, m, n = 0.5, 0.2, 400, 250
     region = (2.0, 2.1)  # far outside the support: moved mass is unambiguous
     coll = rb.build_collection(target, MeanShiftAttack(delta, region), m, n, beta, 17)
-    pooled = np.concatenate([b.samples for b in coll.batches])
+    pooled = coll.samples.ravel()
     outside = float(np.mean(pooled >= 2.0))
     frac_adv = 1.0 - coll.truth.count("good") / m
     expect = frac_adv * delta
@@ -74,35 +71,28 @@ def test_spike_attack_exact_counts():
     target = parse_target("uniform:0,1")
     atk = SpikeAttack(0.3, 7.5)
     ctx_coll = rb.build_collection(target, atk, 10, 40, 0.3, 5)
-    for b, t in zip(ctx_coll.batches, ctx_coll.truth):
+    for row, t in zip(ctx_coll.samples, ctx_coll.truth):
         if t == "adversarial":
-            assert int((b.samples == 7.5).sum()) == 12
+            assert int((row == 7.5).sum()) == 12
 
 
 def test_replay_skew_reuses_good_samples():
     target = parse_target("uniform:0,1")
     atk = ReplaySkewAttack(0.0, (0.0, 1.0))
     coll = rb.build_collection(target, atk, 6, 50, 0.3, 21)
-    good_pool = set()
-    for b, t in zip(coll.batches, coll.truth):
-        if t == "good":
-            good_pool.update(b.samples.tolist())
-    for b, t in zip(coll.batches, coll.truth):
-        if t == "adversarial":
-            assert all(x in good_pool for x in b.samples.tolist())
+    good = np.array(coll.truth) == "good"
+    assert np.isin(coll.samples[~good], coll.samples[good]).all()
 
 
 def test_fk_targeted_attack_deviates_above_tau():
     target = parse_target("uniform:0,1")
     beta, n = 0.2, 100
     coll = rb.build_collection(target, parse_attack("fk_targeted:0.3@2"), 60, n, beta, 42)
-    good = tuple(b.samples for b, t in zip(coll.batches, coll.truth) if t == "good")
-    adversarial = [b.samples for b, t in zip(coll.batches, coll.truth) if t == "adversarial"]
+    good = np.array(coll.truth) == "good"
+    adversarial = coll.samples[~good]
     assert len(adversarial) == 12
-    tau = rb.CorruptionParams(beta, n, len(good)).tau
-    ctx = SimContext(
-        target=target, beta=beta, n=n, good_x=np.concatenate(good), good_batch_samples=good,
-    )
+    tau = rb.CorruptionParams(beta, n, int(good.sum())).tau
+    ctx = SimContext(target=target, beta=beta, n=n, good_rows=coll.samples[good])
     plan = _fk_attack_plan(ctx, 0.3, 2)
     for xs in adversarial:
         assert xs.size == n
@@ -140,7 +130,7 @@ def test_metrics_trivials():
 
 
 def test_metrics_needs_truth():
-    coll = rb.BatchCollection((rb.Batch(0, np.array([0.1, 0.2])),))
+    coll = rb.BatchCollection([[0.1, 0.2]], (0,))
     with pytest.raises(rb.UsageError):
         rb.metrics(coll, [0], parse_target("uniform:0,1"), 1)
 
