@@ -86,11 +86,11 @@ class CleanPipelineResult:
     cleaned: DiscretizedCollection
 
 
-def guidance_batches(k: int, n: int, beta: float, delta: float = DEFAULT_DELTA) -> float:
-    """Batch-count guidance (k*log(n/beta) + log(1/delta)) * sqrt(n) / beta^3;
-    infinite once beta^3 underflows."""
+def guidance_batches(k: int, n: int, beta: float) -> float:
+    """Batch-count guidance (k*log(n/beta) + log(1/delta)) * sqrt(n) / beta^3
+    at delta = DEFAULT_DELTA; infinite once beta^3 underflows."""
     with np.errstate(divide="ignore", over="ignore"):
-        return (k * np.log(n / beta) + np.log(1.0 / delta)) * np.sqrt(n) / beta**3
+        return (k * np.log(n / beta) + np.log(1.0 / DEFAULT_DELTA)) * np.sqrt(n) / beta**3
 
 
 def _reference_masses(reference, partition: IntervalPartition) -> np.ndarray:
@@ -102,9 +102,7 @@ def _reference_masses(reference, partition: IntervalPartition) -> np.ndarray:
     return ref
 
 
-def prepare_cleaning(
-    collection, k: int, beta: float, delta: float = DEFAULT_DELTA
-) -> tuple[int, CorruptionParams]:
+def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionParams]:
     """Check beta and m, size the partition and derive the thresholds.
 
     Returns the partition size ell and the corruption parameters.  ``beta
@@ -123,7 +121,7 @@ def prepare_cleaning(
     sizing_beta = beta if beta > 0.0 else ELL_BETA_FLOOR
     ell = choose_ell(k, n, sizing_beta, m)
     if beta > 0.0:
-        guide = guidance_batches(k, n, beta, delta)
+        guide = guidance_batches(k, n, beta)
         if not np.isfinite(guide):
             raise DomainError(f"beta={beta} refused: too small for a finite batch-count guidance")
         if m < guide:
@@ -143,7 +141,6 @@ def clean_pipeline(
     trigger_factor: float = TRIGGER_FACTOR,
     stop_factor: float = STOP_FACTOR,
     reference=None,
-    delta: float = DEFAULT_DELTA,
 ) -> CleanPipelineResult:
     """Run the full cleaning pipeline and keep the intermediate artifacts.
 
@@ -152,7 +149,7 @@ def clean_pipeline(
     no deletion runs.  ``reference`` (simulation mode) is a target with a
     ``bin_masses(partition)`` method, or a per-bin probability vector.
     """
-    ell, params = prepare_cleaning(collection, k, beta, delta)
+    ell, params = prepare_cleaning(collection, k, beta)
     partition = build_partition(collection.pooled_samples(), ell)
     disc = discretize(collection, partition)
     ref_vec = _reference_masses(reference, partition) if reference is not None else None

@@ -120,11 +120,17 @@ def batch_deletion(
     rng: np.random.Generator,
     stop_factor: float = STOP_FACTOR,
 ) -> DiscretizedCollection:
-    """Randomized filter: remove batches, sampled proportionally to their
-    corruption scores, until the total drops below stop_factor*kappa_g.
+    """Randomized filter: delete batches with probability proportional to
+    their corruption scores, without replacement, until the surviving total
+    drops below stop_factor*kappa_g.
 
-    ``med`` is frozen for the whole loop (it is an input, not recomputed),
-    so per-batch scores are fixed and the loop strictly shrinks the total.
+    ``med`` is frozen, so the scores are fixed.  Sorting the batches that
+    score above zero by keys E_i/score_i, E_i standard exponential, orders
+    them by exactly that law (Efraimidis & Spirakis, *Weighted random
+    sampling with a reservoir*, IPL 2006).  One draw thus fixes every
+    deletion: batches go in key order while the surviving total, a suffix
+    sum in that order, still reaches the threshold.  Zero-score batches
+    are never deleted.
     """
     if not 0.0 <= med <= 1.0:
         raise UsageError(f"median must lie in [0, 1], got {med}")
@@ -132,19 +138,16 @@ def batch_deletion(
     if not threshold > 0.0:  # also a positive stop_factor that underflows
         raise UsageError(f"stop_factor must be positive, got {stop_factor}")
     scores = corruption_scores(per_batch_probs(sub, subset), params.tau, med)
+    scoring = np.flatnonzero(scores > 0.0)
+    keys = rng.standard_exponential(scoring.size) / scores[scoring]
+    order = scoring[np.argsort(keys, kind="stable")]
+    surviving = np.cumsum(scores[order][::-1])[::-1]  # total before each deletion
     alive = np.ones(sub.m, dtype=bool)
-    total = float(scores[alive].sum())
-    while total >= threshold and total > 0.0:
-        cum = np.cumsum(scores[alive])
-        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        pick = min(pick, cum.size - 1)
-        victim = np.nonzero(alive)[0][pick]
-        alive[victim] = False
-        if not alive.any():
-            raise UsageError(
-                "batch deletion removed every batch; thresholds are inconsistent with the data"
-            )
-        total = float(scores[alive].sum())
+    alive[order[surviving >= threshold]] = False
+    if not alive.any():
+        raise UsageError(
+            "batch deletion removed every batch; thresholds are inconsistent with the data"
+        )
     return sub.subset(alive)
 
 

@@ -290,12 +290,11 @@ def fit_piecewise(
     t: int,
     d: int,
     support: tuple[float, float],
-    max_candidates: int = MAX_CUT_CANDIDATES,
 ) -> PiecewiseFitResult:
     """Fit a t-piece degree-d density to per-bin masses of a partition.
 
     Piece breakpoints are restricted to the partition boundaries (thinned
-    to at most ``max_candidates`` cut positions when the partition is very
+    to at most MAX_CUT_CANDIDATES cut positions when the partition is very
     fine).  ``support`` bounds the density; the partition's two unbounded
     end cells are clipped to it.  Pathological pieces fall back to the
     always-feasible constant density and flag the result instead of
@@ -334,8 +333,8 @@ def fit_piecewise(
     pww = np.zeros(ncells + 1)
     pww[1:] = np.cumsum(w_m * w_m)
 
-    if ncells + 1 > max_candidates:
-        cand = np.unique(np.round(np.linspace(0, ncells, max_candidates)).astype(int))
+    if ncells + 1 > MAX_CUT_CANDIDATES:
+        cand = np.unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
     else:
         cand = np.arange(ncells + 1)
     cost = _segment_cost_matrix(cand, pg, pb, pww)

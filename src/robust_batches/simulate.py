@@ -250,7 +250,9 @@ class SimContext:
 
     @property
     def good_x(self) -> np.ndarray:
-        """All good samples, pooled in batch order."""
+        """All good samples, pooled in batch order; refused if there are none."""
+        if not self.good_rows.size:
+            raise UsageError("this attack needs the realized good batches, and there are none")
         return self.good_rows.ravel()
 
 
@@ -377,8 +379,6 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     key = ("fk_plan", magnitude, k)
     if key in ctx.cache:
         return ctx.cache[key]
-    if not ctx.good_rows.size:
-        raise UsageError("the targeted attack needs the realized good batches")
     from .partition import BinSubset
 
     pool = np.sort(ctx.good_x)

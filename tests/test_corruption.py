@@ -145,6 +145,34 @@ def test_batch_deletion_samples_in_proportion_to_score():
     assert (np.abs(deleted - runs * share) <= 5.0 * sd).all()
 
 
+def test_batch_deletion_samples_two_without_replacement():
+    # two deletions per run: the pair {i, j} goes with probability
+    # s_i/S * s_j/(S - s_i) + s_j/S * s_i/(S - s_j)
+    n = 1000
+    probs = [0.0, 0.5, 0.55, 0.6, 0.65]  # the first sits inside tau
+    params = rb.CorruptionParams(0.1, n, len(probs))
+    coll = collection_from_probs(probs, n)
+    s = np.array([rb.corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
+    assert s[0] == 0.0 and (s[1:] > 0).all()
+    pos = np.sort(s[1:])
+    assert pos[-1] < pos[0] + pos[1]
+    total = s.sum()
+    # any two survivors sum below, any three above
+    stop = 0.5 * (pos[-1] + pos[-2] + total - pos[-1]) / params.kappa_g
+    runs = 4000
+    pairs = {}
+    for seed in range(runs):
+        out = rb.batch_deletion(coll, BIN1, 0.0, params, np.random.default_rng(seed), stop)
+        gone = tuple(i for i in coll.ids if i not in out.ids)
+        assert len(gone) == 2 and 0 not in gone
+        pairs[gone] = pairs.get(gone, 0) + 1
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            p = s[i] / total * s[j] / (total - s[i]) + s[j] / total * s[i] / (total - s[j])
+            sd = np.sqrt(runs * p * (1.0 - p))
+            assert abs(pairs.get((i, j), 0) - runs * p) <= 5.0 * sd
+
+
 @st.composite
 def deletion_inputs(draw):
     """Random bin counts, a bin subset, a frozen median and a stop factor,

@@ -577,6 +577,20 @@ def test_cli_simulate_refuses_mismatched_or_nonfinite_attacks(tmp_path, capsys, 
     assert err.startswith("error: ") and "internal error" not in err
 
 
+@pytest.mark.parametrize("attack", ["replay_skew:0.5@0,1", "fk_targeted:0.3@2"])
+def test_cli_simulate_refuses_attacks_on_no_good_batch(tmp_path, capsys, attack):
+    # floor((1 - 0.4) * 1) = 0 good batches: nothing for the attack to read
+    out = tmp_path / "s.jsonl"
+    rc = main([
+        "simulate", "--target", "uniform:0,1", "--attack", attack, "--m", "1", "--n", "5",
+        "--beta", "0.4", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "good batches" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
