@@ -35,18 +35,15 @@ TRIGGER_FACTOR = 25.0
 STOP_FACTOR = 20.0
 
 
-def corruption_scores(mu: np.ndarray, tau: float, med=None) -> np.ndarray:
-    """Per-batch corruption scores of subset masses, the one scorer that
-    the detectors, the filter and the property checks share.
+def corruption_scores(mu: np.ndarray, tau: float, med) -> np.ndarray:
+    """Per-batch corruption scores of subset masses, the one scoring rule
+    that the detectors, the filter and the property checks share.
 
-    ``mu`` holds the per-batch masses of one subset, shape (m,), or of one
-    subset per column, shape (m, nc), in the unit of ``tau`` (the detectors
-    pass counts and tau*n).  A batch scores zero while it sits within
-    ``tau`` of ``med`` (by default the column medians) and the squared
-    deviation beyond that.
+    ``mu`` holds per-batch masses and ``med`` the medians they are scored
+    against, in any shapes that broadcast, in the unit of ``tau`` (the
+    detectors pass counts and tau*n).  A batch scores zero while it sits
+    within ``tau`` of ``med`` and the squared deviation beyond that.
     """
-    if med is None:
-        med = np.median(mu, axis=0)
     dev = mu - med
     return np.where(np.abs(dev) <= tau, 0.0, dev * dev)
 

@@ -4,19 +4,24 @@ The exhaustive search is exact but exponential in the bin count, so it is
 kept as an oracle for small domains.  The polynomial-time spectral
 detector, the one the detect-and-delete loop runs, takes the leading
 eigenvector v of the median-centered per-batch probability matrix by
-fixed-length power iteration and scores three candidate families, each a
-table of per-batch subset counts with one column per candidate:
+fixed-length power iteration and scores three candidate families, each
+streamed in tables of at most _CHUNK candidates, one row of per-batch
+subset counts per candidate:
 
-- threshold sets {i: +-v_i >= t} at every distinct value t: columns of
-  ``counts[:, order].cumsum(axis=1)`` at the depths where the value changes;
+- threshold sets {i: +-v_i >= t} at every distinct value t: a running
+  cumulative sum over the bins in order of v, read where the value changes;
 - dyadic contiguous windows, for attacks whose per-bin deviations sit far
   below tau while their contiguous aggregate clears it: differences of one
-  ``counts.cumsum(axis=1)`` table with a leading zero column;
-- all singletons, ``counts`` itself, so single-bin attacks are always found.
+  prefix-sum table over the bins;
+- all singletons, so single-bin attacks are always found.
 
-Every table is scored by :func:`corruption.corruption_scores`.  Tie rule:
-among the candidates with the largest score, if it is positive, the one
-with the smallest :meth:`BinSubset.bitmask` wins.
+A row's median and total score follow from its histogram over the table's
+occupied value range, each value scored once by
+:func:`corruption.corruption_scores`; every term is a multiple of 1/4, so
+totals are exact.  A table whose range is wider than the batch count is
+scored batch by batch against its partition median.  Tie rule: among the
+candidates with the largest score, if it is positive, the one with the
+smallest :meth:`BinSubset.bitmask` wins.
 """
 
 from __future__ import annotations
@@ -32,17 +37,43 @@ _BRUTE_CHUNK = 2048
 _POWER_ITERATIONS = 200
 _POWER_SEED = 0x5EEDC0DE  # detection keeps its own rng so the pipeline seed is untouched
 _CANDIDATE_CAP = 4096  # per candidate family; keeps huge partitions tractable
+_CHUNK = 64  # candidates scored at once
 
 
-def _column_scores(table: np.ndarray, n: int, tau: float) -> np.ndarray:
-    """Total corruption score of each column of per-batch subset counts.
+def _middle_order_stats(table: np.ndarray):
+    """(lo, hi, base, hist) for an integer table, one column per batch:
+    each row's two middle order statistics lo <= hi as int64, and hist[c, j],
+    the number of batches where row c holds base + j.  When the occupied range
+    is wider than the batch count, rows are partitioned and hist is None.
+    """
+    nc, m = table.shape
+    base = int(table.min())
+    width = int(table.max()) - base + 1
+    if width > m:
+        part = np.partition(table, ((m - 1) // 2, m // 2), axis=1)
+        lo, hi = (part[:, k].astype(np.int64) for k in ((m - 1) // 2, m // 2))
+        return lo, hi, base, None
+    keys = np.add(table, (width * np.arange(nc) - base)[:, None])
+    hist = np.bincount(keys.ravel(order="K"), minlength=nc * width).reshape(nc, width)
+    cum = hist.cumsum(axis=1)
+    return base + (cum <= (m - 1) // 2).sum(axis=1), base + (cum <= m // 2).sum(axis=1), base, hist
+
+
+def _candidate_scores(table: np.ndarray, n: int, tau: float) -> np.ndarray:
+    """Total corruption score of each candidate, given one row of per-batch
+    subset counts per candidate.
 
     Scored in count units, where deviations from the median are exact
     half-integers and their squares sum exactly, and divided by n^2 last, so
     every tie is exact: a subset ties with its complement and with itself in
     any table.
     """
-    return corruption_scores(table, tau * n).sum(axis=0) / (n * n)
+    lo, hi, base, hist = _middle_order_stats(table)
+    med = ((lo + hi) / 2)[:, None]
+    if hist is None:
+        return corruption_scores(table, tau * n, med).sum(axis=1) / (n * n)
+    grid = base + np.arange(hist.shape[1])
+    return (hist * corruption_scores(grid, tau * n, med)).sum(axis=1) / (n * n)
 
 
 def max_corruption_subset_brute(
@@ -62,7 +93,7 @@ def max_corruption_subset_brute(
     for start in range(0, 1 << ell, _BRUTE_CHUNK):
         ints = np.arange(start, min(start + _BRUTE_CHUNK, 1 << ell), dtype=np.uint32)
         masks = (ints[:, None] >> bit) & 1
-        scores = _column_scores(sub.counts @ masks.T, sub.n, params.tau)
+        scores = _candidate_scores(masks @ sub.counts.T, sub.n, params.tau)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score = float(scores[i])
@@ -71,15 +102,17 @@ def max_corruption_subset_brute(
     return (BinSubset(members) if members else EMPTY_SUBSET), best_score
 
 
-def _leading_eigvec(P: np.ndarray) -> np.ndarray:
+def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     """Leading eigenvector of centered.T @ centered by power iteration,
-    where ``centered`` is P minus its column medians.
+    where ``centered`` is counts/n minus its column medians.
 
     When there are more bins than batches the iteration runs on the small
     m x m Gram matrix instead and maps back, which is the same vector.
     """
     rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
-    centered = P - np.median(P, axis=0)
+    lo, hi, _, _ = _middle_order_stats(counts.T)
+    centered = counts / n
+    centered -= (lo / n + hi / n) / 2
     m, ell = centered.shape
     gram_side = centered @ centered.T if ell > m else centered.T @ centered
     v = rng.standard_normal(gram_side.shape[0])
@@ -137,16 +170,28 @@ def _windows(ell: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(starts[:_CANDIDATE_CAP], dtype=int), np.array(stops[:_CANDIDATE_CAP], dtype=int)
 
 
-def _candidate_tables(counts: np.ndarray, v: np.ndarray):
-    """Yield each candidate family as (table, bins_of): the per-batch subset
-    counts, one column per candidate, and the 1-based bins of column c."""
+def _candidate_tables(rows: np.ndarray, v: np.ndarray):
+    """Yield each candidate family in chunks of at most _CHUNK candidates,
+    as (table, bins_of): the per-batch subset counts, one row per candidate,
+    and the 1-based bins of row c.  ``rows`` holds counts.T in a dtype that holds n."""
+    ell, m = rows.shape
     for order, depth in _threshold_depths(v):
-        yield np.cumsum(counts[:, order], axis=1)[:, depth - 1], lambda c, o=order, d=depth: o[: d[c]] + 1
-    prefix = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=prefix[:, 1:])
-    starts, stops = _windows(counts.shape[1])
-    yield prefix[:, stops] - prefix[:, starts], lambda c: range(starts[c] + 1, stops[c] + 1)
-    yield counts, lambda c: (c + 1,)
+        running = np.zeros(m, dtype=rows.dtype)  # counts summed over order[:start]
+        for start in range(0, ell, _CHUNK):
+            block = np.cumsum(rows[order[start : start + _CHUNK]], axis=0, dtype=rows.dtype)
+            block += running
+            running = block[-1]
+            cut = depth[(depth > start) & (depth <= start + _CHUNK)]
+            if cut.size:
+                yield block[cut - start - 1], lambda c, o=order, d=cut: o[: d[c]] + 1
+    prefix = np.zeros((ell + 1, m), dtype=rows.dtype)
+    np.cumsum(rows, axis=0, dtype=rows.dtype, out=prefix[1:])
+    starts, stops = _windows(ell)
+    for j in range(0, starts.size, _CHUNK):
+        a, b = starts[j : j + _CHUNK], stops[j : j + _CHUNK]
+        yield prefix[b] - prefix[a], lambda c, a=a, b=b: range(a[c] + 1, b[c] + 1)
+    for j in range(0, ell, _CHUNK):
+        yield rows[j : j + _CHUNK], lambda c, j=j: (j + c + 1,)
 
 
 def max_corruption_subset_heuristic(
@@ -158,9 +203,11 @@ def max_corruption_subset_heuristic(
     contiguous windows and all singletons (see the module docstring); the
     first two families hold at most _CANDIDATE_CAP candidates each.
     """
+    v = _leading_eigvec(sub.counts, sub.n)
+    rows = np.ascontiguousarray(sub.counts.T, dtype=np.min_scalar_type(sub.n))
     best_score, tied = 0.0, []
-    for table, bins_of in _candidate_tables(sub.counts, _leading_eigvec(sub.probs())):
-        totals = _column_scores(table, sub.n, params.tau)
+    for table, bins_of in _candidate_tables(rows, v):
+        totals = _candidate_scores(table, sub.n, params.tau)
         top = float(totals.max(initial=0.0))
         if top > best_score:
             best_score, tied = top, []

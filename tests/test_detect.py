@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import robust_batches as rb
 from robust_batches import detect
+from robust_batches.corruption import corruption_scores
 from robust_batches.detect import (
     clean_discrete,
     max_corruption_subset_brute,
     max_corruption_subset_heuristic,
 )
+from robust_batches.simulate import FkTargetedAttack, parse_target
 
 
 def good_counts(rng, m, n, ell):
@@ -127,7 +131,7 @@ def _mask_matmul_heuristic(sub, params, budget=4096):
     ell = sub.ell
     P = sub.probs()
     centered = P - np.median(P, axis=0)
-    v = detect._leading_eigvec(P)
+    v = detect._leading_eigvec(sub.counts, sub.n)
     cands = []
     for vec in (v, -v):
         order = np.argsort(-vec, kind="stable")
@@ -210,6 +214,151 @@ def test_heuristic_matches_mask_matmul_reference(monkeypatch, cap):
             assert subset.members | ref_subset.members == set(range(1, coll.ell + 1))
             assert not subset.members & ref_subset.members
             assert subset.bitmask() < ref_subset.bitmask()
+
+
+def _reference_column_scores(table, n, tau):
+    """Reference scorer: every batch of an (m, nc) table of subset counts
+    scored against its column's np.median, in count units, divided by n^2."""
+    return corruption_scores(table, tau * n, np.median(table, axis=0)).sum(axis=0) / (n * n)
+
+
+def _chunked_scores(table, n, tau):
+    """detect's scorer as the spectral detector runs it: one row per
+    candidate in the smallest dtype that holds n, _CHUNK rows at a time."""
+    rows = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(n))
+    return np.concatenate(
+        [detect._candidate_scores(rows[j : j + detect._CHUNK], n, tau)
+         for j in range(0, rows.shape[0], detect._CHUNK)]
+    )
+
+
+@st.composite
+def score_tables(draw):
+    """Integer tables of subset counts in 0..n with constant columns, the
+    values 0 and n, and occupied ranges on both sides of the batch count."""
+    m = draw(st.sampled_from([2, 3, 4, 5]) | st.integers(2, 80))
+    nc = draw(st.sampled_from([1, detect._CHUNK - 1, detect._CHUNK, detect._CHUNK + 1])
+              | st.integers(1, 3 * detect._CHUNK))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([min(n, m - 1), n]))
+    base = draw(st.sampled_from([0, n - spread, int(rng.integers(0, n - spread + 1))]))
+    table = base + rng.integers(0, spread + 1, size=(m, nc))
+    table[:, rng.random(nc) < 0.2] = base + int(rng.integers(0, spread + 1))
+    if spread == n:
+        table[rng.random((m, nc)) < 0.1] = 0
+        table[rng.random((m, nc)) < 0.1] = n
+    if draw(st.booleans()):  # tau*n equal to an attained deviation
+        dev = abs(float(table[0, -1]) - float(np.median(table[:, -1])))
+        tau = dev / n
+        assume(tau * n == dev)
+    else:
+        tau = draw(st.floats(0.0, 1.0))
+    return table, n, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_tables())
+def test_chunked_histogram_scores_match_reference_bitwise(case):
+    table, n, tau = case
+    expected = _reference_column_scores(table, n, tau)
+    assert _chunked_scores(table, n, tau).tobytes() == expected.tobytes()
+    assert detect._candidate_scores(table.T, n, tau).tobytes() == expected.tobytes()
+
+
+def test_middle_order_stats_takes_both_branches():
+    rng = np.random.default_rng(8)
+    for m, n, has_hist in [(2, 1, True), (7, 3, True), (8, 5000, False), (9, 5000, False)]:
+        table = rng.integers(0, n + 1, size=(5, m))
+        table[0] = n
+        lo, hi, base, hist = detect._middle_order_stats(table)
+        ordered = np.sort(table, axis=1)
+        assert (hist is not None) == has_hist
+        assert np.array_equal(lo, ordered[:, (m - 1) // 2])
+        assert np.array_equal(hi, ordered[:, m // 2])
+        if has_hist:
+            assert hist.sum(axis=1).tolist() == [m] * 5
+            assert base == table.min()
+
+
+def _reference_eigvec(P):
+    """Reference for detect._leading_eigvec: P minus np.median(P, axis=0),
+    then the same seeded power iteration."""
+    rng = np.random.Generator(np.random.PCG64(detect._POWER_SEED))
+    centered = P - np.median(P, axis=0)
+    m, ell = centered.shape
+    gram_side = centered @ centered.T if ell > m else centered.T @ centered
+    v = rng.standard_normal(gram_side.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(detect._POWER_ITERATIONS):
+        w = gram_side @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            break
+        v = w / norm
+    if ell > m:
+        v = centered.T @ v
+        norm = np.linalg.norm(v)
+        if norm > 0.0:
+            v = v / norm
+    return v
+
+
+def _reference_candidate_tables(counts, v):
+    """Every candidate family as one full (m, nc) table of subset counts."""
+    for order, depth in detect._threshold_depths(v):
+        table = np.cumsum(counts[:, order], axis=1)[:, depth - 1]
+        yield table, lambda c, o=order, d=depth: o[: d[c]] + 1
+    prefix = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=prefix[:, 1:])
+    starts, stops = detect._windows(counts.shape[1])
+    yield prefix[:, stops] - prefix[:, starts], lambda c: range(starts[c] + 1, stops[c] + 1)
+    yield counts, lambda c: (c + 1,)
+
+
+def _reference_heuristic(sub, params):
+    """The spectral detector over full tables with the reference scorer."""
+    best_score, tied = 0.0, []
+    for table, bins_of in _reference_candidate_tables(sub.counts, _reference_eigvec(sub.probs())):
+        totals = _reference_column_scores(table, sub.n, params.tau)
+        top = float(totals.max(initial=0.0))
+        if top > best_score:
+            best_score, tied = top, []
+        if top == best_score > 0.0:
+            tied += [rb.BinSubset.of(*bins_of(c)) for c in np.flatnonzero(totals == top)]
+    if not tied:
+        return rb.BinSubset(frozenset()), 0.0
+    return min(tied, key=rb.BinSubset.bitmask), best_score
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_heuristic_matches_full_table_reference(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(detect, "_CANDIDATE_CAP", cap)
+    rng = np.random.default_rng(29)
+    ells = [1, 63, 64, 65] + [int(e) for e in rng.integers(2, 150, size=12)]
+    for i, ell in enumerate(ells):
+        m = int(rng.integers(2, 120))
+        n = int(rng.choice([12, 100, 4000]))
+        params = rb.CorruptionParams(0.2, n, m)
+        counts = good_counts(rng, m, n, ell)
+        if i % 2:
+            bad = rng.multinomial(n, rng.dirichlet(np.full(ell, 0.3)), size=max(1, m // 5))
+            counts[: bad.shape[0]] = bad
+        coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
+        v = detect._leading_eigvec(coll.counts, coll.n)
+        assert v.tobytes() == _reference_eigvec(coll.probs()).tobytes()
+        assert max_corruption_subset_heuristic(coll, params) == _reference_heuristic(coll, params)
+
+
+def test_leading_eigvec_bitwise_on_fk_targeted_collection():
+    n, beta, m = 100, 0.2, 400
+    target = parse_target("uniform:0,1")
+    coll = rb.build_collection(target, FkTargetedAttack(0.3, k=2), m, n, beta, 7)
+    part = rb.build_partition(coll.pooled_samples(), rb.choose_ell(2, n, beta, m))
+    disc = rb.discretize(coll, part)
+    v = detect._leading_eigvec(disc.counts, disc.n)
+    assert v.tobytes() == _reference_eigvec(disc.probs()).tobytes()
 
 
 def test_clean_discrete_good_only_no_deletions(monkeypatch):
