@@ -3,7 +3,9 @@
 The fitter picks piece breakpoints among the partition boundaries by
 dynamic programming (per-segment least-squares cost against the bin
 masses) and then solves each piece's coefficients under a mass-preserving
-equality constraint with nonnegativity enforced at Chebyshev check-points.
+equality constraint with nonnegativity enforced at Chebyshev check-points:
+a small convex QP, posed in a coordinate local to the piece and solved
+exactly by an active-set method.
 Minimizing the squared bin residuals is a surrogate for the interval-union
 distance the selection theory wants; the achieved distance is computed
 exactly afterwards and reported alongside the fit.  Every integral of a
@@ -31,6 +33,12 @@ MAX_CUT_CANDIDATES = 256
 
 _NONNEG_TOL = 1e-9
 _MASS_TOL = 1e-6
+# A cap on the piece solver's steps (each holds or frees one check-point).
+# Where a piece has fewer cells than coefficients the minimizers form a
+# face, and the solver can slide along it for many steps.
+_ACTIVE_SET_STEPS = 4 * CHEB_POINTS
+# multipliers above -this * |gradient at zero| count as nonnegative
+_MULTIPLIER_TOL = 1e-12
 # halvings that take a unit bracket far below one ulp
 _BISECT_STEPS = 100
 
@@ -39,6 +47,17 @@ def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
     # second-kind (Lobatto) nodes: the piece endpoints are check-points too
     i = np.arange(count)
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (count - 1))
+
+
+def _checkpoint_min(a: float, b: float, coef) -> float:
+    """Smallest value of a piece's polynomial at its check-points."""
+    return float(npoly.polyval(_cheb_nodes(a, b), np.asarray(coef)).min())
+
+
+def _constant_piece(mass: float, a: float, b: float, dim: int) -> np.ndarray:
+    coef = np.zeros(dim)
+    coef[0] = mass / (b - a)
+    return coef
 
 
 def _antiderivative_table(bp, coefs) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +114,7 @@ class PiecewisePolynomial:
         if not all(math.isfinite(x) for x in bp):
             raise UsageError("breakpoints must be finite")
         for j, piece in enumerate(coefs):
-            vals = npoly.polyval(_cheb_nodes(bp[j], bp[j + 1]), np.asarray(piece))
-            if np.min(vals) < -_NONNEG_TOL:
+            if _checkpoint_min(bp[j], bp[j + 1], piece) < -_NONNEG_TOL:
                 raise UsageError(f"piece {j} dips below zero at a check-point")
         anti, cum = _antiderivative_table(bp, coefs)
         object.__setattr__(self, "antiderivatives", anti)
@@ -208,66 +226,81 @@ def _segment_cost_matrix(
     return cost
 
 
-def _solve_piece(
-    G: np.ndarray,
-    b: np.ndarray,
-    phi_tot: np.ndarray,
-    w_seg: float,
-    ua: float,
-    ub: float,
-) -> tuple[np.ndarray, bool]:
-    """Coefficients (in scaled coordinates) minimizing the squared bin
-    residuals subject to exact segment mass and nonnegativity at the
-    check-points.  Returns (coefficients, fell_back_to_constant)."""
-    dim = b.size
-    width = ub - ua
+def _local_cell_integrals(edges: np.ndarray, dim: int) -> np.ndarray:
+    """Integrals of s**0 .. s**(dim-1) over each cell of a piece, where
+    s = 2(x - x_a)/(x_b - x_a) - 1 maps the piece onto [-1, 1].  Gauss-
+    Legendre on each cell is exact at these degrees and, unlike
+    differences of powers, does not cancel on narrow cells."""
+    s = 2.0 * (edges - edges[0]) / (edges[-1] - edges[0]) - 1.0
+    # exact up to degree 2*(MAX_DEGREE//2 + 1) - 1 >= MAX_DEGREE; computed
+    # here, not at import, because its eigensolver call costs 1 MiB of RSS
+    nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
+    half = 0.5 * np.diff(s)[:, None]
+    q = 0.5 * (s[1:] + s[:-1])[:, None] + half * nodes
+    return np.einsum("cq,cqk->ck", half * weights, q[..., None] ** np.arange(dim))
+
+
+def _solve_piece(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Coefficients of one piece's density in its local coordinate s on
+    [-1, 1] (a density per unit s) minimizing the squared cell residuals
+    ``|phi @ a - w|**2`` subject to the piece's mass ``sum(w)`` and
+    nonnegativity at the check-points; ``phi`` is from
+    ``_local_cell_integrals``.  Returns (coefficients,
+    fell_back_to_constant).
+
+    A primal active-set method (Nocedal & Wright, Numerical Optimization,
+    section 16.5) solves this small convex QP exactly: from the feasible
+    constant piece it steps to the least-squares minimizer on the current
+    working set of check-points held at zero, stops at the first
+    check-point that step would push below zero, and frees the
+    check-point with the most negative multiplier once none blocks.  The
+    first step is the equality-constrained solution, so a fit that stays
+    nonnegative costs one solve.
+    """
+    dim = phi.shape[1]
+    w_seg = float(w.sum())
     const = np.zeros(dim)
-    const[0] = w_seg / width
+    const[0] = 0.5 * w_seg
     if w_seg <= 0.0:
         return np.zeros(dim), False
     if dim == 1:
         return const, False
-    nodes = _cheb_nodes(ua, ub)
-    vand = np.vander(nodes, dim, increasing=True)
-    # Equality-constrained solution first; the constraint set is feasible
-    # (the constant piece satisfies it), so SLSQP only runs when the
-    # unconstrained-shape solution dips negative.
-    kkt = np.zeros((dim + 1, dim + 1))
-    kkt[:dim, :dim] = 2.0 * G
-    kkt[:dim, dim] = phi_tot
-    kkt[dim, :dim] = phi_tot
-    rhs = np.concatenate([2.0 * b, [w_seg]])
-    try:
-        a_eq = np.linalg.solve(kkt, rhs)[:dim]
-    except np.linalg.LinAlgError:
-        a_eq = None
-    if a_eq is not None and float((vand @ a_eq).min()) >= -1e-12:
-        return a_eq, False
+    k = np.arange(dim)
+    mass = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)  # integrals of s**k over [-1, 1]
+    vand = np.vander(_cheb_nodes(-1.0, 1.0), dim, increasing=True)
+    lam_tol = _MULTIPLIER_TOL * float(np.abs(phi.T @ w).max())
+    a = const
+    active: list[int] = []
+    for _ in range(_ACTIVE_SET_STEPS):
+        rows = np.vstack([mass, vand[active]])
+        free = np.linalg.qr(rows.T, mode="complete")[0][:, rows.shape[0] :]
+        step = free @ np.linalg.lstsq(phi @ free, w - phi @ a, rcond=None)[0]
+        v_step = vand @ step
+        blocking = v_step < 0.0
+        blocking[active] = False
+        ratio = np.full(vand.shape[0], np.inf)
+        ratio[blocking] = np.maximum(-(vand[blocking] @ a) / v_step[blocking], 0.0)
+        i = int(np.argmin(ratio))
+        if ratio[i] < 1.0:
+            a = a + ratio[i] * step
+            active.append(i)
+            continue
+        a = a + step  # the minimizer with the working set held at zero
+        lam = np.linalg.lstsq(rows.T, phi.T @ (phi @ a - w), rcond=None)[0][1:]
+        if lam.size == 0 or lam.min() >= -lam_tol:
+            break
+        del active[int(np.argmin(lam))]
+    # Every step keeps the iterate feasible and lowers the residual, so the
+    # iterate after the last step serves too; the checks below catch what
+    # rounding may have cost.
 
-    from scipy import optimize
+    def residual(c: np.ndarray) -> float:
+        return float(np.sum((phi @ c - w) ** 2))
 
-    def objective(a: np.ndarray) -> float:
-        return float(a @ G @ a - 2.0 * b @ a)
-
-    def gradient(a: np.ndarray) -> np.ndarray:
-        return 2.0 * (G @ a - b)
-
-    res = optimize.minimize(
-        objective,
-        const,
-        jac=gradient,
-        method="SLSQP",
-        constraints=[
-            {"type": "eq", "fun": lambda a: phi_tot @ a - w_seg, "jac": lambda a: phi_tot},
-            {"type": "ineq", "fun": lambda a: vand @ a, "jac": lambda a: vand},
-        ],
-        options={"maxiter": 500, "ftol": 1e-16},
-    )
-    a_sol = res.x
-    mass_ok = abs(float(phi_tot @ a_sol) - w_seg) <= 1e-9 * max(1.0, w_seg)
-    nonneg_ok = float((vand @ a_sol).min()) >= -1e-10
-    if mass_ok and nonneg_ok and objective(a_sol) <= objective(const) + 1e-15:
-        return a_sol, False
+    mass_ok = abs(float(mass @ a) - w_seg) <= 1e-9 * max(1.0, w_seg)
+    nonneg_ok = float((vand @ a).min()) >= -1e-10 * w_seg
+    if mass_ok and nonneg_ok and residual(a) <= residual(const) + 1e-15:
+        return a, False
     return const, True
 
 
@@ -298,7 +331,8 @@ def fit_piecewise(
     fine).  ``support`` bounds the density; the partition's two unbounded
     end cells are clipped to it.  Pathological pieces fall back to the
     always-feasible constant density and flag the result instead of
-    failing.
+    failing: so does a piece that the monomials in x, which the density
+    stores, cannot hold within the constructor's checks.
     """
     check_fit_shape(t, d, partition.ell)
     lo, hi = float(support[0]), float(support[1])
@@ -358,27 +392,35 @@ def fit_piecewise(
         r -= 1
     cuts = [cand[i] for i in reversed(cuts)]
 
+    bp_x = edges_x[cuts]
+    seg_mass = np.add.reduceat(w_m, cuts[:-1])
     pieces_x: list[np.ndarray] = []
-    bp_x: list[float] = [float(edges_x[cuts[0]])]
     best_effort = False
-    for a_cell, b_cell in zip(cuts, cuts[1:]):
-        G = pg[b_cell] - pg[a_cell]
-        b_vec = pb[b_cell] - pb[a_cell]
-        phi_tot = cell_phi[a_cell:b_cell].sum(axis=0)
-        w_seg = float(w_m[a_cell:b_cell].sum())
-        ua, ub = float(ue[a_cell]), float(ue[b_cell])
-        coef_u, fell_back = _solve_piece(G, b_vec, phi_tot, w_seg, ua, ub)
-        best_effort = best_effort or fell_back
-        # back to x coordinates: density transforms with the Jacobian
-        poly_x = Polynomial(coef_u)(Polynomial([shift, scale]))
+    for j, (a_cell, b_cell) in enumerate(zip(cuts, cuts[1:])):
+        phi = _local_cell_integrals(edges_x[a_cell : b_cell + 1], dim)
+        coef_s, fell_back = _solve_piece(phi, w_m[a_cell:b_cell])
+        # back to x: s = slope*x + offset, and the density takes the Jacobian
+        xa, xb = bp_x[j], bp_x[j + 1]
+        slope = 2.0 / (xb - xa)
+        poly_x = Polynomial(coef_s)(Polynomial([-1.0 - slope * xa, slope]))
         coef_x = np.zeros(dim)
-        coef_x[: poly_x.coef.size] = poly_x.coef
-        pieces_x.append(coef_x * scale)
-        bp_x.append(float(edges_x[b_cell]))
+        coef_x[: poly_x.coef.size] = poly_x.coef * slope
+        # Monomials in x cannot hold a high-degree piece that is narrow and
+        # far from 0: the constant piece replaces one whose mass they lose
+        # (here) or that the constructor's check refuses (below).
+        mass_x = _antiderivative_table((xa, xb), (coef_x,))[1][-1]
+        if not abs(mass_x - seg_mass[j]) <= _MASS_TOL * seg_mass[j]:
+            coef_x, fell_back = _constant_piece(seg_mass[j], xa, xb, dim), True
+        best_effort = best_effort or fell_back
+        pieces_x.append(coef_x)
 
     total = float(_antiderivative_table(bp_x, pieces_x)[1][-1])
-    if total > 0 and abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > 1e-12:
         pieces_x = [c / total for c in pieces_x]
+    for j, coef_x in enumerate(pieces_x):
+        if _checkpoint_min(bp_x[j], bp_x[j + 1], coef_x) < -_NONNEG_TOL:
+            pieces_x[j] = _constant_piece(seg_mass[j] / total, bp_x[j], bp_x[j + 1], dim)
+            best_effort = True
     density = PiecewisePolynomial(tuple(bp_x), tuple(tuple(c) for c in pieces_x))
 
     fk_family_k = max(1, 2 * t * d)

@@ -21,6 +21,8 @@ from .estimate import PiecewisePolynomial, _bisect
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
 
 _FLOOR_SLACK = 1e-9
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 # how PiecewisePolynomialTarget.sample inverts a piece's CDF, by degree
 _FLAT, _LINEAR, _CURVED = 0, 1, 2
 
@@ -135,12 +137,12 @@ class GaussianMixtureTarget:
         return out
 
     def cdf(self, x) -> np.ndarray:
-        from scipy.special import ndtr
-
+        # Phi(z) = erfc(-z/sqrt(2))/2, one math.erfc per point: callers pass
+        # at most ell + 1 points, far cheaper than importing scipy.special
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
         for w, mu, sd in zip(self.weights, self.means, self.sds):
-            out += w * ndtr((x - mu) / sd)
+            out += w * 0.5 * _erfc(-((x - mu) / sd) * _SQRT_HALF)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

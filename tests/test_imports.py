@@ -1,6 +1,7 @@
-"""scipy is imported only by the functions that call it (gm: targets and
-the piecewise-fit SLSQP fallback), so the CLI, the labeled simulate +
-classify path and the pwpoly: simulate + estimate path run without it."""
+"""scipy is imported only by `gm:` sampling (the normal quantile), so the
+CLI, the labeled simulate + classify path, the pwpoly: simulate + estimate
+path (constrained piece solves included) and estimate on a gm: batch file
+run without it."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = """
+PRELUDE = """
 import sys, tempfile
 from pathlib import Path
 
@@ -17,6 +18,9 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import robust_batches.cli as cli
+"""
+
+SCRIPT = PRELUDE + """
 assert not scipy_modules(), scipy_modules()[:5]
 target = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
 with tempfile.TemporaryDirectory() as tmp:
@@ -32,8 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "--out", str(Path(tmp) / "cls.json"),
     ]) == 0
     assert not scipy_modules(), scipy_modules()[:5]
-    # degree-2 sampling and TV to the target; seed 1's fit keeps every
-    # piece nonnegative, so the SLSQP fallback (scipy.optimize) never runs
+    # degree-2 sampling and TV to the target
     target = "pwpoly:0,0.5,1|0 0 3;0 0 3"
     batches = str(Path(tmp) / "p.jsonl")
     assert cli.main([
@@ -49,10 +52,63 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def test_cli_and_labeled_path_do_not_import_scipy():
+# One quadratic through a triangle: the mass-constrained least-squares
+# piece dips below zero, so the solve must hold check-points at zero.
+CONSTRAINED_FIT = PRELUDE + """
+target = "pwpoly:0,0.5,1|0 4;4 -4"
+with tempfile.TemporaryDirectory() as tmp:
+    batches = str(Path(tmp) / "tri.jsonl")
+    assert cli.main([
+        "simulate", "--target", target, "--m", "50", "--n", "20", "--beta", "0",
+        "--seed", "1", "--out", batches,
+    ]) == 0
+    assert cli.main([
+        "estimate", "--input", batches, "--t", "1", "--d", "2", "--beta", "0",
+        "--seed", "1", "--target", target, "--out", str(Path(tmp) / "tri.json"),
+    ]) == 0
+    assert not scipy_modules(), scipy_modules()[:5]
+"""
+
+GM = "gm:0.6N(0,1)+0.4N(3,0.5)"
+
+# Cleaning, the fit and the TV to the target read the normal CDF of a gm:
+# target but not its quantile, which only sampling needs.
+GM_ESTIMATE = PRELUDE + f"""
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main([
+        "estimate", "--input", sys.argv[1], "--t", "3", "--d", "1", "--beta", "0.2",
+        "--seed", "1", "--trigger", "5", "--stop", "4", "--target", {GM!r},
+        "--out", str(Path(tmp) / "gm.json"),
+    ]) == 0
+    assert not scipy_modules(), scipy_modules()[:5]
+"""
+
+
+def run(script: str, *args: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_labeled_path_do_not_import_scipy():
+    run(SCRIPT)
+
+
+def test_constrained_piecewise_fit_does_not_import_scipy():
+    run(CONSTRAINED_FIT)
+
+
+def test_estimate_on_gm_batches_does_not_import_scipy(tmp_path):
+    batches = str(tmp_path / "gm.jsonl")
+    # simulate samples the gm: target, so it runs in a process of its own
+    run(PRELUDE + f"""
+assert cli.main([
+    "simulate", "--target", {GM!r}, "--attack", "mean_shift:1.0@1.4,1.6",
+    "--m", "200", "--n", "50", "--beta", "0.2", "--seed", "1", "--out", {batches!r},
+]) == 0
+""")
+    run(GM_ESTIMATE, batches)

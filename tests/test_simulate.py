@@ -182,6 +182,24 @@ def test_gaussian_mixture_cdf_pdf_consistency():
     np.testing.assert_allclose(np.diff(cdf) / np.diff(xs), gm.pdf(mid), atol=2e-3)
 
 
+def test_gaussian_mixture_cdf_matches_ndtr():
+    """The erfc-based CDF against scipy's ndtr for z in [-40, 40]: within
+    1e-13 relative wherever ndtr is a normal float, lower tail included,
+    and monotone."""
+    from scipy.special import ndtr
+
+    z = np.linspace(-40.0, 40.0, 80_001)
+    tiny = np.finfo(float).tiny
+    cdf = GaussianMixtureTarget((1.0,), (0.0,), (1.0,)).cdf(z)
+    np.testing.assert_allclose(cdf, ndtr(z), rtol=1e-13, atol=tiny)
+    assert np.all(np.diff(cdf) >= 0)
+    gm = GaussianMixtureTarget((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5))
+    xs = np.linspace(-21.0, 62.0, 8_001)
+    reference = 0.3 * ndtr((xs + 1.0) / 0.5) + 0.7 * ndtr((xs - 2.0) / 1.5)
+    np.testing.assert_allclose(gm.cdf(xs), reference, rtol=1e-13, atol=tiny)
+    assert np.all(np.diff(gm.cdf(xs)) >= 0)
+
+
 def test_parse_target_and_attack():
     kinds = {
         "uniform:0,1": PiecewisePolynomialTarget,
