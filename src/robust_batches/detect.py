@@ -3,16 +3,14 @@
 The exhaustive search is exact but exponential in the bin count, so it is
 kept as an oracle for small domains.  The polynomial-time spectral
 detector, the one the detect-and-delete loop runs, takes the leading
-eigenvector v of the median-centered per-batch probability matrix by
-fixed-length power iteration and scores three candidate families, each
-streamed in tables of at most _CHUNK candidates, one row of per-batch
-subset counts per candidate:
+eigenvector v of the per-batch probability matrix, centered on its column
+medians and deflated by its row means, by power iteration run to
+convergence, and scores two candidate families, each streamed in tables of
+at most _CHUNK candidates, one row of per-batch subset counts per
+candidate:
 
 - threshold sets {i: +-v_i >= t} at every distinct value t: a running
   cumulative sum over the bins in order of v, read where the value changes;
-- dyadic contiguous windows, for attacks whose per-bin deviations sit far
-  below tau while their contiguous aggregate clears it: differences of one
-  prefix-sum table over the bins;
 - all singletons, so single-bin attacks are always found.
 
 A row's median and total score follow from its histogram over the table's
@@ -34,9 +32,9 @@ from .partition import EMPTY_SUBSET, BinSubset
 
 _BRUTE_MAX_ELL = 20
 _BRUTE_CHUNK = 2048
-_POWER_ITERATIONS = 200
-_POWER_SEED = 0x5EEDC0DE  # detection keeps its own rng so the pipeline seed is untouched
-_CANDIDATE_CAP = 4096  # per candidate family; keeps huge partitions tractable
+_POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _POWER_TOL
+_POWER_TOL = 1e-12
+_CANDIDATE_CAP = 4096  # threshold sets over both signs; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once
 
 
@@ -103,31 +101,40 @@ def max_corruption_subset_brute(
 
 
 def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
-    """Leading eigenvector of centered.T @ centered by power iteration,
-    where ``centered`` is counts/n minus its column medians.
+    """Leading eigenvector of centered.T @ centered, where ``centered`` is
+    counts/n minus its column medians, then minus its row means.
 
-    When there are more bins than batches the iteration runs on the small
-    m x m Gram matrix instead and maps back, which is the same vector.
+    Each row of counts/n sums to 1, so without the row deflation the
+    all-ones direction leads whenever the column medians sum to well below
+    1, and v would carry the attack only in its last digits.  For the same
+    reason every row has the same mean, (1 - sum of medians) / ell.  Power
+    iteration runs on the smaller Gram side, from its column with the
+    largest diagonal entry, until the unit vector moves by at most
+    _POWER_TOL; when there are more bins than batches that is the m x m
+    Gram matrix, and the result is mapped back.  A zero Gram matrix gives
+    v = 0.
     """
-    rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
     lo, hi, _, _ = _middle_order_stats(counts.T)
+    med = (lo / n + hi / n) / 2
+    m, ell = counts.shape
     centered = counts / n
-    centered -= (lo / n + hi / n) / 2
-    m, ell = centered.shape
+    centered -= med + (1.0 - med.sum()) / ell
     gram_side = centered @ centered.T if ell > m else centered.T @ centered
-    v = rng.standard_normal(gram_side.shape[0])
-    v /= np.linalg.norm(v)
+    v = gram_side[:, np.argmax(np.diag(gram_side))]
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return np.zeros(ell)
+    v = v / norm
     for _ in range(_POWER_ITERATIONS):
         w = gram_side @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
+        w /= np.linalg.norm(w)
+        moved = np.linalg.norm(w - v)
+        v = w
+        if moved <= _POWER_TOL:
             break
-        v = w / norm
     if ell > m:
         v = centered.T @ v
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            v = v / norm
+        v /= np.linalg.norm(v)
     return v
 
 
@@ -149,27 +156,6 @@ def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(order, depth[sign == s]) for s, order in enumerate(orders)]
 
 
-def _windows(ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and stops of the dyadic contiguous windows [a, b), longest
-    first, at most _CANDIDATE_CAP of them.
-
-    Half-overlapping power-of-two windows cover every contiguous range to
-    within half its length.  A window's complement scores identically
-    (deviations from the median are antisymmetric), so complements are not
-    added.
-    """
-    starts, stops = [], []
-    length = min(1 << (ell - 1).bit_length(), ell)
-    while length >= 2 and len(starts) < _CANDIDATE_CAP:
-        a = list(range(0, ell - length + 1, max(1, length // 2)))
-        if a[-1] != ell - length:
-            a.append(ell - length)
-        starts += a
-        stops += [x + length for x in a]
-        length //= 2
-    return np.array(starts[:_CANDIDATE_CAP], dtype=int), np.array(stops[:_CANDIDATE_CAP], dtype=int)
-
-
 def _candidate_tables(rows: np.ndarray, v: np.ndarray):
     """Yield each candidate family in chunks of at most _CHUNK candidates,
     as (table, bins_of): the per-batch subset counts, one row per candidate,
@@ -184,12 +170,6 @@ def _candidate_tables(rows: np.ndarray, v: np.ndarray):
             cut = depth[(depth > start) & (depth <= start + _CHUNK)]
             if cut.size:
                 yield block[cut - start - 1], lambda c, o=order, d=cut: o[: d[c]] + 1
-    prefix = np.zeros((ell + 1, m), dtype=rows.dtype)
-    np.cumsum(rows, axis=0, dtype=rows.dtype, out=prefix[1:])
-    starts, stops = _windows(ell)
-    for j in range(0, starts.size, _CHUNK):
-        a, b = starts[j : j + _CHUNK], stops[j : j + _CHUNK]
-        yield prefix[b] - prefix[a], lambda c, a=a, b=b: range(a[c] + 1, b[c] + 1)
     for j in range(0, ell, _CHUNK):
         yield rows[j : j + _CHUNK], lambda c, j=j: (j + c + 1,)
 
@@ -199,9 +179,8 @@ def max_corruption_subset_heuristic(
 ) -> tuple[BinSubset, float]:
     """Spectral stand-in for exhaustive detection, polynomial in m and ell.
 
-    Candidates are eigenvector threshold sets (both signs), dyadic
-    contiguous windows and all singletons (see the module docstring); the
-    first two families hold at most _CANDIDATE_CAP candidates each.
+    Candidates are eigenvector threshold sets (both signs), at most
+    _CANDIDATE_CAP of them, and all singletons (see the module docstring).
     """
     v = _leading_eigvec(sub.counts, sub.n)
     rows = np.ascontiguousarray(sub.counts.T, dtype=np.min_scalar_type(sub.n))
