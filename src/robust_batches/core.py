@@ -30,6 +30,19 @@ class DomainError(ValueError):
     """A parameter lies outside its mathematical domain."""
 
 
+def median(values) -> float:
+    """np.median of a 1-d array, without the numpy.ma import it makes."""
+    lo, hi = (len(values) - 1) // 2, len(values) // 2
+    part = np.partition(values, (lo, hi))
+    return float(0.5 * (part[lo] + part[hi]))
+
+
+def sorted_unique(values) -> np.ndarray:
+    """np.unique of an array, without the numpy.ma import it makes."""
+    v = np.sort(np.asarray(values), axis=None)
+    return v[np.append(True, v[1:] != v[:-1])] if v.size else v
+
+
 def row_array(values, dtype, what: str) -> np.ndarray:
     """A private copy of ``values`` as a 2-d array with at least one column,
     one row per batch; anything else is a usage error naming ``what``."""

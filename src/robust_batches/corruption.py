@@ -28,6 +28,7 @@ from .core import (
     DiscretizedCollection,
     UsageError,
     binomial_variance,
+    median,
     per_batch_probs,
 )
 
@@ -55,7 +56,7 @@ def median_prob(sub, subset) -> float:
     statistics.
     """
     mu = per_batch_probs(sub, subset)
-    return float(np.median(mu))
+    return median(mu)
 
 
 def corruption_batch(counts, subset, med: float, params: CorruptionParams) -> float:
@@ -98,7 +99,7 @@ class CorruptionReport:
 def corruption_collection(sub, subset, params: CorruptionParams) -> CorruptionReport:
     """Score every batch of ``sub`` against the sub-collection's own median."""
     mu = per_batch_probs(sub, subset)
-    med = float(np.median(mu))
+    med = median(mu)
     scores = corruption_scores(mu, params.tau, med)
     per_batch = {int(i): float(s) for i, s in zip(sub.ids, scores)}
     return CorruptionReport(
@@ -242,7 +243,7 @@ def check_properties(
     for subset in subsets:
         p_s = float(target[subset.indices0()].sum())
         mu = per_batch_probs(good_sub, subset)
-        med = float(np.median(mu))
+        med = median(mu)
         msd = float(np.mean((mu - p_s) ** 2))
         checks.append(
             PropertyCheck(

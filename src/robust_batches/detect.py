@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CorruptionParams, DiscretizedCollection, UsageError
+from .core import CorruptionParams, DiscretizedCollection, UsageError, sorted_unique
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, corruption_scores, median_prob
 from .partition import EMPTY_SUBSET, BinSubset
 
@@ -151,7 +151,7 @@ def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         signs.append(np.full(cuts.size, sign))
     depth, sign = np.concatenate(depths), np.concatenate(signs)
     if depth.size > _CANDIDATE_CAP:
-        keep = np.unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
+        keep = sorted_unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
         depth, sign = depth[keep], sign[keep]
     return [(order, depth[sign == s]) for s, order in enumerate(orders)]
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
-from .core import DomainError, UsageError
+from .core import DomainError, UsageError, sorted_unique
 from .distance import fk_distance
 from .partition import IntervalPartition
 
@@ -368,7 +368,7 @@ def fit_piecewise(
     pww[1:] = np.cumsum(w_m * w_m)
 
     if ncells + 1 > MAX_CUT_CANDIDATES:
-        cand = np.unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
+        cand = sorted_unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
     else:
         cand = np.arange(ncells + 1)
     cost = _segment_cost_matrix(cand, pg, pb, pww)
@@ -439,7 +439,7 @@ def evaluate_density(fit: PiecewisePolynomial, target) -> float:
     breakpoints of either density and refined by bisection.  The end nodes
     sit one ulp inside, because either density may jump at a breakpoint.
     """
-    grid = np.unique([*fit.breakpoints, *target.breakpoints()])
+    grid = sorted_unique([*fit.breakpoints, *target.breakpoints()])
     a, b = grid[:-1, None], grid[1:, None]
     nodes = _cheb_nodes(a, b)
     nodes[:, 0] = np.nextafter(b[:, 0], a[:, 0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import KIntervalHypothesis, LabeledCollection
-from .core import ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError
+from .core import ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError, median
 from .distance import fk_distance, max_sum_k_interval_union
 from .estimate import PiecewisePolynomial, _bisect
 from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
@@ -23,6 +23,28 @@ from .partition import IntervalPartition, IntervalUnion, build_partition, discre
 _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.vectorize(math.erfc, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+# Cephes ndtri's rational approximations P/Q, highest power first; np.polyval
+# is its polevl Horner loop, and each Q's leading 1 makes it p1evl
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
 # how PiecewisePolynomialTarget.sample inverts a piece's CDF, by degree
 _FLAT, _LINEAR, _CURVED = 0, 1, 2
 
@@ -30,6 +52,34 @@ _FLAT, _LINEAR, _CURVED = 0, 1, 2
 def batch_rng(seed: int, batch_id: int) -> np.random.Generator:
     """Generator for one batch, derived from (seed, batch id)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch_id,))))
+
+
+def _uniforms(rngs, *shape: int) -> np.ndarray:
+    """One ``random(shape)`` draw per generator, stacked in their order."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile on (0, 1): Cephes ndtri (Moshier,
+    *Methods and Programs for Mathematical Functions*, 1989) in the C
+    operation order, with libm's log (np.log is a few ulps off), so it
+    equals scipy.special.ndtri bit for bit."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    t = y[mid] - 0.5
+    t2 = t * t
+    out[mid] = (t + t * (t2 * np.polyval(_NDTRI_P0, t2) / np.polyval(_NDTRI_Q0, t2))) * _S2PI
+    x = np.sqrt(-2.0 * _log(y[~mid]))
+    z = 1.0 / x
+    near = z * np.polyval(_NDTRI_P1, z) / np.polyval(_NDTRI_Q1, z)
+    far = z * np.polyval(_NDTRI_P2, z) / np.polyval(_NDTRI_Q2, z)
+    out[~mid] = np.where(upper[~mid], 1.0, -1.0) * (x - _log(x) / x - np.where(x < 8.0, near, far))
+    return out
 
 
 def _bin_masses_from_cdf(cdf, partition: IntervalPartition) -> np.ndarray:
@@ -76,18 +126,18 @@ class PiecewisePolynomialTarget:
     def cdf(self, x) -> np.ndarray:
         return self.density.cdf(x)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse CDF: each uniform picks a piece, then solves
-        piece_mass(j, x) = residual inside it, in closed form up to degree
-        1 and by bisection above."""
+    def sample(self, rngs, size: int) -> np.ndarray:
+        """``size`` points per generator, one row each, by inverse CDF:
+        each uniform picks a piece, then solves piece_mass(j, x) = residual
+        inside it, in closed form up to degree 1 and by bisection above."""
         dens = self.density
-        u = rng.random(size)
+        u = _uniforms(rngs, size).ravel()
         j = np.searchsorted(dens.cum_mass[1:-1], u, side="right")
         residual = u - dens.cum_mass[j]
         bp = np.asarray(dens.breakpoints)
         a, b = bp[j], bp[j + 1]
         kinds = sorted(set(self._kinds.tolist()))
-        out = np.empty(size)
+        out = np.empty(u.size)
         for k in kinds:
             sel = self._kinds[j] == k if len(kinds) > 1 else slice(None)
             r, lo, hi = residual[sel], a[sel], b[sel]
@@ -101,7 +151,7 @@ class PiecewisePolynomialTarget:
             else:  # c0 (x - a) + c1 (x^2 - a^2) / 2 = r
                 x = (-c0 + np.sqrt(np.clip((c0 + c1 * lo) ** 2 + 2.0 * c1 * r, 0.0, None))) / c1
             out[sel] = np.clip(x, lo, hi)
-        return out
+        return out.reshape(len(rngs), size)
 
     def breakpoints(self) -> list[float]:
         return list(self.density.breakpoints)
@@ -138,27 +188,23 @@ class GaussianMixtureTarget:
 
     def cdf(self, x) -> np.ndarray:
         # Phi(z) = erfc(-z/sqrt(2))/2, one math.erfc per point: callers pass
-        # at most ell + 1 points, far cheaper than importing scipy.special
+        # at most ell + 1 points
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
         for w, mu, sd in zip(self.weights, self.means, self.sds):
             out += w * 0.5 * _erfc(-((x - mu) / sd) * _SQRT_HALF)
         return out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        from scipy.special import ndtri
-
-        # component choice then inverse-CDF, so a fixed generator stream
-        # always yields the same points
-        u_comp = rng.random(size)
-        u_val = rng.random(size)
+    def sample(self, rngs, size: int) -> np.ndarray:
+        """``size`` points per generator, one row each: each generator
+        draws its component uniforms, then its quantile uniforms."""
+        u_comp, u_val = np.moveaxis(_uniforms(rngs, 2, size), 1, 0)
         cum = np.concatenate(([0.0], np.cumsum(self.weights)))
         cum[-1] = 1.0
         idx = np.clip(np.searchsorted(cum, u_comp, side="right") - 1, 0, len(self.weights) - 1)
         mu = np.asarray(self.means)[idx]
         sd = np.asarray(self.sds)[idx]
-        u_val = np.clip(u_val, 1e-15, 1.0 - 1e-15)
-        return mu + sd * ndtri(u_val)
+        return mu + sd * _ndtri(np.clip(u_val, 1e-15, 1.0 - 1e-15))
 
     def support(self) -> tuple[float, float]:
         lo = min(m - 12.0 * s for m, s in zip(self.means, self.sds))
@@ -192,9 +238,10 @@ class ClassificationTarget:
             raise DomainError("eta must give one probability per cell")
         object.__setattr__(self, "eta", eta)
 
-    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        x = self.marginal.sample(rng, size)
-        y = (rng.random(size) < self.eta_at(x)).astype(np.int64)
+    def sample(self, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) with one row per generator; each draws its x, then its y."""
+        x = self.marginal.sample(rngs, size)
+        y = (_uniforms(rngs, size) < self.eta_at(x)).astype(np.int64)
         return x, y
 
     def eta_at(self, x) -> np.ndarray:
@@ -273,7 +320,7 @@ class MeanShiftAttack(_AttackBase):
     region: tuple[float, float]
 
     def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
-        xs = ctx.target.sample(rng, ctx.n)
+        xs = ctx.target.sample((rng,), ctx.n)[0]
         moved = int(round(self.magnitude * ctx.n))
         if moved > 0:
             idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
@@ -290,7 +337,7 @@ class SpikeAttack(_AttackBase):
     point: float
 
     def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
-        xs = ctx.target.sample(rng, ctx.n)
+        xs = ctx.target.sample((rng,), ctx.n)[0]
         moved = int(round(self.magnitude * ctx.n))
         if moved > 0:
             idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
@@ -330,7 +377,7 @@ class LabelFlipAttack(_AttackBase):
     labeled = True
 
     def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext):
-        x, y = ctx.target.sample(rng, ctx.n)
+        x, y = (rows[0] for rows in ctx.target.sample((rng,), ctx.n))
         moved = int(round(self.magnitude * ctx.n))
         lo, hi = self.region
         if moved > 0:
@@ -353,7 +400,7 @@ class FkTargetedAttack(_AttackBase):
 
     def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
         plan = _fk_attack_plan(ctx, self.magnitude, self.k)
-        xs = ctx.target.sample(rng, ctx.n)
+        xs = ctx.target.sample((rng,), ctx.n)[0]
         goal = min(1.0, plan.med_good + self.margin * plan.tau)
         inside = plan.region.contains(xs)
         need = int(math.ceil(goal * ctx.n)) - int(inside.sum())
@@ -394,7 +441,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     _, witness = max_sum_k_interval_union(alt - good, k)
     members = witness.members if witness.members else frozenset({1})
     region = lift_subset(BinSubset(members), part)
-    med = float(np.median(region.contains(ctx.good_rows).mean(axis=1)))
+    med = median(region.contains(ctx.good_rows).mean(axis=1))
     tau = 3.0 * math.sqrt(math.log(6.0 * math.e / ctx.beta) / ctx.n)
     plan = _FkAttackPlan(region, med, tau)
     ctx.cache[key] = plan
@@ -419,15 +466,14 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     labeled = isinstance(target, ClassificationTarget)
     if attack is not None and getattr(attack, "labeled", False) != labeled:
         raise UsageError("label_flip needs a labeled: target, every other attack an unlabeled one")
-    draws = [target.sample(batch_rng(seed, i), n) for i in range(n_good)]
-    good_rows = np.array([d[0] if labeled else d for d in draws]).reshape(n_good, n)
-    ctx = SimContext(target, max(beta, 1e-9), n, good_rows)
-    draws += [attack.generate(i, batch_rng(seed, i), ctx) for i in range(n_good, m)]
+    good = target.sample([batch_rng(seed, i) for i in range(n_good)], n)
+    ctx = SimContext(target, max(beta, 1e-9), n, good[0] if labeled else good)
+    adv = [attack.generate(i, batch_rng(seed, i), ctx) for i in range(n_good, m)]
     truth = [GOOD] * n_good + [ADVERSARIAL] * n_adv
     if labeled:
-        x, y = (np.stack(rows) for rows in zip(*draws))
+        x, y = (np.vstack([rows, *(a[c] for a in adv)]) for c, rows in enumerate(good))
         return LabeledCollection(x, y, range(m), truth)
-    return BatchCollection(np.stack(draws), range(m), truth)
+    return BatchCollection(np.vstack([good, *adv]), range(m), truth)
 
 
 def metrics(

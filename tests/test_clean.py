@@ -87,7 +87,7 @@ def test_vacuous_attack_does_not_hurt():
     # a few batches but the fk error stays within twice the clean baseline
     class HonestAttack:
         def generate(self, batch_id, rng, ctx):
-            return ctx.target.sample(rng, ctx.n)
+            return ctx.target.sample((rng,), ctx.n)[0]
 
     target = parse_target("uniform:0,1")
     ratios = []

@@ -98,7 +98,7 @@ def test_fit_triangle_inequality_chain():
     )
     target = PiecewisePolynomialTarget(dens)
     rng = np.random.default_rng(0)
-    xs = np.sort(target.sample(rng, 100_000))
+    xs = np.sort(target.sample((rng,), 100_000)[0])
     part = rb.build_partition(xs, 200)
     counts = np.bincount(part.bin_of(xs), minlength=part.ell)
     emp = counts / counts.sum()

@@ -1,7 +1,8 @@
-"""scipy is imported only by `gm:` sampling (the normal quantile), so the
-CLI, the labeled simulate + classify path, the pwpoly: simulate + estimate
-path (constrained piece solves included) and estimate on a gm: batch file
-run without it."""
+"""No module imports scipy: the CLI, the labeled simulate + classify path,
+the pwpoly: simulate + estimate path (constrained piece solves included)
+and the gm: simulate + estimate path run without it.  Nor do they load
+numpy.ma (which np.median and a plain np.unique import) unless
+`import numpy` already did."""
 
 import os
 import subprocess
@@ -17,11 +18,18 @@ from pathlib import Path
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+import numpy
+MA_WITH_NUMPY = "numpy.ma" in sys.modules
+
+def check_modules():
+    assert not scipy_modules(), scipy_modules()[:5]
+    assert MA_WITH_NUMPY or "numpy.ma" not in sys.modules
+
 import robust_batches.cli as cli
 """
 
 SCRIPT = PRELUDE + """
-assert not scipy_modules(), scipy_modules()[:5]
+check_modules()
 target = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
 with tempfile.TemporaryDirectory() as tmp:
     batches = str(Path(tmp) / "l.jsonl")
@@ -29,13 +37,13 @@ with tempfile.TemporaryDirectory() as tmp:
         "simulate", "--target", target, "--attack", "label_flip:1.0@0,0.25",
         "--m", "20", "--n", "30", "--beta", "0.2", "--seed", "1", "--out", batches,
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
     assert cli.main([
         "classify", "--input", batches, "--k", "2", "--beta", "0.2", "--seed", "1",
         "--trigger", "5", "--stop", "4", "--target", target,
         "--out", str(Path(tmp) / "cls.json"),
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
     # degree-2 sampling and TV to the target
     target = "pwpoly:0,0.5,1|0 0 3;0 0 3"
     batches = str(Path(tmp) / "p.jsonl")
@@ -43,12 +51,12 @@ with tempfile.TemporaryDirectory() as tmp:
         "simulate", "--target", target, "--m", "50", "--n", "20", "--beta", "0",
         "--seed", "1", "--out", batches,
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
     assert cli.main([
         "estimate", "--input", batches, "--t", "2", "--d", "1", "--beta", "0",
         "--seed", "1", "--target", target, "--out", str(Path(tmp) / "est.json"),
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
 """
 
 
@@ -66,29 +74,35 @@ with tempfile.TemporaryDirectory() as tmp:
         "estimate", "--input", batches, "--t", "1", "--d", "2", "--beta", "0",
         "--seed", "1", "--target", target, "--out", str(Path(tmp) / "tri.json"),
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
 """
 
 GM = "gm:0.6N(0,1)+0.4N(3,0.5)"
 
-# Cleaning, the fit and the TV to the target read the normal CDF of a gm:
-# target but not its quantile, which only sampling needs.
-GM_ESTIMATE = PRELUDE + f"""
+# Sampling reads the numpy normal quantile; cleaning, the fit and the TV to
+# the target read the math.erfc normal CDF.
+GM_SCRIPT = PRELUDE + f"""
 with tempfile.TemporaryDirectory() as tmp:
+    batches = str(Path(tmp) / "gm.jsonl")
     assert cli.main([
-        "estimate", "--input", sys.argv[1], "--t", "3", "--d", "1", "--beta", "0.2",
+        "simulate", "--target", {GM!r}, "--attack", "mean_shift:1.0@1.4,1.6",
+        "--m", "200", "--n", "50", "--beta", "0.2", "--seed", "1", "--out", batches,
+    ]) == 0
+    check_modules()
+    assert cli.main([
+        "estimate", "--input", batches, "--t", "3", "--d", "1", "--beta", "0.2",
         "--seed", "1", "--trigger", "5", "--stop", "4", "--target", {GM!r},
         "--out", str(Path(tmp) / "gm.json"),
     ]) == 0
-    assert not scipy_modules(), scipy_modules()[:5]
+    check_modules()
 """
 
 
-def run(script: str, *args: str) -> None:
+def run(script: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -102,13 +116,5 @@ def test_constrained_piecewise_fit_does_not_import_scipy():
     run(CONSTRAINED_FIT)
 
 
-def test_estimate_on_gm_batches_does_not_import_scipy(tmp_path):
-    batches = str(tmp_path / "gm.jsonl")
-    # simulate samples the gm: target, so it runs in a process of its own
-    run(PRELUDE + f"""
-assert cli.main([
-    "simulate", "--target", {GM!r}, "--attack", "mean_shift:1.0@1.4,1.6",
-    "--m", "200", "--n", "50", "--beta", "0.2", "--seed", "1", "--out", {batches!r},
-]) == 0
-""")
-    run(GM_ESTIMATE, batches)
+def test_gm_simulate_and_estimate_do_not_import_scipy():
+    run(GM_SCRIPT)

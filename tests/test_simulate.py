@@ -14,6 +14,7 @@ from robust_batches.simulate import (
     SimContext,
     SpikeAttack,
     _fk_attack_plan,
+    _ndtri,
     batch_rng,
     parse_attack,
     parse_target,
@@ -43,7 +44,7 @@ def test_build_collection_batch_draws_from_its_own_rng():
     target = parse_target("uniform:0,1")
     coll = rb.build_collection(target, SpikeAttack(0.5, 1.0), 12, 30, 0.25, 7)
     for i in range(9):
-        np.testing.assert_array_equal(coll.samples[i], target.sample(batch_rng(7, coll.ids[i]), 30))
+        np.testing.assert_array_equal(coll.samples[i], target.sample((batch_rng(7, coll.ids[i]),), 30)[0])
 
 
 def test_beta_zero_needs_no_attack_but_positive_does():
@@ -200,6 +201,49 @@ def test_gaussian_mixture_cdf_matches_ndtr():
     assert np.all(np.diff(gm.cdf(xs)) >= 0)
 
 
+def test_ndtri_matches_scipy_bitwise():
+    """The numpy Cephes quantile equals scipy's ndtri bit for bit: seeded
+    uniforms, both branch switches (e^-2 and 1 - e^-2 with their float
+    neighbours, e^-32 where x = 8), log-uniform tails to 1e-15 on both
+    sides, the clip ends and an empty array."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(2024)
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    edges = np.array([1e-15, 1.0 - 1e-15, 0.5, e2, 1.0 - e2, e32])
+    tails = 10.0 ** rng.uniform(-15.0, 0.0, 200_000)
+    u = np.concatenate([
+        rng.random(1_000_000), edges, np.nextafter(edges[3:], 0.0), np.nextafter(edges[3:], 1.0),
+        tails, 1.0 - tails,
+    ])
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    assert np.any(u < e32)
+    np.testing.assert_array_equal(_ndtri(u), ndtri(u))
+    assert _ndtri(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "gm:0.6N(0,1)+0.4N(3,0.5)",
+        "hist:0,0.3,0.7,1|0.2,0.5,0.3",
+        "pwpoly:0,0.5,1|0 0 3;0 0 3",
+        "labeled:0,0.5,1|0.5,0.5|0.8,0.2",
+    ],
+)
+def test_batched_sampling_equals_one_generator_at_a_time(spec):
+    # row i of a batched draw is what generator i alone would have drawn
+    target = parse_target(spec)
+    batched = target.sample([batch_rng(5, i) for i in range(40)], 25)
+    for i in range(40):
+        alone = target.sample((batch_rng(5, i),), 25)
+        if isinstance(target, ClassificationTarget):
+            for rows, row in zip(batched, alone):
+                np.testing.assert_array_equal(rows[i], row[0])
+        else:
+            np.testing.assert_array_equal(batched[i], alone[0])
+
+
 def test_parse_target_and_attack():
     kinds = {
         "uniform:0,1": PiecewisePolynomialTarget,
@@ -229,11 +273,11 @@ def test_parse_target_and_attack():
 def test_histogram_and_pwpoly_sampling_match_cdf():
     hist = parse_target("hist:0,0.25,1|0.5,0.5")
     rng = np.random.default_rng(0)
-    xs = hist.sample(rng, 50_000)
+    xs = hist.sample((rng,), 50_000)[0]
     assert abs(np.mean(xs <= 0.25) - 0.5) < 0.01
     dens = rb.PiecewisePolynomial((0.0, 1.0), ((0.5, 1.0),))
     tgt = PiecewisePolynomialTarget(dens)
-    ys = tgt.sample(rng, 50_000)
+    ys = tgt.sample((rng,), 50_000)[0]
     assert abs(np.mean(ys <= 0.5) - float(tgt.cdf(np.array([0.5]))[0])) < 0.01
 
 
@@ -252,7 +296,7 @@ def test_pwpoly_sample_inverts_cdf(spec):
     # sample() draws one uniform per point, so the same stream regenerated
     # must be the CDF of the points drawn
     tgt = parse_target(spec)
-    xs = tgt.sample(np.random.default_rng(17), 20_000)
+    xs = tgt.sample((np.random.default_rng(17),), 20_000)[0]
     u = np.random.default_rng(17).random(20_000)
     np.testing.assert_allclose(tgt.cdf(xs), u, rtol=0, atol=1e-12)
 
@@ -266,5 +310,5 @@ def test_classification_target_risks():
 
     wrong = rb.KIntervalHypothesis(IntervalUnion((Interval(0.5, 1.0),)))
     assert ct.risk_of(wrong) == pytest.approx(0.8)
-    x, y = ct.sample(np.random.default_rng(0), 30)
+    x, y = (rows[0] for rows in ct.sample((np.random.default_rng(0),), 30))
     assert x.shape == y.shape == (30,)
