@@ -5,7 +5,8 @@ dynamic programming (per-segment least-squares cost against the bin
 masses) and then solves each piece's coefficients under a mass-preserving
 equality constraint with nonnegativity enforced at Chebyshev check-points:
 a small convex QP, posed in a coordinate local to the piece and solved
-exactly by an active-set method.
+exactly by an active-set method.  The density keeps each piece in that
+local coordinate, so no piece is ever rewritten in monomials of x.
 Minimizing the squared bin residuals is a surrogate for the interval-union
 distance the selection theory wants; the achieved distance is computed
 exactly afterwards and reported alongside the fit.  Every integral of a
@@ -49,27 +50,22 @@ def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (count - 1))
 
 
-def _checkpoint_min(a: float, b: float, coef) -> float:
-    """Smallest value of a piece's polynomial at its check-points."""
-    return float(npoly.polyval(_cheb_nodes(a, b), np.asarray(coef)).min())
-
-
-def _constant_piece(mass: float, a: float, b: float, dim: int) -> np.ndarray:
-    coef = np.zeros(dim)
-    coef[0] = mass / (b - a)
-    return coef
+def _dips_below_zero(coef) -> bool:
+    """Whether a piece falls below zero at a check-point by more than
+    rounding at the piece's own height."""
+    values = npoly.polyval(_cheb_nodes(-1.0, 1.0), np.asarray(coef))
+    return bool(values.min() < -_NONNEG_TOL * max(1.0, values.max()))
 
 
 def _antiderivative_table(bp, coefs) -> tuple[np.ndarray, np.ndarray]:
-    """Per piece, the antiderivative's ascending coefficients (zero-padded),
-    shifted to vanish at the piece's left end; and the cumulative mass at
-    every breakpoint."""
+    """Per piece, the ascending coefficients (zero-padded), in the piece's
+    s, of the mass between its left end and s; and the cumulative mass at
+    every breakpoint.  At s = 1 a row sums to its piece's mass."""
     anti = np.zeros((len(coefs), max(len(c) for c in coefs) + 1))
     for j, c in enumerate(coefs):
-        row = npoly.polyint(np.asarray(c, dtype=float), lbnd=bp[j])
+        row = npoly.polyint(np.asarray(c, dtype=float), lbnd=-1.0, scl=0.5 * (bp[j + 1] - bp[j]))
         anti[j, : row.size] = row
-    masses = npoly.polyval(np.asarray(bp[1:], dtype=float), anti.T, tensor=False)
-    return anti, np.concatenate(([0.0], np.cumsum(masses)))
+    return anti, np.concatenate(([0.0], np.cumsum(anti.sum(axis=1))))
 
 
 def _bisect(f, lo, hi) -> np.ndarray:
@@ -90,11 +86,14 @@ def _bisect(f, lo, hi) -> np.ndarray:
 class PiecewisePolynomial:
     """A density made of polynomial pieces on consecutive intervals.
 
-    ``coefficients[j]`` are ascending monomial coefficients on
-    ``[breakpoints[j], breakpoints[j+1]]``.  Construction checks
-    nonnegativity at Chebyshev check-points of every piece and that the
-    total mass is 1 within 1e-6, and builds the antiderivative table that
-    ``cdf``, ``integral`` and ``bin_masses`` read.
+    ``coefficients[j]`` are the ascending coefficients of the density per
+    unit x on piece j = ``[breakpoints[j], breakpoints[j+1]]`` = [a, b],
+    as a polynomial in the piece's own coordinate s = 2(x - a)/(b - a) - 1;
+    a constant piece reads the same in s as in x.  ``from_monomials``
+    builds one from monomials in x.  Construction checks nonnegativity at
+    Chebyshev check-points of every piece and that the total mass is 1
+    within 1e-6, and builds the antiderivative table that ``cdf``,
+    ``integral`` and ``bin_masses`` read.
     """
 
     breakpoints: tuple[float, ...]
@@ -107,14 +106,14 @@ class PiecewisePolynomial:
         coefs = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", coefs)
-        if len(bp) != len(coefs) + 1 or len(coefs) < 1:
-            raise UsageError("need t+1 breakpoints for t coefficient lists")
+        if len(bp) != len(coefs) + 1 or len(coefs) < 1 or not all(coefs):
+            raise UsageError("need t+1 breakpoints for t nonempty coefficient lists")
         if any(x >= y for x, y in zip(bp, bp[1:])):
             raise UsageError("breakpoints must be strictly increasing")
         if not all(math.isfinite(x) for x in bp):
             raise UsageError("breakpoints must be finite")
         for j, piece in enumerate(coefs):
-            if _checkpoint_min(bp[j], bp[j + 1], piece) < -_NONNEG_TOL:
+            if _dips_below_zero(piece):
                 raise UsageError(f"piece {j} dips below zero at a check-point")
         anti, cum = _antiderivative_table(bp, coefs)
         object.__setattr__(self, "antiderivatives", anti)
@@ -130,22 +129,28 @@ class PiecewisePolynomial:
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
+    def _local(self, j, x) -> np.ndarray:
+        """The coordinate s of ``x`` in piece ``j``."""
+        bp = np.asarray(self.breakpoints)
+        return 2.0 * (x - bp[j]) / (bp[j + 1] - bp[j]) - 1.0
+
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        bp = np.asarray(self.breakpoints)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, self.t - 1)
+        lo, hi = self.support
+        inside = (x >= lo) & (x <= hi)
+        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, self.t - 1)
+        s = self._local(idx, np.clip(x, lo, hi))
         out = np.zeros_like(x)
-        inside = (x >= bp[0]) & (x <= bp[-1])
         for j in range(self.t):
             sel = inside & (idx == j)
             if sel.any():
-                out[sel] = npoly.polyval(x[sel], np.asarray(self.coefficients[j]))
+                out[sel] = npoly.polyval(s[sel], np.asarray(self.coefficients[j]))
         return out
 
     def piece_mass(self, j, x) -> np.ndarray:
         """Mass of piece ``j`` between its left end and ``x`` (inside it);
         an array ``j`` pairs one piece with each ``x``."""
-        return npoly.polyval(x, self.antiderivatives[j].T, tensor=False)
+        return npoly.polyval(self._local(j, x), self.antiderivatives[j].T, tensor=False)
 
     def cdf(self, x) -> np.ndarray:
         """Mass of the density below ``x``."""
@@ -170,6 +175,19 @@ class PiecewisePolynomial:
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewisePolynomial":
         return cls(tuple(d["breakpoints"]), tuple(tuple(p) for p in d["coefficients"]))
+
+    @classmethod
+    def from_monomials(cls, breakpoints, coefficients) -> "PiecewisePolynomial":
+        """The density that is ``sum(c[k] * x**k)`` on piece j, for the
+        ascending monomial coefficients ``c = coefficients[j]`` in x."""
+        bp = tuple(float(x) for x in breakpoints)
+        if len(bp) != len(coefficients) + 1:
+            raise UsageError("need t+1 breakpoints for t coefficient lists")
+        pieces = tuple(
+            tuple(Polynomial(c)(Polynomial([0.5 * (a + b), 0.5 * (b - a)])).coef)
+            for a, b, c in zip(bp, bp[1:], coefficients)
+        )
+        return cls(bp, pieces)
 
 
 @dataclass(frozen=True)
@@ -329,10 +347,10 @@ def fit_piecewise(
     Piece breakpoints are restricted to the partition boundaries (thinned
     to at most MAX_CUT_CANDIDATES cut positions when the partition is very
     fine).  ``support`` bounds the density; the partition's two unbounded
-    end cells are clipped to it.  Pathological pieces fall back to the
-    always-feasible constant density and flag the result instead of
-    failing: so does a piece that the monomials in x, which the density
-    stores, cannot hold within the constructor's checks.
+    end cells are clipped to it.  Each piece is solved and stored in its
+    own coordinate s on [-1, 1].  A piece the solver cannot fit within its
+    checks falls back to the always-feasible constant density and flags
+    the result instead of failing.
     """
     check_fit_shape(t, d, partition.ell)
     lo, hi = float(support[0]), float(support[1])
@@ -351,15 +369,11 @@ def fit_piecewise(
     if bnd and (bnd[0] < lo or bnd[-1] > hi):
         raise UsageError("support must contain all partition boundaries")
     edges_x, w_m = _merge_cells([lo, *bnd, hi], w)
-    scale = 2.0 / (hi - lo)
-    shift = -(hi + lo) / (hi - lo)
-    ue = scale * edges_x + shift  # affine map of the support onto [-1, 1]
     ncells = w_m.size
     dim = d + 1
 
     # Prefix sums of the per-cell Gram pieces, for O(1) segment costs.
-    powers = np.arange(1, dim + 1)
-    cell_phi = (ue[1:, None] ** powers - ue[:-1, None] ** powers) / powers
+    cell_phi = _local_cell_integrals(edges_x, dim)
     pg = np.zeros((ncells + 1, dim, dim))
     pg[1:] = np.cumsum(cell_phi[:, :, None] * cell_phi[:, None, :], axis=0)
     pb = np.zeros((ncells + 1, dim))
@@ -392,36 +406,15 @@ def fit_piecewise(
         r -= 1
     cuts = [cand[i] for i in reversed(cuts)]
 
-    bp_x = edges_x[cuts]
-    seg_mass = np.add.reduceat(w_m, cuts[:-1])
-    pieces_x: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []
     best_effort = False
-    for j, (a_cell, b_cell) in enumerate(zip(cuts, cuts[1:])):
+    for a_cell, b_cell in zip(cuts, cuts[1:]):
         phi = _local_cell_integrals(edges_x[a_cell : b_cell + 1], dim)
         coef_s, fell_back = _solve_piece(phi, w_m[a_cell:b_cell])
-        # back to x: s = slope*x + offset, and the density takes the Jacobian
-        xa, xb = bp_x[j], bp_x[j + 1]
-        slope = 2.0 / (xb - xa)
-        poly_x = Polynomial(coef_s)(Polynomial([-1.0 - slope * xa, slope]))
-        coef_x = np.zeros(dim)
-        coef_x[: poly_x.coef.size] = poly_x.coef * slope
-        # Monomials in x cannot hold a high-degree piece that is narrow and
-        # far from 0: the constant piece replaces one whose mass they lose
-        # (here) or that the constructor's check refuses (below).
-        mass_x = _antiderivative_table((xa, xb), (coef_x,))[1][-1]
-        if not abs(mass_x - seg_mass[j]) <= _MASS_TOL * seg_mass[j]:
-            coef_x, fell_back = _constant_piece(seg_mass[j], xa, xb, dim), True
+        # a density per unit s becomes one per unit x
+        pieces.append(coef_s * 2.0 / (edges_x[b_cell] - edges_x[a_cell]))
         best_effort = best_effort or fell_back
-        pieces_x.append(coef_x)
-
-    total = float(_antiderivative_table(bp_x, pieces_x)[1][-1])
-    if abs(total - 1.0) > 1e-12:
-        pieces_x = [c / total for c in pieces_x]
-    for j, coef_x in enumerate(pieces_x):
-        if _checkpoint_min(bp_x[j], bp_x[j + 1], coef_x) < -_NONNEG_TOL:
-            pieces_x[j] = _constant_piece(seg_mass[j] / total, bp_x[j], bp_x[j + 1], dim)
-            best_effort = True
-    density = PiecewisePolynomial(tuple(bp_x), tuple(tuple(c) for c in pieces_x))
+    density = PiecewisePolynomial(tuple(edges_x[cuts]), tuple(tuple(c) for c in pieces))
 
     fk_family_k = max(1, 2 * t * d)
     fitted = np.clip(density.bin_masses(partition), 0.0, None)

@@ -148,8 +148,10 @@ class PiecewisePolynomialTarget:
             c0, c1 = self._c01[j[sel]].T
             if k == _FLAT:  # c0 (x - a) = r
                 x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
-            else:  # c0 (x - a) + c1 (x^2 - a^2) / 2 = r
-                x = (-c0 + np.sqrt(np.clip((c0 + c1 * lo) ** 2 + 2.0 * c1 * r, 0.0, None))) / c1
+            else:  # (b - a)/2 (left u + c1 u^2 / 2) = r in u = s + 1, solved without cancelling
+                left, q = c0 - c1, 4.0 * r / (hi - lo)
+                root = left + np.sqrt(np.clip(left * left + c1 * q, 0.0, None))
+                x = lo + 0.5 * (hi - lo) * np.divide(q, root, out=np.zeros_like(q), where=q > 0)
             out[sel] = np.clip(x, lo, hi)
         return out.reshape(len(rngs), size)
 
@@ -534,7 +536,7 @@ def parse_target(spec: str):
             coefs = tuple(
                 tuple(float(c) for c in piece.split()) for piece in pieces_s.split(";")
             )
-            return PiecewisePolynomialTarget(PiecewisePolynomial(bks, coefs))
+            return PiecewisePolynomialTarget(PiecewisePolynomial.from_monomials(bks, coefs))
         if kind == "labeled":
             edges_s, masses_s, eta_s = rest.split("|")
             return ClassificationTarget(

@@ -266,6 +266,9 @@ def test_parse_target_and_attack():
     assert parse_attack("none") is None
     with pytest.raises(rb.UsageError):
         parse_target("weibull:1,2")
+    for spec in ("pwpoly:0,1|", "pwpoly:0,1|1;", "pwpoly:0,1,2|1"):
+        with pytest.raises(rb.UsageError):
+            parse_target(spec)
     with pytest.raises(rb.UsageError):
         parse_attack("mean_shift:oops")
 
@@ -275,7 +278,7 @@ def test_histogram_and_pwpoly_sampling_match_cdf():
     rng = np.random.default_rng(0)
     xs = hist.sample((rng,), 50_000)[0]
     assert abs(np.mean(xs <= 0.25) - 0.5) < 0.01
-    dens = rb.PiecewisePolynomial((0.0, 1.0), ((0.5, 1.0),))
+    dens = rb.PiecewisePolynomial.from_monomials((0.0, 1.0), ((0.5, 1.0),))
     tgt = PiecewisePolynomialTarget(dens)
     ys = tgt.sample((rng,), 50_000)[0]
     assert abs(np.mean(ys <= 0.5) - float(tgt.cdf(np.array([0.5]))[0])) < 0.01
@@ -288,6 +291,10 @@ def test_histogram_and_pwpoly_sampling_match_cdf():
         "pwpoly:0,0.3,0.7,1|0.5 1;2 -1.5;0.33666666666666667 0.8",
         "pwpoly:0,0.5,1|0 0 3;0 0 3",
         "pwpoly:0,1,2|0 0 0 2;0.5",
+        # slopes just above the flat threshold, where (-c0 + sqrt(..)) / c1 cancels
+        "pwpoly:0,1|0.9999995 1e-06",
+        "pwpoly:0,1|0.9999999995 1e-09",
+        "pwpoly:0,1|0.9999999999995 1e-12",
         "uniform:-2,3",
         "hist:0,0.3,0.7,1|0.2,0.5,0.3",
     ],
@@ -299,6 +306,19 @@ def test_pwpoly_sample_inverts_cdf(spec):
     xs = tgt.sample((np.random.default_rng(17),), 20_000)[0]
     u = np.random.default_rng(17).random(20_000)
     np.testing.assert_allclose(tgt.cdf(xs), u, rtol=0, atol=1e-12)
+
+
+class _ZeroUniforms:
+    """A generator stand-in whose every uniform is 0."""
+
+    def random(self, out):
+        out[...] = 0.0
+
+
+def test_linear_piece_zero_at_its_left_end_samples_u_zero():
+    # u = 0 on a piece whose density starts at 0 is 0/0 in the closed form
+    xs = parse_target("pwpoly:0,0.5,1|0 4;4 -4").sample((_ZeroUniforms(),), 5)
+    np.testing.assert_array_equal(xs, np.zeros((1, 5)))
 
 
 def test_classification_target_risks():
