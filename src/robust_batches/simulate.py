@@ -3,7 +3,10 @@
 Collections are reproducible: batch i draws from a generator seeded with
 (seed, i), so generation order cannot change the output.
 Adversarial batches are generated after the good ones and may read the
-realized good samples, matching an adaptive adversary.
+realized good samples, matching an adaptive adversary.  A target's
+``sample(rngs, size)`` and an attack's ``generate(rngs, ctx)`` each draw
+one batch per generator in one call: rows, or an (x, y) pair of rows when
+labeled.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from .classify import KIntervalHypothesis, LabeledCollection
 from .core import ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError, median
 from .distance import fk_distance, max_sum_k_interval_union
 from .estimate import PiecewisePolynomial, _bisect
-from .partition import IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset
+from .partition import (
+    BinSubset, Interval, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
+)
 
 _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
@@ -255,8 +260,6 @@ class ClassificationTarget:
         return np.asarray(self.eta)[cell]
 
     def bayes_hypothesis(self) -> KIntervalHypothesis:
-        from .partition import Interval
-
         intervals = []
         run = None
         for j, e in enumerate(self.eta):
@@ -297,7 +300,6 @@ class SimContext:
     beta: float
     n: int
     good_rows: np.ndarray
-    cache: dict = field(default_factory=dict, compare=False)
 
     @property
     def good_x(self) -> np.ndarray:
@@ -307,70 +309,66 @@ class SimContext:
         return self.good_rows.ravel()
 
 
-class _AttackBase:
-    labeled = False
-
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext):
-        raise NotImplementedError
+def _relocate(rngs, rows: np.ndarray, magnitude: float, fill) -> np.ndarray:
+    """Overwrite a ``magnitude`` fraction of each row in place: per generator,
+    in order, ``choice`` picks the positions, then ``fill(rng, count)`` their values."""
+    n = rows.shape[1]
+    moved = int(round(magnitude * n))
+    if moved > 0:
+        for rng, row in zip(rngs, rows):
+            idx = rng.choice(n, size=moved, replace=False)
+            row[idx] = fill(rng, moved)
+    return rows
 
 
 @dataclass(frozen=True)
-class MeanShiftAttack(_AttackBase):
+class MeanShiftAttack:
     """Target draw with a `magnitude` fraction of the mass relocated into a region."""
 
     magnitude: float
     region: tuple[float, float]
 
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
-        xs = ctx.target.sample((rng,), ctx.n)[0]
-        moved = int(round(self.magnitude * ctx.n))
-        if moved > 0:
-            idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
-            lo, hi = self.region
-            xs[idx] = lo + (hi - lo) * rng.random(idx.size)
-        return xs
+    def generate(self, rngs, ctx: SimContext) -> np.ndarray:
+        lo, hi = self.region
+        fill = lambda rng, c: lo + (hi - lo) * rng.random(c)
+        return _relocate(rngs, ctx.target.sample(rngs, ctx.n), self.magnitude, fill)
 
 
 @dataclass(frozen=True)
-class SpikeAttack(_AttackBase):
+class SpikeAttack:
     """Target draw with a `magnitude` fraction of samples set to one point."""
 
     magnitude: float
     point: float
 
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
-        xs = ctx.target.sample((rng,), ctx.n)[0]
-        moved = int(round(self.magnitude * ctx.n))
-        if moved > 0:
-            idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
-            xs[idx] = self.point
-        return xs
+    def generate(self, rngs, ctx: SimContext) -> np.ndarray:
+        fill = lambda rng, c: self.point
+        return _relocate(rngs, ctx.target.sample(rngs, ctx.n), self.magnitude, fill)
 
 
 @dataclass(frozen=True)
-class ReplaySkewAttack(_AttackBase):
+class ReplaySkewAttack:
     """Resamples the realized good samples, biased toward a region."""
 
     magnitude: float
     region: tuple[float, float]
 
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
+    def generate(self, rngs, ctx: SimContext) -> np.ndarray:
         pool = ctx.good_x
         lo, hi = self.region
         in_region = pool[(pool >= lo) & (pool <= hi)]
-        biased = rng.random(ctx.n) < self.magnitude
-        out = np.empty(ctx.n)
-        n_biased = int(biased.sum())
         source = in_region if in_region.size else pool
-        if n_biased:
-            out[biased] = source[rng.integers(0, source.size, n_biased)]
-        if ctx.n - n_biased:
-            out[~biased] = pool[rng.integers(0, pool.size, ctx.n - n_biased)]
+        out = np.empty((len(rngs), ctx.n))
+        for rng, row in zip(rngs, out):
+            biased = rng.random(ctx.n) < self.magnitude
+            n_biased = int(biased.sum())
+            row[biased] = source[rng.integers(0, source.size, n_biased)]
+            row[~biased] = pool[rng.integers(0, pool.size, ctx.n - n_biased)]
         return out
 
 
 @dataclass(frozen=True)
-class LabelFlipAttack(_AttackBase):
+class LabelFlipAttack:
     """Concentrates a `magnitude` fraction of each batch in a region and
     labels everything in the region with the wrong (anti-Bayes) class."""
 
@@ -378,13 +376,10 @@ class LabelFlipAttack(_AttackBase):
     region: tuple[float, float]
     labeled = True
 
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext):
-        x, y = (rows[0] for rows in ctx.target.sample((rng,), ctx.n))
-        moved = int(round(self.magnitude * ctx.n))
+    def generate(self, rngs, ctx: SimContext):
+        x, y = ctx.target.sample(rngs, ctx.n)
         lo, hi = self.region
-        if moved > 0:
-            idx = rng.choice(ctx.n, size=min(moved, ctx.n), replace=False)
-            x[idx] = lo + (hi - lo) * rng.random(idx.size)
+        _relocate(rngs, x, self.magnitude, lambda rng, c: lo + (hi - lo) * rng.random(c))
         in_region = (x >= lo) & (x <= hi)
         wrong = (ctx.target.eta_at(x) <= 0.5).astype(np.int64)
         y[in_region] = wrong[in_region]
@@ -392,7 +387,7 @@ class LabelFlipAttack(_AttackBase):
 
 
 @dataclass(frozen=True)
-class FkTargetedAttack(_AttackBase):
+class FkTargetedAttack:
     """Pushes the pooled empirical toward a fixed alternative at the
     interval-union witness bins, each batch deviating just above tau."""
 
@@ -400,22 +395,23 @@ class FkTargetedAttack(_AttackBase):
     k: int = 2
     margin: float = 1.05
 
-    def generate(self, batch_id: int, rng: np.random.Generator, ctx: SimContext) -> np.ndarray:
+    def generate(self, rngs, ctx: SimContext) -> np.ndarray:
         plan = _fk_attack_plan(ctx, self.magnitude, self.k)
-        xs = ctx.target.sample((rng,), ctx.n)[0]
+        rows = ctx.target.sample(rngs, ctx.n)
         goal = min(1.0, plan.med_good + self.margin * plan.tau)
-        inside = plan.region.contains(xs)
-        need = int(math.ceil(goal * ctx.n)) - int(inside.sum())
-        if need > 0:
-            outside_idx = np.nonzero(~inside)[0][:need]
-            iv = plan.region.intervals[0]
-            lo = iv.lo if math.isfinite(iv.lo) else float(ctx.good_x.min()) - 1.0
-            hi = iv.hi if math.isfinite(iv.hi) else float(ctx.good_x.max()) + 1.0
-            draws = lo + (hi - lo) * rng.random(outside_idx.size)
-            # cells are open on the left; nudge exact-boundary draws inward
-            draws[draws <= lo] = np.nextafter(lo, hi)
-            xs[outside_idx] = draws
-        return xs
+        inside = plan.region.contains(rows)
+        needs = int(math.ceil(goal * ctx.n)) - inside.sum(axis=1)
+        iv = plan.region.intervals[0]
+        lo = iv.lo if math.isfinite(iv.lo) else float(ctx.good_x.min()) - 1.0
+        hi = iv.hi if math.isfinite(iv.hi) else float(ctx.good_x.max()) + 1.0
+        for rng, row, outside, need in zip(rngs, rows, ~inside, needs):
+            if need > 0:
+                idx = np.nonzero(outside)[0][:need]
+                draws = lo + (hi - lo) * rng.random(idx.size)
+                # cells are open on the left; nudge exact-boundary draws inward
+                draws[draws <= lo] = np.nextafter(lo, hi)
+                row[idx] = draws
+        return rows
 
 
 @dataclass(frozen=True)
@@ -426,12 +422,7 @@ class _FkAttackPlan:
 
 
 def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
-    """Witness region and good-median, computed once per context."""
-    key = ("fk_plan", magnitude, k)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    from .partition import BinSubset
-
+    """Witness region and good-median of a context."""
     pool = np.sort(ctx.good_x)
     part = build_partition(pool, min(64, pool.size))
     empirical_cdf = lambda c: np.searchsorted(pool, c, side="right") / pool.size
@@ -445,9 +436,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     region = lift_subset(BinSubset(members), part)
     med = median(region.contains(ctx.good_rows).mean(axis=1))
     tau = 3.0 * math.sqrt(math.log(6.0 * math.e / ctx.beta) / ctx.n)
-    plan = _FkAttackPlan(region, med, tau)
-    ctx.cache[key] = plan
-    return plan
+    return _FkAttackPlan(region, med, tau)
 
 
 def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
@@ -468,14 +457,15 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     labeled = isinstance(target, ClassificationTarget)
     if attack is not None and getattr(attack, "labeled", False) != labeled:
         raise UsageError("label_flip needs a labeled: target, every other attack an unlabeled one")
-    good = target.sample([batch_rng(seed, i) for i in range(n_good)], n)
-    ctx = SimContext(target, max(beta, 1e-9), n, good[0] if labeled else good)
-    adv = [attack.generate(i, batch_rng(seed, i), ctx) for i in range(n_good, m)]
+    rows = target.sample([batch_rng(seed, i) for i in range(n_good)], n)
+    if n_adv > 0:
+        ctx = SimContext(target, max(beta, 1e-9), n, rows[0] if labeled else rows)
+        adv = attack.generate([batch_rng(seed, i) for i in range(n_good, m)], ctx)
+        rows = tuple(map(np.vstack, zip(rows, adv))) if labeled else np.vstack([rows, adv])
     truth = [GOOD] * n_good + [ADVERSARIAL] * n_adv
     if labeled:
-        x, y = (np.vstack([rows, *(a[c] for a in adv)]) for c, rows in enumerate(good))
-        return LabeledCollection(x, y, range(m), truth)
-    return BatchCollection(np.vstack([good, *adv]), range(m), truth)
+        return LabeledCollection(*rows, range(m), truth)
+    return BatchCollection(rows, range(m), truth)
 
 
 def metrics(
@@ -549,6 +539,13 @@ def parse_target(spec: str):
     raise UsageError(f"unknown target kind {kind!r}")
 
 
+def _region(param: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in param.split(","))
+    if not lo < hi:
+        raise ValueError(f"the region needs lo < hi, got {lo}, {hi}")
+    return lo, hi
+
+
 def parse_attack(spec: str):
     """Build an attack from its CLI spelling 'kind:magnitude@params'."""
     if spec in ("none", ""):
@@ -557,19 +554,16 @@ def parse_attack(spec: str):
     mag_s, _, param = rest.partition("@")
     try:
         mag = float(mag_s)
-        if not math.isfinite(mag):
-            raise ValueError("the magnitude must be finite")
+        if not 0.0 <= mag <= 1.0:
+            raise ValueError("the magnitude must lie in [0, 1]")
         if kind == "mean_shift":
-            lo, hi = (float(v) for v in param.split(","))
-            return MeanShiftAttack(mag, (lo, hi))
+            return MeanShiftAttack(mag, _region(param))
         if kind == "spike":
             return SpikeAttack(mag, float(param))
         if kind == "replay_skew":
-            lo, hi = (float(v) for v in param.split(","))
-            return ReplaySkewAttack(mag, (lo, hi))
+            return ReplaySkewAttack(mag, _region(param))
         if kind == "label_flip":
-            lo, hi = (float(v) for v in param.split(","))
-            return LabelFlipAttack(mag, (lo, hi))
+            return LabelFlipAttack(mag, _region(param))
         if kind == "fk_targeted":
             return FkTargetedAttack(mag, int(param) if param else 2)
     except (ValueError, DomainError) as exc:

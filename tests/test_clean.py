@@ -86,8 +86,8 @@ def test_vacuous_attack_does_not_hurt():
     # adversarial batches drawn from the target itself: cleaning may delete
     # a few batches but the fk error stays within twice the clean baseline
     class HonestAttack:
-        def generate(self, batch_id, rng, ctx):
-            return ctx.target.sample((rng,), ctx.n)[0]
+        def generate(self, rngs, ctx):
+            return ctx.target.sample(rngs, ctx.n)
 
     target = parse_target("uniform:0,1")
     ratios = []

@@ -222,26 +222,99 @@ def test_ndtri_matches_scipy_bitwise():
     assert _ndtri(np.empty(0)).shape == (0,)
 
 
+# an attack per target, so that each attack's generate is drawn batched
+BATCHED_ATTACKS = {
+    "gm:0.6N(0,1)+0.4N(3,0.5)": ["fk_targeted:0.3@2", "spike:0.3@0.5"],
+    "hist:0,0.3,0.7,1|0.2,0.5,0.3": ["mean_shift:0.5@0.2,0.4"],
+    "pwpoly:0,0.5,1|0 0 3;0 0 3": ["replay_skew:0.8@0.2,0.6"],
+    "labeled:0,0.5,1|0.5,0.5|0.8,0.2": ["label_flip:0.5@0,0.25"],
+}
+
+
+@pytest.mark.parametrize("spec", list(BATCHED_ATTACKS))
+def test_batched_sampling_equals_one_generator_at_a_time(spec):
+    # row i of a batched draw, and of a batched generate, is what
+    # generator i alone would have drawn
+    target = parse_target(spec)
+    labeled = isinstance(target, ClassificationTarget)
+    draws = [(target.sample, lambda rngs: (rngs, 25))]
+    good = target.sample([batch_rng(5, 100 + i) for i in range(40)], 25)
+    ctx = SimContext(target, 0.2, 25, good[0] if labeled else good)
+    for attack in map(parse_attack, BATCHED_ATTACKS[spec]):
+        draws.append((attack.generate, lambda rngs: (rngs, ctx)))
+    for draw, args in draws:
+        batched = draw(*args([batch_rng(5, i) for i in range(40)]))
+        for i in range(40):
+            alone = draw(*args((batch_rng(5, i),)))
+            if labeled:
+                for rows, row in zip(batched, alone):
+                    np.testing.assert_array_equal(rows[i], row[0])
+            else:
+                np.testing.assert_array_equal(batched[i], alone[0])
+
+
+def _one_batch(spec: str, target, rng, good_rows: np.ndarray, n: int, beta: float):
+    """One adversarial batch rebuilt from its own generator alone: the target
+    draw, then the attack's per-batch draws in order."""
+    attack = parse_attack(spec)
+    if isinstance(attack, ReplaySkewAttack):
+        pool = good_rows.ravel()
+        lo, hi = attack.region
+        in_region = pool[(pool >= lo) & (pool <= hi)]
+        biased = rng.random(n) < attack.magnitude
+        row = np.empty(n)
+        row[biased] = in_region[rng.integers(0, in_region.size, int(biased.sum()))]
+        row[~biased] = pool[rng.integers(0, pool.size, n - int(biased.sum()))]
+        return row
+    if isinstance(attack, FkTargetedAttack):
+        row = target.sample((rng,), n)[0]
+        plan = _fk_attack_plan(SimContext(target, beta, n, good_rows), attack.magnitude, attack.k)
+        inside = plan.region.contains(row)
+        goal = min(1.0, plan.med_good + attack.margin * plan.tau)
+        need = int(np.ceil(goal * n)) - int(inside.sum())
+        idx = np.nonzero(~inside)[0][:need]
+        iv = plan.region.intervals[0]
+        row[idx] = np.maximum(iv.lo + (iv.hi - iv.lo) * rng.random(idx.size), np.nextafter(iv.lo, iv.hi))
+        return row
+    if isinstance(attack, LabelFlipAttack):
+        row, y = (rows[0] for rows in target.sample((rng,), n))
+    else:
+        row = target.sample((rng,), n)[0]
+    idx = rng.choice(n, size=int(round(attack.magnitude * n)), replace=False)
+    if isinstance(attack, SpikeAttack):
+        row[idx] = attack.point
+        return row
+    lo, hi = attack.region
+    row[idx] = lo + (hi - lo) * rng.random(idx.size)
+    if isinstance(attack, MeanShiftAttack):
+        return row
+    flip = (row >= lo) & (row <= hi)
+    y[flip] = target.eta_at(row[flip]) <= 0.5
+    return row, y
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "target_spec, spec",
     [
-        "gm:0.6N(0,1)+0.4N(3,0.5)",
-        "hist:0,0.3,0.7,1|0.2,0.5,0.3",
-        "pwpoly:0,0.5,1|0 0 3;0 0 3",
-        "labeled:0,0.5,1|0.5,0.5|0.8,0.2",
+        ("gm:0.6N(0,1)+0.4N(3,0.5)", "mean_shift:0.5@1,2"),
+        ("uniform:-1,2", "spike:0.3@0.5"),
+        ("labeled:0,0.5,1|0.5,0.5|0.8,0.2", "label_flip:0.5@0,0.25"),
+        ("hist:0,0.3,0.7,1|0.2,0.5,0.3", "fk_targeted:0.3@2"),
+        ("gm:0.6N(0,1)+0.4N(3,0.5)", "replay_skew:0.8@1,2"),
     ],
 )
-def test_batched_sampling_equals_one_generator_at_a_time(spec):
-    # row i of a batched draw is what generator i alone would have drawn
-    target = parse_target(spec)
-    batched = target.sample([batch_rng(5, i) for i in range(40)], 25)
-    for i in range(40):
-        alone = target.sample((batch_rng(5, i),), 25)
-        if isinstance(target, ClassificationTarget):
-            for rows, row in zip(batched, alone):
-                np.testing.assert_array_equal(rows[i], row[0])
-        else:
-            np.testing.assert_array_equal(batched[i], alone[0])
+def test_adversarial_rows_equal_a_one_generator_reference(target_spec, spec):
+    target = parse_target(target_spec)
+    m, n, beta, seed = 50, 200, 0.2, 3  # at n=200 fk_targeted moves only part of a batch
+    coll = rb.build_collection(target, parse_attack(spec), m, n, beta, seed)
+    labeled = isinstance(target, ClassificationTarget)
+    rows = (coll.x, coll.y) if labeled else (coll.samples,)
+    good = np.array(coll.truth) == "good"
+    assert good.sum() == 40
+    for i in range(40, m):
+        ref = _one_batch(spec, target, batch_rng(seed, i), rows[0][good], n, beta)
+        for got, want in zip(rows, ref if labeled else (ref,)):
+            np.testing.assert_array_equal(got[i], want)
 
 
 def test_parse_target_and_attack():
@@ -269,8 +342,14 @@ def test_parse_target_and_attack():
     for spec in ("pwpoly:0,1|", "pwpoly:0,1|1;", "pwpoly:0,1,2|1"):
         with pytest.raises(rb.UsageError):
             parse_target(spec)
-    with pytest.raises(rb.UsageError):
-        parse_attack("mean_shift:oops")
+    for spec in (
+        "mean_shift:oops", "mean_shift:-1@0,1", "spike:1.5@0.5", "fk_targeted:nan@2",
+        "mean_shift:1@1,0", "replay_skew:0.5@2,1", "label_flip:0.5@0.25,0.25",
+    ):
+        with pytest.raises(rb.UsageError):
+            parse_attack(spec)
+    assert parse_attack("spike:0@0.5") == SpikeAttack(0.0, 0.5)
+    assert parse_attack("replay_skew:1@0,1") == ReplaySkewAttack(1.0, (0.0, 1.0))
 
 
 def test_histogram_and_pwpoly_sampling_match_cdf():
