@@ -11,7 +11,7 @@ product domain, then runs the ERM on the surviving samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,18 +161,7 @@ class ClassifyReport:
     excess_risk: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "retained_ids": list(self.retained_ids),
-            "k": self.k,
-            "beta": self.beta,
-            "ell_label0": self.ell_label0,
-            "ell_label1": self.ell_label1,
-            "rounds": self.rounds,
-            "train_risk": self.train_risk,
-            "retention_good": self.retention_good,
-            "risk_vs_target": self.risk_vs_target,
-            "excess_risk": self.excess_risk,
-        }
+        return asdict(self)
 
 
 def _label_slice_counts(collection: LabeledCollection, ell: int):

@@ -13,7 +13,7 @@ shares.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,20 +58,7 @@ class CleaningReport:
     retention_good: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "retained_ids": list(self.retained_ids),
-            "ell": self.ell,
-            "k": self.k,
-            "beta": self.beta,
-            "tau": self.tau,
-            "kappa_g": self.kappa_g,
-            "rounds": self.rounds,
-            "max_cell_occupancy": self.max_cell_occupancy,
-            "source_token": self.source_token,
-            "fk_before": self.fk_before,
-            "fk_after": self.fk_after,
-            "retention_good": self.retention_good,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -91,15 +78,6 @@ def guidance_batches(k: int, n: int, beta: float) -> float:
     at delta = DEFAULT_DELTA; infinite once beta^3 underflows."""
     with np.errstate(divide="ignore", over="ignore"):
         return (k * np.log(n / beta) + np.log(1.0 / DEFAULT_DELTA)) * np.sqrt(n) / beta**3
-
-
-def _reference_masses(reference, partition: IntervalPartition) -> np.ndarray:
-    if hasattr(reference, "bin_masses"):
-        return np.asarray(reference.bin_masses(partition), dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    if ref.shape != (partition.ell,):
-        raise UsageError("reference vector must match the partition size")
-    return ref
 
 
 def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionParams]:
@@ -146,13 +124,13 @@ def clean_pipeline(
 
     ``beta = 0`` declares the collection uncontaminated: the partition is
     still built (sized with a floor of ELL_BETA_FLOOR in place of beta) but
-    no deletion runs.  ``reference`` (simulation mode) is a target with a
-    ``bin_masses(partition)`` method, or a per-bin probability vector.
+    no deletion runs.  ``reference`` (simulation mode) is a density target,
+    scored by the F_k distance to its ``bin_masses(partition)``.
     """
     ell, params = prepare_cleaning(collection, k, beta)
     partition = build_partition(collection.pooled_samples(), ell)
     disc = discretize(collection, partition)
-    ref_vec = _reference_masses(reference, partition) if reference is not None else None
+    ref_vec = reference.bin_masses(partition) if reference is not None else None
     fk_before = (
         float(fk_distance(disc.pooled(), ref_vec, k)) if ref_vec is not None else None
     )

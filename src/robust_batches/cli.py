@@ -128,6 +128,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _target(args, collection):
+    """The parsed --target, or None.  A labeled: target goes only with a
+    labeled batch file, and every other target only with an unlabeled one."""
+    if not args.target:
+        return None
+    target = parse_target(args.target)
+    if isinstance(target, ClassificationTarget) != isinstance(collection, LabeledCollection):
+        raise UsageError(
+            f"{args.command}: a labeled: target needs a labeled batch file, "
+            "and every other target an unlabeled one"
+        )
+    return target
+
+
 def _clean_config(args, extra=()) -> dict:
     keys = ["seed", "beta", "trigger", "stop", "input", "out"]
     cfg = _config(args, keys + list(extra))
@@ -148,7 +162,7 @@ def _cmd_clean(args) -> int:
     collection = read_batches(args.input)
     if not isinstance(collection, BatchCollection):
         raise UsageError("clean expects an unlabeled batch file")
-    target = parse_target(args.target) if args.target else None
+    target = _target(args, collection)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     result = clean_pipeline(
         collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
@@ -173,7 +187,7 @@ def _cmd_estimate(args) -> int:
     if not isinstance(collection, BatchCollection):
         raise UsageError("estimate expects an unlabeled batch file")
     check_fit_shape(args.t, args.d, collection.n * collection.m)
-    target = parse_target(args.target) if args.target else None
+    target = _target(args, collection)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     k_clean = max(1, 2 * args.t * args.d)
     result = clean_pipeline(
@@ -199,9 +213,7 @@ def _cmd_classify(args) -> int:
     collection = read_batches(args.input)
     if not isinstance(collection, LabeledCollection):
         raise UsageError("classify expects a labeled batch file")
-    target = parse_target(args.target) if args.target else None
-    if target is not None and not isinstance(target, ClassificationTarget):
-        raise UsageError("classify needs a labeled: target")
+    target = _target(args, collection)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     hypothesis, report = robust_classify(
         collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
@@ -253,7 +265,7 @@ def _cmd_eval(args) -> int:
         members = frozenset(int(v) for v in args.subset.split(",")) if args.subset else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed report or --subset: {exc}") from exc
-    target = parse_target(args.target) if args.target else None
+    target = _target(args, collection)
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
     partition = None
     if not labeled:

@@ -43,6 +43,14 @@ def sorted_unique(values) -> np.ndarray:
     return v[np.append(True, v[1:] != v[:-1])] if v.size else v
 
 
+def uniforms(rngs, *shape: int) -> np.ndarray:
+    """One ``random(shape)`` draw per generator, stacked in their order."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
 def row_array(values, dtype, what: str) -> np.ndarray:
     """A private copy of ``values`` as a 2-d array with at least one column,
     one row per batch; anything else is a usage error naming ``what``."""

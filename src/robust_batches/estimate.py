@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
-from .core import DomainError, UsageError, sorted_unique
+from .core import DomainError, UsageError, sorted_unique, uniforms
 from .distance import fk_distance
 from .partition import IntervalPartition
 
@@ -42,6 +42,8 @@ _ACTIVE_SET_STEPS = 4 * CHEB_POINTS
 _MULTIPLIER_TOL = 1e-12
 # halvings that take a unit bracket far below one ulp
 _BISECT_STEPS = 100
+# how PiecewisePolynomial.sample inverts a piece's CDF, by degree
+_FLAT, _LINEAR, _CURVED = 0, 1, 2
 
 
 def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
@@ -93,7 +95,9 @@ class PiecewisePolynomial:
     builds one from monomials in x.  Construction checks nonnegativity at
     Chebyshev check-points of every piece and that the total mass is 1
     within 1e-6, and builds the antiderivative table that ``cdf``,
-    ``integral`` and ``bin_masses`` read.
+    ``integral``, ``bin_masses`` and ``sample`` read.  It is its own
+    simulation target: uniform and histogram targets are its
+    constant-piece case.
     """
 
     breakpoints: tuple[float, ...]
@@ -165,6 +169,40 @@ class PiecewisePolynomial:
         """Mass assigned to each cell of an interval partition."""
         inner = self.cdf(partition.boundaries)
         return np.diff(inner, prepend=0.0, append=self.integral())
+
+    def sample(self, rngs, size: int) -> np.ndarray:
+        """``size`` points per generator, one row each, by inverse CDF:
+        each uniform picks a piece, then solves piece_mass(j, x) = residual
+        inside it, in closed form up to degree 1 and by bisection above."""
+        u = uniforms(rngs, size).ravel()
+        j = np.searchsorted(self.cum_mass[1:-1], u, side="right")
+        residual = u - self.cum_mass[j]
+        bp = np.asarray(self.breakpoints)
+        a, b = bp[j], bp[j + 1]
+        c01 = np.array([(*c, 0.0)[:2] for c in self.coefficients])
+        piece_kinds = np.where(
+            [any(c[2:]) for c in self.coefficients],
+            _CURVED,
+            np.where(np.abs(c01[:, 1]) < 1e-14, _FLAT, _LINEAR),
+        )
+        kinds = sorted(set(piece_kinds.tolist()))
+        out = np.empty(u.size)
+        for k in kinds:
+            sel = piece_kinds[j] == k if len(kinds) > 1 else slice(None)
+            r, lo, hi = residual[sel], a[sel], b[sel]
+            if k == _CURVED:
+                js = j[sel]
+                out[sel] = _bisect(lambda y: self.piece_mass(js, y) - r, lo, hi)
+                continue
+            c0, c1 = c01[j[sel]].T
+            if k == _FLAT:  # c0 (x - a) = r
+                x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
+            else:  # (b - a)/2 (left u + c1 u^2 / 2) = r in u = s + 1, solved without cancelling
+                left, q = c0 - c1, 4.0 * r / (hi - lo)
+                root = left + np.sqrt(np.clip(left * left + c1 * q, 0.0, None))
+                x = lo + 0.5 * (hi - lo) * np.divide(q, root, out=np.zeros_like(q), where=q > 0)
+            out[sel] = np.clip(x, lo, hi)
+        return out.reshape(len(rngs), size)
 
     def to_dict(self) -> dict:
         return {
@@ -393,11 +431,10 @@ def fit_piecewise(
     parent = np.zeros((t_eff + 1, nc), dtype=int)
     best[0, 0] = 0.0
     for r in range(1, t_eff + 1):
-        for j in range(1, nc):
-            options = best[r - 1, :j] + cost[:j, j]
-            i = int(np.argmin(options))
-            best[r, j] = options[i]
-            parent[r, j] = i
+        # cost[i, j] is inf unless i < j, and argmin keeps the first minimum
+        options = best[r - 1, :, None] + cost
+        parent[r] = np.argmin(options, axis=0)
+        best[r] = options.min(axis=0)
     r_best = 1 + int(np.argmin(best[1:, nc - 1]))
     cuts = [nc - 1]
     r = r_best
@@ -432,7 +469,7 @@ def evaluate_density(fit: PiecewisePolynomial, target) -> float:
     breakpoints of either density and refined by bisection.  The end nodes
     sit one ulp inside, because either density may jump at a breakpoint.
     """
-    grid = sorted_unique([*fit.breakpoints, *target.breakpoints()])
+    grid = sorted_unique([*fit.breakpoints, *target.breakpoints])
     a, b = grid[:-1, None], grid[1:, None]
     nodes = _cheb_nodes(a, b)
     nodes[:, 0] = np.nextafter(b[:, 0], a[:, 0])

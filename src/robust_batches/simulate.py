@@ -7,6 +7,12 @@ realized good samples, matching an adaptive adversary.  A target's
 ``sample(rngs, size)`` and an attack's ``generate(rngs, ctx)`` each draw
 one batch per generator in one call: rows, or an (x, y) pair of rows when
 labeled.
+
+A density target, a ``PiecewisePolynomial`` (``uniform:``, ``hist:`` and
+``pwpoly:``) or a ``GaussianMixtureTarget`` (``gm:``), offers ``pdf``,
+``cdf``, ``bin_masses(partition)``, ``sample`` and a ``breakpoints``
+tuple.  A ``ClassificationTarget`` (``labeled:``) is the joint law of a
+labeled batch file instead.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import KIntervalHypothesis, LabeledCollection
-from .core import ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError, median
+from .core import (
+    ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError, median, uniforms,
+)
 from .distance import fk_distance, max_sum_k_interval_union
-from .estimate import PiecewisePolynomial, _bisect
+from .estimate import PiecewisePolynomial
 from .partition import (
     BinSubset, Interval, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
 )
@@ -50,21 +58,11 @@ _NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247
 _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
              2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
-# how PiecewisePolynomialTarget.sample inverts a piece's CDF, by degree
-_FLAT, _LINEAR, _CURVED = 0, 1, 2
 
 
 def batch_rng(seed: int, batch_id: int) -> np.random.Generator:
     """Generator for one batch, derived from (seed, batch id)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch_id,))))
-
-
-def _uniforms(rngs, *shape: int) -> np.ndarray:
-    """One ``random(shape)`` draw per generator, stacked in their order."""
-    out = np.empty((len(rngs), *shape))
-    for rng, row in zip(rngs, out):
-        rng.random(out=row)
-    return out
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
@@ -110,64 +108,6 @@ def _histogram_density(edges, masses) -> PiecewisePolynomial:
 
 
 @dataclass(frozen=True)
-class PiecewisePolynomialTarget:
-    """Analytic target backed by a piecewise-polynomial density; uniform
-    and histogram targets are its constant-piece case."""
-
-    density: PiecewisePolynomial
-    _c01: np.ndarray = field(init=False, repr=False, compare=False)
-    _kinds: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        coefs = self.density.coefficients
-        c01 = np.array([(*c, 0.0)[:2] for c in coefs])
-        kinds = np.where(np.abs(c01[:, 1]) < 1e-14, _FLAT, _LINEAR)
-        object.__setattr__(self, "_c01", c01)
-        object.__setattr__(self, "_kinds", np.where([any(c[2:]) for c in coefs], _CURVED, kinds))
-
-    def pdf(self, x) -> np.ndarray:
-        return self.density.pdf(x)
-
-    def cdf(self, x) -> np.ndarray:
-        return self.density.cdf(x)
-
-    def sample(self, rngs, size: int) -> np.ndarray:
-        """``size`` points per generator, one row each, by inverse CDF:
-        each uniform picks a piece, then solves piece_mass(j, x) = residual
-        inside it, in closed form up to degree 1 and by bisection above."""
-        dens = self.density
-        u = _uniforms(rngs, size).ravel()
-        j = np.searchsorted(dens.cum_mass[1:-1], u, side="right")
-        residual = u - dens.cum_mass[j]
-        bp = np.asarray(dens.breakpoints)
-        a, b = bp[j], bp[j + 1]
-        kinds = sorted(set(self._kinds.tolist()))
-        out = np.empty(u.size)
-        for k in kinds:
-            sel = self._kinds[j] == k if len(kinds) > 1 else slice(None)
-            r, lo, hi = residual[sel], a[sel], b[sel]
-            if k == _CURVED:
-                js = j[sel]
-                out[sel] = _bisect(lambda y: dens.piece_mass(js, y) - r, lo, hi)
-                continue
-            c0, c1 = self._c01[j[sel]].T
-            if k == _FLAT:  # c0 (x - a) = r
-                x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
-            else:  # (b - a)/2 (left u + c1 u^2 / 2) = r in u = s + 1, solved without cancelling
-                left, q = c0 - c1, 4.0 * r / (hi - lo)
-                root = left + np.sqrt(np.clip(left * left + c1 * q, 0.0, None))
-                x = lo + 0.5 * (hi - lo) * np.divide(q, root, out=np.zeros_like(q), where=q > 0)
-            out[sel] = np.clip(x, lo, hi)
-        return out.reshape(len(rngs), size)
-
-    def breakpoints(self) -> list[float]:
-        return list(self.density.breakpoints)
-
-    def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
-        return self.density.bin_masses(partition)
-
-
-@dataclass(frozen=True)
 class GaussianMixtureTarget:
     weights: tuple[float, ...]
     means: tuple[float, ...]
@@ -205,7 +145,7 @@ class GaussianMixtureTarget:
     def sample(self, rngs, size: int) -> np.ndarray:
         """``size`` points per generator, one row each: each generator
         draws its component uniforms, then its quantile uniforms."""
-        u_comp, u_val = np.moveaxis(_uniforms(rngs, 2, size), 1, 0)
+        u_comp, u_val = np.moveaxis(uniforms(rngs, 2, size), 1, 0)
         cum = np.concatenate(([0.0], np.cumsum(self.weights)))
         cum[-1] = 1.0
         idx = np.clip(np.searchsorted(cum, u_comp, side="right") - 1, 0, len(self.weights) - 1)
@@ -213,14 +153,12 @@ class GaussianMixtureTarget:
         sd = np.asarray(self.sds)[idx]
         return mu + sd * _ndtri(np.clip(u_val, 1e-15, 1.0 - 1e-15))
 
-    def support(self) -> tuple[float, float]:
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The means and 12 sds beyond the outermost components."""
         lo = min(m - 12.0 * s for m, s in zip(self.means, self.sds))
         hi = max(m + 12.0 * s for m, s in zip(self.means, self.sds))
-        return lo, hi
-
-    def breakpoints(self) -> list[float]:
-        lo, hi = self.support()
-        return sorted({lo, hi, *self.means})
+        return tuple(sorted({lo, hi, *self.means}))
 
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
         return _bin_masses_from_cdf(self.cdf, partition)
@@ -233,13 +171,13 @@ class ClassificationTarget:
     edges: tuple[float, ...]
     masses: tuple[float, ...]
     eta: tuple[float, ...]
-    marginal: PiecewisePolynomialTarget = field(init=False, repr=False, compare=False)
+    marginal: PiecewisePolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         density = _histogram_density(self.edges, self.masses)
         object.__setattr__(self, "edges", density.breakpoints)
         object.__setattr__(self, "masses", tuple(float(w) for w in self.masses))
-        object.__setattr__(self, "marginal", PiecewisePolynomialTarget(density))
+        object.__setattr__(self, "marginal", density)
         eta = tuple(float(v) for v in self.eta)
         if len(eta) != len(self.masses) or any(not 0 <= v <= 1 for v in eta):
             raise DomainError("eta must give one probability per cell")
@@ -248,7 +186,7 @@ class ClassificationTarget:
     def sample(self, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) with one row per generator; each draws its x, then its y."""
         x = self.marginal.sample(rngs, size)
-        y = (_uniforms(rngs, size) < self.eta_at(x)).astype(np.int64)
+        y = (uniforms(rngs, size) < self.eta_at(x)).astype(np.int64)
         return x, y
 
     def eta_at(self, x) -> np.ndarray:
@@ -475,7 +413,9 @@ def metrics(
     k: int,
     partition: IntervalPartition | None = None,
 ) -> dict:
-    """Simulation-mode scoring of a cleaning / estimation / classification run."""
+    """Simulation-mode scoring of a cleaning / estimation / classification
+    run.  Given the partition of an unlabeled run, ``target`` is a density
+    target and the F_k distance to it is scored before and after cleaning."""
     if collection.truth is None:
         raise UsageError("metrics need truth flags (simulation mode)")
     retained = set(retained_ids)
@@ -484,7 +424,7 @@ def metrics(
         "retained": len(retained),
         "m": collection.m,
     }
-    if partition is not None and hasattr(target, "bin_masses") and isinstance(collection, BatchCollection):
+    if partition is not None:
         ref = target.bin_masses(partition)
         disc = discretize(collection, partition)
         out["fk_before"] = float(fk_distance(disc.pooled(), ref, k))
@@ -504,7 +444,7 @@ def parse_target(spec: str):
     try:
         if kind == "uniform":
             lo, hi = rest.split(",")
-            return PiecewisePolynomialTarget(_histogram_density((lo, hi), (1.0,)))
+            return _histogram_density((lo, hi), (1.0,))
         if kind == "gm":
             weights, means, sds = [], [], []
             for part in rest.split("+"):
@@ -517,16 +457,14 @@ def parse_target(spec: str):
             return GaussianMixtureTarget(tuple(weights), tuple(means), tuple(sds))
         if kind == "hist":
             edges_s, masses_s = rest.split("|")
-            return PiecewisePolynomialTarget(
-                _histogram_density(edges_s.split(","), masses_s.split(","))
-            )
+            return _histogram_density(edges_s.split(","), masses_s.split(","))
         if kind == "pwpoly":
             bks_s, pieces_s = rest.split("|")
             bks = tuple(float(v) for v in bks_s.split(","))
             coefs = tuple(
                 tuple(float(c) for c in piece.split()) for piece in pieces_s.split(";")
             )
-            return PiecewisePolynomialTarget(PiecewisePolynomial.from_monomials(bks, coefs))
+            return PiecewisePolynomial.from_monomials(bks, coefs)
         if kind == "labeled":
             edges_s, masses_s, eta_s = rest.split("|")
             return ClassificationTarget(
@@ -539,8 +477,15 @@ def parse_target(spec: str):
     raise UsageError(f"unknown target kind {kind!r}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _region(param: str) -> tuple[float, float]:
-    lo, hi = (float(v) for v in param.split(","))
+    lo, hi = (_finite(v) for v in param.split(","))
     if not lo < hi:
         raise ValueError(f"the region needs lo < hi, got {lo}, {hi}")
     return lo, hi
@@ -559,7 +504,7 @@ def parse_attack(spec: str):
         if kind == "mean_shift":
             return MeanShiftAttack(mag, _region(param))
         if kind == "spike":
-            return SpikeAttack(mag, float(param))
+            return SpikeAttack(mag, _finite(param))
         if kind == "replay_skew":
             return ReplaySkewAttack(mag, _region(param))
         if kind == "label_flip":

@@ -31,7 +31,6 @@ from robust_batches.simulate import (
     GaussianMixtureTarget,
     LabelFlipAttack,
     MeanShiftAttack,
-    PiecewisePolynomialTarget,
     parse_target,
 )
 
@@ -324,11 +323,10 @@ def test_c08_loss_transfer_inequalities():
 # --- criterion 9: end-to-end density estimation ------------------------
 
 def _three_piece_target():
-    dens = rb.PiecewisePolynomial.from_monomials(
+    return rb.PiecewisePolynomial.from_monomials(
         (0.0, 0.3, 0.7, 1.0),
         ((0.5, 1.0), (2.0, -1.5), (0.33666666666666667, 0.8)),
     )
-    return PiecewisePolynomialTarget(dens)
 
 
 def test_c09_end_to_end_density():

@@ -4,6 +4,8 @@ Malformed batch files, reports and flags must exit 2 with a message;
 well-formed ones exit 0.
 """
 
+import contextlib
+import io
 import json
 import math
 
@@ -168,32 +170,54 @@ FACTORS = ["nan", "inf", "-1", "0", "0.5", "5"]
 BETAS = ["nan", "-0.1", "0", "0.2", "0.4", "0.41"]
 
 
+UNLABELED_TARGET, LABELED_TARGET = "uniform:0,1", "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+# (command, whether its batch file is labeled); eval scores either run
+RUNS = [("clean", False), ("estimate", False), ("classify", True), ("eval", False), ("eval", True)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["clean", "estimate", "classify"]),
+    st.sampled_from(RUNS),
+    st.booleans(),
     st.sampled_from(SIZES),
     st.sampled_from(SIZES),
     st.sampled_from(FACTORS),
     st.sampled_from(FACTORS),
     st.sampled_from(BETAS),
 )
-@example("clean", 10**12, 0, "5", "4", "0.2")
-@example("estimate", 10**6, 1, "5", "4", "0.2")
-@example("classify", 10**12, 0, "5", "4", "0.2")
+@example(("clean", False), False, 10**12, 0, "5", "4", "0.2")
+@example(("estimate", False), False, 10**6, 1, "5", "4", "0.2")
+@example(("classify", True), True, 10**12, 0, "5", "4", "0.2")
+@example(("clean", False), True, 2, 0, "5", "4", "0.2")
+@example(("estimate", False), True, 1, 1, "5", "4", "0.2")
+@example(("classify", True), False, 2, 0, "5", "4", "0.2")
+@example(("eval", False), True, 2, 0, "5", "4", "0.2")
+@example(("eval", True), False, 2, 0, "5", "4", "0.2")
 def test_cleaning_flag_values_never_exit_1(
-    workdir, clean_run, classify_run, command, size, degree, trigger, stop, beta
+    workdir, clean_run, classify_run, run, labeled_target, size, degree, trigger, stop, beta
 ):
-    if command == "classify":
-        batches, target = classify_run[0], "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
-        shape = ["--k", str(size)]
+    """Any flag values exit 0 or 2, and a target of the other kind than the
+    batch file (labeled: with unlabeled batches, or the reverse) exits 2."""
+    command, labeled_file = run
+    target = LABELED_TARGET if labeled_target else UNLABELED_TARGET
+    batches, report = classify_run if labeled_file else clean_run
+    if command == "eval":
+        argv = ["eval", "--input", str(batches), "--report", str(report), "--target", target]
     else:
-        batches, target = clean_run[0], "uniform:0,1"
         shape = ["--t", str(size), "--d", str(degree)] if command == "estimate" else ["--k", str(size)]
-    argv = [
-        command, "--input", str(batches), *shape, f"--beta={beta}", f"--trigger={trigger}",
-        f"--stop={stop}", "--target", target, "--out", str(workdir / "flags.json"),
-    ]
-    assert _exit_code(argv) in (0, 2)
+        argv = [
+            command, "--input", str(batches), *shape, f"--beta={beta}", f"--trigger={trigger}",
+            f"--stop={stop}", "--target", target, "--out", str(workdir / "flags.json"),
+        ]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 2)
+    if labeled_target != labeled_file:
+        assert code == 2
+        assert err.getvalue().startswith("error:")
+    elif command == "eval":  # eval reads no cleaning flags
+        assert code == 0
 
 
 ATTACKS = ["mean_shift:{}@0.4,0.6", "spike:{}@0.5", "replay_skew:{}@0.4,0.6",

@@ -10,7 +10,7 @@ from robust_batches.estimate import (
     _solve_piece,
     fit_piecewise,
 )
-from robust_batches.simulate import PiecewisePolynomialTarget, parse_target
+from robust_batches.simulate import parse_target
 
 
 def test_piecewise_polynomial_invariants():
@@ -95,10 +95,9 @@ def test_fit_nonnegative_under_rough_input():
 
 def test_fit_triangle_inequality_chain():
     # TV(fit, target) <= TV(empirical, target) + 2 * fk(fit, empirical)
-    dens = rb.PiecewisePolynomial.from_monomials(
+    target = rb.PiecewisePolynomial.from_monomials(
         (0.0, 0.3, 0.7, 1.0), ((0.5, 1.0), (2.0, -1.5), (0.33666666666666667, 0.8))
     )
-    target = PiecewisePolynomialTarget(dens)
     rng = np.random.default_rng(0)
     xs = np.sort(target.sample((rng,), 100_000)[0])
     part = rb.build_partition(xs, 200)
@@ -176,7 +175,7 @@ def _tv_reference(fit, target):
     brentq, then quad of the signed gap between crossings."""
     from scipy import integrate, optimize
 
-    grid = sorted({*fit.breakpoints, *target.breakpoints()})
+    grid = sorted({*fit.breakpoints, *target.breakpoints})
 
     def gap(x):
         return float(fit.pdf(x)[0] - target.pdf(np.array([x]))[0])

@@ -9,7 +9,6 @@ from robust_batches.simulate import (
     GaussianMixtureTarget,
     LabelFlipAttack,
     MeanShiftAttack,
-    PiecewisePolynomialTarget,
     ReplaySkewAttack,
     SimContext,
     SpikeAttack,
@@ -319,14 +318,14 @@ def test_adversarial_rows_equal_a_one_generator_reference(target_spec, spec):
 
 def test_parse_target_and_attack():
     kinds = {
-        "uniform:0,1": PiecewisePolynomialTarget,
+        "uniform:0,1": rb.PiecewisePolynomial,
         "gm:0.5N(0,1)+0.5N(3,0.5)": GaussianMixtureTarget,
-        "hist:0,0.5,1|0.75,0.25": PiecewisePolynomialTarget,
+        "hist:0,0.5,1|0.75,0.25": rb.PiecewisePolynomial,
         "labeled:0,0.5,1|0.5,0.5|0.8,0.2": ClassificationTarget,
     }
     for s, kind in kinds.items():
         assert type(parse_target(s)) is kind
-    hist = parse_target("hist:0,0.5,1|0.75,0.25").density
+    hist = parse_target("hist:0,0.5,1|0.75,0.25")
     assert hist.breakpoints == (0.0, 0.5, 1.0)
     assert hist.coefficients == ((1.5,), (0.5,))
     attacks = {
@@ -345,6 +344,8 @@ def test_parse_target_and_attack():
     for spec in (
         "mean_shift:oops", "mean_shift:-1@0,1", "spike:1.5@0.5", "fk_targeted:nan@2",
         "mean_shift:1@1,0", "replay_skew:0.5@2,1", "label_flip:0.5@0.25,0.25",
+        "spike:0.5@nan", "spike:0.5@inf", "mean_shift:0.5@0,inf", "replay_skew:0.5@-inf,0",
+        "label_flip:0.5@nan,1",
     ):
         with pytest.raises(rb.UsageError):
             parse_attack(spec)
@@ -358,9 +359,8 @@ def test_histogram_and_pwpoly_sampling_match_cdf():
     xs = hist.sample((rng,), 50_000)[0]
     assert abs(np.mean(xs <= 0.25) - 0.5) < 0.01
     dens = rb.PiecewisePolynomial.from_monomials((0.0, 1.0), ((0.5, 1.0),))
-    tgt = PiecewisePolynomialTarget(dens)
-    ys = tgt.sample((rng,), 50_000)[0]
-    assert abs(np.mean(ys <= 0.5) - float(tgt.cdf(np.array([0.5]))[0])) < 0.01
+    ys = dens.sample((rng,), 50_000)[0]
+    assert abs(np.mean(ys <= 0.5) - float(dens.cdf(np.array([0.5]))[0])) < 0.01
 
 
 @pytest.mark.parametrize(
