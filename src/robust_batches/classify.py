@@ -15,45 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clean import prepare_cleaning
-from .core import Collection, DiscretizedCollection, DomainError, UsageError, row_array
+from .clean import clean_counts, prepare_cleaning
+from .core import LABELS, DiscretizedCollection, DomainError, LabeledCollection, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
-from .detect import clean_discrete
 from .distance import union_tables
 from .partition import Interval, IntervalUnion, build_partition
-
-LABELS = (0, 1)
-
-
-@dataclass(frozen=True)
-class LabeledCollection(Collection):
-    """m batches of n labeled samples: the rows of ``x`` and of ``y`` in {0, 1}."""
-
-    x: np.ndarray  # shape (m, n)
-    y: np.ndarray  # shape (m, n)
-    ids: tuple[int, ...]
-    truth: tuple[str, ...] | None = None
-    ROWS = ("x", "y")
-
-    def __post_init__(self) -> None:
-        x = row_array(self.x, np.float64, "x")
-        y = row_array(self.y, None, "y")
-        if y.shape != x.shape:
-            raise UsageError("x and y must have the same shape")
-        if not np.all(np.isfinite(x)):
-            raise UsageError("x contains NaN or infinity")
-        # checked before the integer cast, which would truncate 1.5 to 1
-        if y.dtype.kind not in "biuf" or not np.isin(y, LABELS).all():
-            raise UsageError("labels must be 0 or 1")
-        self._freeze(x=x, y=y.astype(np.int64))
-
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[1])
-
-    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """All n*m samples in batch order, as flat x and y arrays."""
-        return self.x.ravel(), self.y.ravel()
 
 
 @dataclass(frozen=True)
@@ -202,12 +168,9 @@ def robust_classify(
     (_, counts0), (_, counts1) = _label_slice_counts(collection, ell)
     counts = np.concatenate([counts0, counts1], axis=1)
     disc = DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
-    rounds = 0
-    if beta > 0.0:
-        cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
-        retained = collection.subset(np.isin(collection.ids, cleaned.ids))
-    else:
-        retained = collection
+    _, retained, rounds = clean_counts(
+        collection, disc, beta, params, rng, trigger_factor, stop_factor
+    )
     x, y = retained.pooled()
     hypothesis = erm_k_intervals(x, y, k)
     train = risk(hypothesis, x, y)

@@ -6,8 +6,9 @@ runs the detect-and-delete loop.  The retained sub-collection's pooled
 empirical distribution is the estimator; in simulation mode the report
 scores it against the known target before and after cleaning.  The
 checks on beta and m, the partition size and the thresholds come from one
-preparation step, :func:`prepare_cleaning`, which robust classification
-shares.
+preparation step, :func:`prepare_cleaning`, and the deletion from one
+delete-and-retain step, :func:`clean_counts`; robust classification shares
+both, and simulation-mode scoring shares :func:`reference_fk`.
 """
 
 from __future__ import annotations
@@ -111,6 +112,28 @@ def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionPa
     return ell, CorruptionParams(sizing_beta, n, m)
 
 
+def clean_counts(
+    collection, disc: DiscretizedCollection, beta: float, params: CorruptionParams,
+    rng: np.random.Generator, trigger_factor: float, stop_factor: float,
+):
+    """Delete-and-retain: detect and delete on ``disc``, the count table of
+    ``collection``, and keep the batches whose ids survive.  Returns the
+    surviving counts, the surviving batches and the number of rounds; at
+    ``beta = 0`` (uncontaminated) these are ``disc``, ``collection`` and 0."""
+    if beta == 0.0:
+        return disc, collection, 0
+    cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
+    return cleaned, collection.subset(np.isin(collection.ids, cleaned.ids)), rounds
+
+
+def reference_fk(disc, kept, reference, partition, k: int) -> tuple[float, float]:
+    """F_k distances from the pooled counts of ``disc`` (before cleaning)
+    and of ``kept`` (after) to the density ``reference``'s masses on the
+    cells of ``partition``."""
+    ref = reference.bin_masses(partition)
+    return float(fk_distance(disc.pooled(), ref, k)), float(fk_distance(kept.pooled(), ref, k))
+
+
 def clean_pipeline(
     collection: BatchCollection,
     k: int,
@@ -125,29 +148,24 @@ def clean_pipeline(
     ``beta = 0`` declares the collection uncontaminated: the partition is
     still built (sized with a floor of ELL_BETA_FLOOR in place of beta) but
     no deletion runs.  ``reference`` (simulation mode) is a density target,
-    scored by the F_k distance to its ``bin_masses(partition)``.
+    scored by :func:`reference_fk`.
     """
     ell, params = prepare_cleaning(collection, k, beta)
     partition = build_partition(collection.pooled_samples(), ell)
     disc = discretize(collection, partition)
-    ref_vec = reference.bin_masses(partition) if reference is not None else None
-    fk_before = (
-        float(fk_distance(disc.pooled(), ref_vec, k)) if ref_vec is not None else None
+    cleaned, retained, rounds = clean_counts(
+        collection, disc, beta, params, rng, trigger_factor, stop_factor
     )
-    if beta > 0.0:
-        cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
-    else:
-        params, cleaned, rounds = None, disc, 0
-    fk_after = (
-        float(fk_distance(cleaned.pooled(), ref_vec, k)) if ref_vec is not None else None
+    fk_before, fk_after = (
+        (None, None) if reference is None else reference_fk(disc, cleaned, reference, partition, k)
     )
     report = CleaningReport(
         retained_ids=cleaned.ids,
         ell=partition.ell,
         k=k,
         beta=beta,
-        tau=params.tau if params is not None else 0.0,
-        kappa_g=params.kappa_g if params is not None else 0.0,
+        tau=params.tau if beta > 0.0 else 0.0,
+        kappa_g=params.kappa_g if beta > 0.0 else 0.0,
         rounds=rounds,
         max_cell_occupancy=int(disc.counts.sum(axis=0).max()),
         source_token=partition.source_token,
@@ -155,11 +173,4 @@ def clean_pipeline(
         fk_after=fk_after,
         retention_good=collection.retention_good(cleaned.ids),
     )
-    return CleanPipelineResult(
-        retained=collection.subset(np.isin(collection.ids, cleaned.ids)),
-        report=report,
-        partition=partition,
-        discretized=disc,
-        cleaned=cleaned,
-    )
-
+    return CleanPipelineResult(retained, report, partition, disc, cleaned)

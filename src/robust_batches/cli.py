@@ -11,19 +11,22 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .classify import LabeledCollection, erm_k_intervals, risk, robust_classify
+from .classify import erm_k_intervals, risk, robust_classify
 from .clean import clean_pipeline, guidance_batches, prepare_cleaning
-from .core import BETA_MAX, BatchCollection, DomainError, UsageError
+from .core import BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .distance import fk_distance, fk_distance_brute
 from .estimate import check_fit_shape, evaluate_density, fit_piecewise
-from .io import FileFormatError, read_batches, read_json, write_batches, write_csv, write_json
+from .io import (
+    FileFormatError, canonical_json, read_batches, read_json, write_batches, write_csv, write_json,
+)
 from .partition import BinSubset, build_partition, discretize
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
 
@@ -105,17 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, args) -> None:
     if args.out is None:
-        from .io import canonical_json
-
         sys.stdout.write(canonical_json(report))
     elif args.format == "csv":
         write_csv(report, args.out)
     else:
         write_json(report, args.out)
-
-
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k.replace("-", "_")) for k in keys}
 
 
 def _cmd_simulate(args) -> int:
@@ -142,33 +139,31 @@ def _target(args, collection):
     return target
 
 
-def _clean_config(args, extra=()) -> dict:
-    keys = ["seed", "beta", "trigger", "stop", "input", "out"]
-    cfg = _config(args, keys + list(extra))
-    cfg["command"] = args.command
-    return cfg
+def _clean_config(args, *extra: str) -> dict:
+    keys = ("seed", "beta", "trigger", "stop", "input", "out", *extra)
+    return {**{key: getattr(args, key) for key in keys}, "command": args.command}
 
 
-def _cleaning_kwargs(args, target) -> dict:
-    """The cleaning flags as keywords of clean_pipeline and robust_classify."""
-    return {
-        "trigger_factor": args.trigger,
-        "stop_factor": args.stop,
-        "reference": target,
-    }
+def _cleaning_run(args, kind) -> tuple:
+    """The input of clean, estimate and classify: the batch file, which
+    must hold a ``kind`` collection, the parsed --target and the seeded rng.
+    Non-finite --trigger or --stop values are refused before any work."""
+    for flag in ("trigger", "stop"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag} must be a finite number, got {getattr(args, flag)}")
+    collection = read_batches(args.input)
+    if not isinstance(collection, kind):
+        article = "a labeled" if kind is LabeledCollection else "an unlabeled"
+        raise UsageError(f"{args.command} expects {article} batch file")
+    target = _target(args, collection)
+    return collection, target, np.random.Generator(np.random.PCG64(args.seed))
 
 
 def _cmd_clean(args) -> int:
-    collection = read_batches(args.input)
-    if not isinstance(collection, BatchCollection):
-        raise UsageError("clean expects an unlabeled batch file")
-    target = _target(args, collection)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    result = clean_pipeline(
-        collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
-    )
+    collection, target, rng = _cleaning_run(args, BatchCollection)
+    result = clean_pipeline(collection, args.k, args.beta, rng, args.trigger, args.stop, target)
     report = {
-        "config": _clean_config(args, extra=["k", "target", "retained"]),
+        "config": _clean_config(args, "k", "target", "retained"),
         "cleaning": result.report.to_dict(),
         "guidance_batches": (
             guidance_batches(args.k, collection.n, args.beta) if args.beta > 0 else None
@@ -183,21 +178,15 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    collection = read_batches(args.input)
-    if not isinstance(collection, BatchCollection):
-        raise UsageError("estimate expects an unlabeled batch file")
+    collection, target, rng = _cleaning_run(args, BatchCollection)
     check_fit_shape(args.t, args.d, collection.n * collection.m)
-    target = _target(args, collection)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
     k_clean = max(1, 2 * args.t * args.d)
-    result = clean_pipeline(
-        collection, k_clean, args.beta, rng, **_cleaning_kwargs(args, target)
-    )
+    result = clean_pipeline(collection, k_clean, args.beta, rng, args.trigger, args.stop, target)
     pooled = result.retained.pooled_samples()
     support = (float(pooled[0]), float(pooled[-1]))
     fit = fit_piecewise(result.cleaned.pooled(), result.partition, args.t, args.d, support)
     report = {
-        "config": _clean_config(args, extra=["t", "d", "target"]),
+        "config": _clean_config(args, "t", "d", "target"),
         "cleaning": result.report.to_dict(),
         "fit": fit.to_dict(),
     }
@@ -210,27 +199,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    collection = read_batches(args.input)
-    if not isinstance(collection, LabeledCollection):
-        raise UsageError("classify expects a labeled batch file")
-    target = _target(args, collection)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
+    collection, target, rng = _cleaning_run(args, LabeledCollection)
     hypothesis, report = robust_classify(
-        collection, args.k, args.beta, rng, **_cleaning_kwargs(args, target)
+        collection, args.k, args.beta, rng, args.trigger, args.stop, target
     )
     out = {
-        "config": _clean_config(args, extra=["k", "target"]),
+        "config": _clean_config(args, "k", "target"),
         "classification": report.to_dict(),
+        # interval endpoints may be infinite; JSON needs them spelled out
         "decision_region": [
-            {"lo": iv.lo, "hi": iv.hi}
+            {key: v if math.isfinite(v) else str(v) for key, v in (("lo", iv.lo), ("hi", iv.hi))}
             for iv in hypothesis.decision_region.intervals
         ],
     }
-    # interval endpoints may be infinite; JSON needs them spelled out
-    for iv in out["decision_region"]:
-        for key in ("lo", "hi"):
-            if not np.isfinite(iv[key]):
-                iv[key] = "-inf" if iv[key] < 0 else "inf"
     _emit(out, args)
     return 0
 

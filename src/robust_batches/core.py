@@ -1,7 +1,8 @@
 """Batched sample collections and their empirical measures.
 
 A collection holds m batches of n samples each, as the rows of (m, n)
-arrays, or of an (m, ell) count table once discretized.  Every batch
+arrays (one for raw samples, an x and a y array for labeled ones), or of
+an (m, ell) count table once discretized.  Every batch
 induces an empirical measure; sub-collections induce the mean of their
 batches' measures.  All probabilities are multiples of 1/n: counting is done in
 integers and division happens last, so equality tests inside the deletion
@@ -20,6 +21,8 @@ GOOD = "good"
 ADVERSARIAL = "adversarial"
 
 BETA_MAX = 0.4
+
+LABELS = (0, 1)
 
 
 class UsageError(ValueError):
@@ -189,6 +192,37 @@ class DiscretizedCollection(Collection):
 
 
 @dataclass(frozen=True)
+class LabeledCollection(Collection):
+    """m batches of n labeled samples: the rows of ``x`` and of ``y`` in LABELS."""
+
+    x: np.ndarray  # shape (m, n)
+    y: np.ndarray  # shape (m, n)
+    ids: tuple[int, ...]
+    truth: tuple[str, ...] | None = None
+    ROWS = ("x", "y")
+
+    def __post_init__(self) -> None:
+        x = row_array(self.x, np.float64, "x")
+        y = row_array(self.y, None, "y")
+        if y.shape != x.shape:
+            raise UsageError("x and y must have the same shape")
+        if not np.all(np.isfinite(x)):
+            raise UsageError("x contains NaN or infinity")
+        # checked before the integer cast, which would truncate 1.5 to 1
+        if y.dtype.kind not in "biuf" or not np.isin(y, LABELS).all():
+            raise UsageError("labels must be 0 or 1")
+        self._freeze(x=x, y=y.astype(np.int64))
+
+    @property
+    def n(self) -> int:
+        return int(self.x.shape[1])
+
+    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """All n*m samples in batch order, as flat x and y arrays."""
+        return self.x.ravel(), self.y.ravel()
+
+
+@dataclass(frozen=True)
 class CorruptionParams:
     """Contamination level and the thresholds derived from it.
 
@@ -218,15 +252,6 @@ class CorruptionParams:
     @property
     def kappa_g(self) -> float:
         return self.beta * self.m * self.log_term / self.n
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "n": self.n,
-            "m": self.m,
-            "tau": self.tau,
-            "kappa_g": self.kappa_g,
-        }
 
 
 def per_batch_probs(sub, subset) -> np.ndarray:

@@ -200,16 +200,6 @@ class PropertyCheckReport:
     def all_ok(self) -> bool:
         return self.property1_ok and self.property2_ok and self.property3_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa_g": self.kappa_g,
-            "max_corruption": self.max_corruption,
-            "property1_ok": self.property1_ok,
-            "property2_ok": self.property2_ok,
-            "property3_ok": self.property3_ok,
-            "subsets_checked": len(self.checks),
-        }
-
 
 def check_properties(
     good_sub: DiscretizedCollection,

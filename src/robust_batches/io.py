@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import LABELS, LabeledCollection
-from .core import BatchCollection, UsageError
+from .core import LABELS, BatchCollection, LabeledCollection, UsageError
 
 
 class FileFormatError(UsageError):
@@ -170,8 +169,6 @@ def _flatten(obj, prefix: str, out: list[tuple[str, str]]) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj):
             _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), out)
-    elif isinstance(obj, list):
-        out.append((prefix, json.dumps(obj)))
     else:
         out.append((prefix, json.dumps(obj)))
 

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import KIntervalHypothesis, LabeledCollection
+from .classify import KIntervalHypothesis
+from .clean import reference_fk
 from .core import (
-    ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, DomainError, UsageError, median, uniforms,
+    ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, CorruptionParams, DomainError, LabeledCollection,
+    UsageError, median, uniforms,
 )
-from .distance import fk_distance, max_sum_k_interval_union
+from .distance import max_sum_k_interval_union
 from .estimate import PiecewisePolynomial
 from .partition import (
     BinSubset, Interval, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
@@ -83,13 +85,6 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     far = z * np.polyval(_NDTRI_P2, z) / np.polyval(_NDTRI_Q2, z)
     out[~mid] = np.where(upper[~mid], 1.0, -1.0) * (x - _log(x) / x - np.where(x < 8.0, near, far))
     return out
-
-
-def _bin_masses_from_cdf(cdf, partition: IntervalPartition) -> np.ndarray:
-    cuts = np.asarray(partition.boundaries, dtype=float)
-    inner = cdf(cuts) if cuts.size else np.zeros(0)
-    full = np.concatenate(([0.0], inner, [1.0]))
-    return np.diff(full)
 
 
 def _histogram_density(edges, masses) -> PiecewisePolynomial:
@@ -161,7 +156,7 @@ class GaussianMixtureTarget:
         return tuple(sorted({lo, hi, *self.means}))
 
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
-        return _bin_masses_from_cdf(self.cdf, partition)
+        return np.diff(self.cdf(partition.boundaries), prepend=0.0, append=1.0)
 
 
 @dataclass(frozen=True)
@@ -360,11 +355,11 @@ class _FkAttackPlan:
 
 
 def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
-    """Witness region and good-median of a context."""
+    """Witness region, good-median and tau of a context."""
     pool = np.sort(ctx.good_x)
     part = build_partition(pool, min(64, pool.size))
-    empirical_cdf = lambda c: np.searchsorted(pool, c, side="right") / pool.size
-    good = _bin_masses_from_cdf(empirical_cdf, part)
+    cdf = np.searchsorted(pool, part.boundaries, side="right") / pool.size
+    good = np.diff(cdf, prepend=0.0, append=1.0)  # the pool's empirical cell masses
     alt = good * (1.0 - magnitude)
     alt[len(alt) // 3] += magnitude  # fixed alternative: one mid-domain cell inflated
     # the witness must sit where the alternative EXCEEDS the good mass
@@ -373,8 +368,7 @@ def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
     members = witness.members if witness.members else frozenset({1})
     region = lift_subset(BinSubset(members), part)
     med = median(region.contains(ctx.good_rows).mean(axis=1))
-    tau = 3.0 * math.sqrt(math.log(6.0 * math.e / ctx.beta) / ctx.n)
-    return _FkAttackPlan(region, med, tau)
+    return _FkAttackPlan(region, med, CorruptionParams(ctx.beta, ctx.n, 1).tau)
 
 
 def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
@@ -425,11 +419,9 @@ def metrics(
         "m": collection.m,
     }
     if partition is not None:
-        ref = target.bin_masses(partition)
         disc = discretize(collection, partition)
-        out["fk_before"] = float(fk_distance(disc.pooled(), ref, k))
         kept = disc.subset(np.isin(disc.ids, list(retained)))
-        out["fk_after"] = float(fk_distance(kept.pooled(), ref, k))
+        out["fk_before"], out["fk_after"] = reference_fk(disc, kept, target, partition, k)
     return out
 
 

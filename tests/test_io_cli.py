@@ -193,6 +193,29 @@ def test_cli_beta_guard_exits_2(tmp_path, capsys):
     assert "0.4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["0", "0.2"])
+@pytest.mark.parametrize("flag, value", [("--trigger", "inf"), ("--stop", "nan")])
+@pytest.mark.parametrize("command", ["clean", "estimate"])
+def test_cli_nonfinite_thresholds_exit_2_before_any_output(tmp_path, capsys, command, flag, value, beta):
+    batches = tmp_path / "b.jsonl"
+    assert main([
+        "simulate", "--target", "gm:0.6N(0,1)+0.4N(3,0.5)", "--attack", "mean_shift:1.0@1.4,1.6",
+        "--m", "40", "--n", "30", "--beta", "0.2", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    outputs = {
+        "clean": ["--k", "2", "--retained", str(tmp_path / "r.jsonl"),
+                  "--partition-out", str(tmp_path / "p.json")],
+        "estimate": ["--t", "2", "--d", "1", "--fit-out", str(tmp_path / "f.json")],
+    }[command]
+    rc = main([
+        command, "--input", str(batches), *outputs, "--beta", beta, flag, value,
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be a finite number")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n": 2, "m": 1}\n{"id": 0}\n')

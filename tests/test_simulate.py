@@ -182,6 +182,25 @@ def test_gaussian_mixture_cdf_pdf_consistency():
     np.testing.assert_allclose(np.diff(cdf) / np.diff(xs), gm.pdf(mid), atol=2e-3)
 
 
+@pytest.mark.parametrize("spec", [
+    "gm:0.6N(0,1)+0.4N(3,0.5)",
+    "gm:0.3N(-2,1)+0.4N(0,0.5)+0.3N(3,1)",
+    "uniform:-1,2",
+    "hist:0,1,2,4|0.2,0.5,0.3",
+    "pwpoly:0,0.5,1|0 0 3;0 0 3",
+])
+def test_density_target_bin_masses_are_cdf_differences(spec):
+    """A density target's cell masses are the differences of its CDF at the
+    cuts, with 0 and 1 at the ends; a one-cell partition holds all the mass."""
+    target = parse_target(spec)
+    part = rb.IntervalPartition((-1.5, -0.2, 0.1, 0.3, 0.6, 0.9, 1.7, 2.5, 3.5))
+    masses = target.bin_masses(part)
+    cuts = target.cdf(np.asarray(part.boundaries))
+    np.testing.assert_array_equal(masses, np.diff(np.concatenate(([0.0], cuts, [1.0]))))
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(target.bin_masses(rb.IntervalPartition(())), [1.0])
+
+
 def test_gaussian_mixture_cdf_matches_ndtr():
     """The erfc-based CDF against scipy's ndtr for z in [-40, 40]: within
     1e-13 relative wherever ndtr is a normal float, lower tail included,
