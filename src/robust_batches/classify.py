@@ -138,11 +138,12 @@ def _label_slice_counts(collection: LabeledCollection, ell: int):
     for label in LABELS:
         sel = collection.y == label
         if not sel.any():
-            out.append((None, np.zeros((collection.m, 0), dtype=np.int64)))
+            # the counts' own dtype, so concatenating the slices keeps it
+            out.append((None, np.zeros((collection.m, 0), np.min_scalar_type(collection.n))))
             continue
         x = collection.x[sel]
         part = build_partition(np.sort(x), min(ell, x.size))
-        out.append((part, part.counts(x, np.nonzero(sel)[0], collection.m)))
+        out.append((part, part.counts(collection.x, sel)))
     return out
 
 

@@ -27,7 +27,7 @@ from .core import (
     UsageError,
 )
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
-from .detect import clean_discrete
+from .detect import check_factors, clean_discrete
 from .distance import fk_distance
 from .partition import IntervalPartition, build_partition, choose_ell, discretize
 
@@ -119,7 +119,9 @@ def clean_counts(
     """Delete-and-retain: detect and delete on ``disc``, the count table of
     ``collection``, and keep the batches whose ids survive.  Returns the
     surviving counts, the surviving batches and the number of rounds; at
-    ``beta = 0`` (uncontaminated) these are ``disc``, ``collection`` and 0."""
+    ``beta = 0`` (uncontaminated) these are ``disc``, ``collection`` and 0.
+    The threshold factors are checked at every beta."""
+    check_factors(trigger_factor, stop_factor)
     if beta == 0.0:
         return disc, collection, 0
     cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)

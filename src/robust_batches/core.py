@@ -2,7 +2,8 @@
 
 A collection holds m batches of n samples each, as the rows of (m, n)
 arrays (one for raw samples, an x and a y array for labeled ones), or of
-an (m, ell) count table once discretized.  Every batch
+an (m, ell) count table once discretized, stored in the narrowest unsigned
+dtype that holds n.  Every batch
 induces an empirical measure; sub-collections induce the mean of their
 batches' measures.  All probabilities are multiples of 1/n: counting is done in
 integers and division happens last, so equality tests inside the deletion
@@ -162,7 +163,9 @@ class BatchCollection(Collection):
 
 @dataclass(frozen=True)
 class DiscretizedCollection(Collection):
-    """m batches reduced to bin counts over a shared partition."""
+    """m batches reduced to bin counts over a shared partition, given as an
+    integer table and stored in ``np.min_scalar_type(n)``, the narrowest
+    dtype that holds a full cell: one byte per cell for n <= 255."""
 
     counts: np.ndarray  # shape (m, ell), row sums all equal n
     ids: tuple[int, ...]
@@ -171,12 +174,18 @@ class DiscretizedCollection(Collection):
     ROWS = ("counts",)
 
     def __post_init__(self) -> None:
-        arr = row_array(self.counts, np.int64, "counts")
-        if np.any(arr < 0):
+        cell = np.min_scalar_type(self.n)
+        if cell.kind != "u":
+            raise UsageError(f"n must be a nonnegative integer, got {self.n!r}")
+        arr = row_array(self.counts, None, "counts")
+        # checked in the table's own dtype: a cast would truncate 1.5 to 1
+        if arr.dtype.kind not in "iu":
+            raise UsageError(f"counts must be integers, not {arr.dtype}")
+        if arr.min(initial=0) < 0:
             raise UsageError("counts must be nonnegative")
-        if not np.all(arr.sum(axis=1) == self.n):
+        if arr.max(initial=0) > self.n or not np.all(arr.sum(axis=1) == self.n):
             raise UsageError(f"every batch's counts must sum to n={self.n}")
-        self._freeze(counts=arr)
+        self._freeze(counts=arr.astype(cell, copy=False))
 
     @property
     def ell(self) -> int:

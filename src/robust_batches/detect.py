@@ -36,6 +36,7 @@ _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _P
 _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # threshold sets over both signs; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once
+_MEDIAN_COLUMNS = 64  # per median pass in _leading_eigvec; small key tables lower peak RSS
 
 
 def _middle_order_stats(table: np.ndarray):
@@ -114,9 +115,11 @@ def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     Gram matrix, and the result is mapped back.  A zero Gram matrix gives
     v = 0.
     """
-    lo, hi, _, _ = _middle_order_stats(counts.T)
-    med = (lo / n + hi / n) / 2
     m, ell = counts.shape
+    med = np.empty(ell)
+    for j in range(0, ell, _MEDIAN_COLUMNS):
+        lo, hi, _, _ = _middle_order_stats(counts[:, j : j + _MEDIAN_COLUMNS].T)
+        med[j : j + _MEDIAN_COLUMNS] = (lo / n + hi / n) / 2
     centered = counts / n
     centered -= med + (1.0 - med.sum()) / ell
     gram_side = centered @ centered.T if ell > m else centered.T @ centered
@@ -183,7 +186,7 @@ def max_corruption_subset_heuristic(
     _CANDIDATE_CAP of them, and all singletons (see the module docstring).
     """
     v = _leading_eigvec(sub.counts, sub.n)
-    rows = np.ascontiguousarray(sub.counts.T, dtype=np.min_scalar_type(sub.n))
+    rows = np.ascontiguousarray(sub.counts.T)
     best_score, tied = 0.0, []
     for table, bins_of in _candidate_tables(rows, v):
         totals = _candidate_scores(table, sub.n, params.tau)
@@ -195,6 +198,12 @@ def max_corruption_subset_heuristic(
     if not tied:
         return EMPTY_SUBSET, 0.0
     return min(tied, key=BinSubset.bitmask), best_score
+
+
+def check_factors(trigger_factor: float, stop_factor: float) -> None:
+    """Refuse a deletion threshold pair without 0 < stop <= trigger."""
+    if not 0.0 < stop_factor <= trigger_factor:
+        raise UsageError("need 0 < stop_factor <= trigger_factor")
 
 
 def clean_discrete(
@@ -212,8 +221,7 @@ def clean_discrete(
     runs down to stop_factor*kappa_g.  Returns the survivors and the round
     count.
     """
-    if not 0.0 < stop_factor <= trigger_factor:
-        raise UsageError("need 0 < stop_factor <= trigger_factor")
+    check_factors(trigger_factor, stop_factor)
     rounds = 0
     while True:
         subset, score = max_corruption_subset_heuristic(sub, params)

@@ -18,6 +18,7 @@ import numpy as np
 from .core import BETA_MAX, BatchCollection, DiscretizedCollection, DomainError, UsageError
 
 _CEIL_SLACK = 1e-9  # guards ceil() against float noise on exact integers
+_COUNT_BLOCK = 1 << 16  # cells and values per block of IntervalPartition.counts
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,28 @@ class IntervalPartition:
         x = np.asarray(x, dtype=float)
         return np.searchsorted(np.asarray(self.boundaries), x, side="left")
 
-    def counts(self, x, rows, m: int) -> np.ndarray:
-        """(m, ell) table of how many values of each row fall in each cell,
-        where ``rows[i]`` in [0, m) is the row of ``x[i]``."""
-        flat = np.asarray(rows, dtype=np.int64) * self.ell + self.bin_of(x)
-        return np.bincount(flat, minlength=m * self.ell).reshape(m, self.ell)
+    def counts(self, x, keep=None) -> np.ndarray:
+        """(m, ell) table of how many values of each row of the (m, n) array
+        ``x`` fall in each cell, counting only where the same-shape boolean
+        array ``keep`` is true, if given.  A cell holds at most n, so the
+        table is in ``np.min_scalar_type(n)``, one byte per cell for n <= 255.
+        It is filled by one bincount per block of rows, each block spanning
+        at most _COUNT_BLOCK cells and values (or one row), so no (m, ell) or
+        (m, n) int64 array is made."""
+        x = np.asarray(x, dtype=float)
+        (m, n), bnd, ell = x.shape, np.asarray(self.boundaries), self.ell
+        out = np.empty((m, ell), dtype=np.min_scalar_type(n))
+        step = max(1, _COUNT_BLOCK // max(ell, n))
+        for r in range(0, m, step):
+            block, xb = out[r : r + step], x[r : r + step]
+            offsets = ell * np.arange(len(block))  # of each row's cells in the block
+            if keep is None:
+                flat = (np.searchsorted(bnd, xb) + offsets[:, None]).ravel()
+            else:  # search only the kept values
+                kb = keep[r : r + step]
+                flat = np.searchsorted(bnd, xb[kb]) + offsets.repeat(kb.sum(axis=1))
+            block[...] = np.bincount(flat, minlength=block.size).reshape(block.shape)
+        return out
 
     def to_dict(self) -> dict:
         out = {"ell": self.ell, "boundaries": list(self.boundaries)}
@@ -231,9 +249,8 @@ def discretize(collection: BatchCollection, partition: IntervalPartition) -> Dis
     if partition.source_token is not None:
         if _samples_token(collection.pooled_samples()) != partition.source_token:
             raise UsageError("partition was not built from this collection's samples")
-    m, n = collection.samples.shape
-    counts = partition.counts(collection.samples.ravel(), np.repeat(np.arange(m), n), m)
-    return DiscretizedCollection(counts, collection.ids, n, collection.truth)
+    counts = partition.counts(collection.samples)
+    return DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
 
 
 def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:

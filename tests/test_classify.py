@@ -289,6 +289,9 @@ def test_robust_classify_shares_the_cleaning_checks():
         rb.robust_classify(coll, 1, 0.2, np.random.default_rng(0), trigger_factor=5, stop_factor=4)
     with pytest.raises(rb.DomainError, match="0.4"):
         rb.robust_classify(coll, 1, 0.5, np.random.default_rng(0))
+    for beta in (0.0, 0.2):
+        with pytest.raises(rb.UsageError, match="need 0 < stop_factor"):
+            rb.robust_classify(coll, 1, beta, np.random.default_rng(0), trigger_factor=1, stop_factor=5)
     with pytest.raises(rb.UsageError):
         rb.robust_classify(coll.subset(np.arange(coll.m) == 0), 1, 0.2, np.random.default_rng(0))
 
@@ -313,7 +316,7 @@ def _check_label_slice_counts(x, y, ell):
     coll = rb.LabeledCollection(x, y, range(len(x)))
     for label, (part, counts) in zip((0, 1), _label_slice_counts(coll, ell)):
         per_batch = np.count_nonzero(coll.y == label, axis=1).tolist()
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.min_scalar_type(coll.n)
         assert counts.sum(axis=1).tolist() == per_batch
         if part is None:  # a label no batch contains: the ell-0 table
             assert sum(per_batch) == 0 and counts.shape == (coll.m, 0)
@@ -330,6 +333,17 @@ def test_label_slice_counts_match_per_batch_bincount(m, n, ell, data):
     ys = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
     x = np.array([data.draw(xs) for _ in range(m)], dtype=float) / 2
     _check_label_slice_counts(x, [data.draw(ys) for _ in range(m)], ell)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 65535, 65536])
+def test_label_slice_counts_hold_a_full_cell(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.random((3, n)), rng.integers(0, 2, (3, n))
+    x[1], y[1] = 0.5, 1  # one batch puts all n values in one label-1 cell
+    _check_label_slice_counts(x, y, 4)
+    slices = _label_slice_counts(rb.LabeledCollection(x, y, range(3)), 4)
+    counts = np.concatenate([c for _, c in slices], axis=1)
+    assert counts.dtype == np.min_scalar_type(n) and counts[1].max() == n
 
 
 def test_label_slice_counts_absent_label_and_short_slice():

@@ -32,6 +32,14 @@ def test_beta_zero_keeps_everything():
     assert report.retention_good == 1.0
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+@pytest.mark.parametrize("trigger, stop", [(1, 5), (-3, -4), (5, 0)])
+def test_inconsistent_factors_refused_at_every_beta(trigger, stop, beta):
+    coll = small_collection(seed=3)
+    with pytest.raises(rb.UsageError, match="need 0 < stop_factor <= trigger_factor"):
+        clean_pipeline(coll, 2, beta, np.random.default_rng(0), trigger, stop)
+
+
 def test_small_m_warns():
     coll = small_collection(seed=1, m=10)
     with pytest.warns(UserWarning, match="guidance"):

@@ -116,6 +116,26 @@ def test_collection_invariants():
     assert not coll.samples.flags.writeable
 
 
+def test_discretized_counts_are_checked_in_their_own_dtype():
+    for counts, n, match in [
+        ([[1.5, 1.5]], 2, "integers"),  # a cast to int64 would truncate it to [[1, 1]]
+        ([[1.0, 1.0]], 2, "integers"),
+        ([[2**70, 0]], 2, "integers"),  # above int64, once an OverflowError
+        ([[2**63, 2**63]], 0, "sum to n"),  # would wrap to 0 in an unsigned sum
+        ([[3, -1]], 2, "nonnegative"),
+        ([[1, 1]], 2.0, "nonnegative integer"),
+        ([[1, 1]], -2, "nonnegative integer"),
+    ]:
+        with pytest.raises(rb.UsageError, match=match):
+            rb.DiscretizedCollection(counts, (0,), n)
+    src = np.array([[1, 1], [2, 0]], dtype=np.int64)
+    coll = rb.DiscretizedCollection(src, (0, 1), 2)
+    assert coll.counts.dtype == np.uint8 and coll.counts.tolist() == src.tolist()
+    assert not coll.counts.flags.writeable and src.flags.writeable
+    narrow = np.array([[1, 1]], dtype=np.uint8)
+    assert not np.shares_memory(rb.DiscretizedCollection(narrow, (0,), 2).counts, narrow)
+
+
 def test_discretized_collection_subset():
     coll = rb.DiscretizedCollection(
         np.array([[1, 1], [2, 0], [0, 2]]), (10, 11, 12), 2, ("good", "adversarial", "good")

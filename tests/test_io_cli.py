@@ -216,6 +216,31 @@ def test_cli_nonfinite_thresholds_exit_2_before_any_output(tmp_path, capsys, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
 
 
+@pytest.mark.parametrize("beta", ["0", "0.2"])
+@pytest.mark.parametrize("trigger, stop", [("1", "5"), ("-3", "-4"), ("5", "0")])
+@pytest.mark.parametrize("command", ["clean", "estimate", "classify"])
+def test_cli_inconsistent_thresholds_exit_2_at_every_beta(tmp_path, capsys, command, trigger, stop, beta):
+    batches = tmp_path / "b.jsonl"
+    target = "labeled:0,0.5,1|0.5,0.5|0.8,0.2" if command == "classify" else "uniform:0,1"
+    assert main([
+        "simulate", "--target", target, "--attack", "none", "--m", "40", "--n", "30",
+        "--beta", "0", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    outputs = {
+        "clean": ["--k", "2", "--retained", str(tmp_path / "r.jsonl"),
+                  "--partition-out", str(tmp_path / "p.json")],
+        "estimate": ["--t", "2", "--d", "1", "--fit-out", str(tmp_path / "f.json")],
+        "classify": ["--k", "2"],
+    }[command]
+    rc = main([
+        command, "--input", str(batches), *outputs, "--beta", beta, "--trigger", trigger,
+        "--stop", stop, "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: need 0 < stop_factor <= trigger_factor")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.jsonl"]
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n": 2, "m": 1}\n{"id": 0}\n')

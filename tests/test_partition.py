@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
+from robust_batches import partition
 from robust_batches.clean import ELL_BETA_FLOOR, clean_pipeline
 from robust_batches.core import per_batch_probs
 
@@ -140,6 +141,47 @@ def test_discretize_preserves_totals_and_pooled_masses():
     disc = rb.discretize(coll, part)
     assert (disc.counts.sum(axis=1) == 25).all()
     assert disc.pooled().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_batch_counts(part, x, keep):
+    """Reference for IntervalPartition.counts: one bincount per batch."""
+    return np.stack([
+        np.bincount(part.bin_of(row[sel]), minlength=part.ell) for row, sel in zip(x, keep)
+    ])
+
+
+def test_counts_match_per_batch_bincount_at_block_edges():
+    rng = np.random.default_rng(4)
+    n = 7
+    # blocks of 65, 3, 1 and 1 rows; the last partition has more than 2^16 cells
+    for ell in (1000, 20000, partition._COUNT_BLOCK - 1, partition._COUNT_BLOCK + 5):
+        part = rb.IntervalPartition(tuple(np.linspace(-2.0, 2.0, ell - 1)))
+        step = max(1, partition._COUNT_BLOCK // ell)
+        for m in (1, step, step + 1, 2 * step + 1):
+            x = rng.standard_normal((m, n))
+            keep = rng.random((m, n)) < 0.6
+            keep[m // 2] = False  # a row with no values
+            counts = part.counts(x, keep)
+            assert counts.dtype == np.uint8 and counts.shape == (m, ell)
+            assert np.array_equal(counts, _per_batch_counts(part, x, keep))
+            assert counts[m // 2].sum() == 0
+            assert np.array_equal(part.counts(x), _per_batch_counts(part, x, np.ones_like(keep)))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 65535, 65536])
+def test_counts_hold_a_full_cell_in_the_narrow_dtype(n):
+    rng = np.random.default_rng(n)
+    samples = rng.random((3, n))
+    samples[1] = 0.5  # one batch puts all n values in one cell
+    coll = rb.BatchCollection(samples, range(3))
+    part = rb.IntervalPartition((0.25, 0.75))
+    disc = rb.discretize(coll, part)
+    assert disc.counts.dtype == np.min_scalar_type(n) == part.counts(samples).dtype
+    assert disc.counts[1].tolist() == [0, n, 0]
+    assert np.array_equal(disc.counts, _per_batch_counts(part, samples, np.ones((3, n), bool)))
+    assert disc.pooled().sum() == pytest.approx(1.0, abs=1e-12)
+    wide = rb.DiscretizedCollection(disc.counts.astype(np.int64), range(3), n)
+    assert wide.counts.dtype == disc.counts.dtype and np.array_equal(wide.counts, disc.counts)
 
 
 def test_lift_subset_examples():
