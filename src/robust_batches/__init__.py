@@ -33,7 +33,7 @@ from .detect import (
     max_corruption_subset_brute,
     max_corruption_subset_heuristic,
 )
-from .distance import best_k_interval_union, fk_distance, fk_distance_brute, tv_distance
+from .distance import fk_distance, fk_distance_brute, tv_distance
 from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import (
     BinSubset,

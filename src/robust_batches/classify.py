@@ -36,45 +36,35 @@ class KIntervalHypothesis:
         return self.decision_region.contains(x).astype(np.int64)
 
 
-def risk(h: KIntervalHypothesis, x, y, weights=None) -> float:
-    """Weighted misclassification rate of ``h`` on labeled samples."""
+def risk(h: KIntervalHypothesis, x, y) -> float:
+    """Misclassification rate of ``h`` on labeled samples."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if weights is None:
-        weights = np.full(x.size, 1.0 / x.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
-            raise UsageError("weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise UsageError("weights must sum to 1")
     wrong = h.predict(x) != y
-    return float(weights[wrong].sum())
+    return float(np.full(x.size, 1.0 / x.size)[wrong].sum())
 
 
-def _group_by_position(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
-    """Distinct positions with accumulated label weights (tied x values must
-    be classified together)."""
+def _group_by_position(x: np.ndarray, y: np.ndarray):
+    """Distinct positions with their label counts (tied x values must be
+    classified together)."""
     order = np.argsort(x, kind="stable")
-    xs, ys, ws = x[order], y[order], weights[order]
+    xs, ys = x[order], y[order]
     pos, start = np.unique(xs, return_index=True)
-    w0 = np.add.reduceat(np.where(ys == 0, ws, 0.0), start)
-    w1 = np.add.reduceat(np.where(ys == 1, ws, 0.0), start)
+    w0 = np.add.reduceat((ys == 0).astype(float), start)
+    w1 = np.add.reduceat((ys == 1).astype(float), start)
     return pos, w0, w1
 
 
-def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
-    """Exact weighted-loss minimizer over k-interval decision regions.
+def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
+    """Exact loss minimizer over k-interval decision regions.
 
     The loss is W1 - sum_inside(w1 - w0), so the region is the best union
-    of the per-position label-weight differences w1 - w0:
+    of the per-position label-count differences w1 - w0:
     :func:`distance.union_tables` over the s distinct sample positions, k
     numpy passes of O(s) each, plus at most 2k+1 vector searches to recover
     the region; endpoints land at midpoints between consecutive distinct x
     values (the outermost runs extend to the infinities).  Ties prefer
-    fewer intervals.  With unit weights the losses are exact integers; with
-    fractional weights the prefix sums round differently from a sequential
-    walk, so near-ties may resolve differently at the last ulp.
+    fewer intervals.  The losses are exact integers.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -82,13 +72,7 @@ def erm_k_intervals(x, y, k: int, weights=None) -> KIntervalHypothesis:
         raise DomainError("k must be at least 1")
     if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
         raise UsageError("x and y must be matching nonempty 1-d arrays")
-    if weights is None:
-        weights = np.ones(x.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0):
-            raise UsageError("weights must be nonnegative")
-    pos, w0, w1 = _group_by_position(x, y, weights)
+    pos, w0, w1 = _group_by_position(x, y)
     g = pos.size
     out, ins = union_tables(w1 - w0, k)
     # first maximum in (j, outside before inside) order: fewer intervals win

@@ -18,16 +18,20 @@ import time
 import numpy as np
 
 from . import __version__
-from .classify import erm_k_intervals, risk, robust_classify
+from .classify import KIntervalHypothesis, erm_k_intervals, risk, robust_classify
 from .clean import clean_pipeline, guidance_batches, prepare_cleaning
-from .core import BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError
+from .core import (
+    BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError, per_batch_probs,
+)
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
-from .distance import fk_distance, fk_distance_brute
+from .distance import fk_distance, fk_distance_brute, iter_k_run_subsets
 from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import (
     FileFormatError, canonical_json, read_batches, read_json, write_batches, write_csv, write_json,
 )
-from .partition import BinSubset, build_partition, discretize
+from .partition import (
+    BinSubset, Interval, IntervalUnion, build_partition, discretize, lift_subset,
+)
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
 
 
@@ -182,8 +186,8 @@ def _cmd_estimate(args) -> int:
     check_fit_shape(args.t, args.d, collection.n * collection.m)
     k_clean = max(1, 2 * args.t * args.d)
     result = clean_pipeline(collection, k_clean, args.beta, rng, args.trigger, args.stop, target)
-    pooled = result.retained.pooled_samples()
-    support = (float(pooled[0]), float(pooled[-1]))
+    samples = result.retained.samples
+    support = (float(samples.min()), float(samples.max()))
     fit = fit_piecewise(result.cleaned.pooled(), result.partition, args.t, args.d, support)
     report = {
         "config": _clean_config(args, "t", "d", "target"),
@@ -238,11 +242,12 @@ def _cmd_eval(args) -> int:
         raise UsageError("the report and the batch file disagree on labels")
     try:
         retained_ids = list(section["retained_ids"])
-        k = section["k"]
+        k, beta = section["k"], section["beta"]
         for v in (k, *retained_ids):  # refused, not truncated
             if type(v) is not int:
                 raise UsageError(f"malformed report: {v!r} is not an integer")
-        beta = float(section["beta"])
+        if type(beta) not in (int, float):  # refused, not parsed
+            raise UsageError(f"malformed report: beta {beta!r} is not a number")
         members = frozenset(int(v) for v in args.subset.split(",")) if args.subset else None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed report or --subset: {exc}") from exc
@@ -281,8 +286,6 @@ def _selftest_fk(rng: np.random.Generator, rounds: int) -> bool:
 
 
 def _selftest_erm(rng: np.random.Generator, rounds: int) -> bool:
-    from .distance import iter_k_run_subsets
-
     for _ in range(rounds):
         s = int(rng.integers(2, 13))
         k = int(rng.integers(1, 3))
@@ -299,9 +302,6 @@ def _selftest_erm(rng: np.random.Generator, rounds: int) -> bool:
 
 
 def _hyp_from_subset(sub, xs):
-    from .classify import KIntervalHypothesis
-    from .partition import Interval, IntervalUnion
-
     intervals = []
     for a, b in sub.runs():
         lo = -np.inf if a == 1 else 0.5 * (xs[a - 2] + xs[a - 1])
@@ -311,9 +311,6 @@ def _hyp_from_subset(sub, xs):
 
 
 def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:
-    from .core import per_batch_probs
-    from .partition import lift_subset
-
     for _ in range(rounds):
         n, m = 40, 6
         coll = BatchCollection(rng.standard_normal((m, n)), range(m))

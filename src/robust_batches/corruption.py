@@ -18,7 +18,7 @@ down for the filter to engage at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,55 +150,28 @@ def batch_deletion(
 
 
 @dataclass(frozen=True)
-class PropertyCheck:
-    """Pass/fail margins of the three concentration properties for one subset."""
+class PropertyCheckReport:
+    """The worst error of each concentration property over the checked
+    subsets, and the largest total corruption, with their bounds.  Every
+    bound is the same for every subset, so the worst error decides."""
 
-    subset: tuple[int, ...]
     median_error: float
     median_bound: float
     mean_error: float
     mean_bound: float
     msd_error: float
     msd_bound: float
-    corruption_total: float
-
-    @property
-    def property1_ok(self) -> bool:
-        return self.median_error <= self.median_bound
-
-    @property
-    def property2_ok(self) -> bool:
-        return self.mean_error <= self.mean_bound and self.msd_error <= self.msd_bound
-
-
-@dataclass(frozen=True)
-class PropertyCheckReport:
-    """Aggregate of :class:`PropertyCheck` rows plus the corruption budget test."""
-
-    checks: tuple[PropertyCheck, ...]
+    max_corruption: float
     kappa_g: float
-    max_corruption: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "max_corruption", max((c.corruption_total for c in self.checks), default=0.0)
-        )
-
-    @property
-    def property1_ok(self) -> bool:
-        return all(c.property1_ok for c in self.checks)
-
-    @property
-    def property2_ok(self) -> bool:
-        return all(c.property2_ok for c in self.checks)
-
-    @property
-    def property3_ok(self) -> bool:
-        return self.max_corruption <= self.kappa_g
 
     @property
     def all_ok(self) -> bool:
-        return self.property1_ok and self.property2_ok and self.property3_ok
+        return (
+            self.median_error <= self.median_bound
+            and self.mean_error <= self.mean_bound
+            and self.msd_error <= self.msd_bound
+            and self.max_corruption <= self.kappa_g
+        )
 
 
 def check_properties(
@@ -229,22 +202,21 @@ def check_properties(
     med_bound = math.sqrt(math.log(6.0) / n)
     mean_bound = (params.beta / 2.0) * math.sqrt(params.log_term / n)
     msd_bound = 6.0 * params.beta * params.log_term / n
-    checks = []
+    worst = np.zeros(4)  # median, mean and msd errors, corruption total
     for subset in subsets:
         p_s = float(target[subset.indices0()].sum())
         mu = per_batch_probs(good_sub, subset)
         med = median(mu)
         msd = float(np.mean((mu - p_s) ** 2))
-        checks.append(
-            PropertyCheck(
-                subset=tuple(sorted(subset.members)),
-                median_error=abs(med - p_s),
-                median_bound=med_bound,
-                mean_error=abs(float(mu.mean()) - p_s),
-                mean_bound=mean_bound,
-                msd_error=abs(msd - binomial_variance(p_s, n)),
-                msd_bound=msd_bound,
-                corruption_total=float(corruption_scores(mu, params.tau, med).sum()),
-            )
+        row = (
+            abs(med - p_s),
+            abs(float(mu.mean()) - p_s),
+            abs(msd - binomial_variance(p_s, n)),
+            float(corruption_scores(mu, params.tau, med).sum()),
         )
-    return PropertyCheckReport(tuple(checks), params.kappa_g)
+        worst = np.maximum(worst, row)
+    med_error, mean_error, msd_error, max_corruption = (float(v) for v in worst)
+    return PropertyCheckReport(
+        med_error, med_bound, mean_error, mean_bound, msd_error, msd_bound,
+        max_corruption, params.kappa_g,
+    )

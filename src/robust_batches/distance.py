@@ -5,7 +5,7 @@ at most k index-intervals.  One dynamic program, :func:`union_tables`,
 finds the best union of at most k runs of a signed vector: k running-
 maximum passes over its prefix sums, O(ell*k) in all.  F_k reads its
 value on d = p - q and on -d, the witnesses are walked back from its
-tables, and interval ERM (``classify``) runs it on the label-weight
+tables, and interval ERM (``classify``) runs it on the label-count
 differences.  A combinatorial enumeration doubles as a test oracle.
 
 Every run's sum is a difference of prefix sums, as in the enumeration
@@ -107,21 +107,6 @@ def max_sum_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
     opt = _table_max(out, ins)
     witness = _extract_witness(d, k, opt, out)
     return opt, (BinSubset(witness) if witness else EMPTY_SUBSET)
-
-
-def best_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
-    """Largest |sum over a union of <= k index-intervals| of d, with witness.
-
-    Returns the absolute value and the achieving bin subset; ties between
-    witnesses are broken toward the smallest bitmask, so the all-zero
-    vector yields the empty subset.
-    """
-    d = np.asarray(d, dtype=float)
-    pos = max_sum_k_interval_union(d, k)
-    neg = max_sum_k_interval_union(-d, k)
-    if pos[0] != neg[0]:
-        return max(pos, neg, key=lambda r: r[0])
-    return min(pos, neg, key=lambda r: sum(1 << i for i in r[1].members))
 
 
 def fk_distance(p, q, k: int) -> float:

@@ -192,7 +192,7 @@ class IntervalPartition:
 
 
 def _samples_token(sorted_samples: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(sorted_samples).tobytes()).hexdigest()[:16]
+    return hashlib.sha256(np.ascontiguousarray(sorted_samples)).hexdigest()[:16]
 
 
 def choose_ell(k: int, n: int, beta: float, m: int) -> int:

@@ -32,7 +32,7 @@ from .core import (
 from .distance import max_sum_k_interval_union
 from .estimate import PiecewisePolynomial
 from .partition import (
-    BinSubset, Interval, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
+    BinSubset, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
 )
 
 _FLOOR_SLACK = 1e-9
@@ -191,22 +191,6 @@ class ClassificationTarget:
             len(self.masses) - 1,
         )
         return np.asarray(self.eta)[cell]
-
-    def bayes_hypothesis(self) -> KIntervalHypothesis:
-        intervals = []
-        run = None
-        for j, e in enumerate(self.eta):
-            if e > 0.5:
-                if run is None:
-                    run = [self.edges[j], self.edges[j + 1]]
-                else:
-                    run[1] = self.edges[j + 1]
-            elif run is not None:
-                intervals.append(Interval(run[0], run[1], hi_closed=False))
-                run = None
-        if run is not None:
-            intervals.append(Interval(run[0], run[1]))
-        return KIntervalHypothesis(IntervalUnion(tuple(intervals)))
 
     def optimal_risk(self) -> float:
         return float(sum(m * min(e, 1.0 - e) for m, e in zip(self.masses, self.eta)))

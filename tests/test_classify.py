@@ -45,15 +45,6 @@ def test_risk_examples():
     assert rb.risk(complement, x, y) == 1.0
 
 
-def test_risk_weight_validation():
-    x = np.array([1.0, 2.0])
-    y = np.array([0, 1])
-    with pytest.raises(rb.UsageError):
-        rb.risk(hyp(), x, y, weights=[0.4, 0.4])
-    with pytest.raises(rb.UsageError):
-        rb.risk(hyp(), x, y, weights=[-0.5, 1.5])
-
-
 def test_risk_complement_identity():
     rng = np.random.default_rng(4)
     x = rng.random(30)
@@ -94,15 +85,6 @@ def test_erm_matches_exhaustive_search():
         y = rng.integers(0, 2, s)
         dp_loss = rb.risk(rb.erm_k_intervals(x, y, k), x, y)
         assert dp_loss == brute_force_erm(x, y, k)
-
-
-def test_erm_weighted():
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([1, 0, 1])
-    w = np.array([10.0, 1.0, 10.0])
-    h = rb.erm_k_intervals(x, y, 1, weights=w)
-    # covering everything misclassifies only the light middle point
-    assert h.predict(x).tolist() == [1, 1, 1]
 
 
 def test_erm_handles_tied_positions():

@@ -249,6 +249,23 @@ def test_check_properties_self_consistent_collection():
     report = rb.check_properties(coll, np.array([0.5, 0.5]), [BIN1], params)
     assert report.all_ok
     assert report.max_corruption == 0.0
-    row = report.checks[0]
-    assert row.median_error == 0.0 and row.mean_error == 0.0
-    assert row.msd_error == pytest.approx(rb.binomial_variance(0.5, n), abs=1e-9)
+    assert report.median_error == 0.0 and report.mean_error == 0.0
+    assert report.msd_error == pytest.approx(rb.binomial_variance(0.5, n), abs=1e-9)
+
+
+def test_check_properties_one_failing_subset_decides():
+    # every batch holds (0.5, 0.3, 0.2) against a target of (0.5, 0.25, 0.25):
+    # {1} and {1, 2, 3} pass, {2} is off by 0.05
+    n, m = 100000, 6
+    coll = rb.DiscretizedCollection(
+        np.tile([50000, 30000, 20000], (m, 1)), range(m), n, ("good",) * m
+    )
+    params = rb.CorruptionParams(0.1, n, m)
+    target = np.array([0.5, 0.25, 0.25])
+    passing = [BIN1, rb.BinSubset.of(1, 2, 3)]
+    assert rb.check_properties(coll, target, passing, params).all_ok
+    report = rb.check_properties(coll, target, [*passing, rb.BinSubset.of(2)], params)
+    assert not report.all_ok
+    assert report.median_error == pytest.approx(0.05) and report.median_bound < 0.05
+    assert report.mean_error == pytest.approx(0.05) and report.mean_bound < 0.05
+    assert report.max_corruption == 0.0

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.distance import iter_k_run_subsets, union_tables
+from robust_batches.distance import (
+    _k_run_unions, iter_k_run_subsets, max_sum_k_interval_union, union_tables,
+)
 
 
 def dyadic_pair(rng, ell, grain=64):
@@ -26,58 +28,33 @@ def test_fk_distance_rejects_unnormalized():
         rb.fk_distance([0.5, 0.5], [0.5, 0.5], 0)
 
 
-def test_best_k_interval_union_examples():
-    value, witness = rb.best_k_interval_union(np.array([0.1, -0.2, 0.3, -0.1, 0.2]), 2)
+def test_max_sum_k_interval_union_examples():
+    d = np.array([0.1, -0.2, 0.3, -0.1, 0.2])
+    value, witness = max_sum_k_interval_union(d, 2)
     assert value == pytest.approx(0.5, abs=1e-12)
     assert sorted(witness.members) == [3, 5]
-    value, witness = rb.best_k_interval_union(np.zeros(5), 2)
+    value, witness = max_sum_k_interval_union(np.zeros(5), 2)
     assert value == 0.0 and witness.members == frozenset()
-    value, witness = rb.best_k_interval_union(np.array([-0.4, 0.1, -0.4]), 2)
+    value, witness = max_sum_k_interval_union(np.array([0.4, -0.1, 0.4]), 2)
     assert value == pytest.approx(0.8)
     assert sorted(witness.members) == [1, 3]
 
 
-def test_best_k_interval_union_witness_attains_value():
+def test_max_sum_k_interval_union_witness_attains_value():
     rng = np.random.default_rng(4)
     for _ in range(200):
         ell = int(rng.integers(1, 15))
         k = int(rng.integers(1, 4))
         d = rng.standard_normal(ell) * rng.random()
-        value, witness = rb.best_k_interval_union(d, k)
+        value, witness = max_sum_k_interval_union(d, k)
         assert len(witness.runs()) <= k
-        attained = abs(d[witness.indices0()].sum()) if witness.members else 0.0
+        attained = d[witness.indices0()].sum() if witness.members else 0.0
         assert attained == pytest.approx(value, abs=1e-9)
 
 
-def test_best_k_interval_union_witness_is_minimal_maximizer():
-    # on an exact grid the witness must attain the optimum and carry the
-    # smallest bitmask among all maximizing unions
-    from robust_batches.distance import _k_run_unions
-
-    rng = np.random.default_rng(77)
-    for _ in range(400):
-        ell = int(rng.integers(1, 11))
-        k = int(rng.integers(1, 4))
-        d = rng.integers(-16, 17, ell) / 16.0
-        value, witness = rb.best_k_interval_union(d, k)
-        best_val = 0.0
-        best_masks = [0]
-        for runs in _k_run_unions(ell, min(k, (ell + 1) // 2)):
-            members = [i for a, b in runs for i in range(a, b + 1)]
-            v = abs(sum(d[i - 1] for i in members))
-            mask = sum(1 << (i - 1) for i in members)
-            if v > best_val:
-                best_val, best_masks = v, [mask]
-            elif v == best_val:
-                best_masks.append(mask)
-        assert value == best_val
-        assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
-
-
 def test_max_sum_k_interval_union_witness_is_minimal_maximizer():
-    # the signed variant on the same exact grid: the value is the largest
-    # signed union sum and the witness the smallest maximizing bitmask
-    from robust_batches.distance import _k_run_unions, max_sum_k_interval_union
+    # on an exact grid the value is the largest signed union sum and the
+    # witness the smallest maximizing bitmask
 
     rng = np.random.default_rng(78)
     for _ in range(400):
@@ -99,19 +76,7 @@ def test_max_sum_k_interval_union_witness_is_minimal_maximizer():
         assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
 
 
-def test_best_k_interval_union_sign_symmetric():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        d = rng.standard_normal(int(rng.integers(1, 12)))
-        k = int(rng.integers(1, 3))
-        v_pos, _ = rb.best_k_interval_union(d, k)
-        v_neg, _ = rb.best_k_interval_union(-d, k)
-        assert v_pos == v_neg
-
-
 def test_max_sum_k_interval_union_is_signed():
-    from robust_batches.distance import max_sum_k_interval_union
-
     d = np.array([0.3, -0.1, -0.1, -0.1])  # zero-sum: |max| ties with complement
     value, witness = max_sum_k_interval_union(d, 2)
     assert value == pytest.approx(0.3)
@@ -191,7 +156,8 @@ def test_union_tables_clamp_huge_k(ell, seed):
     for a, b in zip(union_tables(p - q, 10**12), union_tables(p - q, tight)):
         assert np.array_equal(a, b)
     assert rb.fk_distance(p, q, 10**12) == rb.fk_distance_brute(p, q, tight)
-    assert rb.best_k_interval_union(p - q, 10**12) == rb.best_k_interval_union(p - q, tight)
+    for d in (p - q, q - p):
+        assert max_sum_k_interval_union(d, 10**12) == max_sum_k_interval_union(d, tight)
 
 
 def test_brute_refuses_large_domains():

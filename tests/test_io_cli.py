@@ -503,7 +503,7 @@ def test_cli_csv_export(tmp_path):
     assert "cleaning.retained_ids" in text
 
 
-@pytest.mark.parametrize("field", ["k", "retained_ids"])
+@pytest.mark.parametrize("field", ["k", "retained_ids", "beta", "beta_bool"])
 def test_cli_eval_refuses_fractional_report_integers(tmp_path, capsys, field):
     batches = tmp_path / "b.jsonl"
     report = tmp_path / "r.json"
@@ -518,13 +518,16 @@ def test_cli_eval_refuses_fractional_report_integers(tmp_path, capsys, field):
     doc = read_json(report)
     if field == "k":
         doc["cleaning"]["k"] = 2.7
-    else:
+    elif field == "retained_ids":
         doc["cleaning"]["retained_ids"][0] += 0.5
+    else:  # beta must be a JSON number, not a string or a boolean
+        doc["cleaning"]["beta"] = "0.2" if field == "beta" else False
     report.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["eval", "--input", str(batches), "--report", str(report), "--target", "uniform:0,1"])
     assert rc == 2
-    assert "is not an integer" in capsys.readouterr().err
+    expected = "is not a number" if field.startswith("beta") else "is not an integer"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -422,10 +422,11 @@ def test_linear_piece_zero_at_its_left_end_samples_u_zero():
 def test_classification_target_risks():
     ct = ClassificationTarget((0.0, 0.5, 1.0), (0.5, 0.5), (0.8, 0.2))
     assert ct.optimal_risk() == pytest.approx(0.2)
-    bayes = ct.bayes_hypothesis()
-    assert ct.risk_of(bayes) == pytest.approx(0.2)
     from robust_batches.partition import Interval, IntervalUnion
 
+    # eta > 1/2 only on the first cell, [0, 0.5)
+    bayes = rb.KIntervalHypothesis(IntervalUnion((Interval(0.0, 0.5, hi_closed=False),)))
+    assert ct.risk_of(bayes) == pytest.approx(0.2)
     wrong = rb.KIntervalHypothesis(IntervalUnion((Interval(0.5, 1.0),)))
     assert ct.risk_of(wrong) == pytest.approx(0.8)
     x, y = (rows[0] for rows in ct.sample((np.random.default_rng(0),), 30))
