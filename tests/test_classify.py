@@ -87,6 +87,15 @@ def test_erm_matches_exhaustive_search():
         assert dp_loss == brute_force_erm(x, y, k)
 
 
+def test_erm_repeated_points_count_with_multiplicity():
+    x = np.repeat([0.0, 1.0, 2.0], [10, 1, 10])
+    y = np.repeat([1, 0, 1], [10, 1, 10])
+    h = rb.erm_k_intervals(x, y, 1)
+    # covering everything misclassifies only the single middle point
+    assert h.predict(np.array([0.0, 1.0, 2.0])).tolist() == [1, 1, 1]
+    assert rb.risk(h, x, y) == pytest.approx(1.0 / 21.0)
+
+
 def test_erm_handles_tied_positions():
     x = np.array([1.0, 1.0, 2.0])
     y = np.array([1, 0, 1])

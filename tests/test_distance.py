@@ -76,6 +76,23 @@ def test_max_sum_k_interval_union_witness_is_minimal_maximizer():
         assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
 
 
+def test_max_sum_k_interval_union_both_signs_give_fk_distance():
+    # F_k is the larger of the two signed maxima, so it is the same from
+    # either side, and the witness of the larger one attains it
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        ell = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 3))
+        p, q = dyadic_pair(rng, ell)
+        v_pos, w_pos = max_sum_k_interval_union(p - q, k)
+        v_neg, w_neg = max_sum_k_interval_union(q - p, k)
+        fk = rb.fk_distance(p, q, k)
+        assert fk == max(v_pos, v_neg) == rb.fk_distance(q, p, k)
+        witness, d = (w_pos, p - q) if v_pos >= v_neg else (w_neg, q - p)
+        attained = d[witness.indices0()].sum() if witness.members else 0.0
+        assert attained == pytest.approx(fk, abs=1e-12)
+
+
 def test_max_sum_k_interval_union_is_signed():
     d = np.array([0.3, -0.1, -0.1, -0.1])  # zero-sum: |max| ties with complement
     value, witness = max_sum_k_interval_union(d, 2)
