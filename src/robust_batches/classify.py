@@ -16,7 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clean import clean_counts, prepare_cleaning
-from .core import LABELS, DiscretizedCollection, DomainError, LabeledCollection, UsageError
+from .core import (
+    LABELS, DiscretizedCollection, DomainError, LabeledCollection, UsageError, labels_ok,
+)
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .distance import union_tables
 from .partition import Interval, IntervalUnion, build_partition
@@ -36,23 +38,41 @@ class KIntervalHypothesis:
         return self.decision_region.contains(x).astype(np.int64)
 
 
+def _labeled_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x as float and y as given, checked: matching nonempty 1-d arrays,
+    finite x and labels 0 or 1."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
+        raise UsageError("x and y must be matching nonempty 1-d arrays")
+    if not np.all(np.isfinite(x)):
+        raise UsageError("x contains NaN or infinity")
+    if not labels_ok(y):
+        raise UsageError("labels must be 0 or 1")
+    return x, y
+
+
 def risk(h: KIntervalHypothesis, x, y) -> float:
     """Misclassification rate of ``h`` on labeled samples."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    wrong = h.predict(x) != y
-    return float(np.full(x.size, 1.0 / x.size)[wrong].sum())
+    x, y = _labeled_samples(x, y)
+    wrong = np.count_nonzero(h.predict(x) != y)
+    # the sum of the wrong samples' 1/s weights, as the pairwise sum of
+    # that many equal terms, not wrong/s
+    return float(np.full(wrong, 1.0 / x.size).sum())
 
 
 def _group_by_position(x: np.ndarray, y: np.ndarray):
-    """Distinct positions with their label counts (tied x values must be
-    classified together)."""
+    """Distinct positions, sorted, and at each the label-count difference
+    w1 - w0 (tied x values must be classified together)."""
     order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    pos, start = np.unique(xs, return_index=True)
-    w0 = np.add.reduceat((ys == 0).astype(float), start)
-    w1 = np.add.reduceat((ys == 1).astype(float), start)
-    return pos, w0, w1
+    xs = x[order]
+    first = np.empty(xs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    sign = y[order].astype(float)  # label 1 counts +1, label 0 counts -1
+    sign *= 2
+    sign -= 1
+    return xs[start], np.add.reduceat(sign, start)
 
 
 def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
@@ -66,15 +86,11 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
     values (the outermost runs extend to the infinities).  Ties prefer
     fewer intervals.  The losses are exact integers.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
     if k < 1:
         raise DomainError("k must be at least 1")
-    if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
-        raise UsageError("x and y must be matching nonempty 1-d arrays")
-    pos, w0, w1 = _group_by_position(x, y)
+    pos, d = _group_by_position(*_labeled_samples(x, y))
     g = pos.size
-    out, ins = union_tables(w1 - w0, k)
+    out, ins = union_tables(d, k)
     # first maximum in (j, outside before inside) order: fewer intervals win
     best = int(np.argmax(np.stack([out[:, g], ins[:, g]], axis=1)))
     j, inside = divmod(best, 2)
@@ -126,7 +142,8 @@ def _label_slice_counts(collection: LabeledCollection, ell: int):
             out.append((None, np.zeros((collection.m, 0), np.min_scalar_type(collection.n))))
             continue
         x = collection.x[sel]
-        part = build_partition(np.sort(x), min(ell, x.size))
+        x.sort()
+        part = build_partition(x, min(ell, x.size))
         out.append((part, part.counts(collection.x, sel)))
     return out
 

@@ -12,9 +12,10 @@ loops are reproducible.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,12 @@ def uniforms(rngs, *shape: int) -> np.ndarray:
     for rng, row in zip(rngs, out):
         rng.random(out=row)
     return out
+
+
+def labels_ok(y: np.ndarray) -> bool:
+    """Whether every entry of the array ``y`` is 0 or 1 (LABELS), tested in
+    y's own dtype: a cast to integers would truncate 1.5 to 1."""
+    return y.dtype.kind in "biuf" and bool(((y == 0) | (y == 1)).all())
 
 
 def row_array(values, dtype, what: str) -> np.ndarray:
@@ -122,19 +129,21 @@ class Collection:
 
     def subset(self, keep):
         """The batches selected by the boolean mask ``keep`` (one entry per
-        batch), in collection order."""
+        batch), in collection order.  The mask copies each row array once;
+        those rows were checked when this collection was built, so they
+        are frozen as they are, and only ids and truth are checked again."""
         mask = np.asarray(keep)
         if mask.dtype != bool or mask.shape != (self.m,):
             raise UsageError("subset needs a boolean mask with one entry per batch")
         if not mask.any():
             raise UsageError("subset would be empty")
         idx = np.flatnonzero(mask)
-        return replace(
-            self,
-            **{name: getattr(self, name)[mask] for name in self.ROWS},
-            ids=[self.ids[i] for i in idx],
-            truth=None if self.truth is None else [self.truth[i] for i in idx],
-        )
+        out = copy.copy(self)
+        truth = None if self.truth is None else [self.truth[i] for i in idx]
+        object.__setattr__(out, "ids", [self.ids[i] for i in idx])
+        object.__setattr__(out, "truth", truth)
+        out._freeze(**{name: getattr(self, name)[mask] for name in self.ROWS})
+        return out
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,8 @@ class DiscretizedCollection(Collection):
 
 @dataclass(frozen=True)
 class LabeledCollection(Collection):
-    """m batches of n labeled samples: the rows of ``x`` and of ``y`` in LABELS."""
+    """m batches of n labeled samples: the rows of ``x`` and of ``y`` in
+    LABELS, stored in uint8, one byte per label."""
 
     x: np.ndarray  # shape (m, n)
     y: np.ndarray  # shape (m, n)
@@ -217,10 +227,9 @@ class LabeledCollection(Collection):
             raise UsageError("x and y must have the same shape")
         if not np.all(np.isfinite(x)):
             raise UsageError("x contains NaN or infinity")
-        # checked before the integer cast, which would truncate 1.5 to 1
-        if y.dtype.kind not in "biuf" or not np.isin(y, LABELS).all():
+        if not labels_ok(y):
             raise UsageError("labels must be 0 or 1")
-        self._freeze(x=x, y=y.astype(np.int64))
+        self._freeze(x=x, y=y.astype(np.uint8, copy=False))
 
     @property
     def n(self) -> int:

@@ -37,6 +37,7 @@ _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # threshold sets over both signs; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once
 _MEDIAN_COLUMNS = 64  # per median pass in _leading_eigvec; small key tables lower peak RSS
+_GRAM_BLOCK = 1 << 17  # float64 values per block of D, and per tile of its Gram matrix
 
 
 def _middle_order_stats(table: np.ndarray):
@@ -101,6 +102,27 @@ def max_corruption_subset_brute(
     return (BinSubset(members) if members else EMPTY_SUBSET), best_score
 
 
+def _exact_gram(blocks, q: int) -> np.ndarray:
+    """E.T @ E for an integer matrix E with q columns, given as float64
+    blocks of its rows.
+
+    Each block adds its product to the q x q result one tile of
+    _GRAM_BLOCK // q rows at a time, on and above the diagonal only; the
+    lower tiles are mirrored at the end.  So no second q x q array exists,
+    and every partial sum is an integer: while the sum of the absolute
+    products in every entry stays below 2**53, the result is exact in any
+    block shape and summation order.
+    """
+    gram = np.zeros((q, q))
+    step = max(1, _GRAM_BLOCK // q)
+    for block in blocks:
+        for t in range(0, q, step):
+            gram[t : t + step, t:] += block[:, t : t + step].T @ block[:, t:]
+    for t in range(step, q, step):
+        gram[t:, t - step : t] = gram[t - step : t, t:].T
+    return gram
+
+
 def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     """Leading eigenvector of centered.T @ centered, where ``centered`` is
     counts/n minus its column medians, then minus its row means.
@@ -108,36 +130,72 @@ def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     Each row of counts/n sums to 1, so without the row deflation the
     all-ones direction leads whenever the column medians sum to well below
     1, and v would carry the attack only in its last digits.  For the same
-    reason every row has the same mean, (1 - sum of medians) / ell.  Power
-    iteration runs on the smaller Gram side, from its column with the
-    largest diagonal entry, until the unit vector moves by at most
-    _POWER_TOL; when there are more bins than batches that is the m x m
-    Gram matrix, and the result is mapped back.  A zero Gram matrix gives
-    v = 0.
+    reason every row has the same mean.
+
+    Twice a column median, in counts, is the integer a_j = lo_j + hi_j, so
+    2n * centered = D - b, where D = 2*counts - a is an integer table with
+    |D| <= 2n and b = r/ell, r being the common row sum of D.  Power
+    iteration runs on the smaller Gram side: that of E = D, or of E = D.T
+    when there are more bins than batches.  :func:`_exact_gram` builds
+    E.T @ E from blocks of E, and rank-one terms from the column sums of E
+    correct it to 4n^2 times the Gram matrix of ``centered`` (or of its
+    transpose).  E.T @ E is exact while m*(2n)^2 < 2**53 (ell*(2n)^2 when
+    E = D.T); past that its partial sums round, as any float product's
+    do, and the input is not refused.
+
+    The iteration starts from the Gram column with the largest diagonal
+    entry and stops once the unit vector moves by at most _POWER_TOL; on
+    the m x m side the result is mapped back a block of bins at a time.
+    A zero Gram matrix gives v = 0.
     """
     m, ell = counts.shape
-    med = np.empty(ell)
+    a = np.empty(ell, dtype=np.int64)
     for j in range(0, ell, _MEDIAN_COLUMNS):
         lo, hi, _, _ = _middle_order_stats(counts[:, j : j + _MEDIAN_COLUMNS].T)
-        med[j : j + _MEDIAN_COLUMNS] = (lo / n + hi / n) / 2
-    centered = counts / n
-    centered -= med + (1.0 - med.sum()) / ell
-    gram_side = centered @ centered.T if ell > m else centered.T @ centered
-    v = gram_side[:, np.argmax(np.diag(gram_side))]
+        a[j : j + _MEDIAN_COLUMNS] = lo + hi
+    r = 2 * n - int(a.sum())
+    b = r / ell
+    wide = ell > m
+    offset = np.broadcast_to(a, counts.shape)
+    table, offset = (counts.T, offset.T) if wide else (counts, offset)  # E = 2*table - offset
+    p, q = table.shape
+    step = max(1, _GRAM_BLOCK // q)
+
+    def rows_of_e(i: int) -> np.ndarray:
+        block = table[i : i + step].astype(np.float64)
+        block *= 2
+        block -= offset[i : i + step]
+        return block
+
+    gram = _exact_gram((rows_of_e(i) for i in range(0, p, step)), q)
+    # E.T @ E - b*(s 1' + 1 s') + p*b^2 1 1', s the column sums of E
+    sums = 2 * table.sum(axis=0, dtype=np.int64) - (int(a.sum()) if wide else m * a)
+    bs = b * sums
+    gram -= bs[:, None]
+    gram -= bs
+    gram += p * b * b
+    v = gram[:, np.argmax(np.diag(gram))]
     norm = np.linalg.norm(v)
     if norm == 0.0:
         return np.zeros(ell)
     v = v / norm
     for _ in range(_POWER_ITERATIONS):
-        w = gram_side @ v
+        w = gram @ v
         w /= np.linalg.norm(w)
         moved = np.linalg.norm(w - v)
         v = w
         if moved <= _POWER_TOL:
             break
-    if ell > m:
-        v = centered.T @ v
-        v /= np.linalg.norm(v)
+    if wide:
+        # E @ v - b*sum(v), each row summed in order by cumsum, so that v
+        # does not depend on the block size
+        out = np.empty(ell)
+        for i in range(0, ell, step):
+            block = rows_of_e(i)
+            block *= v
+            out[i : i + step] = np.cumsum(block, axis=1)[:, -1]
+        out -= b * v.sum()
+        v = out / np.linalg.norm(out)
     return v
 
 

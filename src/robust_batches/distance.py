@@ -53,13 +53,17 @@ def union_tables(d, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("k must be at least 1")
     d = np.asarray(d, dtype=float)
     k = min(k, (d.size + 1) // 2)
-    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    prefix = np.zeros(d.size + 1)
+    np.cumsum(d, out=prefix[1:])
     out = np.full((k + 1, d.size + 1), -np.inf)
     ins = np.full((k + 1, d.size + 1), -np.inf)
     out[0] = 0.0
-    for j in range(1, k + 1):
-        ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
-        out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
+    for j in range(1, k + 1):  # each layer is computed in its own table row
+        row = ins[j, 1:]
+        np.subtract(out[j - 1, :-1], prefix[:-1], out=row)
+        np.maximum.accumulate(row, out=row)
+        row += prefix[1:]
+        np.maximum.accumulate(ins[j, :-1], out=out[j, 1:])
     return out, ins
 
 

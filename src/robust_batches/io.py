@@ -82,56 +82,79 @@ def _row_values(obj: dict, n: int, labeled: bool, where: str) -> list:
 
 
 def read_batches(path):
-    """Load a batch file; returns a BatchCollection or LabeledCollection."""
+    """Load a batch file; returns a BatchCollection or LabeledCollection.
+
+    The file is read one line at a time into (m, n) arrays, float64 for
+    the samples and uint8 for labels, allocated once the first batch line
+    has confirmed n; no copy of the text is held."""
     path = Path(path)
     with path.open() as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    header = _loads(lines[0], path, 1)
-    for field in ("n", "m"):
-        if field not in header:
-            raise FileFormatError(f"{path}:1: header is missing {field!r}")
-    n, m = header["n"], header["m"]
-    # JSON integers only: type() refuses floats, and booleans (an int subclass)
-    if not (type(n) is type(m) is int and n >= 1 and m >= 1):
-        raise FileFormatError(f"{path}:1: n and m must be positive JSON integers")
-    labeled = header.get("labeled", False)
-    if type(labeled) is not bool:
-        raise FileFormatError(f"{path}:1: labeled must be a JSON boolean")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != m:
-        raise FileFormatError(f"{path}: header says m={m} but found {len(rows)} batches")
-    ids: list[int] = []
-    truth: list[str] = []
-    for i, line in enumerate(rows):
-        where = f"{path}:{i + 2}"
-        obj = _loads(line, path, i + 2)
-        for field in ("id", "samples"):
-            if field not in obj:
-                raise FileFormatError(f"{where}: batch is missing {field!r}")
-        if type(obj["id"]) is not int:
-            raise FileFormatError(f"{where}: id must be a JSON integer, got {obj['id']!r}")
-        columns = _row_values(obj, n, labeled, where)
-        if i == 0:  # allocated only once n matches a real line
-            values = np.empty((len(columns), m, n))
-        try:
-            values[:, i] = columns
-        except OverflowError as exc:
-            raise FileFormatError(f"{where}: malformed samples: {exc}") from exc
-        if not np.all(np.isfinite(values[0, i])):
-            raise FileFormatError(f"{where}: batch {obj['id']}: samples contain NaN or infinity")
-        ids.append(obj["id"])
-        if "truth" in obj:
-            truth.append(str(obj["truth"]))
+        lines = enumerate(fh, start=1)
+        _, first = next(lines, (1, ""))
+        if not first:
+            raise FileFormatError(f"{path}: empty file")
+        header = _loads(first, path, 1)
+        for field in ("n", "m"):
+            if field not in header:
+                raise FileFormatError(f"{path}:1: header is missing {field!r}")
+        n, m = header["n"], header["m"]
+        # JSON integers only: type() refuses floats, and booleans (an int subclass)
+        if not (type(n) is type(m) is int and n >= 1 and m >= 1):
+            raise FileFormatError(f"{path}:1: n and m must be positive JSON integers")
+        labeled = header.get("labeled", False)
+        if type(labeled) is not bool:
+            raise FileFormatError(f"{path}:1: labeled must be a JSON boolean")
+        ids: list[int] = []
+        truth: list[str] = []
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            i = len(ids)
+            if i == m:  # one batch too many: count the rest for the message
+                found = m + 1 + sum(1 for _, rest in lines if rest.strip())
+                raise FileFormatError(f"{path}: header says m={m} but found {found} batches")
+            where = f"{path}:{lineno}"
+            obj = _loads(line, path, lineno)
+            for field in ("id", "samples"):
+                if field not in obj:
+                    raise FileFormatError(f"{where}: batch is missing {field!r}")
+            if type(obj["id"]) is not int:
+                raise FileFormatError(f"{where}: id must be a JSON integer, got {obj['id']!r}")
+            columns = _row_values(obj, n, labeled, where)
+            if i == 0:  # allocated only once n matches a real line
+                x = _rows_array(m, n, np.float64, path)
+                y = _rows_array(m, n, np.uint8, path) if labeled else None
+            try:
+                x[i] = columns[0]
+            except OverflowError as exc:
+                raise FileFormatError(f"{where}: malformed samples: {exc}") from exc
+            if not np.all(np.isfinite(x[i])):
+                raise FileFormatError(
+                    f"{where}: batch {obj['id']}: samples contain NaN or infinity"
+                )
+            if labeled:
+                y[i] = columns[1]
+            ids.append(obj["id"])
+            if "truth" in obj:
+                truth.append(str(obj["truth"]))
+    if len(ids) != m:
+        raise FileFormatError(f"{path}: header says m={m} but found {len(ids)} batches")
     if truth and len(truth) != m:
         raise FileFormatError(f"{path}: truth flags must be present on all batches or none")
     try:
         if labeled:
-            return LabeledCollection(values[0], values[1], ids, truth or None)
-        return BatchCollection(values[0], ids, truth or None)
+            return LabeledCollection(x, y, ids, truth or None)
+        return BatchCollection(x, ids, truth or None)
     except UsageError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _rows_array(m: int, n: int, dtype, path) -> np.ndarray:
+    """An empty (m, n) array; a header m that no memory holds is a format error."""
+    try:
+        return np.empty((m, n), dtype)
+    except (MemoryError, ValueError) as exc:
+        raise FileFormatError(f"{path}:1: header says m={m}, too many batches to hold") from exc
 
 
 def _sanitize(obj):

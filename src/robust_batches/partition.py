@@ -225,7 +225,7 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
         raise DomainError("ell must be at least 1")
     if s < ell:
         raise UsageError(f"need at least ell={ell} samples, got {s}")
-    if np.any(np.diff(x) < 0):
+    if np.any(x[1:] < x[:-1]):
         raise UsageError("samples must be sorted non-decreasing")
     if ell == 1:
         return IntervalPartition((), _samples_token(x))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.classify import LABELS, _label_slice_counts
+from robust_batches.classify import LABELS, _group_by_position, _label_slice_counts
 from robust_batches.distance import iter_k_run_subsets
 from robust_batches.partition import Interval, IntervalUnion
 from robust_batches.simulate import ClassificationTarget, LabelFlipAttack
@@ -102,6 +102,43 @@ def test_erm_handles_tied_positions():
     h = rb.erm_k_intervals(x, y, 2)
     # tied x values are classified together; best loss is 1/3
     assert rb.risk(h, x, y) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([1.0, 2.0, 3.0], [2, 2, 0], "labels must be 0 or 1"),  # once the empty region
+        ([1.0, 2.0], [1, -1], "labels must be 0 or 1"),
+        ([1.0, 2.0], [0.5, 1.0], "labels must be 0 or 1"),
+        ([1.0, 2.0], [np.nan, 1.0], "labels must be 0 or 1"),
+        ([1.0, 2.0], ["1", "0"], "labels must be 0 or 1"),
+        ([], [], "nonempty"),  # once a ZeroDivisionError in risk
+        ([1.0, 2.0], [1], "matching"),
+        ([[1.0, 2.0]], [[1, 0]], "matching"),
+        ([1.0, np.nan], [1, 0], "NaN or infinity"),
+        ([1.0, np.inf], [1, 0], "NaN or infinity"),
+    ],
+)
+def test_erm_and_risk_refuse_malformed_samples(x, y, message):
+    with pytest.raises(rb.UsageError, match=message):
+        rb.erm_k_intervals(x, y, 1)
+    with pytest.raises(rb.UsageError, match=message):
+        rb.risk(hyp((0.0, 1.0)), x, y)
+
+
+def test_group_by_position_matches_unique_reference():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 50, 3000):
+        x = rng.integers(-5, 6, size) * 0.5
+        x[rng.random(size) < 0.2] = -0.0  # ties with 0.0
+        y = rng.integers(0, 2, size).astype(np.uint8)
+        pos, d = _group_by_position(x, y)
+        order = np.argsort(x, kind="stable")
+        ref_pos, start = np.unique(x[order], return_index=True)
+        ys = y[order].astype(float)
+        ref_d = np.add.reduceat(ys, start) - np.add.reduceat(1.0 - ys, start)
+        assert np.array_equal(pos, ref_pos) and np.array_equal(np.signbit(pos), np.signbit(ref_pos))
+        assert np.array_equal(d, ref_d)
 
 
 def loop_erm_regions(x, y, k):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,35 @@ def test_discretized_collection_subset():
         coll.subset(np.zeros(3, dtype=bool))
     with pytest.raises(rb.UsageError):  # ids are not a mask
         coll.subset([10, 12])
+
+
+def test_subset_copies_each_row_once():
+    rng = np.random.default_rng(3)
+    m, n = 2000, 100
+    coll = rb.LabeledCollection(rng.random((m, n)), rng.integers(0, 2, (m, n)), range(m))
+    keep = np.ones(m, dtype=bool)
+    keep[7] = False
+    tracemalloc.start()
+    sub = coll.subset(keep)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    rows = sub.x.nbytes + sub.y.nbytes
+    assert peak <= 1.25 * rows  # one masked copy (and the ids), not a second in row_array
+    assert sub.ids == tuple(i for i in range(m) if i != 7) and sub.y.dtype == np.uint8
+    for name in ("x", "y"):
+        kept = getattr(sub, name)
+        assert not kept.flags.writeable and not np.shares_memory(kept, getattr(coll, name))
+        assert np.array_equal(kept, getattr(coll, name)[keep])
+
+
+def test_labels_are_stored_in_one_byte():
+    x = [[0.0, 1.0]]
+    for y in ([[1, 0]], [[True, False]], [[1.0, 0.0]], np.array([[1, 0]], np.int64)):
+        coll = rb.LabeledCollection(x, y, (0,))
+        assert coll.y.dtype == np.uint8 and coll.y.tolist() == [[1, 0]]
+    for bad in ([[1, 2]], [[1.5, 0]], [[-1, 0]], [[256, 0]], [[np.nan, 0]], [["1", "0"]]):
+        with pytest.raises(rb.UsageError, match="labels must be 0 or 1"):
+            rb.LabeledCollection(x, bad, (0,))
 
 
 def test_per_batch_probs_matches_op():

@@ -342,6 +342,66 @@ def test_leading_eigvec_matches_eigh_on_fk_targeted_collection():
     assert abs(v.sum()) <= 1e-12  # the all-ones direction is deflated away
 
 
+def _gram_of_d(counts):
+    """Exact int64 reference for the Gram matrix _leading_eigvec builds:
+    D.T @ D, or D @ D.T when ell > m, with D = 2*counts - twice the column
+    medians."""
+    twice_median = (2 * np.median(counts, axis=0)).astype(np.int64)
+    d = 2 * counts.astype(np.int64) - twice_median
+    return d @ d.T if d.shape[1] > d.shape[0] else d.T @ d
+
+
+def _eigvec_and_grams(monkeypatch, counts, n):
+    """v from _leading_eigvec, and every E.T @ E it built on the way."""
+    grams, exact_gram = [], detect._exact_gram
+
+    def recording(blocks, q):
+        grams.append(exact_gram(blocks, q))
+        return grams[-1].copy()
+
+    monkeypatch.setattr(detect, "_exact_gram", recording)
+    return detect._leading_eigvec(counts, n), grams
+
+
+@pytest.mark.parametrize("m, ell", [(61, 23), (40, 40), (13, 57)])  # ell < m, ell = m, ell > m
+def test_tiled_gram_is_exact_for_every_block_size(monkeypatch, m, ell):
+    rng = np.random.default_rng(m + ell)
+    n = 255
+    counts = good_counts(rng, m, n, ell)
+    counts[: m // 5] = rng.multinomial(n, rng.dirichlet(np.full(ell, 0.3)), size=m // 5)
+    reference = _gram_of_d(counts).astype(np.float64)
+    q = min(m, ell)
+    vectors = []
+    # one row or bin per block, blocks that leave a remainder, one tile, one block
+    for block in (1, 2 * q, 7 * q, q * q, 10**9):
+        monkeypatch.setattr(detect, "_GRAM_BLOCK", block)
+        v, grams = _eigvec_and_grams(monkeypatch, counts.astype(np.uint8), n)
+        assert len(grams) == 1 and np.array_equal(grams[0], reference)
+        vectors.append(v)
+    assert all(np.array_equal(v, vectors[0]) for v in vectors)
+    assert abs(vectors[0] @ _reference_eigvec(counts / n)) >= 1 - 1e-12
+
+
+def test_gram_past_the_exact_range_rounds_and_is_not_refused(monkeypatch):
+    """With m*(2n)^2 >= 2**53 the same code runs: products and partial
+    sums round as in any float64 matrix product, so the Gram matrix is
+    exact only to a relative 2**-52 per term, and v still matches eigh."""
+    n = 3 * 2**25 + 1  # m*(2n)^2 is about 2**57
+    third = n // 3
+    counts = np.array(
+        [[n, 0, 0], [0, n, 0], [0, 0, n], [n // 2, n - n // 2, 0], [third, third, n - 2 * third]]
+    )
+    twice_median = [int(v) for v in 2 * np.median(counts, axis=0)]
+    d = [[2 * int(c) - t for c, t in zip(row, twice_median)] for row in counts.tolist()]
+    exact = np.array([[sum(r[i] * r[j] for r in d) for j in range(3)] for i in range(3)])
+    assert max(abs(e) for e in exact.ravel()) >= 2**53
+    v, grams = _eigvec_and_grams(monkeypatch, counts.astype(np.uint32), n)
+    errors = [abs(int(g) - e) for g, e in zip(grams[0].ravel(), exact.ravel())]
+    assert 0 < max(errors) <= sum(r[i] ** 2 for r in d for i in range(3)) * 2.0**-50
+    assert abs(np.linalg.norm(v) - 1) <= 1e-12
+    assert abs(v @ _reference_eigvec(counts / n)) >= 1 - 1e-9
+
+
 def test_detected_subset_survives_eigvec_noise(monkeypatch):
     disc = _fk_targeted_collection()
     params = rb.CorruptionParams(0.2, disc.n, disc.m)

@@ -177,6 +177,24 @@ def test_union_tables_clamp_huge_k(ell, seed):
         assert max_sum_k_interval_union(d, 10**12) == max_sum_k_interval_union(d, tight)
 
 
+def test_union_tables_equal_the_out_of_place_reference_bitwise():
+    """The tables, filled in place row by row, equal the expression they
+    replace bit for bit, so F_k, its witnesses and ERM read the same values."""
+    rng = np.random.default_rng(12)
+    for size, k in ((1, 1), (2, 1), (7, 3), (500, 2), (4000, 6)):
+        for d in (rng.normal(size=size), rng.integers(-3, 4, size) / 8.0):
+            kk = min(k, (size + 1) // 2)
+            prefix = np.concatenate(([0.0], np.cumsum(d)))
+            out = np.full((kk + 1, size + 1), -np.inf)
+            ins = np.full((kk + 1, size + 1), -np.inf)
+            out[0] = 0.0
+            for j in range(1, kk + 1):
+                ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
+                out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
+            got_out, got_ins = union_tables(d, k)
+            assert np.array_equal(got_out, out) and np.array_equal(got_ins, ins)
+
+
 def test_brute_refuses_large_domains():
     p = np.full(21, 1.0 / 21)
     with pytest.raises(rb.UsageError):

@@ -28,7 +28,7 @@ def test_labeled_file_roundtrip(tmp_path):
     loaded = read_batches(path)
     np.testing.assert_array_equal(loaded.x, coll.x)
     np.testing.assert_array_equal(loaded.y, coll.y)
-    assert loaded.y.dtype == np.int64
+    assert loaded.y.dtype == np.uint8
 
 
 def test_read_rejects_nan(tmp_path):
@@ -49,6 +49,53 @@ def test_read_rejects_wrong_counts(tmp_path):
     path.write_text('{"m": 2}\n')
     with pytest.raises(FileFormatError, match="missing 'n'"):
         read_batches(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (['{"id": 0, "samples": [1, 2]}'] * 4, "header says m=2 but found 4 batches"),
+        (['{"id": 0, "samples": [1, 2]}', "", '{"id": 1, "samples": [1, 2]}', "[]", "  "],
+         "header says m=2 but found 3 batches"),  # counted past the first extra line
+        (['{"id": 0, "samples": [1, 2]}'], "header says m=2 but found 1 batches"),
+        ([], "header says m=2 but found 0 batches"),
+    ],
+)
+def test_read_counts_batches_against_the_header(tmp_path, capsys, rows, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(['{"n": 2, "m": 2}', *rows]) + "\n")
+    with pytest.raises(FileFormatError, match=message):
+        read_batches(path)
+    rc = main(["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2 and message in capsys.readouterr().err
+
+
+def test_read_streams_rows_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "batches.jsonl"
+    path.write_text(
+        '{"n": 2, "m": 2, "labeled": true}\n\n{"id": 4, "samples": [[0.5, 1], [-1, 0]]}\n'
+        '{"id": 7, "samples": [[2.5, 0], [3, 1]]}\n  \n\n'
+    )
+    coll = read_batches(path)
+    assert coll.ids == (4, 7) and coll.truth is None
+    assert coll.x.tolist() == [[0.5, -1.0], [2.5, 3.0]]
+    assert coll.y.dtype == np.uint8 and coll.y.tolist() == [[1, 0], [0, 1]]
+    # errors name the physical line, blank lines included
+    path.write_text('{"n": 2, "m": 2}\n\n{"id": 0, "samples": [1, 2]}\n\n{"id": 1, "samples": 7}\n')
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}:5: samples must be a list"):
+        read_batches(path)
+
+
+@pytest.mark.parametrize("m", [10**15, 2**62])
+def test_read_refuses_a_header_m_no_memory_holds(tmp_path, capsys, m):
+    path = tmp_path / "huge.jsonl"
+    path.write_text(f'{{"n": 2, "m": {m}}}\n{{"id": 0, "samples": [1, 2]}}\n')
+    with pytest.raises(FileFormatError, match=f":1: header says m={m}, too many batches"):
+        read_batches(path)
+    rc = main(["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2 and "too many batches" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
