@@ -28,11 +28,7 @@ from .corruption import (
     corruption_collection,
     median_prob,
 )
-from .detect import (
-    clean_discrete,
-    max_corruption_subset_brute,
-    max_corruption_subset_heuristic,
-)
+from .detect import max_corruption_subset_brute, max_corruption_subset_heuristic
 from .distance import fk_distance, fk_distance_brute, tv_distance
 from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import (

@@ -6,9 +6,11 @@ runs the detect-and-delete loop.  The retained sub-collection's pooled
 empirical distribution is the estimator; in simulation mode the report
 scores it against the known target before and after cleaning.  The
 checks on beta and m, the partition size and the thresholds come from one
-preparation step, :func:`prepare_cleaning`, and the deletion from one
-delete-and-retain step, :func:`clean_counts`; robust classification shares
-both, and simulation-mode scoring shares :func:`reference_fk`.
+preparation step, :func:`prepare_cleaning`.  The deletion is one
+delete-and-retain step, :func:`clean_counts`: it holds the detect-and-delete
+loop (the filter of Jain & Orlitsky, 2020), the ``0 < stop <= trigger``
+rule and one exit for a run in which no round ran.  Robust classification
+shares both steps, and simulation-mode scoring shares :func:`reference_fk`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .core import (
     DomainError,
     UsageError,
 )
-from .corruption import STOP_FACTOR, TRIGGER_FACTOR
-from .detect import check_factors, clean_discrete
+from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, median_prob
+from .detect import max_corruption_subset_heuristic
 from .distance import fk_distance
 from .partition import IntervalPartition, build_partition, choose_ell, discretize
 
@@ -116,16 +118,26 @@ def clean_counts(
     collection, disc: DiscretizedCollection, beta: float, params: CorruptionParams,
     rng: np.random.Generator, trigger_factor: float, stop_factor: float,
 ):
-    """Delete-and-retain: detect and delete on ``disc``, the count table of
-    ``collection``, and keep the batches whose ids survive.  Returns the
-    surviving counts, the surviving batches and the number of rounds; at
-    ``beta = 0`` (uncontaminated) these are ``disc``, ``collection`` and 0.
-    The threshold factors are checked at every beta."""
-    check_factors(trigger_factor, stop_factor)
-    if beta == 0.0:
+    """Delete-and-retain on ``disc``, the count table of ``collection``.
+
+    While the spectral detector's best subset scores at least
+    trigger_factor*kappa_g, the cross-batch median is recomputed on the
+    surviving counts and batch deletion runs down to stop_factor*kappa_g.
+    Returns the surviving counts, the batches whose ids survive and the
+    round count; when no round runs, as always at ``beta = 0``
+    (uncontaminated), these are ``disc``, ``collection`` and 0."""
+    if not 0.0 < stop_factor <= trigger_factor:
+        raise UsageError("need 0 < stop_factor <= trigger_factor")
+    sub, rounds = disc, 0
+    while beta > 0.0:
+        subset, score = max_corruption_subset_heuristic(sub, params)
+        if score < trigger_factor * params.kappa_g or not subset.members:
+            break
+        sub = batch_deletion(sub, subset, median_prob(sub, subset), params, rng, stop_factor)
+        rounds += 1
+    if not rounds:
         return disc, collection, 0
-    cleaned, rounds = clean_discrete(disc, params, rng, trigger_factor, stop_factor)
-    return cleaned, collection.subset(np.isin(collection.ids, cleaned.ids)), rounds
+    return sub, collection.subset(np.isin(collection.ids, sub.ids)), rounds
 
 
 def reference_fk(disc, kept, reference, partition, k: int) -> tuple[float, float]:

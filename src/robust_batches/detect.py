@@ -1,13 +1,14 @@
 """Finding bin subsets with high corruption score.
 
-The exhaustive search is exact but exponential in the bin count, so it is
-kept as an oracle for small domains.  The polynomial-time spectral
-detector, the one the detect-and-delete loop runs, takes the leading
-eigenvector v of the per-batch probability matrix, centered on its column
-medians and deflated by its row means, by power iteration run to
-convergence, and scores two candidate families, each streamed in tables of
-at most _CHUNK candidates, one row of per-batch subset counts per
-candidate:
+Two detectors; the detect-and-delete loop that runs them is
+:func:`clean.clean_counts`.  The exhaustive search is exact but
+exponential in the bin count, so it is kept as an oracle for small
+domains.  The polynomial-time spectral detector, the one the loop runs,
+takes the leading eigenvector v of the per-batch probability matrix,
+centered on its column medians and deflated by its row means, by power
+iteration run to convergence, and scores two candidate families, each
+streamed in tables of at most _CHUNK candidates, one row of per-batch
+subset counts per candidate:
 
 - threshold sets {i: +-v_i >= t} at every distinct value t: a running
   cumulative sum over the bins in order of v, read where the value changes;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CorruptionParams, DiscretizedCollection, UsageError, sorted_unique
-from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, corruption_scores, median_prob
+from .corruption import corruption_scores
 from .partition import EMPTY_SUBSET, BinSubset
 
 _BRUTE_MAX_ELL = 20
@@ -256,36 +257,3 @@ def max_corruption_subset_heuristic(
     if not tied:
         return EMPTY_SUBSET, 0.0
     return min(tied, key=BinSubset.bitmask), best_score
-
-
-def check_factors(trigger_factor: float, stop_factor: float) -> None:
-    """Refuse a deletion threshold pair without 0 < stop <= trigger."""
-    if not 0.0 < stop_factor <= trigger_factor:
-        raise UsageError("need 0 < stop_factor <= trigger_factor")
-
-
-def clean_discrete(
-    sub: DiscretizedCollection,
-    params: CorruptionParams,
-    rng: np.random.Generator,
-    trigger_factor: float = TRIGGER_FACTOR,
-    stop_factor: float = STOP_FACTOR,
-) -> tuple[DiscretizedCollection, int]:
-    """Detect-and-delete loop over the discretized domain.
-
-    Each round finds the highest-corruption subset the spectral detector
-    can see; if its score reaches trigger_factor*kappa_g, the cross-batch
-    median is recomputed on the surviving sub-collection and batch deletion
-    runs down to stop_factor*kappa_g.  Returns the survivors and the round
-    count.
-    """
-    check_factors(trigger_factor, stop_factor)
-    rounds = 0
-    while True:
-        subset, score = max_corruption_subset_heuristic(sub, params)
-        if score < trigger_factor * params.kappa_g or not subset.members:
-            break
-        med = median_prob(sub, subset)
-        sub = batch_deletion(sub, subset, med, params, rng, stop_factor)
-        rounds += 1
-    return sub, rounds

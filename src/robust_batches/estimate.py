@@ -384,11 +384,11 @@ def fit_piecewise(
 
     Piece breakpoints are restricted to the partition boundaries (thinned
     to at most MAX_CUT_CANDIDATES cut positions when the partition is very
-    fine).  ``support`` bounds the density; the partition's two unbounded
-    end cells are clipped to it.  Each piece is solved and stored in its
-    own coordinate s on [-1, 1].  A piece the solver cannot fit within its
-    checks falls back to the always-feasible constant density and flags
-    the result instead of failing.
+    fine).  ``support`` bounds the density: every cell is clipped to it,
+    and a cell lying wholly outside it must carry no mass.  Each piece is
+    solved and stored in its own coordinate s on [-1, 1].  A piece the
+    solver cannot fit within its checks falls back to the always-feasible
+    constant density and flags the result instead of failing.
     """
     check_fit_shape(t, d, partition.ell)
     lo, hi = float(support[0]), float(support[1])
@@ -403,10 +403,10 @@ def fit_piecewise(
         raise UsageError("masses must sum to 1")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
-    bnd = list(partition.boundaries)
-    if bnd and (bnd[0] < lo or bnd[-1] > hi):
-        raise UsageError("support must contain all partition boundaries")
-    edges_x, w_m = _merge_cells([lo, *bnd, hi], w)
+    edges = np.array([-math.inf, *partition.boundaries, math.inf])
+    if w[(edges[1:] < lo) | (edges[:-1] > hi)].any():
+        raise UsageError("support must cover every partition cell that carries mass")
+    edges_x, w_m = _merge_cells([lo, *np.clip(edges[1:-1], lo, hi).tolist(), hi], w)
     ncells = w_m.size
     dim = d + 1
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import KIntervalHypothesis
 from .clean import reference_fk
 from .core import (
     ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, CorruptionParams, DomainError, LabeledCollection,
@@ -195,8 +194,9 @@ class ClassificationTarget:
     def optimal_risk(self) -> float:
         return float(sum(m * min(e, 1.0 - e) for m, e in zip(self.masses, self.eta)))
 
-    def risk_of(self, h: KIntervalHypothesis) -> float:
-        """Exact risk of a k-interval hypothesis under this law."""
+    def risk_of(self, h) -> float:
+        """Exact risk of a k-interval hypothesis ``h`` (a
+        ``classify.KIntervalHypothesis``) under this law."""
         total = 0.0
         for j, (m, e) in enumerate(zip(self.masses, self.eta)):
             a, b = self.edges[j], self.edges[j + 1]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
-from robust_batches.clean import clean_pipeline, guidance_batches
+from robust_batches import clean
+from robust_batches.clean import clean_counts, clean_pipeline, guidance_batches, prepare_cleaning
+from robust_batches.corruption import STOP_FACTOR, TRIGGER_FACTOR
 from robust_batches.io import canonical_json
 from robust_batches.simulate import MeanShiftAttack, parse_target
 
@@ -38,6 +40,29 @@ def test_inconsistent_factors_refused_at_every_beta(trigger, stop, beta):
     coll = small_collection(seed=3)
     with pytest.raises(rb.UsageError, match="need 0 < stop_factor <= trigger_factor"):
         clean_pipeline(coll, 2, beta, np.random.default_rng(0), trigger, stop)
+
+
+def test_clean_counts_no_round_returns_its_inputs(monkeypatch):
+    coll = small_collection(seed=3)
+    ell, params = prepare_cleaning(coll, 2, 0.2)
+    disc = rb.discretize(coll, rb.build_partition(coll.pooled_samples(), ell))
+    calls = []
+
+    def detect_once(sub, params):
+        calls.append(sub)
+        return rb.max_corruption_subset_heuristic(sub, params)
+
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", detect_once)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    cleaned, retained, rounds = clean_counts(
+        coll, disc, 0.2, params, rng, TRIGGER_FACTOR, STOP_FACTOR
+    )
+    assert rounds == 0
+    assert cleaned is disc and retained is coll
+    # one detection ran, engaged nothing and drew nothing
+    assert len(calls) == 1 and calls[0] is disc
+    assert rng.bit_generator.state == state
 
 
 def test_small_m_warns():

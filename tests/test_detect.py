@@ -4,13 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches import detect
-from robust_batches.corruption import corruption_scores
-from robust_batches.detect import (
-    clean_discrete,
-    max_corruption_subset_brute,
-    max_corruption_subset_heuristic,
-)
+from robust_batches import clean, detect
+from robust_batches.corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_scores
+from robust_batches.detect import max_corruption_subset_brute, max_corruption_subset_heuristic
 from robust_batches.simulate import FkTargetedAttack, parse_target
 
 
@@ -419,20 +415,29 @@ def test_detected_subset_survives_eigvec_noise(monkeypatch):
         assert max_corruption_subset_heuristic(disc, params) == (subset, score)
 
 
-def test_clean_discrete_good_only_no_deletions(monkeypatch):
-    monkeypatch.setattr(detect, "max_corruption_subset_heuristic", max_corruption_subset_brute)
+def clean_loop(coll, params, rng, trigger_factor=TRIGGER_FACTOR, stop_factor=STOP_FACTOR):
+    """clean.clean_counts on a count table that is its own collection:
+    the survivors and the round count."""
+    out, _, rounds = clean.clean_counts(
+        coll, coll, params.beta, params, rng, trigger_factor, stop_factor
+    )
+    return out, rounds
+
+
+def test_clean_counts_good_only_no_deletions(monkeypatch):
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", max_corruption_subset_brute)
     rng = np.random.default_rng(2)
     n, m, ell = 1000, 80, 8
     counts = good_counts(rng, m, n, ell)
     coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
     params = rb.CorruptionParams(0.1, n, m)
-    out, rounds = clean_discrete(coll, params, np.random.default_rng(0))
+    out, rounds = clean_loop(coll, params, np.random.default_rng(0))
     assert rounds == 0
     assert out.ids == coll.ids
 
 
-def test_clean_discrete_single_bin_attack_brute_certified(monkeypatch):
-    monkeypatch.setattr(detect, "max_corruption_subset_heuristic", max_corruption_subset_brute)
+def test_clean_counts_single_bin_attack_brute_certified(monkeypatch):
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", max_corruption_subset_brute)
     rng = np.random.default_rng(3)
     n, m, ell = 2500, 80, 10
     params = rb.CorruptionParams(0.1, n, m)
@@ -440,13 +445,13 @@ def test_clean_discrete_single_bin_attack_brute_certified(monkeypatch):
     dev = int(round(2.5 * params.tau * n))
     counts = plant_single_bin(counts, range(16), 3, dev)
     coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
-    out, rounds = clean_discrete(coll, params, np.random.default_rng(11))
+    out, rounds = clean_loop(coll, params, np.random.default_rng(11))
     assert rounds >= 1
     _, residual = max_corruption_subset_brute(out, params)
     assert residual < 25 * params.kappa_g
 
 
-def test_clean_discrete_heuristic_matches_brute_termination():
+def test_clean_counts_heuristic_matches_brute_termination():
     rng = np.random.default_rng(4)
     agree = 0
     for seed in range(20):
@@ -456,15 +461,15 @@ def test_clean_discrete_heuristic_matches_brute_termination():
         dev = int(round(2.5 * params.tau * n))
         counts = plant_single_bin(counts, range(10), 5, dev)
         coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
-        out, _ = clean_discrete(coll, params, np.random.default_rng(seed))
+        out, _ = clean_loop(coll, params, np.random.default_rng(seed))
         _, residual = max_corruption_subset_brute(out, params)
         if residual < 25 * params.kappa_g:
             agree += 1
     assert agree >= 18
 
 
-def test_clean_discrete_validates_factors():
+def test_clean_counts_validates_factors():
     coll = rb.DiscretizedCollection(np.ones((2, 2), dtype=int), (0, 1), 2)
     params = rb.CorruptionParams(0.2, 2, 2)
     with pytest.raises(rb.UsageError):
-        clean_discrete(coll, params, np.random.default_rng(0), trigger_factor=5, stop_factor=9)
+        clean_loop(coll, params, np.random.default_rng(0), trigger_factor=5, stop_factor=9)

@@ -275,6 +275,18 @@ def test_fit_piecewise_on_a_narrow_support():
         assert res.density.bin_masses(part).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fit_piecewise_support_inside_the_outer_boundaries():
+    """A support that ends inside the outer cells clips every cell to it;
+    the cells lying wholly outside it must be empty."""
+    part = rb.IntervalPartition((0.0, 1.0, 2.0, 3.0))
+    res = fit_piecewise([0.0, 0.5, 0.5, 0.0, 0.0], part, 1, 0, (0.2, 1.8))
+    assert res.density.breakpoints == (0.2, 1.8)
+    assert res.density.bin_masses(part) == pytest.approx([0.0, 0.5, 0.5, 0.0, 0.0])
+    for masses in ([0.1, 0.5, 0.4, 0.0, 0.0], [0.0, 0.5, 0.4, 0.1, 0.0], [0.0, 0.5, 0.4, 0.0, 0.1]):
+        with pytest.raises(rb.UsageError, match="support must cover every partition cell"):
+            fit_piecewise(masses, part, 1, 0, (0.2, 1.8))
+
+
 def test_degree_8_fit_of_a_clean_mixture():
     """800 clean gm: batches on a 600-cell partition, fitted with t=6, d=8:
     no piece falls back to a constant, and the TV to the target stays below

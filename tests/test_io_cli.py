@@ -203,6 +203,29 @@ def test_cli_estimate_and_classify(tmp_path):
     assert cls["classification"]["excess_risk"] < 0.05
 
 
+def test_cli_estimate_when_cleaning_deletes_the_pooled_maximum(tmp_path):
+    """At m=1000, n=100 and ell=600, (ell-1)*ceil(s/ell) >= s, so the last
+    partition boundary is the pooled maximum.  This run deletes the batch
+    that holds it, and the fit support, taken from the retained batches,
+    ends inside the last cells; those cells are empty, so the fit runs."""
+    gm = "gm:0.6N(0,1)+0.4N(3,0.5)"
+    batches, out = tmp_path / "b.jsonl", tmp_path / "est.json"
+    assert main([
+        "simulate", "--target", gm, "--attack", "fk_targeted:0.5@2", "--m", "1000",
+        "--n", "100", "--beta", "0.2", "--seed", "5", "--out", str(batches),
+    ]) == 0
+    assert main([
+        "estimate", "--input", str(batches), "--t", "3", "--d", "1", "--beta", "0.2",
+        "--seed", "5", "--trigger", "5", "--stop", "4", "--target", gm, "--out", str(out),
+    ]) == 0
+    report = read_json(out)
+    coll = read_batches(batches)
+    top = rb.build_partition(coll.pooled_samples(), report["cleaning"]["ell"]).boundaries[-1]
+    kept = np.isin(coll.ids, report["cleaning"]["retained_ids"])
+    assert top == coll.samples.max() > coll.samples[kept].max()
+    assert report["tv_to_target"] < 0.3
+
+
 @pytest.mark.parametrize(
     "t, d, message",
     [("1000000", "1", "2\\*t\\*d=2000000"), ("3", "9", "d must lie"), ("0", "1", "t must be")],
