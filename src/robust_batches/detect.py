@@ -8,11 +8,12 @@ takes the leading eigenvector v of the per-batch probability matrix,
 centered on its column medians and deflated by its row means, by power
 iteration run to convergence, and scores two candidate families, each
 streamed in tables of at most _CHUNK candidates, one row of per-batch
-subset counts per candidate:
+subset counts per candidate, read from the count table in place:
 
+- all singletons, so single-bin attacks are always found, scored in the
+  pass that yields the column medians v is centred on;
 - threshold sets {i: +-v_i >= t} at every distinct value t: a running
-  cumulative sum over the bins in order of v, read where the value changes;
-- all singletons, so single-bin attacks are always found.
+  cumulative sum over the columns in order of v, read where the value changes.
 
 A row's median and total score follow from its histogram over the table's
 occupied value range, each value scored once by
@@ -36,8 +37,7 @@ _BRUTE_CHUNK = 2048
 _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _POWER_TOL
 _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # threshold sets over both signs; keeps huge partitions tractable
-_CHUNK = 64  # candidates scored at once
-_MEDIAN_COLUMNS = 64  # per median pass in _leading_eigvec; small key tables lower peak RSS
+_CHUNK = 64  # candidates scored at once; small key tables lower peak RSS
 _GRAM_BLOCK = 1 << 17  # float64 values per block of D, and per tile of its Gram matrix
 
 
@@ -60,9 +60,9 @@ def _middle_order_stats(table: np.ndarray):
     return base + (cum <= (m - 1) // 2).sum(axis=1), base + (cum <= m // 2).sum(axis=1), base, hist
 
 
-def _candidate_scores(table: np.ndarray, n: int, tau: float) -> np.ndarray:
-    """Total corruption score of each candidate, given one row of per-batch
-    subset counts per candidate.
+def _candidate_scores(table: np.ndarray, n: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the median (lo + hi, int64) and the total corruption score of
+    each candidate, given one row of per-batch subset counts per candidate.
 
     Scored in count units, where deviations from the median are exact
     half-integers and their squares sum exactly, and divided by n^2 last, so
@@ -70,11 +70,12 @@ def _candidate_scores(table: np.ndarray, n: int, tau: float) -> np.ndarray:
     any table.
     """
     lo, hi, base, hist = _middle_order_stats(table)
-    med = ((lo + hi) / 2)[:, None]
+    twice = lo + hi
+    med = (twice / 2)[:, None]
     if hist is None:
-        return corruption_scores(table, tau * n, med).sum(axis=1) / (n * n)
+        return twice, corruption_scores(table, tau * n, med).sum(axis=1) / (n * n)
     grid = base + np.arange(hist.shape[1])
-    return (hist * corruption_scores(grid, tau * n, med)).sum(axis=1) / (n * n)
+    return twice, (hist * corruption_scores(grid, tau * n, med)).sum(axis=1) / (n * n)
 
 
 def max_corruption_subset_brute(
@@ -94,7 +95,7 @@ def max_corruption_subset_brute(
     for start in range(0, 1 << ell, _BRUTE_CHUNK):
         ints = np.arange(start, min(start + _BRUTE_CHUNK, 1 << ell), dtype=np.uint32)
         masks = (ints[:, None] >> bit) & 1
-        scores = _candidate_scores(masks @ sub.counts.T, sub.n, params.tau)
+        scores = _candidate_scores(masks @ sub.counts.T, sub.n, params.tau)[1]
         i = int(np.argmax(scores))
         if scores[i] > best_score:
             best_score = float(scores[i])
@@ -124,7 +125,7 @@ def _exact_gram(blocks, q: int) -> np.ndarray:
     return gram
 
 
-def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
+def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
     """Leading eigenvector of centered.T @ centered, where ``centered`` is
     counts/n minus its column medians, then minus its row means.
 
@@ -133,7 +134,7 @@ def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     1, and v would carry the attack only in its last digits.  For the same
     reason every row has the same mean.
 
-    Twice a column median, in counts, is the integer a_j = lo_j + hi_j, so
+    ``a`` holds twice the column medians, in counts: integers a_j, so
     2n * centered = D - b, where D = 2*counts - a is an integer table with
     |D| <= 2n and b = r/ell, r being the common row sum of D.  Power
     iteration runs on the smaller Gram side: that of E = D, or of E = D.T
@@ -150,10 +151,6 @@ def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
     A zero Gram matrix gives v = 0.
     """
     m, ell = counts.shape
-    a = np.empty(ell, dtype=np.int64)
-    for j in range(0, ell, _MEDIAN_COLUMNS):
-        lo, hi, _, _ = _middle_order_stats(counts[:, j : j + _MEDIAN_COLUMNS].T)
-        a[j : j + _MEDIAN_COLUMNS] = lo + hi
     r = 2 * n - int(a.sum())
     b = r / ell
     wide = ell > m
@@ -202,8 +199,8 @@ def _leading_eigvec(counts: np.ndarray, n: int) -> np.ndarray:
 
 def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(order, depths) for v and for -v: the threshold set {i: v_i >= t} at
-    each distinct value t is ``order[:depth]``.  Over both signs together at
-    most _CANDIDATE_CAP depths are kept, evenly spaced."""
+    each distinct value t is ``order[:depth]``.  Over both signs, at most
+    _CANDIDATE_CAP evenly spaced depths are kept (all, if there are fewer)."""
     orders, depths, signs = [], [], []
     for sign, vec in enumerate((v, -v)):
         order = np.argsort(-vec, kind="stable")
@@ -212,28 +209,32 @@ def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         depths.append(cuts)
         signs.append(np.full(cuts.size, sign))
     depth, sign = np.concatenate(depths), np.concatenate(signs)
-    if depth.size > _CANDIDATE_CAP:
-        keep = sorted_unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
-        depth, sign = depth[keep], sign[keep]
+    keep = sorted_unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
+    depth, sign = depth[keep], sign[keep]
     return [(order, depth[sign == s]) for s, order in enumerate(orders)]
 
 
-def _candidate_tables(rows: np.ndarray, v: np.ndarray):
-    """Yield each candidate family in chunks of at most _CHUNK candidates,
-    as (table, bins_of): the per-batch subset counts, one row per candidate,
-    and the 1-based bins of row c.  ``rows`` holds counts.T in a dtype that holds n."""
-    ell, m = rows.shape
-    for order, depth in _threshold_depths(v):
-        running = np.zeros(m, dtype=rows.dtype)  # counts summed over order[:start]
+def _candidate_tables(counts: np.ndarray, n: int, tau: float):
+    """Yield each candidate family's scores in chunks of at most _CHUNK
+    candidates, as (totals, bins_of), bins_of(c) being the 1-based bins of
+    candidate c.  Singletons come first; their twice-medians centre v.
+    Subset counts are summed in the dtype of ``counts``, which holds n."""
+    m, ell = counts.shape
+    bins = counts.T  # one row per bin: a view, the table is never copied
+    a = np.empty(ell, dtype=np.int64)
+    for j in range(0, ell, _CHUNK):
+        a[j : j + _CHUNK], totals = _candidate_scores(bins[j : j + _CHUNK], n, tau)
+        yield totals, lambda c, j=j: (j + c + 1,)
+    for order, depth in _threshold_depths(_leading_eigvec(counts, n, a)):
+        running = np.zeros(m, dtype=counts.dtype)  # counts summed over order[:start]
         for start in range(0, ell, _CHUNK):
-            block = np.cumsum(rows[order[start : start + _CHUNK]], axis=0, dtype=rows.dtype)
+            block = np.cumsum(bins[order[start : start + _CHUNK]], axis=0, dtype=counts.dtype)
             block += running
             running = block[-1]
             cut = depth[(depth > start) & (depth <= start + _CHUNK)]
             if cut.size:
-                yield block[cut - start - 1], lambda c, o=order, d=cut: o[: d[c]] + 1
-    for j in range(0, ell, _CHUNK):
-        yield rows[j : j + _CHUNK], lambda c, j=j: (j + c + 1,)
+                totals = _candidate_scores(block[cut - start - 1], n, tau)[1]
+                yield totals, lambda c, o=order, d=cut: o[: d[c]] + 1
 
 
 def max_corruption_subset_heuristic(
@@ -241,19 +242,14 @@ def max_corruption_subset_heuristic(
 ) -> tuple[BinSubset, float]:
     """Spectral stand-in for exhaustive detection, polynomial in m and ell.
 
-    Candidates are eigenvector threshold sets (both signs), at most
-    _CANDIDATE_CAP of them, and all singletons (see the module docstring).
+    Candidates are all singletons and eigenvector threshold sets (both
+    signs), at most _CANDIDATE_CAP of them (see the module docstring).
     """
-    v = _leading_eigvec(sub.counts, sub.n)
-    rows = np.ascontiguousarray(sub.counts.T)
     best_score, tied = 0.0, []
-    for table, bins_of in _candidate_tables(rows, v):
-        totals = _candidate_scores(table, sub.n, params.tau)
+    for totals, bins_of in _candidate_tables(sub.counts, sub.n, params.tau):
         top = float(totals.max(initial=0.0))
         if top > best_score:
             best_score, tied = top, []
         if top == best_score > 0.0:
             tied += [BinSubset.of(*bins_of(c)) for c in np.flatnonzero(totals == top)]
-    if not tied:
-        return EMPTY_SUBSET, 0.0
-    return min(tied, key=BinSubset.bitmask), best_score
+    return min(tied, key=BinSubset.bitmask, default=EMPTY_SUBSET), best_score

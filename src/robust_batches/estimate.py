@@ -46,10 +46,10 @@ _BISECT_STEPS = 100
 _FLAT, _LINEAR, _CURVED = 0, 1, 2
 
 
-def _cheb_nodes(a: float, b: float, count: int = CHEB_POINTS) -> np.ndarray:
+def _cheb_nodes(a: float, b: float) -> np.ndarray:
     # second-kind (Lobatto) nodes: the piece endpoints are check-points too
-    i = np.arange(count)
-    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (count - 1))
+    i = np.arange(CHEB_POINTS)
+    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (CHEB_POINTS - 1))
 
 
 def _dips_below_zero(coef) -> bool:
@@ -419,10 +419,7 @@ def fit_piecewise(
     pww = np.zeros(ncells + 1)
     pww[1:] = np.cumsum(w_m * w_m)
 
-    if ncells + 1 > MAX_CUT_CANDIDATES:
-        cand = sorted_unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
-    else:
-        cand = np.arange(ncells + 1)
+    cand = sorted_unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
     cost = _segment_cost_matrix(cand, pg, pb, pww)
 
     t_eff = min(t, ncells)

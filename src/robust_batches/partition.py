@@ -227,8 +227,6 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
         raise UsageError(f"need at least ell={ell} samples, got {s}")
     if np.any(x[1:] < x[:-1]):
         raise UsageError("samples must be sorted non-decreasing")
-    if ell == 1:
-        return IntervalPartition((), _samples_token(x))
     delta = math.ceil(s / ell)
     cut_positions = [min(j * delta, s) for j in range(1, ell)]
     boundaries: list[float] = []

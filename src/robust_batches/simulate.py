@@ -36,6 +36,7 @@ from .partition import (
 
 _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
+_FK_MARGIN = 1.05  # how many tau an fk_targeted batch puts above the good median mass
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _log = np.vectorize(math.log, otypes=[float])
 _EXP_M2 = 0.13533528323661269189
@@ -309,13 +310,12 @@ class FkTargetedAttack:
     interval-union witness bins, each batch deviating just above tau."""
 
     magnitude: float
-    k: int = 2
-    margin: float = 1.05
+    k: int
 
     def generate(self, rngs, ctx: SimContext) -> np.ndarray:
         plan = _fk_attack_plan(ctx, self.magnitude, self.k)
         rows = ctx.target.sample(rngs, ctx.n)
-        goal = min(1.0, plan.med_good + self.margin * plan.tau)
+        goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
         inside = plan.region.contains(rows)
         needs = int(math.ceil(goal * ctx.n)) - inside.sum(axis=1)
         iv = plan.region.intervals[0]

@@ -14,6 +14,14 @@ def good_counts(rng, m, n, ell):
     return rng.multinomial(n, np.full(ell, 1.0 / ell), size=m)
 
 
+def twice_medians(counts):
+    """Reference ``a`` for detect._leading_eigvec: the sum of the two middle
+    entries of each sorted column, as int64."""
+    ordered = np.sort(counts, axis=0).astype(np.int64)
+    m = counts.shape[0]
+    return ordered[(m - 1) // 2] + ordered[m // 2]
+
+
 def plant_single_bin(counts, rows, bin0, dev_counts):
     """Move dev_counts samples into one bin for the given rows."""
     counts = counts.copy()
@@ -76,7 +84,8 @@ def test_heuristic_zero_corruption():
         n = int(counts[0].sum())
         coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
         params = rb.CorruptionParams(0.2, n, m)
-        assert np.isfinite(detect._leading_eigvec(coll.counts, coll.n)).all()
+        v = detect._leading_eigvec(coll.counts, coll.n, twice_medians(coll.counts))
+        assert np.isfinite(v).all()
         subset, score = max_corruption_subset_heuristic(coll, params)
         assert score == 0.0 and subset.members == frozenset()
 
@@ -130,7 +139,7 @@ def _mask_matmul_heuristic(sub, params, budget=4096):
     ell = sub.ell
     P = sub.probs()
     centered = P - np.median(P, axis=0)
-    v = detect._leading_eigvec(sub.counts, sub.n)
+    v = detect._leading_eigvec(sub.counts, sub.n, twice_medians(sub.counts))
     cands = []
     for vec in (v, -v):
         order = np.argsort(-vec, kind="stable")
@@ -211,13 +220,13 @@ def _reference_column_scores(table, n, tau):
 
 
 def _chunked_scores(table, n, tau):
-    """detect's scorer as the spectral detector runs it: one row per
-    candidate in the smallest dtype that holds n, _CHUNK rows at a time."""
-    rows = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(n))
-    return np.concatenate(
-        [detect._candidate_scores(rows[j : j + detect._CHUNK], n, tau)
-         for j in range(0, rows.shape[0], detect._CHUNK)]
-    )
+    """detect's scorer as the spectral detector runs it on singletons: the
+    table in the smallest dtype that holds n, _CHUNK columns at a time, each
+    transposed to one row per candidate.  (twice-medians, totals)."""
+    cols = table.astype(np.min_scalar_type(n))
+    pairs = [detect._candidate_scores(cols[:, j : j + detect._CHUNK].T, n, tau)
+             for j in range(0, cols.shape[1], detect._CHUNK)]
+    return tuple(np.concatenate(family) for family in zip(*pairs))
 
 
 @st.composite
@@ -250,8 +259,30 @@ def score_tables(draw):
 def test_chunked_histogram_scores_match_reference_bitwise(case):
     table, n, tau = case
     expected = _reference_column_scores(table, n, tau)
-    assert _chunked_scores(table, n, tau).tobytes() == expected.tobytes()
-    assert detect._candidate_scores(table.T, n, tau).tobytes() == expected.tobytes()
+    for twice, totals in (_chunked_scores(table, n, tau), detect._candidate_scores(table.T, n, tau)):
+        assert twice.dtype == np.int64 and np.array_equal(twice, twice_medians(table))
+        assert totals.tobytes() == expected.tobytes()
+
+
+def test_singletons_are_scored_once_from_views_of_the_count_table(monkeypatch):
+    """The median pass scores the singletons: _middle_order_stats sees each
+    _CHUNK-column chunk of the (m, ell) uint8 table once, as a view of the
+    table, not of a transposed copy."""
+    rng = np.random.default_rng(12)
+    m, n, ell = 40, 200, 150  # two full chunks and a partial one
+    coll = rb.DiscretizedCollection(good_counts(rng, m, n, ell).astype(np.uint8), tuple(range(m)), n)
+    seen, middle = [], detect._middle_order_stats
+
+    def recording(table):
+        seen.append(table)
+        return middle(table)
+
+    monkeypatch.setattr(detect, "_middle_order_stats", recording)
+    max_corruption_subset_heuristic(coll, rb.CorruptionParams(0.2, n, m))
+    chunks = [coll.counts[:, j : j + detect._CHUNK].T for j in range(0, ell, detect._CHUNK)]
+    scored = [[t for t in seen if t.shape == c.shape and np.array_equal(t, c)] for c in chunks]
+    assert [len(tables) for tables in scored] == [1] * len(chunks)
+    assert all(np.shares_memory(tables[0], coll.counts) for tables in scored)
 
 
 def test_middle_order_stats_takes_both_branches():
@@ -288,7 +319,7 @@ def _reference_candidate_tables(counts, v):
 def _reference_heuristic(sub, params):
     """The spectral detector over full tables with the reference scorer."""
     best_score, tied = 0.0, []
-    v = detect._leading_eigvec(sub.counts, sub.n)
+    v = detect._leading_eigvec(sub.counts, sub.n, twice_medians(sub.counts))
     for table, bins_of in _reference_candidate_tables(sub.counts, v):
         totals = _reference_column_scores(table, sub.n, params.tau)
         top = float(totals.max(initial=0.0))
@@ -317,7 +348,7 @@ def test_heuristic_matches_full_table_reference(monkeypatch, cap):
             counts[: bad.shape[0]] = bad
         coll = rb.DiscretizedCollection(counts, tuple(range(m)), n)
         if i % 2:  # planted; ell > m (the m x m Gram side) at i = 1 and 9
-            v = detect._leading_eigvec(coll.counts, coll.n)
+            v = detect._leading_eigvec(coll.counts, coll.n, twice_medians(coll.counts))
             assert abs(v @ _reference_eigvec(coll.probs())) >= 1 - 1e-12
         assert max_corruption_subset_heuristic(coll, params) == _reference_heuristic(coll, params)
 
@@ -333,7 +364,7 @@ def _fk_targeted_collection():
 
 def test_leading_eigvec_matches_eigh_on_fk_targeted_collection():
     disc = _fk_targeted_collection()
-    v = detect._leading_eigvec(disc.counts, disc.n)
+    v = detect._leading_eigvec(disc.counts, disc.n, twice_medians(disc.counts))
     assert abs(v @ _reference_eigvec(disc.probs())) >= 1 - 1e-12
     assert abs(v.sum()) <= 1e-12  # the all-ones direction is deflated away
 
@@ -356,7 +387,7 @@ def _eigvec_and_grams(monkeypatch, counts, n):
         return grams[-1].copy()
 
     monkeypatch.setattr(detect, "_exact_gram", recording)
-    return detect._leading_eigvec(counts, n), grams
+    return detect._leading_eigvec(counts, n, twice_medians(counts)), grams
 
 
 @pytest.mark.parametrize("m, ell", [(61, 23), (40, 40), (13, 57)])  # ell < m, ell = m, ell > m
@@ -406,8 +437,8 @@ def test_detected_subset_survives_eigvec_noise(monkeypatch):
     exact = detect._leading_eigvec
     rng = np.random.default_rng(0)
 
-    def noisy(counts, n):
-        v = exact(counts, n)
+    def noisy(counts, n, a):
+        v = exact(counts, n, a)
         return v + 1e-12 * np.abs(v).max() * rng.standard_normal(v.size)
 
     monkeypatch.setattr(detect, "_leading_eigvec", noisy)

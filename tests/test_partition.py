@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ def test_build_partition_single_cell():
     part = rb.build_partition(np.arange(5.0), 1)
     assert part.boundaries == ()
     assert part.ell == 1
+    assert part.source_token == hashlib.sha256(np.arange(5.0)).hexdigest()[:16]
 
 
 def test_build_partition_tied_values_collapse():

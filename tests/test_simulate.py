@@ -12,6 +12,7 @@ from robust_batches.simulate import (
     ReplaySkewAttack,
     SimContext,
     SpikeAttack,
+    _FK_MARGIN,
     _fk_attack_plan,
     _ndtri,
     batch_rng,
@@ -288,7 +289,7 @@ def _one_batch(spec: str, target, rng, good_rows: np.ndarray, n: int, beta: floa
         row = target.sample((rng,), n)[0]
         plan = _fk_attack_plan(SimContext(target, beta, n, good_rows), attack.magnitude, attack.k)
         inside = plan.region.contains(row)
-        goal = min(1.0, plan.med_good + attack.margin * plan.tau)
+        goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
         need = int(np.ceil(goal * n)) - int(inside.sum())
         idx = np.nonzero(~inside)[0][:need]
         iv = plan.region.intervals[0]
