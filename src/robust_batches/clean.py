@@ -31,7 +31,7 @@ from .core import (
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, median_prob
 from .detect import max_corruption_subset_heuristic
 from .distance import fk_distance
-from .partition import IntervalPartition, build_partition, choose_ell, discretize
+from .partition import IntervalPartition, choose_ell, discretize
 
 # Partition sizing needs beta > 0; an uncontaminated run still needs bins.
 ELL_BETA_FLOOR = 0.1
@@ -104,7 +104,7 @@ def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionPa
     if beta > 0.0:
         guide = guidance_batches(k, n, beta)
         if not np.isfinite(guide):
-            raise DomainError(f"beta={beta} refused: too small for a finite batch-count guidance")
+            raise DomainError(f"k={k}, beta={beta} refused: no finite batch-count guidance")
         if m < guide:
             warnings.warn(
                 f"m={m} batches is below the sample-size guidance {guide:.0f} "
@@ -165,8 +165,7 @@ def clean_pipeline(
     scored by :func:`reference_fk`.
     """
     ell, params = prepare_cleaning(collection, k, beta)
-    partition = build_partition(collection.pooled_samples(), ell)
-    disc = discretize(collection, partition)
+    partition, disc = discretize(collection, ell)
     cleaned, retained, rounds = clean_counts(
         collection, disc, beta, params, rng, trigger_factor, stop_factor
     )

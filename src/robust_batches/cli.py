@@ -29,9 +29,7 @@ from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import (
     FileFormatError, canonical_json, read_batches, read_json, write_batches, write_csv, write_json,
 )
-from .partition import (
-    BinSubset, Interval, IntervalUnion, build_partition, discretize, lift_subset,
-)
+from .partition import BinSubset, Interval, IntervalUnion, discretize, lift_subset
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
 
 
@@ -253,22 +251,21 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"malformed report or --subset: {exc}") from exc
     target = _target(args, collection)
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
-    partition = None
+    discretized = None
     if not labeled:
         ell, params = prepare_cleaning(collection, k, beta)
-        partition = build_partition(collection.pooled_samples(), ell)
+        discretized = partition, disc = discretize(collection, ell)
         if (partition.ell, partition.source_token) != (section["ell"], section["source_token"]):
             raise UsageError("the report's partition does not match the batch file")
     elif members is not None:
         raise UsageError("--subset needs a clean or estimate report")
     if target is not None and collection.truth is not None:
-        out["metrics"] = metrics(collection, retained_ids, target, k, partition)
+        out["metrics"] = metrics(collection, retained_ids, target, k, discretized)
     elif collection.truth is not None:
         out["metrics"] = {"retention_good": collection.retention_good(retained_ids)}
     if members is not None:
         if not all(1 <= j <= partition.ell for j in members):
             raise UsageError(f"--subset bins must lie in 1..{partition.ell}")
-        disc = discretize(collection, partition)
         out["corruption"] = corruption_collection(disc, BinSubset(members), params).to_dict()
     _emit(out, args)
     return 0
@@ -314,8 +311,7 @@ def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:
     for _ in range(rounds):
         n, m = 40, 6
         coll = BatchCollection(rng.standard_normal((m, n)), range(m))
-        part = build_partition(coll.pooled_samples(), 12)
-        disc = discretize(coll, part)
+        part, disc = discretize(coll, 12)
         members = frozenset(
             int(j) + 1 for j in np.nonzero(rng.random(part.ell) < 0.5)[0]
         )

@@ -12,8 +12,10 @@ subset counts per candidate, read from the count table in place:
 
 - all singletons, so single-bin attacks are always found, scored in the
   pass that yields the column medians v is centred on;
-- threshold sets {i: +-v_i >= t} at every distinct value t: a running
+- threshold sets {i: v_i >= t} at every distinct value t: a running
   cumulative sum over the columns in order of v, read where the value changes.
+  Each set of -v is the complement of one of these and scores what it
+  scores, so each set stands for both, named by the one without the last bin.
 
 A row's median and total score follow from its histogram over the table's
 occupied value range, each value scored once by
@@ -21,7 +23,7 @@ occupied value range, each value scored once by
 totals are exact.  A table whose range is wider than the batch count is
 scored batch by batch against its partition median.  Tie rule: among the
 candidates with the largest score, if it is positive, the one with the
-smallest :meth:`BinSubset.bitmask` wins.
+smallest :meth:`BinSubset.bitmask` wins; only the final ties become subsets.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _BRUTE_MAX_ELL = 20
 _BRUTE_CHUNK = 2048
 _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _POWER_TOL
 _POWER_TOL = 1e-12
-_CANDIDATE_CAP = 4096  # threshold sets over both signs; keeps huge partitions tractable
+_CANDIDATE_CAP = 4096  # picks among the threshold sets of v and -v; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once; small key tables lower peak RSS
 _GRAM_BLOCK = 1 << 17  # float64 values per block of D, and per tile of its Gram matrix
 
@@ -197,27 +199,25 @@ def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
     return v
 
 
-def _threshold_depths(v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(order, depths) for v and for -v: the threshold set {i: v_i >= t} at
-    each distinct value t is ``order[:depth]``.  Over both signs, at most
-    _CANDIDATE_CAP evenly spaced depths are kept (all, if there are fewer)."""
-    orders, depths, signs = [], [], []
-    for sign, vec in enumerate((v, -v)):
-        order = np.argsort(-vec, kind="stable")
-        cuts = np.append(np.flatnonzero(np.diff(vec[order])) + 1, vec.size)
-        orders.append(order)
-        depths.append(cuts)
-        signs.append(np.full(cuts.size, sign))
-    depth, sign = np.concatenate(depths), np.concatenate(signs)
-    keep = sorted_unique(np.linspace(0, depth.size - 1, _CANDIDATE_CAP).round().astype(int))
-    depth, sign = depth[keep], sign[keep]
-    return [(order, depth[sign == s]) for s, order in enumerate(orders)]
+def _threshold_depths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, depths): the threshold set {i: v_i >= t} at each picked
+    distinct value t is ``order[:depth]``.  Of the r sets of v and then the
+    r sets of -v, at most _CANDIDATE_CAP evenly spaced ones are picked (all,
+    if there are fewer).  Set i of -v, at r+i, is the complement of set
+    r-2-i of v and is scored as that one; the full set of -v scores 0."""
+    order = np.argsort(-v, kind="stable")
+    cuts = np.append(np.flatnonzero(np.diff(v[order])) + 1, v.size)
+    r = cuts.size
+    picks = np.linspace(0, 2 * r - 1, _CANDIDATE_CAP).round().astype(int)
+    sets = np.where(picks < r, picks, 2 * r - 2 - picks)
+    return order, cuts[sorted_unique(sets[sets >= 0])]
 
 
 def _candidate_tables(counts: np.ndarray, n: int, tau: float):
     """Yield each candidate family's scores in chunks of at most _CHUNK
     candidates, as (totals, bins_of), bins_of(c) being the 1-based bins of
-    candidate c.  Singletons come first; their twice-medians centre v.
+    candidate c, or of its complement for a threshold set that holds the
+    last bin.  Singletons come first; their twice-medians centre v.
     Subset counts are summed in the dtype of ``counts``, which holds n."""
     m, ell = counts.shape
     bins = counts.T  # one row per bin: a view, the table is never copied
@@ -225,16 +225,17 @@ def _candidate_tables(counts: np.ndarray, n: int, tau: float):
     for j in range(0, ell, _CHUNK):
         a[j : j + _CHUNK], totals = _candidate_scores(bins[j : j + _CHUNK], n, tau)
         yield totals, lambda c, j=j: (j + c + 1,)
-    for order, depth in _threshold_depths(_leading_eigvec(counts, n, a)):
-        running = np.zeros(m, dtype=counts.dtype)  # counts summed over order[:start]
-        for start in range(0, ell, _CHUNK):
-            block = np.cumsum(bins[order[start : start + _CHUNK]], axis=0, dtype=counts.dtype)
-            block += running
-            running = block[-1]
-            cut = depth[(depth > start) & (depth <= start + _CHUNK)]
-            if cut.size:
-                totals = _candidate_scores(block[cut - start - 1], n, tau)[1]
-                yield totals, lambda c, o=order, d=cut: o[: d[c]] + 1
+    order, depth = _threshold_depths(_leading_eigvec(counts, n, a))
+    last = int(np.flatnonzero(order == ell - 1)[0])  # order[:d] holds the last bin iff d > last
+    running = np.zeros(m, dtype=counts.dtype)  # counts summed over order[:start]
+    for start in range(0, ell, _CHUNK):
+        block = np.cumsum(bins[order[start : start + _CHUNK]], axis=0, dtype=counts.dtype)
+        block += running
+        running = block[-1]
+        cut = depth[(depth > start) & (depth <= start + _CHUNK)]
+        if cut.size:
+            totals = _candidate_scores(block[cut - start - 1], n, tau)[1]
+            yield totals, lambda c, d=cut: (order[: d[c]] if d[c] <= last else order[d[c] :]) + 1
 
 
 def max_corruption_subset_heuristic(
@@ -242,8 +243,9 @@ def max_corruption_subset_heuristic(
 ) -> tuple[BinSubset, float]:
     """Spectral stand-in for exhaustive detection, polynomial in m and ell.
 
-    Candidates are all singletons and eigenvector threshold sets (both
-    signs), at most _CANDIDATE_CAP of them (see the module docstring).
+    Candidates are all singletons and eigenvector threshold sets, each
+    standing for its complement, at most _CANDIDATE_CAP picks of them over
+    both signs (see the module docstring).
     """
     best_score, tied = 0.0, []
     for totals, bins_of in _candidate_tables(sub.counts, sub.n, params.tau):
@@ -251,5 +253,6 @@ def max_corruption_subset_heuristic(
         if top > best_score:
             best_score, tied = top, []
         if top == best_score > 0.0:
-            tied += [BinSubset.of(*bins_of(c)) for c in np.flatnonzero(totals == top)]
-    return min(tied, key=BinSubset.bitmask, default=EMPTY_SUBSET), best_score
+            tied += [bins_of(c) for c in np.flatnonzero(totals == top)]
+    subsets = (BinSubset.of(*bins) for bins in tied)
+    return min(subsets, key=BinSubset.bitmask, default=EMPTY_SUBSET), best_score

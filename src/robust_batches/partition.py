@@ -3,8 +3,9 @@
 The ell-cell partition places boundaries at every Delta-th pooled order
 statistic, Delta = ceil(s/ell), so each cell holds at most Delta of the s
 points.  Cells are left-open/right-closed: (-inf, c1], (c1, c2], ...,
-(c_{ell-1}, inf).  Bin subsets D of [ell] lift back to unions of at most
-|D| real intervals.
+(c_{ell-1}, inf).  :func:`discretize` cuts it from one sort of a
+collection's pooled samples and counts every batch in it.  Bin subsets D
+of [ell] lift back to unions of at most |D| real intervals.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class IntervalPartition:
     """ell cells of the real line cut at strictly increasing boundaries.
 
     ``source_token`` fingerprints the pooled samples the partition was built
-    from; :func:`discretize` uses it to reject foreign collections.
+    from, so a cleaning report can be matched to its batch file.
     """
 
     boundaries: tuple[float, ...]
@@ -204,7 +205,10 @@ def choose_ell(k: int, n: int, beta: float, m: int) -> int:
         raise DomainError("n must be positive")
     if not 0.0 < beta <= BETA_MAX:
         raise DomainError(f"beta must lie in (0, {BETA_MAX}], got {beta}")
-    ell = min(2.0 * k * math.sqrt(n) / beta, n * m)
+    try:
+        ell = min(2.0 * k * math.sqrt(n) / beta, n * m)
+    except OverflowError:
+        raise DomainError("k is too large for a float") from None
     return max(math.ceil(ell - _CEIL_SLACK), 1)
 
 
@@ -237,18 +241,15 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
     return IntervalPartition(tuple(boundaries), _samples_token(x))
 
 
-def discretize(collection: BatchCollection, partition: IntervalPartition) -> DiscretizedCollection:
-    """Map every batch to its per-cell counts under ``partition``.
-
-    When the partition carries a source token it must match the pooled
-    samples of ``collection``; hand-built partitions (no token) skip the
-    check.
-    """
-    if partition.source_token is not None:
-        if _samples_token(collection.pooled_samples()) != partition.source_token:
-            raise UsageError("partition was not built from this collection's samples")
+def discretize(
+    collection: BatchCollection, ell: int
+) -> tuple[IntervalPartition, DiscretizedCollection]:
+    """Cut the ``ell``-cell partition from one sort of the pooled samples of
+    ``collection`` and map every batch to its per-cell counts under it.
+    A hand-built partition is counted with :meth:`IntervalPartition.counts`."""
+    partition = build_partition(collection.pooled_samples(), ell)
     counts = partition.counts(collection.samples)
-    return DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
+    return partition, DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
 
 
 def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:

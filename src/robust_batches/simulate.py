@@ -30,9 +30,7 @@ from .core import (
 )
 from .distance import max_sum_k_interval_union
 from .estimate import PiecewisePolynomial
-from .partition import (
-    BinSubset, IntervalPartition, IntervalUnion, build_partition, discretize, lift_subset,
-)
+from .partition import BinSubset, IntervalPartition, IntervalUnion, build_partition, lift_subset
 
 _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
@@ -384,16 +382,11 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     return BatchCollection(rows, range(m), truth)
 
 
-def metrics(
-    collection,
-    retained_ids,
-    target,
-    k: int,
-    partition: IntervalPartition | None = None,
-) -> dict:
+def metrics(collection, retained_ids, target, k: int, discretized=None) -> dict:
     """Simulation-mode scoring of a cleaning / estimation / classification
-    run.  Given the partition of an unlabeled run, ``target`` is a density
-    target and the F_k distance to it is scored before and after cleaning."""
+    run.  Given ``discretized``, an unlabeled run's (partition, count table)
+    pair from ``discretize``, ``target`` is a density target and the F_k
+    distance to it is scored before and after cleaning."""
     if collection.truth is None:
         raise UsageError("metrics need truth flags (simulation mode)")
     retained = set(retained_ids)
@@ -402,8 +395,8 @@ def metrics(
         "retained": len(retained),
         "m": collection.m,
     }
-    if partition is not None:
-        disc = discretize(collection, partition)
+    if discretized is not None:
+        partition, disc = discretized
         kept = disc.subset(np.isin(disc.ids, list(retained)))
         out["fk_before"], out["fk_after"] = reference_fk(disc, kept, target, partition, k)
     return out

@@ -163,8 +163,7 @@ def test_c04_concentration_properties():
         passes = 0
         for seed in SEEDS:
             coll = rb.build_collection(target, None, m, n, 0.0, seed)
-            part = rb.build_partition(coll.pooled_samples(), ell)
-            disc = rb.discretize(coll, part)
+            part, disc = rb.discretize(coll, ell)
             params = rb.CorruptionParams(beta, n, m)
             rng = np.random.default_rng(4000 + seed)
             subsets = [

@@ -42,10 +42,23 @@ def test_inconsistent_factors_refused_at_every_beta(trigger, stop, beta):
         clean_pipeline(coll, 2, beta, np.random.default_rng(0), trigger, stop)
 
 
+def test_clean_pipeline_sorts_the_pooled_samples_once(monkeypatch):
+    calls, pooled = [], rb.BatchCollection.pooled_samples
+
+    def counting(self):
+        calls.append(self)
+        return pooled(self)
+
+    monkeypatch.setattr(rb.BatchCollection, "pooled_samples", counting)
+    coll = small_collection(seed=3, beta=0.2, attack=MeanShiftAttack(1.0, (0.45, 0.55)))
+    clean_pipeline(coll, 2, 0.2, np.random.default_rng(0), 5, 4, parse_target("uniform:0,1"))
+    assert len(calls) == 1
+
+
 def test_clean_counts_no_round_returns_its_inputs(monkeypatch):
     coll = small_collection(seed=3)
     ell, params = prepare_cleaning(coll, 2, 0.2)
-    disc = rb.discretize(coll, rb.build_partition(coll.pooled_samples(), ell))
+    disc = rb.discretize(coll, ell)[1]
     calls = []
 
     def detect_once(sub, params):

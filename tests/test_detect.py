@@ -264,6 +264,19 @@ def test_chunked_histogram_scores_match_reference_bitwise(case):
         assert totals.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(score_tables())
+def test_complement_tables_score_the_same_bitwise(case):
+    """The fact the spectral detector rests on: the per-batch counts of a
+    subset's complement are n minus the subset's, and score the same total,
+    bit for bit, about the mirrored median."""
+    table, n, tau = case
+    twice, totals = detect._candidate_scores(table.T, n, tau)
+    twice_c, totals_c = detect._candidate_scores(n - table.T, n, tau)
+    assert totals_c.tobytes() == totals.tobytes()
+    assert np.array_equal(twice_c, 2 * n - twice)
+
+
 def test_singletons_are_scored_once_from_views_of_the_count_table(monkeypatch):
     """The median pass scores the singletons: _middle_order_stats sees each
     _CHUNK-column chunk of the (m, ell) uint8 table once, as a view of the
@@ -308,11 +321,13 @@ def _reference_eigvec(P):
     return np.linalg.eigh(centered.T @ centered)[1][:, -1]
 
 
-def _reference_candidate_tables(counts, v):
-    """Every candidate family as one full (m, nc) table of subset counts."""
-    for order, depth in detect._threshold_depths(v):
-        table = np.cumsum(counts[:, order], axis=1)[:, depth - 1]
-        yield table, lambda c, o=order, d=depth: o[: d[c]] + 1
+def _reference_candidate_tables(counts, n, v):
+    """Every candidate family as one full (m, nc) table of subset counts:
+    the picked threshold sets of v, their complements and the singletons."""
+    order, depth = detect._threshold_depths(v)
+    table = np.cumsum(counts[:, order], axis=1)[:, depth - 1]
+    yield table, lambda c: order[: depth[c]] + 1
+    yield n - table, lambda c: order[depth[c] :] + 1
     yield counts, lambda c: (c + 1,)
 
 
@@ -320,7 +335,7 @@ def _reference_heuristic(sub, params):
     """The spectral detector over full tables with the reference scorer."""
     best_score, tied = 0.0, []
     v = detect._leading_eigvec(sub.counts, sub.n, twice_medians(sub.counts))
-    for table, bins_of in _reference_candidate_tables(sub.counts, v):
+    for table, bins_of in _reference_candidate_tables(sub.counts, sub.n, v):
         totals = _reference_column_scores(table, sub.n, params.tau)
         top = float(totals.max(initial=0.0))
         if top > best_score:
@@ -358,8 +373,7 @@ def _fk_targeted_collection():
     n, beta, m = 100, 0.2, 400
     target = parse_target("uniform:0,1")
     coll = rb.build_collection(target, FkTargetedAttack(0.3, k=2), m, n, beta, 7)
-    part = rb.build_partition(coll.pooled_samples(), rb.choose_ell(2, n, beta, m))
-    return rb.discretize(coll, part)
+    return rb.discretize(coll, rb.choose_ell(2, n, beta, m))[1]
 
 
 def test_leading_eigvec_matches_eigh_on_fk_targeted_collection():

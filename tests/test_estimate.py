@@ -294,8 +294,8 @@ def test_degree_8_fit_of_a_clean_mixture():
     target = parse_target("gm:0.6N(0,1)+0.4N(3,0.5)")
     coll = rb.build_collection(target, None, 800, 100, 0.0, 1)
     pooled = coll.pooled_samples()
-    part = rb.build_partition(pooled, 600)
-    masses = rb.discretize(coll, part).pooled()
+    part, disc = rb.discretize(coll, 600)
+    masses = disc.pooled()
     res = fit_piecewise(masses, part, 6, 8, (float(pooled[0]), float(pooled[-1])))
     assert not res.best_effort
     assert rb.evaluate_density(res.density, target) <= 0.0089

@@ -433,6 +433,32 @@ def test_cli_eval_subset_corruption_report(tmp_path):
     assert len(data["corruption"]["per_batch_scores"]) == 50
 
 
+def test_cli_eval_sorts_the_pooled_samples_once(tmp_path, monkeypatch):
+    """One discretize call serves the report match, --target metrics and --subset."""
+    batches, report = tmp_path / "b.jsonl", tmp_path / "r.json"
+    target = "uniform:0,1"
+    assert main([
+        "simulate", "--target", target, "--attack", "spike:1.0@0.5",
+        "--m", "50", "--n", "100", "--beta", "0.2", "--seed", "2", "--out", str(batches),
+    ]) == 0
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "2",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    calls, pooled = [], rb.BatchCollection.pooled_samples
+
+    def counting(self):
+        calls.append(self)
+        return pooled(self)
+
+    monkeypatch.setattr(rb.BatchCollection, "pooled_samples", counting)
+    assert main([
+        "eval", "--input", str(batches), "--report", str(report), "--target", target,
+        "--subset", "1,5,9", "--out", str(tmp_path / "eval.json"),
+    ]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_eval_per_batch_scores_in_numeric_id_order(tmp_path):
     batches = tmp_path / "b.jsonl"
     report = tmp_path / "r.json"
@@ -673,6 +699,42 @@ def test_cli_huge_k_is_clamped_not_allocated(tmp_path):
     assert main([
         "clean", "--input", str(unlabeled), "--k", huge, "--target", "uniform:0,1", *flags,
     ]) == 0
+
+
+def test_cli_k_too_large_for_a_float_exits_2_naming_k(tmp_path, capsys):
+    """A k past the float range, or one that makes the batch-count guidance
+    infinite, is refused with a message that names k."""
+    unlabeled, labeled = tmp_path / "u.jsonl", tmp_path / "l.jsonl"
+    for target, attack, path in (
+        ("uniform:0,1", "spike:1.0@0.5", unlabeled),
+        (LABELED_TARGET, "label_flip:1.0@0,0.25", labeled),
+    ):
+        assert main([
+            "simulate", "--target", target, "--attack", attack, "--m", "60", "--n", "30",
+            "--beta", "0.2", "--seed", "1", "--out", str(path),
+        ]) == 0
+    report = tmp_path / "clean.json"
+    flags = ["--trigger", "5", "--stop", "4"]
+    assert main([
+        "clean", "--input", str(unlabeled), "--k", "2", "--beta", "0.2", *flags,
+        "--out", str(report),
+    ]) == 0
+    doc = read_json(report)
+    doc["cleaning"]["k"] = 10**400
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    huge, past_guidance = str(10**400), str(10**307)
+    runs = [
+        ["clean", "--input", str(unlabeled), "--k", huge, "--beta", "0.2", *flags],
+        ["clean", "--input", str(unlabeled), "--k", past_guidance, "--beta", "0.2", *flags],
+        ["classify", "--input", str(labeled), "--k", huge, "--beta", "0", *flags],
+        ["classify", "--input", str(labeled), "--k", huge, "--beta", "0.2", *flags],
+        ["eval", "--input", str(unlabeled), "--report", str(edited)],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2, argv[:4]
+        assert capsys.readouterr().err.startswith("error: k"), argv[:4]
 
 
 @pytest.mark.parametrize(

@@ -84,10 +84,10 @@ def tied_collections(draw):
 def test_partition_and_discretize_under_heavy_ties(case):
     coll, ell = case
     pooled = coll.pooled_samples()
-    part = rb.build_partition(pooled, ell)
+    part, disc = rb.discretize(coll, ell)
+    assert part == rb.build_partition(pooled, ell)
     assert all(a < b for a, b in zip(part.boundaries, part.boundaries[1:]))
     assert part.ell <= ell
-    disc = rb.discretize(coll, part)
     assert (disc.counts.sum(axis=1) == coll.n).all()
     report = clean_pipeline(coll, 1, 0.0, np.random.default_rng(0)).report
     ref = rb.build_partition(pooled, rb.choose_ell(1, coll.n, ELL_BETA_FLOOR, coll.m))
@@ -99,37 +99,28 @@ def test_partition_and_discretize_under_heavy_ties(case):
 def test_discretize_example():
     coll = rb.BatchCollection([[0.5, 4.5, 9.0]], (0,))
     part = rb.IntervalPartition((4.0, 8.0))
-    disc = rb.discretize(coll, part)
+    disc = rb.DiscretizedCollection(part.counts(coll.samples), coll.ids, coll.n, coll.truth)
     assert disc.counts[0].tolist() == [1, 1, 1]
 
 
 def test_discretize_all_first_cell():
     coll = rb.BatchCollection([[0.0, 1.0, 2.0]], (0,))
     part = rb.IntervalPartition((4.0, 8.0))
-    assert rb.discretize(coll, part).counts[0].tolist() == [3, 0, 0]
+    disc = rb.DiscretizedCollection(part.counts(coll.samples), coll.ids, coll.n, coll.truth)
+    assert disc.counts[0].tolist() == [3, 0, 0]
 
 
 def test_discretize_boundary_is_right_closed():
     coll = rb.BatchCollection([[4.0, 4.0000001]], (0,))
     part = rb.IntervalPartition((4.0,))
-    assert rb.discretize(coll, part).counts[0].tolist() == [1, 1]
-
-
-def test_discretize_token_guard():
-    rng = np.random.default_rng(0)
-    coll_a = rb.BatchCollection(rng.random((3, 10)), range(3))
-    coll_b = rb.BatchCollection(rng.random((3, 10)), range(3))
-    part = rb.build_partition(coll_a.pooled_samples(), 5)
-    rb.discretize(coll_a, part)
-    with pytest.raises(rb.UsageError):
-        rb.discretize(coll_b, part)
+    disc = rb.DiscretizedCollection(part.counts(coll.samples), coll.ids, coll.n, coll.truth)
+    assert disc.counts[0].tolist() == [1, 1]
 
 
 def test_discretize_roundtrip_against_raw_counting():
     rng = np.random.default_rng(11)
     coll = rb.BatchCollection(rng.standard_normal((5, 30)), range(5))
-    part = rb.build_partition(coll.pooled_samples(), 12)
-    disc = rb.discretize(coll, part)
+    part, disc = rb.discretize(coll, 12)
     for _ in range(100):
         members = frozenset(int(j) + 1 for j in np.nonzero(rng.random(part.ell) < 0.4)[0])
         subset = rb.BinSubset(members)
@@ -140,8 +131,7 @@ def test_discretize_roundtrip_against_raw_counting():
 def test_discretize_preserves_totals_and_pooled_masses():
     rng = np.random.default_rng(2)
     coll = rb.BatchCollection(rng.random((6, 25)), range(6))
-    part = rb.build_partition(coll.pooled_samples(), 10)
-    disc = rb.discretize(coll, part)
+    disc = rb.discretize(coll, 10)[1]
     assert (disc.counts.sum(axis=1) == 25).all()
     assert disc.pooled().sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -178,7 +168,7 @@ def test_counts_hold_a_full_cell_in_the_narrow_dtype(n):
     samples[1] = 0.5  # one batch puts all n values in one cell
     coll = rb.BatchCollection(samples, range(3))
     part = rb.IntervalPartition((0.25, 0.75))
-    disc = rb.discretize(coll, part)
+    disc = rb.DiscretizedCollection(part.counts(coll.samples), coll.ids, coll.n, coll.truth)
     assert disc.counts.dtype == np.min_scalar_type(n) == part.counts(samples).dtype
     assert disc.counts[1].tolist() == [0, n, 0]
     assert np.array_equal(disc.counts, _per_batch_counts(part, samples, np.ones((3, n), bool)))

@@ -108,8 +108,7 @@ def test_fk_targeted_attack_end_to_end():
     target = parse_target("uniform:0,1")
     mag, beta, n = 0.3, 0.2, 100
     coll = rb.build_collection(target, FkTargetedAttack(mag, k=2), 400, n, beta, 7)
-    pooled_part = rb.build_partition(coll.pooled_samples(), rb.choose_ell(2, n, beta, 400))
-    disc = rb.discretize(coll, pooled_part)
+    pooled_part, disc = rb.discretize(coll, rb.choose_ell(2, n, beta, 400))
     naive = rb.fk_distance(disc.pooled(), target.bin_masses(pooled_part), 2)
     assert naive >= 0.5 * beta * mag
     with warnings.catch_warnings():
@@ -147,7 +146,7 @@ def test_metrics_fk_before_after():
         res = clean_pipeline(
             coll, 2, 0.2, np.random.default_rng(4), trigger_factor=5, stop_factor=4
         )
-    out = rb.metrics(coll, res.report.retained_ids, target, 2, partition=res.partition)
+    out = rb.metrics(coll, res.report.retained_ids, target, 2, (res.partition, res.discretized))
     assert out["fk_after"] <= out["fk_before"]
 
 
@@ -159,9 +158,7 @@ def test_good_batches_satisfy_properties_most_seeds():
     passes = 0
     for seed in range(5):
         coll = rb.build_collection(target, None, m, n, 0.0, seed)
-        pooled = coll.pooled_samples()
-        part = rb.build_partition(pooled, 200)
-        disc = rb.discretize(coll, part)
+        part, disc = rb.discretize(coll, 200)
         params = rb.CorruptionParams(beta, n, m)
         rng = np.random.default_rng(seed)
         subsets = [
