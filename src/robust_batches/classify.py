@@ -4,8 +4,9 @@ The empirical risk minimizer over hypotheses whose positive region is a
 union of at most k intervals is exact: its loss is W1 - sum_inside(w1 - w0)
 over the sorted distinct sample positions, so it reads the interval-union
 tables of ``distance`` (the F_k kernel) on w1 - w0 and walks them back.
-The robust variant first cleans the batches over a per-label discretized
-product domain, then runs the ERM on the surviving samples.
+The robust variant first cleans the batches with the cleaning pipeline,
+over a per-label discretized product domain, then runs the ERM on the
+surviving samples.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clean import clean_counts, prepare_cleaning
-from .core import (
-    LABELS, DiscretizedCollection, DomainError, LabeledCollection, UsageError, labels_ok,
-)
+from .clean import CleaningReport, clean_pipeline
+from .core import DomainError, LabeledCollection, UsageError, labels_ok
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .distance import union_tables
-from .partition import Interval, IntervalUnion, build_partition
+from .partition import Interval, IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -113,39 +112,19 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
 
 @dataclass(frozen=True)
 class ClassifyReport:
-    """Cleaning and risk summary of a robust classification run."""
+    """A robust classification run: its cleaning record and its risks."""
 
-    retained_ids: tuple[int, ...]
-    k: int
-    beta: float
-    ell_label0: int
-    ell_label1: int
-    rounds: int
+    cleaning: CleaningReport
     train_risk: float
-    retention_good: float | None = None
     risk_vs_target: float | None = None
     excess_risk: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _label_slice_counts(collection: LabeledCollection, ell: int):
-    """Per label in LABELS: the partition of that label's pooled x values
-    (ell cells, clamped to the slice size; None for an empty slice) and the
-    (m, cells) table of each batch's counts in it."""
-    out = []
-    for label in LABELS:
-        sel = collection.y == label
-        if not sel.any():
-            # the counts' own dtype, so concatenating the slices keeps it
-            out.append((None, np.zeros((collection.m, 0), np.min_scalar_type(collection.n))))
-            continue
-        x = collection.x[sel]
-        x.sort()
-        part = build_partition(x, min(ell, x.size))
-        out.append((part, part.counts(collection.x, sel)))
-    return out
+        """The report's ``cleaning`` section, and its ``classification``
+        section: the risks beside the cleaning's ``retention_good``."""
+        out = asdict(self)
+        out["retention_good"] = self.cleaning.retention_good
+        return {"cleaning": out.pop("cleaning"), "classification": out}
 
 
 def robust_classify(
@@ -157,39 +136,17 @@ def robust_classify(
     stop_factor: float = STOP_FACTOR,
     reference=None,
 ) -> tuple[KIntervalHypothesis, ClassifyReport]:
-    """Clean labeled batches over a per-label discretization, then run ERM.
-
-    Each label slice gets its own data-driven partition (ell bins, clamped
-    to the slice size); a batch's feature vector is the concatenation of
-    its per-label bin counts, and cleaning runs over all subsets of that
-    product domain.  ``reference`` (simulation mode) must expose
-    ``risk_of(hypothesis)`` and ``optimal_risk()`` for the excess-risk
-    entries of the report.
+    """Clean labeled batches with :func:`clean.clean_pipeline`, over the
+    per-label product domain of :func:`partition.cut_partition`, then run
+    ERM on the surviving samples.  ``reference`` (simulation mode) must
+    expose ``risk_of(hypothesis)`` and ``optimal_risk()`` for the
+    excess-risk entries of the report.
     """
-    ell, params = prepare_cleaning(collection, k, beta)
-    (_, counts0), (_, counts1) = _label_slice_counts(collection, ell)
-    counts = np.concatenate([counts0, counts1], axis=1)
-    disc = DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
-    _, retained, rounds = clean_counts(
-        collection, disc, beta, params, rng, trigger_factor, stop_factor
-    )
-    x, y = retained.pooled()
+    result = clean_pipeline(collection, k, beta, rng, trigger_factor, stop_factor)
+    x, y = result.retained.pooled()
     hypothesis = erm_k_intervals(x, y, k)
-    train = risk(hypothesis, x, y)
     risk_target = excess = None
     if reference is not None:
         risk_target = float(reference.risk_of(hypothesis))
         excess = risk_target - float(reference.optimal_risk())
-    report = ClassifyReport(
-        retained_ids=retained.ids,
-        k=k,
-        beta=beta,
-        ell_label0=counts0.shape[1],
-        ell_label1=counts1.shape[1],
-        rounds=rounds,
-        train_risk=train,
-        retention_good=collection.retention_good(retained.ids),
-        risk_vs_target=risk_target,
-        excess_risk=excess,
-    )
-    return hypothesis, report
+    return hypothesis, ClassifyReport(result.report, risk(hypothesis, x, y), risk_target, excess)

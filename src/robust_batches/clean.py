@@ -10,7 +10,8 @@ preparation step, :func:`prepare_cleaning`.  The deletion is one
 delete-and-retain step, :func:`clean_counts`: it holds the detect-and-delete
 loop (the filter of Jain & Orlitsky, 2020), the ``0 < stop <= trigger``
 rule and one exit for a run in which no round ran.  Robust classification
-shares both steps, and simulation-mode scoring shares :func:`reference_fk`.
+runs the same pipeline on a labeled collection, whose partition has one
+slice per label, and simulation-mode scoring shares :func:`reference_fk`.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    BETA_MAX,
-    BatchCollection,
-    CorruptionParams,
-    DiscretizedCollection,
-    DomainError,
-    UsageError,
+    BETA_MAX, BatchCollection, CorruptionParams, DiscretizedCollection, DomainError,
+    LabeledCollection, UsageError,
 )
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, median_prob
 from .detect import max_corruption_subset_heuristic
 from .distance import fk_distance
-from .partition import IntervalPartition, choose_ell, discretize
+from .partition import IntervalPartition, LabeledPartition, choose_ell, discretize
 
 # Partition sizing needs beta > 0; an uncontaminated run still needs bins.
 ELL_BETA_FLOOR = 0.1
@@ -43,8 +40,9 @@ DEFAULT_DELTA = 0.1
 class CleaningReport:
     """Everything a cleaning run decided and measured.
 
-    ``source_token`` is the partition's fingerprint of the pooled samples,
-    so a report can be matched to the batch file it was written for.
+    ``ell`` is the count table's width (both label slices' cells, when
+    labeled).  ``source_token`` is the partition's fingerprint of the pooled
+    samples, so a report can be matched to the batch file it was written for.
     """
 
     retained_ids: tuple[int, ...]
@@ -69,9 +67,9 @@ class CleanPipelineResult:
     """Full pipeline state: the retained batches, the report and the
     intermediate artifacts."""
 
-    retained: BatchCollection
+    retained: BatchCollection | LabeledCollection
     report: CleaningReport
-    partition: IntervalPartition
+    partition: IntervalPartition | LabeledPartition
     discretized: DiscretizedCollection
     cleaned: DiscretizedCollection
 
@@ -149,7 +147,7 @@ def reference_fk(disc, kept, reference, partition, k: int) -> tuple[float, float
 
 
 def clean_pipeline(
-    collection: BatchCollection,
+    collection: BatchCollection | LabeledCollection,
     k: int,
     beta: float,
     rng: np.random.Generator,
@@ -161,8 +159,9 @@ def clean_pipeline(
 
     ``beta = 0`` declares the collection uncontaminated: the partition is
     still built (sized with a floor of ELL_BETA_FLOOR in place of beta) but
-    no deletion runs.  ``reference`` (simulation mode) is a density target,
-    scored by :func:`reference_fk`.
+    no deletion runs.  A labeled collection is cleaned over its per-label
+    product domain (see :func:`partition.cut_partition`).  ``reference``
+    (simulation mode) is a density target, scored by :func:`reference_fk`.
     """
     ell, params = prepare_cleaning(collection, k, beta)
     partition, disc = discretize(collection, ell)
@@ -174,7 +173,7 @@ def clean_pipeline(
     )
     report = CleaningReport(
         retained_ids=cleaned.ids,
-        ell=partition.ell,
+        ell=disc.ell,
         k=k,
         beta=beta,
         tau=params.tau if beta > 0.0 else 0.0,

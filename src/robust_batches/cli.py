@@ -29,7 +29,9 @@ from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import (
     FileFormatError, canonical_json, read_batches, read_json, write_batches, write_csv, write_json,
 )
-from .partition import BinSubset, Interval, IntervalUnion, discretize, lift_subset
+from .partition import (
+    BinSubset, Interval, IntervalUnion, count_cells, cut_partition, discretize, lift_subset,
+)
 from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
 
 
@@ -207,7 +209,7 @@ def _cmd_classify(args) -> int:
     )
     out = {
         "config": _clean_config(args, "k", "target"),
-        "classification": report.to_dict(),
+        **report.to_dict(),
         # interval endpoints may be infinite; JSON needs them spelled out
         "decision_region": [
             {key: v if math.isfinite(v) else str(v) for key, v in (("lo", iv.lo), ("hi", iv.hi))}
@@ -218,26 +220,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _eval_section(report) -> tuple[dict, bool]:
-    """The run summary inside a clean, estimate or classify report, and
-    whether it came from a labeled (classify) run."""
-    if isinstance(report, dict):
-        for key, keys, labeled in (
-            ("cleaning", ("retained_ids", "beta", "k", "ell", "source_token"), False),
-            ("classification", ("retained_ids", "beta", "k"), True),
-        ):
-            section = report.get(key)
-            if isinstance(section, dict) and all(name in section for name in keys):
-                return section, labeled
+def _eval_section(report) -> dict:
+    """The cleaning section that clean, estimate and classify reports share."""
+    report = report if isinstance(report, dict) else {}
+    section, classification = report.get("cleaning"), report.get("classification")
+    keys = {"retained_ids", "beta", "k", "ell", "source_token"}
+    if isinstance(section, dict) and keys <= section.keys():
+        return section
+    if isinstance(classification, dict) and "retained_ids" in classification:
+        raise UsageError("the classify report predates the shared cleaning section; rerun classify")
     raise UsageError("eval expects a report written by clean, estimate or classify")
 
 
 def _cmd_eval(args) -> int:
     collection = read_batches(args.input)
-    report = read_json(args.report)
-    section, labeled = _eval_section(report)
-    if labeled != isinstance(collection, LabeledCollection):
-        raise UsageError("the report and the batch file disagree on labels")
+    section = _eval_section(read_json(args.report))
     try:
         retained_ids = list(section["retained_ids"])
         k, beta = section["k"], section["beta"]
@@ -250,17 +247,18 @@ def _cmd_eval(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed report or --subset: {exc}") from exc
     target = _target(args, collection)
+    ell, params = prepare_cleaning(collection, k, beta)
+    partition = cut_partition(collection, ell)
+    if (partition.ell, partition.source_token) != (section["ell"], section["source_token"]):
+        raise UsageError("the report's partition does not match the batch file")
+    scored = target is not None and collection.truth is not None
+    # the count table is read only by --subset and by a density target's fk scores
+    fk = scored and not isinstance(collection, LabeledCollection)
+    disc = count_cells(partition, collection) if fk or members is not None else None
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
-    discretized = None
-    if not labeled:
-        ell, params = prepare_cleaning(collection, k, beta)
-        discretized = partition, disc = discretize(collection, ell)
-        if (partition.ell, partition.source_token) != (section["ell"], section["source_token"]):
-            raise UsageError("the report's partition does not match the batch file")
-    elif members is not None:
-        raise UsageError("--subset needs a clean or estimate report")
-    if target is not None and collection.truth is not None:
-        out["metrics"] = metrics(collection, retained_ids, target, k, discretized)
+    if scored:
+        pair = (partition, disc) if fk else None
+        out["metrics"] = metrics(collection, retained_ids, target, k, pair)
     elif collection.truth is not None:
         out["metrics"] = {"retention_good": collection.retention_good(retained_ids)}
     if members is not None:

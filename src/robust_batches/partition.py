@@ -4,8 +4,9 @@ The ell-cell partition places boundaries at every Delta-th pooled order
 statistic, Delta = ceil(s/ell), so each cell holds at most Delta of the s
 points.  Cells are left-open/right-closed: (-inf, c1], (c1, c2], ...,
 (c_{ell-1}, inf).  :func:`discretize` cuts it from one sort of a
-collection's pooled samples and counts every batch in it.  Bin subsets D
-of [ell] lift back to unions of at most |D| real intervals.
+collection's pooled samples and counts every batch in it; a labeled
+collection gets one partition per label slice, their cells side by side.
+Bin subsets D of [ell] lift back to unions of at most |D| real intervals.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BETA_MAX, BatchCollection, DiscretizedCollection, DomainError, UsageError
+from .core import (
+    BETA_MAX, LABELS, DiscretizedCollection, DomainError, LabeledCollection, UsageError,
+)
 
 _CEIL_SLACK = 1e-9  # guards ceil() against float noise on exact integers
 _COUNT_BLOCK = 1 << 16  # cells and values per block of IntervalPartition.counts
@@ -192,6 +195,23 @@ class IntervalPartition:
         return part
 
 
+@dataclass(frozen=True)
+class LabeledPartition:
+    """One partition per label in LABELS (None for a label no batch holds),
+    their cells numbered slice after slice; ``source_token`` covers both."""
+
+    parts: tuple[IntervalPartition | None, ...]
+
+    @property
+    def ell(self) -> int:
+        return sum(part.ell for part in self.parts if part is not None)
+
+    @property
+    def source_token(self) -> str:
+        tokens = " ".join(part.source_token if part else "-" for part in self.parts)
+        return hashlib.sha256(tokens.encode()).hexdigest()[:16]
+
+
 def _samples_token(sorted_samples: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(sorted_samples)).hexdigest()[:16]
 
@@ -241,15 +261,39 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
     return IntervalPartition(tuple(boundaries), _samples_token(x))
 
 
-def discretize(
-    collection: BatchCollection, ell: int
-) -> tuple[IntervalPartition, DiscretizedCollection]:
-    """Cut the ``ell``-cell partition from one sort of the pooled samples of
-    ``collection`` and map every batch to its per-cell counts under it.
-    A hand-built partition is counted with :meth:`IntervalPartition.counts`."""
-    partition = build_partition(collection.pooled_samples(), ell)
-    counts = partition.counts(collection.samples)
-    return partition, DiscretizedCollection(counts, collection.ids, collection.n, collection.truth)
+def cut_partition(collection, ell: int) -> IntervalPartition | LabeledPartition:
+    """The ``ell``-cell partition of ``collection``'s pooled samples, from
+    one sort of them.  A labeled collection gets a LabeledPartition: per
+    label slice, the partition of its x values (ell cells, clamped to the
+    slice size; none for an empty slice)."""
+    if not isinstance(collection, LabeledCollection):
+        return build_partition(collection.pooled_samples(), ell)
+    parts = []
+    for label in LABELS:
+        x = collection.x[collection.y == label]
+        x.sort()  # the mask made a copy, so it sorts in place
+        parts.append(build_partition(x, min(ell, x.size)) if x.size else None)
+    return LabeledPartition(tuple(parts))
+
+
+def count_cells(partition, collection) -> DiscretizedCollection:
+    """Every batch of ``collection`` as its counts in the cells of
+    ``partition``; a label slice counts in its own partition."""
+    if isinstance(partition, LabeledPartition):
+        table = np.concatenate([
+            part.counts(collection.x, collection.y == label)
+            for label, part in zip(LABELS, partition.parts) if part is not None
+        ], axis=1)
+    else:
+        table = partition.counts(collection.samples)
+    return DiscretizedCollection(table, collection.ids, collection.n, collection.truth)
+
+
+def discretize(collection, ell: int) -> tuple:
+    """The (partition, count table) pair: :func:`cut_partition`, then
+    :func:`count_cells` in it."""
+    partition = cut_partition(collection, ell)
+    return partition, count_cells(partition, collection)
 
 
 def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:

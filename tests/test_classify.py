@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.classify import LABELS, _group_by_position, _label_slice_counts
+from robust_batches.classify import _group_by_position
 from robust_batches.distance import iter_k_run_subsets
 from robust_batches.partition import Interval, IntervalUnion
 from robust_batches.simulate import ClassificationTarget, LabelFlipAttack
@@ -279,7 +279,7 @@ def test_robust_classify_no_adversary_equals_plain_erm():
     h_rob, report = rb.robust_classify(coll, 2, 0.0, np.random.default_rng(0), reference=target)
     x, y = coll.pooled()
     h_plain = rb.erm_k_intervals(x, y, 2)
-    assert report.rounds == 0
+    assert report.cleaning.rounds == 0
     assert h_rob == h_plain
     assert report.excess_risk is not None and report.excess_risk >= -1e-12
 
@@ -330,53 +330,3 @@ def test_labeled_collection_validates_truth_flags():
         rb.LabeledCollection(x, y, (0,), truth=("bogus",))
     with pytest.raises(rb.UsageError, match="same shape"):
         rb.LabeledCollection(x, [[1]], (0,))
-
-
-def _per_batch_label_counts(coll, label, part):
-    """Reference for the label-slice table: one bincount per batch."""
-    return np.stack([
-        np.bincount(part.bin_of(x[y == label]), minlength=part.ell)
-        for x, y in zip(coll.x, coll.y)
-    ])
-
-
-def _check_label_slice_counts(x, y, ell):
-    coll = rb.LabeledCollection(x, y, range(len(x)))
-    for label, (part, counts) in zip((0, 1), _label_slice_counts(coll, ell)):
-        per_batch = np.count_nonzero(coll.y == label, axis=1).tolist()
-        assert counts.dtype == np.min_scalar_type(coll.n)
-        assert counts.sum(axis=1).tolist() == per_batch
-        if part is None:  # a label no batch contains: the ell-0 table
-            assert sum(per_batch) == 0 and counts.shape == (coll.m, 0)
-            continue
-        assert part.ell <= min(ell, sum(per_batch))
-        assert np.array_equal(counts, _per_batch_label_counts(coll, label, part))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 12), st.data())
-def test_label_slice_counts_match_per_batch_bincount(m, n, ell, data):
-    # x from four values, so ties are heavy; a slice is often smaller than ell
-    xs = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    ys = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
-    x = np.array([data.draw(xs) for _ in range(m)], dtype=float) / 2
-    _check_label_slice_counts(x, [data.draw(ys) for _ in range(m)], ell)
-
-
-@pytest.mark.parametrize("n", [1, 255, 256, 65535, 65536])
-def test_label_slice_counts_hold_a_full_cell(n):
-    rng = np.random.default_rng(n)
-    x, y = rng.random((3, n)), rng.integers(0, 2, (3, n))
-    x[1], y[1] = 0.5, 1  # one batch puts all n values in one label-1 cell
-    _check_label_slice_counts(x, y, 4)
-    slices = _label_slice_counts(rb.LabeledCollection(x, y, range(3)), 4)
-    counts = np.concatenate([c for _, c in slices], axis=1)
-    assert counts.dtype == np.min_scalar_type(n) and counts[1].max() == n
-
-
-def test_label_slice_counts_absent_label_and_short_slice():
-    rng = np.random.default_rng(0)
-    _check_label_slice_counts(rng.random((3, 5)), np.zeros((3, 5), int), 4)
-    one1 = np.zeros((3, 5), int)
-    one1[:, 4] = np.arange(3) % 2
-    _check_label_slice_counts(rng.random((3, 5)), one1, 10)

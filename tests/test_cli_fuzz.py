@@ -147,16 +147,18 @@ bad_fields = (
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["cleaning", "classification"]), st.data())
-def test_eval_fuzzed_report_never_exits_1(workdir, clean_run, classify_run, key, data):
-    batches, report = clean_run if key == "cleaning" else classify_run
-    target = "uniform:0,1" if key == "cleaning" else "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+@given(st.booleans(), st.data())
+def test_eval_fuzzed_report_never_exits_1(workdir, clean_run, classify_run, labeled, data):
+    """The cleaning section, shared by clean and classify reports, fuzzed
+    one field at a time (or the whole report replaced)."""
+    batches, report = classify_run if labeled else clean_run
+    target = "labeled:0,0.5,1|0.5,0.5|0.8,0.2" if labeled else "uniform:0,1"
     doc = json.loads(report.read_text())
-    field = data.draw(st.sampled_from([None, *sorted(doc[key])]), label="field")
+    field = data.draw(st.sampled_from([None, *sorted(doc["cleaning"])]), label="field")
     if field is None:
         doc = data.draw(json_values, label="report")
     else:
-        doc[key][field] = data.draw(bad_fields, label="value")
+        doc["cleaning"][field] = data.draw(bad_fields, label="value")
     path = workdir / "fuzzed.json"
     path.write_text(json.dumps(doc))
     rc = _exit_code(["eval", "--input", str(batches), "--report", str(path), "--target", target])

@@ -10,6 +10,8 @@ from robust_batches.cli import main
 from robust_batches.io import FileFormatError, read_batches, read_json, write_batches
 from robust_batches.simulate import SpikeAttack, parse_target
 
+LABELED_TARGET = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
+
 
 def test_batch_file_roundtrip(tmp_path):
     coll = rb.build_collection(parse_target("uniform:0,1"), SpikeAttack(1.0, 0.5), 6, 10, 0.3, 1)
@@ -201,6 +203,7 @@ def test_cli_estimate_and_classify(tmp_path):
     assert rc == 0
     cls = read_json(tmp_path / "cls.json")
     assert cls["classification"]["excess_risk"] < 0.05
+    assert cls["cleaning"]["rounds"] == 0 and len(cls["cleaning"]["retained_ids"]) == 40
 
 
 def test_cli_estimate_when_cleaning_deletes_the_pooled_maximum(tmp_path):
@@ -511,12 +514,115 @@ def test_cli_eval_classify_report(tmp_path):
     out = tmp_path / "eval.json"
     assert main([
         "eval", "--input", str(labeled), "--report", str(report),
-        "--target", target, "--out", str(out),
+        "--target", target, "--subset", "1,2", "--out", str(out),
     ]) == 0
-    cls = read_json(report)["classification"]
-    mets = read_json(out)["metrics"]
-    assert mets["retention_good"] == cls["retention_good"]
-    assert mets["retained"] == len(cls["retained_ids"])
+    doc = read_json(report)
+    cleaning, cls = doc["cleaning"], doc["classification"]
+    # the same cleaning section as a clean report, and the risks beside it
+    assert set(cleaning) == set(rb.CleaningReport.__dataclass_fields__)
+    assert set(cls) == {"train_risk", "risk_vs_target", "excess_risk", "retention_good"}
+    part = rb.discretize(read_batches(labeled), rb.choose_ell(2, 50, 0.2, 40))[0]
+    assert cleaning["ell"] == part.ell == sum(sub.ell for sub in part.parts)  # both label slices
+    data = read_json(out)
+    assert data["metrics"]["retention_good"] == cleaning["retention_good"] == cls["retention_good"]
+    assert data["metrics"]["retained"] == len(cleaning["retained_ids"])
+    # --subset scores bins of the per-label product domain
+    assert data["corruption"]["subset"] == [1, 2]
+    assert len(data["corruption"]["per_batch_scores"]) == 40
+
+
+def _labeled_files(tmp_path, *seeds, m=300):
+    """The labeled batch files of the given simulation seeds."""
+    files = []
+    for seed in seeds:
+        path = tmp_path / f"l{seed}.jsonl"
+        assert main([
+            "simulate", "--target", LABELED_TARGET, "--attack", "label_flip:1.0@0,0.25",
+            "--m", str(m), "--n", "50", "--beta", "0.2", "--seed", str(seed), "--out", str(path),
+        ]) == 0
+        files.append(path)
+    return files
+
+
+def test_cli_eval_refuses_classify_report_of_another_batch_file(tmp_path, capsys):
+    """A classify report of one labeled file, scored against another labeled
+    file, is refused: its partition token covers both label slices."""
+    files = _labeled_files(tmp_path, 1, 2)
+    report = tmp_path / "cls.json"
+    assert main([
+        "classify", "--input", str(files[0]), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    evaluate = ["eval", "--report", str(report), "--target", LABELED_TARGET]
+    assert main([*evaluate, "--input", str(files[0])]) == 0
+    capsys.readouterr()
+    assert main([*evaluate, "--input", str(files[1])]) == 2
+    assert "the report's partition does not match the batch file" in capsys.readouterr().err
+
+
+def test_cli_eval_refuses_a_report_of_the_other_kind_of_file(tmp_path, capsys):
+    """A clean report against a labeled file, and a classify report against
+    an unlabeled one, exit 2."""
+    (labeled,) = _labeled_files(tmp_path, 1, m=60)
+    unlabeled = tmp_path / "u.jsonl"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "spike:1.0@0.5",
+        "--m", "60", "--n", "50", "--beta", "0.2", "--seed", "1", "--out", str(unlabeled),
+    ]) == 0
+    flags = ["--k", "2", "--beta", "0.2", "--trigger", "5", "--stop", "4"]
+    clean, cls = tmp_path / "clean.json", tmp_path / "cls.json"
+    assert main(["clean", "--input", str(unlabeled), *flags, "--out", str(clean)]) == 0
+    assert main(["classify", "--input", str(labeled), *flags, "--out", str(cls)]) == 0
+    for batches, report in ((labeled, clean), (unlabeled, cls)):
+        capsys.readouterr()
+        assert main(["eval", "--input", str(batches), "--report", str(report)]) == 2
+        assert "does not match the batch file" in capsys.readouterr().err
+
+
+def test_cli_eval_refuses_a_classify_report_without_a_cleaning_section(tmp_path, capsys):
+    (labeled,) = _labeled_files(tmp_path, 1, m=60)
+    report = tmp_path / "cls.json"
+    assert main([
+        "classify", "--input", str(labeled), "--k", "2", "--beta", "0.2", "--trigger", "5",
+        "--stop", "4", "--out", str(report),
+    ]) == 0
+    doc = read_json(report)
+    cleaning = doc.pop("cleaning")  # the layout classify wrote before the shared section
+    doc["classification"].update(
+        {key: cleaning[key] for key in ("retained_ids", "k", "beta", "rounds")},
+        ell_label0=cleaning["ell"] // 2, ell_label1=cleaning["ell"] - cleaning["ell"] // 2,
+    )
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--input", str(labeled), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "predates the shared cleaning section" in err and "rerun classify" in err
+
+
+def test_cli_eval_counts_nothing_to_match_a_report(tmp_path, monkeypatch):
+    """Without --target or --subset, eval only cuts the partition and checks
+    its token: no count table is made."""
+    (labeled,) = _labeled_files(tmp_path, 1, m=60)
+    unlabeled = tmp_path / "u.jsonl"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "spike:1.0@0.5",
+        "--m", "60", "--n", "50", "--beta", "0.2", "--seed", "1", "--out", str(unlabeled),
+    ]) == 0
+    flags = ["--k", "2", "--beta", "0.2", "--trigger", "5", "--stop", "4"]
+    clean, cls = tmp_path / "clean.json", tmp_path / "cls.json"
+    assert main(["clean", "--input", str(unlabeled), *flags, "--out", str(clean)]) == 0
+    assert main(["classify", "--input", str(labeled), *flags, "--out", str(cls)]) == 0
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("eval made a count table")
+
+    monkeypatch.setattr(rb.IntervalPartition, "counts", no_counting)
+    for batches, report in ((unlabeled, clean), (labeled, cls)):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--input", str(batches), "--report", str(report), "--out", str(out)]) == 0
+        assert read_json(out)["metrics"]["retention_good"] is not None
+    # a labeled --target scores no fk, so it needs no count table either
+    assert main(["eval", "--input", str(labeled), "--report", str(cls), "--target", LABELED_TARGET]) == 0
 
 
 def test_cli_eval_estimate_report_uses_recorded_partition(tmp_path):
@@ -677,8 +783,6 @@ def test_cli_tiny_beta_is_refused_not_crashed(tmp_path, beta):
     for argv in runs:
         assert main([*argv, "--out", str(tmp_path / "out.json")]) in (0, 2), argv
 
-
-LABELED_TARGET = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
 
 
 def test_cli_huge_k_is_clamped_not_allocated(tmp_path):

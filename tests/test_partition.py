@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import robust_batches as rb
 from robust_batches import partition
 from robust_batches.clean import ELL_BETA_FLOOR, clean_pipeline
-from robust_batches.core import per_batch_probs
+from robust_batches.core import LABELS, per_batch_probs
 
 
 def test_choose_ell_examples():
@@ -213,3 +213,78 @@ def test_partition_rejects_bad_boundaries():
         rb.IntervalPartition((2.0, 1.0))
     with pytest.raises(rb.UsageError):
         rb.IntervalPartition((np.nan,))
+
+
+def _per_batch_label_counts(coll, label, part):
+    """Reference for one label slice's table: one bincount per batch."""
+    return np.stack([
+        np.bincount(part.bin_of(x[y == label]), minlength=part.ell)
+        for x, y in zip(coll.x, coll.y)
+    ])
+
+
+def _check_labeled_discretize(x, y, ell):
+    """discretize of a labeled collection: per label slice, a partition of
+    at most ell cells clamped to the slice (none for an empty slice), whose
+    columns of the one table are that slice's per-batch counts."""
+    coll = rb.LabeledCollection(x, y, range(len(x)))
+    part, disc = rb.discretize(coll, ell)
+    assert disc.counts.dtype == np.min_scalar_type(coll.n)
+    assert disc.ell == part.ell and disc.ids == coll.ids
+    assert part == partition.cut_partition(coll, ell)
+    start = 0
+    for label, sub in zip(LABELS, part.parts):
+        in_slice = np.count_nonzero(coll.y == label, axis=1)
+        if sub is None:  # a label no batch contains: no cells
+            assert in_slice.sum() == 0
+            continue
+        assert sub.ell <= min(ell, in_slice.sum())
+        table = disc.counts[:, start : start + sub.ell]
+        assert table.sum(axis=1).tolist() == in_slice.tolist()
+        assert np.array_equal(table, _per_batch_label_counts(coll, label, sub))
+        start += sub.ell
+    assert start == part.ell
+    return part, disc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 12), st.data())
+def test_labeled_discretize_matches_per_batch_bincount(m, n, ell, data):
+    # x from four values, so ties are heavy; a slice is often smaller than ell
+    xs = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    ys = st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
+    x = np.array([data.draw(xs) for _ in range(m)], dtype=float) / 2
+    _check_labeled_discretize(x, [data.draw(ys) for _ in range(m)], ell)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 65535, 65536])
+def test_labeled_discretize_holds_a_full_cell(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.random((3, n)), rng.integers(0, 2, (3, n))
+    x[1], y[1] = 0.5, 1  # one batch puts all n values in one label-1 cell
+    _, disc = _check_labeled_discretize(x, y, 4)
+    assert disc.counts.dtype == np.min_scalar_type(n) and disc.counts[1].max() == n
+
+
+def test_labeled_discretize_absent_label_and_short_slice():
+    rng = np.random.default_rng(0)
+    part, _ = _check_labeled_discretize(rng.random((3, 5)), np.zeros((3, 5), int), 4)
+    assert part.parts[1] is None and part.ell == 4
+    one1 = np.zeros((3, 5), int)
+    one1[:, 4] = np.arange(3) % 2  # one label-1 value in the whole collection
+    part, _ = _check_labeled_discretize(rng.random((3, 5)), one1, 10)
+    assert part.parts[1].ell == 1
+
+
+def test_labeled_partition_token_covers_both_slices():
+    """The one token changes when either slice's values change, and when
+    values move from one label to the other."""
+    rng = np.random.default_rng(3)
+    x, y = rng.random((4, 20)), rng.integers(0, 2, (4, 20))
+    tokens = set()
+    for xx, yy in ((x, y), (np.where(y == 0, x + 1, x), y), (np.where(y == 1, x + 1, x), y),
+                   (x, 1 - y)):
+        tokens.add(partition.cut_partition(rb.LabeledCollection(xx, yy, range(4)), 8).source_token)
+    assert len(tokens) == 4
+    unlabeled = partition.cut_partition(rb.BatchCollection(x, range(4)), 8).source_token
+    assert unlabeled not in tokens
