@@ -2,8 +2,9 @@
 
 The empirical risk minimizer over hypotheses whose positive region is a
 union of at most k intervals is exact: its loss is W1 - sum_inside(w1 - w0)
-over the sorted distinct sample positions, so it reads the interval-union
-tables of ``distance`` (the F_k kernel) on w1 - w0 and walks them back.
+over the sorted distinct sample positions, so it runs the interval-union
+layers of ``distance`` (the F_k kernel) on w1 - w0, keeps two boolean
+masks per layer (2k bytes per position) and walks them back.
 The robust variant first cleans the batches with the cleaning pipeline,
 over a per-label discretized product domain, then runs the ERM on the
 surviving samples.
@@ -19,7 +20,7 @@ import numpy as np
 from .clean import CleaningReport, clean_pipeline
 from .core import DomainError, LabeledCollection, UsageError, labels_ok
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
-from .distance import union_tables
+from .distance import union_layers
 from .partition import Interval, IntervalUnion
 
 
@@ -53,7 +54,7 @@ def _labeled_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
 def risk(h: KIntervalHypothesis, x, y) -> float:
     """Misclassification rate of ``h`` on labeled samples."""
     x, y = _labeled_samples(x, y)
-    wrong = np.count_nonzero(h.predict(x) != y)
+    wrong = np.count_nonzero(h.decision_region.contains(x) != y)
     # the sum of the wrong samples' 1/s weights, as the pairwise sum of
     # that many equal terms, not wrong/s
     return float(np.full(wrong, 1.0 / x.size).sum())
@@ -61,17 +62,17 @@ def risk(h: KIntervalHypothesis, x, y) -> float:
 
 def _group_by_position(x: np.ndarray, y: np.ndarray):
     """Distinct positions, sorted, and at each the label-count difference
-    w1 - w0 (tied x values must be classified together)."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    first = np.empty(xs.size, dtype=bool)
-    first[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    sign = y[order].astype(float)  # label 1 counts +1, label 0 counts -1
-    sign *= 2
-    sign -= 1
-    return xs[start], np.add.reduceat(sign, start)
+    w1 - w0 (tied x values must be classified together).  A group of
+    zeros is represented by its first sample, as a stable sort would."""
+    xs = np.sort(x)
+    first = np.concatenate(([True], xs[1:] != xs[:-1]))
+    pos = xs[first]
+    del xs
+    # w1 - w0 = 2 * w1 - (all samples); sorted queries search fastest
+    d = 2 * np.bincount(np.searchsorted(pos, np.sort(x[y == 1])), minlength=pos.size)
+    d -= np.diff(np.flatnonzero(first), append=x.size)
+    pos[pos == 0.0] = x[np.argmax(x == 0.0)]
+    return pos, d.astype(float)
 
 
 def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
@@ -79,33 +80,42 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
 
     The loss is W1 - sum_inside(w1 - w0), so the region is the best union
     of the per-position label-count differences w1 - w0:
-    :func:`distance.union_tables` over the s distinct sample positions, k
-    numpy passes of O(s) each, plus at most 2k+1 vector searches to recover
-    the region; endpoints land at midpoints between consecutive distinct x
-    values (the outermost runs extend to the infinities).  Ties prefer
-    fewer intervals.  The losses are exact integers.
+    :func:`distance.union_layers` over the s distinct sample positions, k
+    numpy passes of O(s) each keeping two boolean masks per layer, plus at
+    most 2k+1 mask searches to recover the region; endpoints land at
+    midpoints between consecutive distinct x values (the outermost runs
+    extend to the infinities).  Ties prefer fewer intervals.  The losses
+    are exact integers.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
     pos, d = _group_by_position(*_labeled_samples(x, y))
     g = pos.size
-    out, ins = union_tables(d, k)
+    layers = union_layers(d, k)
+    del d  # the layers keep only its prefix sums
+    # per layer j: where a best union ending inside opened its run there
+    # (ins[j] < out[j-1]), and where one ending outside closed it (out[j] < ins[j])
+    opens, closes, out_ends, in_ends = [], [], [0.0], [-np.inf]
+    for prev, ins, out in layers:
+        opens.append(ins < prev)
+        closes.append(out < ins)
+        out_ends.append(out[g])
+        in_ends.append(ins[g])
     # first maximum in (j, outside before inside) order: fewer intervals win
-    best = int(np.argmax(np.stack([out[:, g], ins[:, g]], axis=1)))
+    best = int(np.argmax(np.stack([out_ends, in_ends], axis=1)))
     j, inside = divmod(best, 2)
-    # Walk back one run per step; ties keep the current state (staying out
-    # beats closing, continuing beats opening).
+    # Walk back one run per step to the last switch before i; ties keep the
+    # current state (staying out beats closing, continuing beats opening).
     intervals = []
     i = g
     while i > 0 and (inside or j > 0):
+        switched = (opens if inside else closes)[j - 1]
+        t = i - 1 - int(np.argmax(switched[i - 1 :: -1]))
         if inside:
-            t = int(np.flatnonzero(ins[j, :i] < out[j - 1, :i])[-1])
             lo = -math.inf if t == 0 else 0.5 * (pos[t - 1] + pos[t])
             hi = math.inf if i == g else 0.5 * (pos[i - 1] + pos[i])
             intervals.append(Interval(lo, hi))
             j -= 1
-        else:
-            t = int(np.flatnonzero(out[j, :i] < ins[j, :i])[-1])
         i, inside = t, not inside
     return KIntervalHypothesis(IntervalUnion(tuple(intervals[::-1])))
 

@@ -1,11 +1,12 @@
 """Distances between discrete distributions over bins.
 
 The headline metric is the largest probability discrepancy over unions of
-at most k index-intervals.  One dynamic program, :func:`union_tables`,
+at most k index-intervals.  One layer recurrence, :func:`union_layers`,
 finds the best union of at most k runs of a signed vector: k running-
-maximum passes over its prefix sums, O(ell*k) in all.  F_k reads its
-value on d = p - q and on -d, the witnesses are walked back from its
-tables, and interval ERM (``classify``) runs it on the label-count
+maximum passes over its prefix sums, O(ell*k) time in three reused rows.
+Each caller keeps what it reads: F_k the last entry of each layer on
+d = p - q and on -d, the witness the stacked ``out`` rows, and interval
+ERM (``classify``) two boolean masks per layer over the label-count
 differences.  A combinatorial enumeration doubles as a test oracle.
 
 Every run's sum is a difference of prefix sums, as in the enumeration
@@ -39,43 +40,48 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pair[0], pair[1]
 
 
-def union_tables(d, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best sums of d over unions of runs, per prefix and run count.
+def union_layers(d, k: int):
+    """Best sums of d over unions of runs, one run count at a time.
 
-    ``out[j, i]`` / ``ins[j, i]`` is the largest sum of d over the first i
+    ``out[j][i]`` / ``ins[j][i]`` is the largest sum of d over the first i
     entries with exactly j runs, the i-th entry outside / inside the last
-    run (-inf when no such union exists).  Layer j is one running maximum
-    over the prefix sums of d.  The best union of at most k runs has sum
-    ``max(out[:, -1].max(), ins[:, -1].max())``.  No union of runs has
-    more than (d.size + 1) // 2 of them, so a larger k is clamped to that.
+    run (-inf when no such union exists); ``out[0]`` is all zeros.  Layer j
+    is one running maximum over the prefix sums of d; its rows ``(out[j-1],
+    ins[j], out[j])`` are yielded in buffers the next layer reuses.  No union
+    has more than (d.size + 1) // 2 runs, so a larger k is clamped to that.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    d = np.asarray(d, dtype=float)
-    k = min(k, (d.size + 1) // 2)
-    prefix = np.zeros(d.size + 1)
-    np.cumsum(d, out=prefix[1:])
-    out = np.full((k + 1, d.size + 1), -np.inf)
-    ins = np.full((k + 1, d.size + 1), -np.inf)
-    out[0] = 0.0
-    for j in range(1, k + 1):  # each layer is computed in its own table row
-        row = ins[j, 1:]
-        np.subtract(out[j - 1, :-1], prefix[:-1], out=row)
-        np.maximum.accumulate(row, out=row)
-        row += prefix[1:]
-        np.maximum.accumulate(ins[j, :-1], out=out[j, 1:])
-    return out, ins
+    prefix = np.concatenate(([0.0], np.cumsum(d, dtype=float)))
+    del d  # the prefix sums are all the layers read
+    prev, ins, out = np.zeros(prefix.size), np.full(prefix.size, -np.inf), np.empty(prefix.size)
+    for _ in range(min(k, prefix.size // 2)):
+        np.subtract(prev[:-1], prefix[:-1], out=ins[1:])
+        np.maximum.accumulate(ins[1:], out=ins[1:])
+        ins[1:] += prefix[1:]
+        out[0] = -np.inf
+        np.maximum.accumulate(ins[:-1], out=out[1:])
+        yield prev, ins, out
+        prev, out = out, prev
 
 
-def _table_max(out: np.ndarray, ins: np.ndarray) -> float:
-    return float(max(out[:, -1].max(), ins[:, -1].max()))
+def _best_union_sum(d, k: int, out_rows: list | None = None) -> float:
+    """Largest sum of d over unions of at most k runs, from each layer's
+    last entries; ``out_rows``, when given, collects copies of the out rows."""
+    out_ends, in_ends = [0.0], [-np.inf]
+    for _, ins, out in union_layers(d, k):
+        out_ends.append(out[-1])
+        in_ends.append(ins[-1])
+        if out_rows is not None:
+            out_rows.append(out.copy())
+    return float(max(np.max(out_ends), np.max(in_ends)))
 
 
 def _extract_witness(d, k: int, opt: float, out: np.ndarray) -> frozenset[int]:
     """Maximizing union with the smallest bitmask (high bins dropped first).
 
     Scans bins from the top, excluding a bin whenever some maximizer avoids
-    it; feasibility is read off the ``out`` table of :func:`union_tables`.
+    it; feasibility is read off the stacked ``out`` rows of :func:`union_layers`.
     Mixing prefix and suffix partial sums costs a few ulps, hence the
     tolerance.
     """
@@ -107,9 +113,9 @@ def max_sum_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise DomainError("d must be a nonempty 1-d vector")
-    out, ins = union_tables(d, k)
-    opt = _table_max(out, ins)
-    witness = _extract_witness(d, k, opt, out)
+    rows = [np.zeros(d.size + 1)]
+    opt = _best_union_sum(d, k, rows)
+    witness = _extract_witness(d, k, opt, np.stack(rows))
     return opt, (BinSubset(witness) if witness else EMPTY_SUBSET)
 
 
@@ -117,7 +123,7 @@ def fk_distance(p, q, k: int) -> float:
     """Max discrepancy |p(S) - q(S)| over unions S of at most k bin intervals."""
     p, q = _check_pair(p, q)
     d = p - q
-    return max(_table_max(*union_tables(d, k)), _table_max(*union_tables(-d, k)))
+    return max(_best_union_sum(d, k), _best_union_sum(-d, k))
 
 
 @lru_cache(maxsize=256)

@@ -364,6 +364,10 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
         raise DomainError(f"beta must lie in [0, {BETA_MAX}], got {beta}")
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
+    try:  # the samples' table, refused before the first draw when no memory holds it
+        np.empty((m, n))
+    except (MemoryError, ValueError) as exc:
+        raise UsageError(f"m={m} batches of n={n} samples are too many to hold") from exc
     n_good = int(math.floor((1.0 - beta) * m + _FLOOR_SLACK))
     n_adv = m - n_good
     if n_adv > 0 and attack is None:

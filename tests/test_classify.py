@@ -141,6 +141,22 @@ def test_group_by_position_matches_unique_reference():
         assert np.array_equal(d, ref_d)
 
 
+def test_group_by_position_keeps_the_first_zero_bitwise():
+    """Unstable sorts put either zero first; the group still takes the sign
+    of its first sample in input order, as the stable-argsort grouping did."""
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        size = int(rng.integers(2, 400))
+        x = rng.integers(-3, 4, size) * 0.5
+        x[rng.random(size) < 0.3] = -0.0
+        y = rng.integers(0, 2, size)
+        order = np.argsort(x, kind="stable")
+        start = np.flatnonzero(np.concatenate(([True], np.diff(x[order]) != 0)))
+        pos, d = _group_by_position(x, y)
+        assert np.array_equal(pos.view(np.int64), x[order][start].view(np.int64))
+        assert np.array_equal(d, np.add.reduceat(2.0 * y[order] - 1.0, start))
+
+
 def loop_erm_regions(x, y, k):
     """Reference: the per-position dynamic program as a plain Python loop,
     with the same tie rules (stay out over close, continue over open, fewer
@@ -207,6 +223,80 @@ def test_erm_exact_with_heavy_ties_property(samples, k):
     assert int(w0[inside].sum() + w1[~inside].sum()) == best
     assert h.k == min(optimal[best])
     assert regions_of(h) == loop_erm_regions(x, y, k)
+
+
+def full_table_erm_regions(x, y, k):
+    """Reference: ERM on whole (k+1) x (s+1) union tables, grouped by a
+    stable argsort, walked back on the tables themselves.  Returns the
+    decision region as (lo, hi) pairs."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    pos, d = xs[start], np.add.reduceat(2.0 * y[order] - 1.0, start)
+    g = pos.size
+    k = min(k, (g + 1) // 2)
+    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    out = np.full((k + 1, g + 1), -np.inf)
+    ins = np.full((k + 1, g + 1), -np.inf)
+    out[0] = 0.0
+    for j in range(1, k + 1):
+        ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
+        out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
+    j, inside = divmod(int(np.argmax(np.stack([out[:, g], ins[:, g]], axis=1))), 2)
+    regions, i = [], g
+    while i > 0 and (inside or j > 0):
+        if inside:
+            t = int(np.flatnonzero(ins[j, :i] < out[j - 1, :i])[-1])
+            lo = -math.inf if t == 0 else 0.5 * (pos[t - 1] + pos[t])
+            hi = math.inf if i == g else 0.5 * (pos[i - 1] + pos[i])
+            regions.append((lo, hi))
+            j -= 1
+        else:
+            t = int(np.flatnonzero(out[j, :i] < ins[j, :i])[-1])
+        i, inside = t, not inside
+    return regions[::-1]
+
+
+def same_regions(got, want):
+    """Equal (lo, hi) pairs, sign of zero included."""
+    flat = [np.array(r, dtype=float).reshape(-1) for r in (got, want)]
+    return np.array_equal(flat[0].view(np.int64), flat[1].view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_erm_region_is_an_exhaustive_optimum_property(s, k, seed):
+    """The region's loss is the least over every subset of at most k runs
+    of the positions, and no optimal subset has fewer runs."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.random(s))
+    y = rng.integers(0, 2, s)
+    h = rb.erm_k_intervals(x, y, k)
+    losses = {}
+    for subset in iter_k_run_subsets(s, k):
+        mask = subset.as_mask(s)
+        losses.setdefault(int(np.count_nonzero(mask != y)), []).append(len(subset.runs()))
+    best = min(losses)
+    assert int(np.count_nonzero(h.decision_region.contains(x) != y)) == best
+    assert h.k == min(losses[best])
+
+
+def test_erm_equals_the_full_table_walk_back():
+    """Streamed layers and their masks give the region the full tables
+    gave, endpoint bits included: heavy ties, signed zeros, one label only,
+    and k at or beyond (g + 1) // 2."""
+    rng = np.random.default_rng(2027)
+    for size in (1, 2, 7, 60, 800, 4000):
+        for grid in (3, 40, None):
+            x = rng.random(size) if grid is None else rng.integers(-grid, grid + 1, size) * 0.25
+            x[rng.random(size) < 0.1] = -0.0
+            x[rng.random(size) < 0.1] = 0.0
+            g = np.unique(x).size
+            for y in (rng.integers(0, 2, size), np.zeros(size, np.uint8), np.ones(size, np.uint8)):
+                for k in (1, 2, 6, (g + 1) // 2, g + 3):
+                    want = full_table_erm_regions(x, y, k)
+                    assert same_regions(regions_of(rb.erm_k_intervals(x, y, k)), want)
 
 
 @pytest.mark.parametrize(

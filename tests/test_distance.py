@@ -5,8 +5,38 @@ from hypothesis import strategies as st
 
 import robust_batches as rb
 from robust_batches.distance import (
-    _k_run_unions, iter_k_run_subsets, max_sum_k_interval_union, union_tables,
+    _k_run_unions, iter_k_run_subsets, max_sum_k_interval_union, union_layers,
 )
+
+
+def stacked_tables(d, k):
+    """The (out, ins) tables of every layer, row j for j runs, row 0 first."""
+    size = np.asarray(d).size + 1
+    outs, inss = [np.zeros(size)], [np.full(size, -np.inf)]
+    for _, ins, out in union_layers(d, k):
+        outs.append(out.copy())
+        inss.append(ins.copy())
+    return np.stack(outs), np.stack(inss)
+
+
+def full_union_tables(d, k):
+    """The whole-table form of the recurrence, each layer filled in place in
+    its own row: what F_k, the witnesses and ERM read before the layers
+    were streamed."""
+    d = np.asarray(d, dtype=float)
+    k = min(k, (d.size + 1) // 2)
+    prefix = np.zeros(d.size + 1)
+    np.cumsum(d, out=prefix[1:])
+    out = np.full((k + 1, d.size + 1), -np.inf)
+    ins = np.full((k + 1, d.size + 1), -np.inf)
+    out[0] = 0.0
+    for j in range(1, k + 1):
+        row = ins[j, 1:]
+        np.subtract(out[j - 1, :-1], prefix[:-1], out=row)
+        np.maximum.accumulate(row, out=row)
+        row += prefix[1:]
+        np.maximum.accumulate(ins[j, :-1], out=out[j, 1:])
+    return out, ins
 
 
 def dyadic_pair(rng, ell, grain=64):
@@ -170,29 +200,56 @@ def test_union_tables_clamp_huge_k(ell, seed):
     rng = np.random.default_rng(seed)
     p, q = dyadic_pair(rng, ell)
     tight = (ell + 1) // 2
-    for a, b in zip(union_tables(p - q, 10**12), union_tables(p - q, tight)):
+    for a, b in zip(stacked_tables(p - q, 10**12), stacked_tables(p - q, tight)):
         assert np.array_equal(a, b)
     assert rb.fk_distance(p, q, 10**12) == rb.fk_distance_brute(p, q, tight)
     for d in (p - q, q - p):
         assert max_sum_k_interval_union(d, 10**12) == max_sum_k_interval_union(d, tight)
 
 
-def test_union_tables_equal_the_out_of_place_reference_bitwise():
-    """The tables, filled in place row by row, equal the expression they
-    replace bit for bit, so F_k, its witnesses and ERM read the same values."""
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def layer_cases():
+    """(d, k): normal and dyadic vectors; then differences of distributions,
+    their negations, ERM's integer label-count differences with long zero
+    runs and their negations, and signed zero vectors, some with k clamped."""
     rng = np.random.default_rng(12)
     for size, k in ((1, 1), (2, 1), (7, 3), (500, 2), (4000, 6)):
         for d in (rng.normal(size=size), rng.integers(-3, 4, size) / 8.0):
-            kk = min(k, (size + 1) // 2)
-            prefix = np.concatenate(([0.0], np.cumsum(d)))
-            out = np.full((kk + 1, size + 1), -np.inf)
-            ins = np.full((kk + 1, size + 1), -np.inf)
-            out[0] = 0.0
-            for j in range(1, kk + 1):
-                ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
-                out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
-            got_out, got_ins = union_tables(d, k)
-            assert np.array_equal(got_out, out) and np.array_equal(got_ins, ins)
+            yield d, k
+    rng = np.random.default_rng(27)
+    for size, k in ((1, 1), (2, 3), (9, 5), (64, 40), (3000, 2), (2500, 6)):
+        p, q = dyadic_pair(rng, size)
+        w = rng.integers(-2, 3, size).astype(float)
+        w[rng.random(size) < 0.5] = 0.0
+        for d in (p - q, q - p, w, -w, np.zeros(size), -np.zeros(size)):
+            yield d, k
+
+
+def test_union_tables_equal_the_out_of_place_reference_bitwise():
+    """The layers, filled in place in reused rows and stacked, equal the
+    out-of-place expression and the whole-table recurrence they replace bit
+    for bit, sign of zero included, so F_k, its witnesses and ERM read the
+    same values."""
+    for d, k in layer_cases():
+        size, kk = d.size, min(k, (d.size + 1) // 2)
+        prefix = np.concatenate(([0.0], np.cumsum(d)))
+        out = np.full((kk + 1, size + 1), -np.inf)
+        ins = np.full((kk + 1, size + 1), -np.inf)
+        out[0] = 0.0
+        for j in range(1, kk + 1):
+            ins[j, 1:] = prefix[1:] + np.maximum.accumulate(out[j - 1, :-1] - prefix[:-1])
+            out[j, 1:] = np.maximum.accumulate(ins[j, :-1])
+        got = stacked_tables(d, k)
+        for want in ((out, ins), full_union_tables(d, k)):
+            assert all(bitwise_equal(x, y) for x, y in zip(got, want))
+
+
+def test_union_layers_refuse_k_below_one():
+    with pytest.raises(rb.DomainError):
+        next(union_layers(np.ones(3), 0))
 
 
 def test_brute_refuses_large_domains():

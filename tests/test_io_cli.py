@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -757,6 +758,22 @@ def test_cli_simulate_refuses_malformed_targets(tmp_path, capsys, spec):
     ])
     assert rc == 2
     assert "cannot parse target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["uniform:0,1", "labeled:0,0.5,1|0.5,0.5|0.8,0.2"])
+@pytest.mark.parametrize("m, n", [(10**14, 10), (2**62, 4)])
+def test_cli_simulate_refuses_sizes_no_memory_holds(tmp_path, capsys, target, m, n):
+    """Refused before the first draw: building m generators first took
+    seconds and unbounded memory."""
+    out = tmp_path / "b.jsonl"
+    start = time.perf_counter()
+    rc = main([
+        "simulate", "--target", target, "--attack", "none",
+        "--m", str(m), "--n", str(n), "--beta", "0", "--out", str(out),
+    ])
+    assert rc == 2 and time.perf_counter() - start < 1.0
+    assert f"m={m} batches of n={n} samples are too many to hold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("beta", ["5e-324", "1e-310", "1e-200"])
