@@ -56,8 +56,8 @@ def risk(h: KIntervalHypothesis, x, y) -> float:
     x, y = _labeled_samples(x, y)
     wrong = np.count_nonzero(h.decision_region.contains(x) != y)
     # the sum of the wrong samples' 1/s weights, as the pairwise sum of
-    # that many equal terms, not wrong/s
-    return float(np.full(wrong, 1.0 / x.size).sum())
+    # that many equal terms, not wrong/s; a zero-stride view holds one term
+    return float(np.broadcast_to(1.0 / x.size, wrong).sum())
 
 
 def _group_by_position(x: np.ndarray, y: np.ndarray):

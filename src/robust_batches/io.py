@@ -28,9 +28,22 @@ def _reject_constant(name: str):
     raise FileFormatError(f"non-finite JSON value {name!r} is not allowed")
 
 
+# one decoder for every line of every file (json.loads with parse_constant
+# builds a new one per call)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(text: str):
+    """``json.loads`` with the shared decoder, which refuses a leading
+    UTF-8 BOM as ``json.loads`` does and ``decode`` alone does not."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def _loads(line: str, path, lineno: int) -> dict:
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
+        obj = _decode(line)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -183,7 +196,7 @@ def write_json(obj, path) -> None:
 
 def read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        return _decode(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 

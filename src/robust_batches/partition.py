@@ -46,9 +46,9 @@ class Interval:
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        left = x >= self.lo if self.lo_closed else x > self.lo
-        right = x <= self.hi if self.hi_closed else x < self.hi
-        return left & right
+        inside = x >= self.lo if self.lo_closed else x > self.lo
+        inside &= x <= self.hi if self.hi_closed else x < self.hi
+        return inside
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,21 @@ def test_risk_complement_identity():
     assert rb.risk(region, x, y) + rb.risk(complement, x, y) == pytest.approx(1.0)
 
 
+def test_risk_equals_the_pairwise_sum_of_one_term_per_mistake():
+    # risk sums a zero-stride view of 1/s; it must give the float that
+    # summing one materialized 1/s per misclassified sample gives
+    everywhere = hyp((-np.inf, np.inf))
+    rng = np.random.default_rng(12)
+    cases = [(wrong, 3000) for wrong in range(3000)]
+    cases += [(wrong, 2 * 10**6) for wrong in (558_719, 2 * 10**6)]
+    cases += [(int(wrong), 3 * 10**6) for wrong in rng.integers(0, 3 * 10**6, 12)]
+    for wrong, size in cases:
+        y = np.ones(size, dtype=np.uint8)
+        y[:wrong] = 0
+        expected = np.full(wrong, 1.0 / size).sum()
+        assert rb.risk(everywhere, np.zeros(size), y) == expected, (wrong, size)
+
+
 def test_erm_examples():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([1, 0, 1, 1])

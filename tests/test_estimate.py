@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 import robust_batches as rb
+from robust_batches import estimate
+from robust_batches.distance import fk_distance
 from robust_batches.estimate import (
+    MAX_CUT_CANDIDATES,
     MAX_DEGREE,
+    PiecewiseFitResult,
+    PiecewisePolynomial,
     _cheb_nodes,
     _local_cell_integrals,
+    _merge_cells,
     _solve_piece,
     fit_piecewise,
 )
@@ -256,6 +264,158 @@ def test_fit_piecewise_never_raises_on_valid_masses():
     assert fits == 348
 
 
+def _segment_cost_matrix(cand, pg, pb, pww):
+    """Every candidate pair's segment cost at once, from prefix sums at
+    every cell: the fitter's cost step before costs were streamed."""
+    nc = cand.size
+    dim = pb.shape[1]
+    cost = np.full((nc, nc), np.inf)
+    ii, jj = np.triu_indices(nc, k=1)
+    G = pg[cand[jj]] - pg[cand[ii]]
+    b = pb[cand[jj]] - pb[cand[ii]]
+    c = pww[cand[jj]] - pww[cand[ii]]
+    lam = 1e-10 * np.maximum(G.reshape(G.shape[0], -1).max(axis=1), 1e-30)
+    G = G + lam[:, None, None] * np.eye(dim)
+    sol = np.linalg.solve(G, b[..., None])[..., 0]
+    cost[ii, jj] = np.maximum(c - np.einsum("ij,ij->i", b, sol), 0.0)
+    return cost
+
+
+def _full_matrix_fit(masses, partition, t, d, support):
+    """fit_piecewise with the full cost matrix and a full (t+1) x nc sweep
+    per layer, the way it was fitted before costs were streamed."""
+    lo, hi = float(support[0]), float(support[1])
+    w = np.clip(np.asarray(masses, dtype=float), 0.0, None)
+    w = w / w.sum()
+    edges = np.array([-np.inf, *partition.boundaries, np.inf])
+    edges_x, w_m = _merge_cells([lo, *np.clip(edges[1:-1], lo, hi).tolist(), hi], w)
+    ncells = w_m.size
+    dim = d + 1
+    cell_phi = _local_cell_integrals(edges_x, dim)
+    pg = np.zeros((ncells + 1, dim, dim))
+    pg[1:] = np.cumsum(cell_phi[:, :, None] * cell_phi[:, None, :], axis=0)
+    pb = np.zeros((ncells + 1, dim))
+    pb[1:] = np.cumsum(cell_phi * w_m[:, None], axis=0)
+    pww = np.zeros(ncells + 1)
+    pww[1:] = np.cumsum(w_m * w_m)
+    cand = np.unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
+    cost = _segment_cost_matrix(cand, pg, pb, pww)
+    t_eff = min(t, ncells)
+    nc = cand.size
+    best = np.full((t_eff + 1, nc), np.inf)
+    parent = np.zeros((t_eff + 1, nc), dtype=int)
+    best[0, 0] = 0.0
+    for r in range(1, t_eff + 1):
+        options = best[r - 1, :, None] + cost
+        parent[r] = np.argmin(options, axis=0)
+        best[r] = options.min(axis=0)
+    cuts = [nc - 1]
+    for r in range(1 + int(np.argmin(best[1:, nc - 1])), 0, -1):
+        cuts.append(int(parent[r, cuts[-1]]))
+    cuts = [cand[i] for i in reversed(cuts)]
+    pieces, best_effort = [], False
+    for a_cell, b_cell in zip(cuts, cuts[1:]):
+        phi = _local_cell_integrals(edges_x[a_cell : b_cell + 1], dim)
+        coef_s, fell_back = _solve_piece(phi, w_m[a_cell:b_cell])
+        pieces.append(coef_s * 2.0 / (edges_x[b_cell] - edges_x[a_cell]))
+        best_effort = best_effort or fell_back
+    density = PiecewisePolynomial(tuple(edges_x[cuts]), tuple(tuple(c) for c in pieces))
+    k = max(1, 2 * t * d)
+    fitted = np.clip(density.bin_masses(partition), 0.0, None)
+    achieved = fk_distance(fitted / fitted.sum(), w, k)
+    return PiecewiseFitResult(density, float(achieved), k, best_effort), ncells
+
+
+def _fit_bits(res):
+    """Everything a fit reports, with every float as its bytes (so -0.0
+    and 0.0 differ)."""
+    return (
+        np.array(res.density.breakpoints).tobytes(),
+        tuple(np.array(c).tobytes() for c in res.density.coefficients),
+        np.float64(res.fk_to_input).tobytes(),
+        res.fk_family_k,
+        res.best_effort,
+    )
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize(
+    "ell, t, degrees, clip, runs",
+    [
+        (40, 2, range(MAX_DEGREE + 1), False, 6),  # ncells below the 256 candidates
+        (700, 3, range(MAX_DEGREE + 1), False, 6),  # above them: thinned cuts
+        (700, 20, (8,), False, 6),
+        (30, 30, (0,), False, 0),  # t >= ncells: one piece per cell wins
+        (30, 64, (0,), False, 6),
+        (300, 400, (0,), False, 6),
+        (300, 150, (1,), True, 6),  # clipping merges cells down to fewer than t
+        (900, 3, (8,), True, 6),  # and leaves more than 256
+    ],
+)
+def test_fit_equals_the_full_matrix_fit_bitwise(monkeypatch, block, ell, t, degrees, clip, runs):
+    """Streamed segment costs give the full-matrix fit bit for bit: the same
+    cuts, coefficients, distance and flag, at every degree, over runs of
+    empty cells, with t up to and past the cell count.  block=1 solves one
+    right end, and sums one cell, per block."""
+    if block is not None:
+        monkeypatch.setattr(estimate, "_COST_BLOCK", block)
+    rng = np.random.default_rng(ell + t)
+    bnd = np.sort(rng.uniform(0.0, 1.0, ell - 1))
+    masses = rng.dirichlet(np.full(ell, 0.5))
+    for start in rng.integers(0, ell, runs):  # runs of empty cells
+        masses[start : start + int(rng.integers(1, ell // 8))] = 0.0
+    support = (-0.01, 1.01)
+    if clip:
+        # the support starts inside cell a + 1 and ends on boundary b, so
+        # every cell past b clips to zero width and is merged
+        a, b = ell // 3, ell // 3 + min(ell // 3, 100)
+        support = (bnd[a] + 0.3 * (bnd[a + 1] - bnd[a]), bnd[b])
+        masses[: a + 1] = 0.0
+        masses[b + 2 :] = 0.0
+    masses /= masses.sum()
+    part = rb.IntervalPartition(tuple(bnd))
+    for d in degrees:
+        reference, ncells = _full_matrix_fit(masses, part, t, d, support)
+        assert _fit_bits(fit_piecewise(masses, part, t, d, support)) == _fit_bits(reference)
+    if t >= ell // 2:
+        assert t >= ncells
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("counts, t", [((1, 3, 3, 1), 2), ((0, 1, 1, 0), 2), ((2, 3, 0, 1), 3)])
+def test_fit_keeps_the_first_of_exactly_tied_cuts(monkeypatch, block, counts, t):
+    """Mirrored masses on equal dyadic cells tie two last-piece starts
+    exactly at d = 0; the streamed DP keeps the first, as argmin over the
+    full matrix's column did."""
+    if block is not None:
+        monkeypatch.setattr(estimate, "_COST_BLOCK", block)
+    masses = np.array(counts, dtype=float) / sum(counts)
+    part = rb.IntervalPartition(tuple(np.arange(1, len(counts)) / len(counts)))
+    for d in range(len(counts) // (2 * t) + 1):
+        reference, _ = _full_matrix_fit(masses, part, t, d, (0.0, 1.0))
+        assert _fit_bits(fit_piecewise(masses, part, t, d, (0.0, 1.0))) == _fit_bits(reference)
+
+
+@pytest.mark.parametrize("block", [None, 1, 200])
+def test_candidate_prefix_sums_equal_one_cumsum_bitwise(monkeypatch, block):
+    """The prefix sums kept at the candidate cuts are the rows of one cumsum
+    over all cells, bit for bit, however the cells are blocked."""
+    if block is not None:
+        monkeypatch.setattr(estimate, "_COST_BLOCK", block)
+    rng = np.random.default_rng(3)
+    ell = 700
+    edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, ell - 1)), [1.0]))
+    w = rng.dirichlet(np.ones(ell))
+    w[100:160] = 0.0  # phi * 0 is -0.0 on the cells left of the middle
+    phi = _local_cell_integrals(edges, MAX_DEGREE + 1)
+    cand = np.unique(np.round(np.linspace(0, ell, MAX_CUT_CANDIDATES)).astype(int))
+    full = (phi[:, :, None] * phi[:, None, :], phi * w[:, None], w * w)
+    got = estimate._candidate_prefix_sums(phi, w, cand)
+    for table, terms in zip(got, full):
+        prefix = np.concatenate((np.zeros((1, *terms.shape[1:])), np.cumsum(terms, axis=0)))
+        assert table.tobytes() == prefix[cand].tobytes()
+
+
 def test_fit_piecewise_on_a_narrow_support():
     """Seeded fits at d = 1..8 on a support 1e-6 wide, away from 0: the
     densities run near 1e6 per unit x, and the nonnegativity check scales
@@ -299,6 +459,28 @@ def test_degree_8_fit_of_a_clean_mixture():
     res = fit_piecewise(masses, part, 6, 8, (float(pooled[0]), float(pooled[-1])))
     assert not res.best_effort
     assert rb.evaluate_density(res.density, target) <= 0.0089
+
+
+def test_desk_shape_fit_heap_stays_under_one_mib():
+    """The t=3, d=1 fit of a desk batch file (m=1000, n=100, mean_shift) on
+    600 cells holds no cost matrix: its heap stays at or below 1 MiB (the
+    full 256 x 256 matrix of segment systems took 4.2 MiB, and a fit that
+    kept 2 MiB of cost blocks peaked no lower in RSS)."""
+    target = parse_target("gm:0.6N(0,1)+0.4N(3,0.5)")
+    attack = rb.parse_attack("mean_shift:1.0@1.4,1.6")
+    coll = rb.build_collection(target, attack, 1000, 100, 0.2, 1)
+    pooled = coll.pooled_samples()
+    part, disc = rb.discretize(coll, 600)
+    masses = disc.pooled()
+    support = (float(pooled[0]), float(pooled[-1]))
+    fit_piecewise(masses, part, 3, 1, support)  # first calls fill caches
+    tracemalloc.start()
+    try:
+        fit_piecewise(masses, part, 3, 1, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def _slsqp_piece(edges, w, dim):

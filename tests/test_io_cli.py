@@ -147,6 +147,31 @@ def test_read_refuses_non_integral_and_boolean_fields(tmp_path, capsys, text, li
     assert f"{path}:{line}:" in capsys.readouterr().err
 
 
+BOM_MESSAGE = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('\ufeff{"n": 2, "m": 1}\n{"id": 0, "samples": [1, 2]}\n', 1),
+        ('{"n": 2, "m": 1}\n\ufeff{"id": 0, "samples": [1, 2]}\n', 2),
+    ],
+)
+def test_cli_refuses_a_leading_bom_as_json_loads_does(tmp_path, capsys, text, line):
+    # the shared decoder alone would skip no BOM check; the message is json.loads'
+    path = tmp_path / "bom.jsonl"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {BOM_MESSAGE}\n"
+    report = tmp_path / "report.json"
+    report.write_text('\ufeff{"config": {}}', encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc:
+        read_json(report)
+    assert str(exc.value) == f"{report}: {BOM_MESSAGE}"
+
+
 def test_cli_simulate_clean_eval_flow(tmp_path):
     batches = tmp_path / "batches.jsonl"
     report = tmp_path / "report.json"
