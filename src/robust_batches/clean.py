@@ -26,7 +26,7 @@ from .core import (
     LabeledCollection, UsageError,
 )
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, batch_deletion, median_prob
-from .detect import max_corruption_subset_heuristic
+from .detect import GramWorkspace, max_corruption_subset_heuristic
 from .distance import fk_distance
 from .partition import IntervalPartition, LabeledPartition, choose_ell, discretize
 
@@ -121,18 +121,22 @@ def clean_counts(
     While the spectral detector's best subset scores at least
     trigger_factor*kappa_g, the cross-batch median is recomputed on the
     surviving counts and batch deletion runs down to stop_factor*kappa_g.
-    Returns the surviving counts, the batches whose ids survive and the
-    round count; when no round runs, as always at ``beta = 0``
-    (uncontaminated), these are ``disc``, ``collection`` and 0."""
+    Every round's detector builds its Gram matrix in one workspace,
+    allocated for ``disc`` and freed when the loop ends.  Returns the
+    surviving counts, the batches whose ids survive and the round count;
+    when no round runs, as always at ``beta = 0`` (uncontaminated), these
+    are ``disc``, ``collection`` and 0."""
     if not 0.0 < stop_factor <= trigger_factor:
         raise UsageError("need 0 < stop_factor <= trigger_factor")
     sub, rounds = disc, 0
+    workspace = GramWorkspace(*disc.counts.shape)
     while beta > 0.0:
-        subset, score = max_corruption_subset_heuristic(sub, params)
+        subset, score = max_corruption_subset_heuristic(sub, params, workspace)
         if score < trigger_factor * params.kappa_g or not subset.members:
             break
         sub = batch_deletion(sub, subset, median_prob(sub, subset), params, rng, stop_factor)
         rounds += 1
+    del workspace  # freed before the retained batches are copied
     if not rounds:
         return disc, collection, 0
     return sub, collection.subset(np.isin(collection.ids, sub.ids)), rounds

@@ -17,6 +17,11 @@ subset counts per candidate, read from the count table in place:
   Each set of -v is the complement of one of these and scores what it
   scores, so each set stands for both, named by the one without the last bin.
 
+The Gram matrix v comes from is built in a :class:`GramWorkspace`, which
+the loop allocates once per cleaning run: q*q float64 values for q =
+min(m, ell) of the run's first table, one block of _GRAM_BLOCK values of
+rows and one product of _GRAM_TILE rows, reused by every round.
+
 A row's median and total score follow from its histogram over the table's
 occupied value range, each value scored once by
 :func:`corruption.corruption_scores`; every term is a multiple of 1/4, so
@@ -40,7 +45,8 @@ _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _P
 _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # picks among the threshold sets of v and -v; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once; small key tables lower peak RSS
-_GRAM_BLOCK = 1 << 17  # float64 values per block of D, and per tile of its Gram matrix
+_GRAM_BLOCK = 1 << 17  # float64 values per block of rows of D (or of D.T)
+_GRAM_TILE = 96  # rows of the Gram matrix per tile product
 
 
 def _middle_order_stats(table: np.ndarray):
@@ -106,28 +112,60 @@ def max_corruption_subset_brute(
     return (BinSubset(members) if members else EMPTY_SUBSET), best_score
 
 
-def _exact_gram(blocks, q: int) -> np.ndarray:
-    """E.T @ E for an integer matrix E with q columns, given as float64
-    blocks of its rows.
-
-    Each block adds its product to the q x q result one tile of
-    _GRAM_BLOCK // q rows at a time, on and above the diagonal only; the
-    lower tiles are mirrored at the end.  So no second q x q array exists,
-    and every partial sum is an integer: while the sum of the absolute
-    products in every entry stays below 2**53, the result is exact in any
-    block shape and summation order.
+class GramWorkspace:
+    """The buffers spectral detection writes into, for every table of one
+    cleaning run: a flat Gram matrix of q*q float64 values, where q =
+    min(m, ell) of the run's first (m, ell) table, one block of rows of E
+    under the _GRAM_BLOCK budget and one tile product of _GRAM_TILE rows.
+    Later tables of a run only lose batches, so neither q nor max(m, ell)
+    grows, and each call takes contiguous views of the first elements.
     """
-    gram = np.zeros((q, q))
-    step = max(1, _GRAM_BLOCK // q)
+
+    def __init__(self, m: int, ell: int) -> None:
+        q, p = min(m, ell), max(m, ell)
+        self._gram = np.empty(q * q)
+        self._block = np.empty(min(max(_GRAM_BLOCK, q), p * q))
+        self._tile = np.empty(min(_GRAM_TILE, q) * q)
+
+    def gram(self, q: int) -> np.ndarray:
+        return self._gram[: q * q].reshape(q, q)
+
+    def block(self, rows: int, q: int) -> np.ndarray:
+        return self._block[: rows * q].reshape(rows, q)
+
+    def tile(self, rows: int, cols: int) -> np.ndarray:
+        return self._tile[: rows * cols].reshape(rows, cols)
+
+
+def _exact_gram(blocks, q: int, workspace: GramWorkspace) -> np.ndarray:
+    """E.T @ E for an integer matrix E with q columns, given as float64
+    blocks of its rows, written into ``workspace``.
+
+    Each block adds its product to the q x q result one tile of _GRAM_TILE
+    rows at a time, on and above the diagonal only; the lower tiles are
+    mirrored at the end.  Every tile is multiplied into the workspace's
+    tile buffer and added in place, so no array of the result's size is
+    allocated, and every partial sum is an integer: while the sum of the
+    absolute products in every entry stays below 2**53, the result is
+    exact in any block shape, tile width and summation order.
+    """
+    gram = workspace.gram(q)
+    gram.fill(0.0)
+    step = _GRAM_TILE
     for block in blocks:
         for t in range(0, q, step):
-            gram[t : t + step, t:] += block[:, t : t + step].T @ block[:, t:]
+            tile = block[:, t : t + step]
+            gram[t : t + step, t:] += np.matmul(
+                tile.T, block[:, t:], out=workspace.tile(tile.shape[1], q - t)
+            )
     for t in range(step, q, step):
         gram[t:, t - step : t] = gram[t - step : t, t:].T
     return gram
 
 
-def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
+def _leading_eigvec(
+    counts: np.ndarray, n: int, a: np.ndarray, workspace: GramWorkspace | None = None
+) -> np.ndarray:
     """Leading eigenvector of centered.T @ centered, where ``centered`` is
     counts/n minus its column medians, then minus its row means.
 
@@ -141,7 +179,8 @@ def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
     |D| <= 2n and b = r/ell, r being the common row sum of D.  Power
     iteration runs on the smaller Gram side: that of E = D, or of E = D.T
     when there are more bins than batches.  :func:`_exact_gram` builds
-    E.T @ E from blocks of E, and rank-one terms from the column sums of E
+    E.T @ E in ``workspace`` (a fresh one sized for ``counts`` if None)
+    from blocks of E, and rank-one terms from the column sums of E
     correct it to 4n^2 times the Gram matrix of ``centered`` (or of its
     transpose).  E.T @ E is exact while m*(2n)^2 < 2**53 (ell*(2n)^2 when
     E = D.T); past that its partial sums round, as any float product's
@@ -149,10 +188,12 @@ def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
 
     The iteration starts from the Gram column with the largest diagonal
     entry and stops once the unit vector moves by at most _POWER_TOL; on
-    the m x m side the result is mapped back a block of bins at a time.
-    A zero Gram matrix gives v = 0.
+    the m x m side the result is mapped back a block of bins at a time,
+    in the same block buffer.  A zero Gram matrix gives v = 0.
     """
     m, ell = counts.shape
+    if workspace is None:
+        workspace = GramWorkspace(m, ell)
     r = 2 * n - int(a.sum())
     b = r / ell
     wide = ell > m
@@ -162,12 +203,11 @@ def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
     step = max(1, _GRAM_BLOCK // q)
 
     def rows_of_e(i: int) -> np.ndarray:
-        block = table[i : i + step].astype(np.float64)
-        block *= 2
-        block -= offset[i : i + step]
-        return block
+        rows = table[i : i + step]
+        block = np.multiply(rows, 2.0, out=workspace.block(rows.shape[0], q))
+        return np.subtract(block, offset[i : i + step], out=block)
 
-    gram = _exact_gram((rows_of_e(i) for i in range(0, p, step)), q)
+    gram = _exact_gram((rows_of_e(i) for i in range(0, p, step)), q, workspace)
     # E.T @ E - b*(s 1' + 1 s') + p*b^2 1 1', s the column sums of E
     sums = 2 * table.sum(axis=0, dtype=np.int64) - (int(a.sum()) if wide else m * a)
     bs = b * sums
@@ -193,7 +233,7 @@ def _leading_eigvec(counts: np.ndarray, n: int, a: np.ndarray) -> np.ndarray:
         for i in range(0, ell, step):
             block = rows_of_e(i)
             block *= v
-            out[i : i + step] = np.cumsum(block, axis=1)[:, -1]
+            out[i : i + step] = np.cumsum(block, axis=1, out=block)[:, -1]
         out -= b * v.sum()
         v = out / np.linalg.norm(out)
     return v
@@ -213,7 +253,7 @@ def _threshold_depths(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, cuts[sorted_unique(sets[sets >= 0])]
 
 
-def _candidate_tables(counts: np.ndarray, n: int, tau: float):
+def _candidate_tables(counts: np.ndarray, n: int, tau: float, workspace: GramWorkspace | None):
     """Yield each candidate family's scores in chunks of at most _CHUNK
     candidates, as (totals, bins_of), bins_of(c) being the 1-based bins of
     candidate c, or of its complement for a threshold set that holds the
@@ -225,7 +265,7 @@ def _candidate_tables(counts: np.ndarray, n: int, tau: float):
     for j in range(0, ell, _CHUNK):
         a[j : j + _CHUNK], totals = _candidate_scores(bins[j : j + _CHUNK], n, tau)
         yield totals, lambda c, j=j: (j + c + 1,)
-    order, depth = _threshold_depths(_leading_eigvec(counts, n, a))
+    order, depth = _threshold_depths(_leading_eigvec(counts, n, a, workspace))
     last = int(np.flatnonzero(order == ell - 1)[0])  # order[:d] holds the last bin iff d > last
     running = np.zeros(m, dtype=counts.dtype)  # counts summed over order[:start]
     for start in range(0, ell, _CHUNK):
@@ -239,16 +279,18 @@ def _candidate_tables(counts: np.ndarray, n: int, tau: float):
 
 
 def max_corruption_subset_heuristic(
-    sub: DiscretizedCollection, params: CorruptionParams
+    sub: DiscretizedCollection, params: CorruptionParams, workspace: GramWorkspace | None = None
 ) -> tuple[BinSubset, float]:
     """Spectral stand-in for exhaustive detection, polynomial in m and ell.
 
     Candidates are all singletons and eigenvector threshold sets, each
     standing for its complement, at most _CANDIDATE_CAP picks of them over
-    both signs (see the module docstring).
+    both signs (see the module docstring).  The Gram matrix is built in
+    ``workspace``, which a cleaning run allocates once for all its rounds;
+    without one, the call allocates its own.
     """
     best_score, tied = 0.0, []
-    for totals, bins_of in _candidate_tables(sub.counts, sub.n, params.tau):
+    for totals, bins_of in _candidate_tables(sub.counts, sub.n, params.tau, workspace):
         top = float(totals.max(initial=0.0))
         if top > best_score:
             best_score, tied = top, []

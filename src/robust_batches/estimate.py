@@ -22,6 +22,7 @@ changes (Scheffé's identity).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -270,19 +271,20 @@ def _merge_cells(edges: list[float], masses: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _candidate_prefix_sums(
-    cell_phi: np.ndarray, w: np.ndarray, cand: np.ndarray
+    edges: np.ndarray, w: np.ndarray, cand: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefix sums of the per-cell least-squares terms (phi phi^T, phi w
-    and w^2) at the candidate cuts only: row q sums cells 0..cand[q]-1.
-    The cells are summed a block at a time, each block's first row taking
-    the running total, so every sum adds in cell order as one cumsum over
-    all cells would."""
-    dim = cell_phi.shape[1]
+    and w^2) at the candidate cuts only: row q sums cells 0..cand[q]-1,
+    phi being the cell integrals over ``edges`` of
+    :func:`_local_cell_integrals`.  The cells are integrated and summed a
+    block at a time, each block's first row taking the running total, so
+    every sum adds in cell order as one cumsum over all cells would."""
     tables = (np.zeros((cand.size, dim, dim)), np.zeros((cand.size, dim)), np.zeros(cand.size))
     step = max(1, _COST_BLOCK // (dim * dim))
     carries = (None, None, None)
     for c0 in range(0, w.size, step):
-        phi, wc = cell_phi[c0 : c0 + step], w[c0 : c0 + step]
+        phi = _local_cell_integrals(edges, dim, slice(c0, c0 + step))
+        wc = w[c0 : c0 + step]
         sums = (phi[:, :, None] * phi[:, None, :], phi * wc[:, None], wc * wc)
         at = np.flatnonzero((cand > c0) & (cand <= c0 + wc.size))
         for x, table, carry in zip(sums, tables, carries):
@@ -343,17 +345,25 @@ def _breakpoint_dp(pg: np.ndarray, pb: np.ndarray, pww: np.ndarray, t: int) -> l
     return cuts[::-1]
 
 
-def _local_cell_integrals(edges: np.ndarray, dim: int) -> np.ndarray:
-    """Integrals of s**0 .. s**(dim-1) over each cell of a piece, where
-    s = 2(x - x_a)/(x_b - x_a) - 1 maps the piece onto [-1, 1].  Gauss-
-    Legendre on each cell is exact at these degrees and, unlike
-    differences of powers, does not cancel on narrow cells."""
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights exact up to degree 2*(MAX_DEGREE//2 + 1) - 1 >=
+    MAX_DEGREE; computed on first use, not at import, because the
+    eigensolver call costs 1 MiB of RSS."""
+    return np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
+
+
+def _local_cell_integrals(edges: np.ndarray, dim: int, cells: slice = slice(None)) -> np.ndarray:
+    """Integrals of s**0 .. s**(dim-1) over each cell of a piece, or over
+    the slice ``cells`` of them, where s = 2(x - x_a)/(x_b - x_a) - 1 maps
+    the piece onto [-1, 1].  Gauss-Legendre on each cell is exact at these
+    degrees and, unlike differences of powers, does not cancel on narrow
+    cells.  Each cell's row is the same whatever slice it is taken in."""
     s = 2.0 * (edges - edges[0]) / (edges[-1] - edges[0]) - 1.0
-    # exact up to degree 2*(MAX_DEGREE//2 + 1) - 1 >= MAX_DEGREE; computed
-    # here, not at import, because its eigensolver call costs 1 MiB of RSS
-    nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
-    half = 0.5 * np.diff(s)[:, None]
-    q = 0.5 * (s[1:] + s[:-1])[:, None] + half * nodes
+    lo, hi = s[:-1][cells], s[1:][cells]
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)[:, None]
+    q = 0.5 * (hi + lo)[:, None] + half * nodes
     return np.einsum("cq,cqk->ck", half * weights, q[..., None] ** np.arange(dim))
 
 
@@ -472,7 +482,7 @@ def fit_piecewise(
     dim = d + 1
 
     cand = sorted_unique(np.round(np.linspace(0, ncells, MAX_CUT_CANDIDATES)).astype(int))
-    pg, pb, pww = _candidate_prefix_sums(_local_cell_integrals(edges_x, dim), w_m, cand)
+    pg, pb, pww = _candidate_prefix_sums(edges_x, w_m, cand, dim)
     # a piece spans at least one candidate gap, so no fit has more than nc - 1
     nc = cand.size
     cuts = [cand[i] for i in _breakpoint_dp(pg, pb, pww, min(t, nc - 1))]

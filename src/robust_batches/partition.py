@@ -45,10 +45,7 @@ class Interval:
             object.__setattr__(self, "hi_closed", False)
 
     def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = x >= self.lo if self.lo_closed else x > self.lo
-        inside &= x <= self.hi if self.hi_closed else x < self.hi
-        return inside
+        return IntervalUnion((self,)).contains(x)
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,19 @@ class IntervalUnion:
         return len(self.intervals)
 
     def contains(self, x) -> np.ndarray:
+        """Elementwise membership of x, as a boolean array of its shape.
+
+        Two such arrays are held: the result, and one buffer that each
+        interval reuses for the x past its lower end and in no earlier
+        interval; the upper-end comparison is written into the result
+        there, with ``where=``."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=bool)
+        new = np.empty_like(out)
         for iv in self.intervals:
-            out |= iv.contains(x)
+            (np.greater_equal if iv.lo_closed else np.greater)(x, iv.lo, out=new)
+            np.greater(new, out, out=new)  # and not already inside
+            (np.less_equal if iv.hi_closed else np.less)(x, iv.hi, out=out, where=new)
         return out
 
 

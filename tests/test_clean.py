@@ -61,9 +61,9 @@ def test_clean_counts_no_round_returns_its_inputs(monkeypatch):
     disc = rb.discretize(coll, ell)[1]
     calls = []
 
-    def detect_once(sub, params):
+    def detect_once(sub, params, workspace):
         calls.append(sub)
-        return rb.max_corruption_subset_heuristic(sub, params)
+        return rb.max_corruption_subset_heuristic(sub, params, workspace)
 
     monkeypatch.setattr(clean, "max_corruption_subset_heuristic", detect_once)
     rng = np.random.default_rng(0)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ import robust_batches as rb
 from robust_batches import clean, detect
 from robust_batches.corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_scores
 from robust_batches.detect import max_corruption_subset_brute, max_corruption_subset_heuristic
-from robust_batches.simulate import FkTargetedAttack, parse_target
+from robust_batches.simulate import FkTargetedAttack, MeanShiftAttack, parse_target
 
 
 def good_counts(rng, m, n, ell):
@@ -392,35 +395,95 @@ def _gram_of_d(counts):
     return d @ d.T if d.shape[1] > d.shape[0] else d.T @ d
 
 
-def _eigvec_and_grams(monkeypatch, counts, n):
+def _eigvec_and_grams(monkeypatch, counts, n, workspace=None):
     """v from _leading_eigvec, and every E.T @ E it built on the way."""
     grams, exact_gram = [], detect._exact_gram
 
-    def recording(blocks, q):
-        grams.append(exact_gram(blocks, q))
+    def recording(blocks, q, workspace):
+        grams.append(exact_gram(blocks, q, workspace))
         return grams[-1].copy()
 
     monkeypatch.setattr(detect, "_exact_gram", recording)
-    return detect._leading_eigvec(counts, n, twice_medians(counts)), grams
+    return detect._leading_eigvec(counts, n, twice_medians(counts), workspace), grams
+
+
+def _planted_counts(rng, m, n, ell):
+    counts = good_counts(rng, m, n, ell)
+    counts[: m // 5] = rng.multinomial(n, rng.dirichlet(np.full(ell, 0.3)), size=m // 5)
+    return counts
 
 
 @pytest.mark.parametrize("m, ell", [(61, 23), (40, 40), (13, 57)])  # ell < m, ell = m, ell > m
 def test_tiled_gram_is_exact_for_every_block_size(monkeypatch, m, ell):
     rng = np.random.default_rng(m + ell)
     n = 255
-    counts = good_counts(rng, m, n, ell)
-    counts[: m // 5] = rng.multinomial(n, rng.dirichlet(np.full(ell, 0.3)), size=m // 5)
+    counts = _planted_counts(rng, m, n, ell)
     reference = _gram_of_d(counts).astype(np.float64)
     q = min(m, ell)
     vectors = []
-    # one row or bin per block, blocks that leave a remainder, one tile, one block
-    for block in (1, 2 * q, 7 * q, q * q, 10**9):
+    # one row or bin per block, blocks that leave a remainder, one tile, one block;
+    # one row per tile, the default tile width, one tile wider than the matrix
+    for block, tile in itertools.product((1, 2 * q, 7 * q, q * q, 10**9), (1, 96, q + 5)):
         monkeypatch.setattr(detect, "_GRAM_BLOCK", block)
+        monkeypatch.setattr(detect, "_GRAM_TILE", tile)
         v, grams = _eigvec_and_grams(monkeypatch, counts.astype(np.uint8), n)
         assert len(grams) == 1 and np.array_equal(grams[0], reference)
         vectors.append(v)
     assert all(np.array_equal(v, vectors[0]) for v in vectors)
     assert abs(vectors[0] @ _reference_eigvec(counts / n)) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("block, tile", [(7 * 23, 5), (1 << 17, 96)])
+def test_one_workspace_serves_a_run_of_shrinking_tables(monkeypatch, block, tile):
+    """A workspace sized for a tall table serves that table, then one with
+    fewer batches, then a wide one (fewer batches than bins), as the rounds
+    of one cleaning run do: each Gram matrix is a contiguous view of the
+    workspace's first q*q values, bit-equal to a fresh build, and so is v."""
+    monkeypatch.setattr(detect, "_GRAM_BLOCK", block)
+    monkeypatch.setattr(detect, "_GRAM_TILE", tile)
+    rng = np.random.default_rng(5)
+    n, ell = 255, 23
+    counts = _planted_counts(rng, 61, n, ell).astype(np.uint8)
+    workspace = detect.GramWorkspace(61, ell)
+    for m in (61, 40, 13):
+        table = counts[rng.permutation(61)[:m]]
+        fresh_v, fresh = _eigvec_and_grams(monkeypatch, table, n)
+        v, grams = _eigvec_and_grams(monkeypatch, table, n, workspace)
+        reference = _gram_of_d(table).astype(np.float64)
+        assert np.array_equal(grams[0], reference) and np.array_equal(grams[0], fresh[0])
+        assert np.array_equal(v, fresh_v)
+        # the recording hands _leading_eigvec a copy, so the workspace keeps E.T @ E
+        assert np.array_equal(workspace.gram(min(m, ell)), reference)
+
+
+def test_clean_rounds_after_the_first_allocate_no_gram_matrix(monkeypatch):
+    """Under tracemalloc, every round after the first of a multi-round run,
+    from one detection's return to the next one's, peaks below the q x q
+    float64 Gram matrix: it is built in the run's one workspace, allocated
+    before the first detection, not in a fresh array."""
+    target = parse_target("gm:0.6N(0,1)+0.4N(3,0.5)")
+    coll = rb.build_collection(target, MeanShiftAttack(1.0, (1.4, 1.6)), 1000, 100, 0.2, 1)
+    with pytest.warns(UserWarning, match="guidance"):
+        ell, params = clean.prepare_cleaning(coll, 6, 0.2)  # ell = 600, as estimate --t 3 --d 1
+    disc = rb.discretize(coll, ell)[1]
+    q = min(disc.counts.shape)
+    peaks, before, detect_spectral = [], [0], clean.max_corruption_subset_heuristic
+
+    def traced(sub, params, workspace):
+        found = detect_spectral(sub, params, workspace)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before[0])
+        tracemalloc.reset_peak()
+        before[0] = tracemalloc.get_traced_memory()[0]
+        return found
+
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", traced)
+    tracemalloc.start()
+    try:
+        rounds = clean.clean_counts(coll, disc, 0.2, params, np.random.default_rng(1), 5, 4)[2]
+    finally:
+        tracemalloc.stop()
+    assert rounds >= 1 and len(peaks) == rounds + 1
+    assert peaks[0] >= q * q * 8 > max(peaks[1:])
 
 
 def test_gram_past_the_exact_range_rounds_and_is_not_refused(monkeypatch):
@@ -451,13 +514,19 @@ def test_detected_subset_survives_eigvec_noise(monkeypatch):
     exact = detect._leading_eigvec
     rng = np.random.default_rng(0)
 
-    def noisy(counts, n, a):
-        v = exact(counts, n, a)
+    def noisy(counts, n, a, workspace):
+        v = exact(counts, n, a, workspace)
         return v + 1e-12 * np.abs(v).max() * rng.standard_normal(v.size)
 
     monkeypatch.setattr(detect, "_leading_eigvec", noisy)
     for _ in range(10):
         assert max_corruption_subset_heuristic(disc, params) == (subset, score)
+
+
+def brute_in_a_run(sub, params, workspace):
+    """The exhaustive detector in place of the spectral one in
+    clean.clean_counts, which hands every round its Gram workspace."""
+    return max_corruption_subset_brute(sub, params)
 
 
 def clean_loop(coll, params, rng, trigger_factor=TRIGGER_FACTOR, stop_factor=STOP_FACTOR):
@@ -470,7 +539,7 @@ def clean_loop(coll, params, rng, trigger_factor=TRIGGER_FACTOR, stop_factor=STO
 
 
 def test_clean_counts_good_only_no_deletions(monkeypatch):
-    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", max_corruption_subset_brute)
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", brute_in_a_run)
     rng = np.random.default_rng(2)
     n, m, ell = 1000, 80, 8
     counts = good_counts(rng, m, n, ell)
@@ -482,7 +551,7 @@ def test_clean_counts_good_only_no_deletions(monkeypatch):
 
 
 def test_clean_counts_single_bin_attack_brute_certified(monkeypatch):
-    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", max_corruption_subset_brute)
+    monkeypatch.setattr(clean, "max_corruption_subset_heuristic", brute_in_a_run)
     rng = np.random.default_rng(3)
     n, m, ell = 2500, 80, 10
     params = rb.CorruptionParams(0.1, n, m)

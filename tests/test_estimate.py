@@ -410,7 +410,7 @@ def test_candidate_prefix_sums_equal_one_cumsum_bitwise(monkeypatch, block):
     phi = _local_cell_integrals(edges, MAX_DEGREE + 1)
     cand = np.unique(np.round(np.linspace(0, ell, MAX_CUT_CANDIDATES)).astype(int))
     full = (phi[:, :, None] * phi[:, None, :], phi * w[:, None], w * w)
-    got = estimate._candidate_prefix_sums(phi, w, cand)
+    got = estimate._candidate_prefix_sums(edges, w, cand, MAX_DEGREE + 1)
     for table, terms in zip(got, full):
         prefix = np.concatenate((np.zeros((1, *terms.shape[1:])), np.cumsum(terms, axis=0)))
         assert table.tobytes() == prefix[cand].tobytes()

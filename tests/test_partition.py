@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,3 +289,66 @@ def test_labeled_partition_token_covers_both_slices():
     assert len(tokens) == 4
     unlabeled = partition.cut_partition(rb.BatchCollection(x, range(4)), 8).source_token
     assert unlabeled not in tokens
+
+
+def _contains_with_one_mask_per_interval(union, x):
+    """IntervalUnion.contains as written before the shared buffer: each
+    interval's two comparisons ANDed into a fresh mask, ORed into the result."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=bool)
+    for iv in union.intervals:
+        inside = x >= iv.lo if iv.lo_closed else x > iv.lo
+        inside &= x <= iv.hi if iv.hi_closed else x < iv.hi
+        out |= inside
+    return out
+
+
+def test_contains_matches_one_mask_per_interval():
+    """Open and closed ends, infinite ends, -0.0 and 0.0, degenerate and
+    empty intervals, the empty union, and x of 0, 1 and 2 dimensions."""
+    ends = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]
+    closed = [(True, True), (True, False), (False, True), (False, False)]
+    singles = [
+        rb.Interval(lo, hi, a, b) for lo in ends for hi in ends if lo <= hi for a, b in closed
+    ]
+    rng = np.random.default_rng(0)
+    unions = [rb.IntervalUnion(()), *(rb.IntervalUnion((iv,)) for iv in singles)]
+    while len(unions) < len(singles) + 400:
+        picks = sorted(rng.choice(len(singles), size=int(rng.integers(2, 4)), replace=False))
+        try:
+            unions.append(rb.IntervalUnion(tuple(singles[i] for i in picks)))
+        except rb.UsageError:
+            continue
+    # an empty (1, 1) between two intervals passes the adjacent-pair check, so
+    # x = 1, inside [0.5, 1], also passes the lower end of a later interval
+    # and must stay inside
+    empty = rb.Interval(1.0, 1.0, False, False)
+    for last in (rb.Interval(1.0, 1.0, True, False), rb.Interval(1.0, 2.0)):
+        unions.append(rb.IntervalUnion((rb.Interval(0.5, 1.0), empty, last)))
+    x = np.array([*ends, -2.0, -0.5, 0.25, 0.75, 2.0, np.nan, 5e-324, -5e-324])
+    for union in unions:
+        expected = _contains_with_one_mask_per_interval(union, x)
+        assert np.array_equal(union.contains(x), expected)
+        grid = x[:15].reshape(3, 5)
+        got = union.contains(grid)
+        assert got.shape == (3, 5) and np.array_equal(got, expected[:15].reshape(3, 5))
+        for value, want in zip(x, expected):
+            got = union.contains(value)
+            assert got.shape == () and got.dtype == bool and bool(got) == want
+        if union.k == 1:
+            assert np.array_equal(union.intervals[0].contains(x), expected)
+    assert np.array_equal(rb.IntervalUnion(()).contains(x), np.zeros(x.size, dtype=bool))
+
+
+def test_contains_holds_two_boolean_arrays_of_x():
+    x = np.random.default_rng(1).uniform(-1.0, 3.0, 1 << 20)
+    union = rb.IntervalUnion(
+        (rb.Interval(0.0, 0.5, False, True), rb.Interval(0.7, 1.2), rb.Interval(2.0, 2.5))
+    )
+    tracemalloc.start()
+    try:
+        union.contains(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.size + (64 << 10)  # one mask per interval held three
