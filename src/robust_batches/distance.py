@@ -5,9 +5,9 @@ at most k index-intervals.  One layer recurrence, :func:`union_layers`,
 finds the best union of at most k runs of a signed vector: k running-
 maximum passes over its prefix sums, O(ell*k) time in three reused rows.
 Each caller keeps what it reads: F_k the last entry of each layer on
-d = p - q and on -d, the witness the stacked ``out`` rows, and interval
-ERM (``classify``) two boolean masks per layer over the label-count
-differences.  A combinatorial enumeration doubles as a test oracle.
+d = p - q and on -d, and interval ERM (``classify``) two boolean masks per
+layer over the label-count differences.  A combinatorial enumeration
+doubles as a test oracle.
 
 Every run's sum is a difference of prefix sums, as in the enumeration
 oracle, so on inputs whose entries are exactly representable (e.g. dyadic
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DomainError, UsageError
-from .partition import BinSubset, EMPTY_SUBSET
+from .partition import BinSubset
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -65,58 +65,14 @@ def union_layers(d, k: int):
         prev, out = out, prev
 
 
-def _best_union_sum(d, k: int, out_rows: list | None = None) -> float:
+def _best_union_sum(d, k: int) -> float:
     """Largest sum of d over unions of at most k runs, from each layer's
-    last entries; ``out_rows``, when given, collects copies of the out rows."""
+    last entries."""
     out_ends, in_ends = [0.0], [-np.inf]
     for _, ins, out in union_layers(d, k):
         out_ends.append(out[-1])
         in_ends.append(ins[-1])
-        if out_rows is not None:
-            out_rows.append(out.copy())
     return float(max(np.max(out_ends), np.max(in_ends)))
-
-
-def _extract_witness(d, k: int, opt: float, out: np.ndarray) -> frozenset[int]:
-    """Maximizing union with the smallest bitmask (high bins dropped first).
-
-    Scans bins from the top, excluding a bin whenever some maximizer avoids
-    it; feasibility is read off the stacked ``out`` rows of :func:`union_layers`.
-    Mixing prefix and suffix partial sums costs a few ulps, hence the
-    tolerance.
-    """
-    tol = 1e-10 * max(1.0, float(np.abs(d).sum()))
-    members: list[int] = []
-    j_suf = 0  # interval runs fully decided above the scan point
-    v_suf = 0.0
-    bottom_open = False  # True when bin c+1 was included
-    for c in range(d.size, 0, -1):
-        if out[: k - j_suf + 1, c].max() + v_suf >= opt - tol:
-            bottom_open = False
-            continue
-        members.append(c)
-        v_suf += float(d[c - 1])
-        if not bottom_open:
-            j_suf += 1
-        bottom_open = True
-    return frozenset(members)
-
-
-def max_sum_k_interval_union(d, k: int) -> tuple[float, BinSubset]:
-    """Largest sum(d over S) over unions S of <= k index-intervals, with the
-    smallest-bitmask witness.
-
-    Signed: the max of sum(d over S) itself, never of -d.  Useful when the
-    caller cares which side of a zero-sum difference the witness lies on
-    (the absolute maximizer ties with its complement).
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise DomainError("d must be a nonempty 1-d vector")
-    rows = [np.zeros(d.size + 1)]
-    opt = _best_union_sum(d, k, rows)
-    witness = _extract_witness(d, k, opt, np.stack(rows))
-    return opt, (BinSubset(witness) if witness else EMPTY_SUBSET)
 
 
 def fk_distance(p, q, k: int) -> float:

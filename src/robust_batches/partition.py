@@ -258,13 +258,10 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
     if np.any(x[1:] < x[:-1]):
         raise UsageError("samples must be sorted non-decreasing")
     delta = math.ceil(s / ell)
-    cut_positions = [min(j * delta, s) for j in range(1, ell)]
-    boundaries: list[float] = []
-    for pos in cut_positions:
-        val = float(x[pos - 1])
-        if not boundaries or val > boundaries[-1]:
-            boundaries.append(val)
-    return IntervalPartition(tuple(boundaries), _samples_token(x))
+    vals = x[np.minimum(np.arange(1, ell) * delta, s) - 1]
+    # the first of each run of equal cut values, by a mask (no sort: -0.0 keeps its sign)
+    boundaries = vals[np.append(True, vals[1:] > vals[:-1])] if vals.size else vals
+    return IntervalPartition(tuple(boundaries.tolist()), _samples_token(x))
 
 
 def cut_partition(collection, ell: int) -> IntervalPartition | LabeledPartition:

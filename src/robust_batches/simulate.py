@@ -28,7 +28,6 @@ from .core import (
     ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, CorruptionParams, DomainError, LabeledCollection,
     UsageError, median, uniforms,
 )
-from .distance import max_sum_k_interval_union
 from .estimate import PiecewisePolynomial
 from .partition import BinSubset, IntervalPartition, IntervalUnion, build_partition, lift_subset
 
@@ -122,8 +121,9 @@ class GaussianMixtureTarget:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
         for w, mu, sd in zip(self.weights, self.means, self.sds):
-            z = (x - mu) / sd
-            out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+            with np.errstate(over="ignore"):  # a tiny sd or huge mean: inf z gives exp(-inf) = 0
+                z = (x - mu) / sd
+                out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
         return out
 
     def cdf(self, x) -> np.ndarray:
@@ -132,7 +132,9 @@ class GaussianMixtureTarget:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x, dtype=float)
         for w, mu, sd in zip(self.weights, self.means, self.sds):
-            out += w * 0.5 * _erfc(-((x - mu) / sd) * _SQRT_HALF)
+            with np.errstate(over="ignore"):  # an inf z is exact: erfc gives 0 or 2
+                z = (x - mu) / sd
+            out += w * 0.5 * _erfc(-z * _SQRT_HALF)
         return out
 
     def sample(self, rngs, size: int) -> np.ndarray:
@@ -304,14 +306,11 @@ class LabelFlipAttack:
 
 @dataclass(frozen=True)
 class FkTargetedAttack:
-    """Pushes the pooled empirical toward a fixed alternative at the
-    interval-union witness bins, each batch deviating just above tau."""
-
-    magnitude: float
-    k: int
+    """Pushes the pooled empirical toward an alternative that inflates one
+    fixed cell, each batch deviating just above tau inside that cell."""
 
     def generate(self, rngs, ctx: SimContext) -> np.ndarray:
-        plan = _fk_attack_plan(ctx, self.magnitude, self.k)
+        plan = _fk_attack_plan(ctx)
         rows = ctx.target.sample(rngs, ctx.n)
         goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
         inside = plan.region.contains(rows)
@@ -336,19 +335,14 @@ class _FkAttackPlan:
     tau: float
 
 
-def _fk_attack_plan(ctx: SimContext, magnitude: float, k: int) -> _FkAttackPlan:
-    """Witness region, good-median and tau of a context."""
+def _fk_attack_plan(ctx: SimContext) -> _FkAttackPlan:
+    """Region, good-median and tau of a context.  The region is cell
+    floor(ell/3) + 1 of the good pool's min(64, s)-cell partition, the cell
+    the alternative inflates; every other cell but the last holds a pooled
+    point, so it is the alternative's F_k witness for every mass and k."""
     pool = np.sort(ctx.good_x)
     part = build_partition(pool, min(64, pool.size))
-    cdf = np.searchsorted(pool, part.boundaries, side="right") / pool.size
-    good = np.diff(cdf, prepend=0.0, append=1.0)  # the pool's empirical cell masses
-    alt = good * (1.0 - magnitude)
-    alt[len(alt) // 3] += magnitude  # fixed alternative: one mid-domain cell inflated
-    # the witness must sit where the alternative EXCEEDS the good mass
-    # (the absolute maximizer ties with its complement on zero-sum vectors)
-    _, witness = max_sum_k_interval_union(alt - good, k)
-    members = witness.members if witness.members else frozenset({1})
-    region = lift_subset(BinSubset(members), part)
+    region = lift_subset(BinSubset.of(part.ell // 3 + 1), part)
     med = median(region.contains(ctx.good_rows).mean(axis=1))
     return _FkAttackPlan(region, med, CorruptionParams(ctx.beta, ctx.n, 1).tau)
 
@@ -482,8 +476,10 @@ def parse_attack(spec: str):
             return ReplaySkewAttack(mag, _region(param))
         if kind == "label_flip":
             return LabelFlipAttack(mag, _region(param))
-        if kind == "fk_targeted":
-            return FkTargetedAttack(mag, int(param) if param else 2)
+        if kind == "fk_targeted":  # neither the mass nor k moves the draw
+            if int(param or 2) < 1:
+                raise ValueError("k must be at least 1")
+            return FkTargetedAttack()
     except (ValueError, DomainError) as exc:
         raise UsageError(f"cannot parse attack {spec!r}: {exc}") from exc
     raise UsageError(f"unknown attack kind {kind!r}")

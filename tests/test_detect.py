@@ -375,7 +375,7 @@ def _fk_targeted_collection():
     """The collection of test_simulate.test_fk_targeted_attack_end_to_end."""
     n, beta, m = 100, 0.2, 400
     target = parse_target("uniform:0,1")
-    coll = rb.build_collection(target, FkTargetedAttack(0.3, k=2), m, n, beta, 7)
+    coll = rb.build_collection(target, FkTargetedAttack(), m, n, beta, 7)
     return rb.discretize(coll, rb.choose_ell(2, n, beta, m))[1]
 
 

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.distance import (
-    _k_run_unions, iter_k_run_subsets, max_sum_k_interval_union, union_layers,
-)
+from robust_batches.distance import _k_run_unions, iter_k_run_subsets, union_layers
 
 
 def stacked_tables(d, k):
@@ -21,8 +19,7 @@ def stacked_tables(d, k):
 
 def full_union_tables(d, k):
     """The whole-table form of the recurrence, each layer filled in place in
-    its own row: what F_k, the witnesses and ERM read before the layers
-    were streamed."""
+    its own row: what F_k and ERM read before the layers were streamed."""
     d = np.asarray(d, dtype=float)
     k = min(k, (d.size + 1) // 2)
     prefix = np.zeros(d.size + 1)
@@ -58,83 +55,6 @@ def test_fk_distance_rejects_unnormalized():
         rb.fk_distance([0.5, 0.5], [0.5, 0.5], 0)
 
 
-def test_max_sum_k_interval_union_examples():
-    d = np.array([0.1, -0.2, 0.3, -0.1, 0.2])
-    value, witness = max_sum_k_interval_union(d, 2)
-    assert value == pytest.approx(0.5, abs=1e-12)
-    assert sorted(witness.members) == [3, 5]
-    value, witness = max_sum_k_interval_union(np.zeros(5), 2)
-    assert value == 0.0 and witness.members == frozenset()
-    value, witness = max_sum_k_interval_union(np.array([0.4, -0.1, 0.4]), 2)
-    assert value == pytest.approx(0.8)
-    assert sorted(witness.members) == [1, 3]
-
-
-def test_max_sum_k_interval_union_witness_attains_value():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        ell = int(rng.integers(1, 15))
-        k = int(rng.integers(1, 4))
-        d = rng.standard_normal(ell) * rng.random()
-        value, witness = max_sum_k_interval_union(d, k)
-        assert len(witness.runs()) <= k
-        attained = d[witness.indices0()].sum() if witness.members else 0.0
-        assert attained == pytest.approx(value, abs=1e-9)
-
-
-def test_max_sum_k_interval_union_witness_is_minimal_maximizer():
-    # on an exact grid the value is the largest signed union sum and the
-    # witness the smallest maximizing bitmask
-
-    rng = np.random.default_rng(78)
-    for _ in range(400):
-        ell = int(rng.integers(1, 11))
-        k = int(rng.integers(1, 4))
-        d = rng.integers(-16, 17, ell) / 16.0
-        value, witness = max_sum_k_interval_union(d, k)
-        best_val = 0.0
-        best_masks = [0]
-        for runs in _k_run_unions(ell, min(k, (ell + 1) // 2)):
-            members = [i for a, b in runs for i in range(a, b + 1)]
-            v = sum(d[i - 1] for i in members)
-            mask = sum(1 << (i - 1) for i in members)
-            if v > best_val:
-                best_val, best_masks = v, [mask]
-            elif v == best_val:
-                best_masks.append(mask)
-        assert value == best_val
-        assert sum(1 << (i - 1) for i in witness.members) == min(best_masks)
-
-
-def test_max_sum_k_interval_union_both_signs_give_fk_distance():
-    # F_k is the larger of the two signed maxima, so it is the same from
-    # either side, and the witness of the larger one attains it
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        ell = int(rng.integers(1, 12))
-        k = int(rng.integers(1, 3))
-        p, q = dyadic_pair(rng, ell)
-        v_pos, w_pos = max_sum_k_interval_union(p - q, k)
-        v_neg, w_neg = max_sum_k_interval_union(q - p, k)
-        fk = rb.fk_distance(p, q, k)
-        assert fk == max(v_pos, v_neg) == rb.fk_distance(q, p, k)
-        witness, d = (w_pos, p - q) if v_pos >= v_neg else (w_neg, q - p)
-        attained = d[witness.indices0()].sum() if witness.members else 0.0
-        assert attained == pytest.approx(fk, abs=1e-12)
-
-
-def test_max_sum_k_interval_union_is_signed():
-    d = np.array([0.3, -0.1, -0.1, -0.1])  # zero-sum: |max| ties with complement
-    value, witness = max_sum_k_interval_union(d, 2)
-    assert value == pytest.approx(0.3)
-    assert sorted(witness.members) == [1]
-    value, witness = max_sum_k_interval_union(-d, 2)
-    assert value == pytest.approx(0.3)
-    assert sorted(witness.members) == [2, 3, 4]
-    value, witness = max_sum_k_interval_union(np.array([-1.0, -2.0]), 1)
-    assert value == 0.0 and witness.members == frozenset()
-
-
 def test_fk_matches_brute_on_dyadic_grid():
     rng = np.random.default_rng(21)
     for _ in range(300):
@@ -142,6 +62,7 @@ def test_fk_matches_brute_on_dyadic_grid():
         k = int(rng.integers(1, 4))
         p, q = dyadic_pair(rng, ell)
         assert rb.fk_distance(p, q, k) == rb.fk_distance_brute(p, q, k)
+        assert rb.fk_distance(p, q, k) == rb.fk_distance(q, p, k)
     # off the grid the kernel and the oracle add in different orders
     rng = np.random.default_rng(22)
     for _ in range(300):
@@ -196,15 +117,13 @@ def test_fk_brute_equivalence_property(ell, k, seed):
 @given(st.integers(1, 13), st.integers(0, 2**32 - 1))
 def test_union_tables_clamp_huge_k(ell, seed):
     """No union over ell bins has more than (ell + 1) // 2 runs, so any
-    larger k gives the same tables, distance and witness."""
+    larger k gives the same tables and distance."""
     rng = np.random.default_rng(seed)
     p, q = dyadic_pair(rng, ell)
     tight = (ell + 1) // 2
     for a, b in zip(stacked_tables(p - q, 10**12), stacked_tables(p - q, tight)):
         assert np.array_equal(a, b)
     assert rb.fk_distance(p, q, 10**12) == rb.fk_distance_brute(p, q, tight)
-    for d in (p - q, q - p):
-        assert max_sum_k_interval_union(d, 10**12) == max_sum_k_interval_union(d, tight)
 
 
 def bitwise_equal(a, b):
@@ -231,8 +150,7 @@ def layer_cases():
 def test_union_tables_equal_the_out_of_place_reference_bitwise():
     """The layers, filled in place in reused rows and stacked, equal the
     out-of-place expression and the whole-table recurrence they replace bit
-    for bit, sign of zero included, so F_k, its witnesses and ERM read the
-    same values."""
+    for bit, sign of zero included, so F_k and ERM read the same values."""
     for d, k in layer_cases():
         size, kk = d.size, min(k, (d.size + 1) // 2)
         prefix = np.concatenate(([0.0], np.cumsum(d)))

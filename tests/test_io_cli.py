@@ -371,6 +371,24 @@ def test_cli_simulate_checks_out_before_generating(monkeypatch, capsys):
     assert "requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["0", "0.2"])
+def test_cli_simulate_refuses_fk_targeted_k_below_one_before_drawing(
+    tmp_path, monkeypatch, capsys, beta,
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate drew a collection for a refused attack")
+
+    monkeypatch.setattr(cli, "build_collection", fail)
+    out = tmp_path / "b.jsonl"
+    rc = main([
+        "simulate", "--target", "uniform:0,1", "--attack", "fk_targeted:0.5@0",
+        "--m", "10", "--n", "5", "--beta", beta, "--out", str(out),
+    ])
+    assert rc == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_clean_input_directory_exits_2(tmp_path, capsys):
     rc = main(["clean", "--input", str(tmp_path), "--k", "1", "--beta", "0.2"])
     assert rc == 2

@@ -66,6 +66,36 @@ def test_build_partition_requires_enough_samples():
         rb.build_partition(np.array([2.0, 1.0]), 2)
 
 
+def _cut_loop(x, ell):
+    """build_partition's boundaries by a loop over the cut positions that
+    keeps each value above the last one kept."""
+    delta = -(-x.size // ell)
+    boundaries: list[float] = []
+    for pos in (min(j * delta, x.size) for j in range(1, ell)):
+        if not boundaries or float(x[pos - 1]) > boundaries[-1]:
+            boundaries.append(float(x[pos - 1]))
+    return boundaries
+
+
+def test_build_partition_equals_the_cut_loop_bitwise():
+    """Cut values masked to the first of each equal run give the loop's
+    boundaries bit for bit, -0.0 included, and the same source token."""
+    rng = np.random.default_rng(31)
+    for i in range(600):
+        s = int(rng.integers(1, 300))
+        x = rng.standard_normal(s)
+        if i % 2:
+            x = np.round(x, int(rng.integers(0, 2)))  # ties, and -0.0 from rounding
+        x[rng.random(s) < 0.2 * (i % 3)] = -0.0
+        x[rng.random(s) < 0.1 * (i % 3)] = 0.0
+        x.sort(kind="stable")
+        ell = int(rng.integers(1, s + 1))
+        part = rb.build_partition(x, ell)
+        want = np.array(_cut_loop(x, ell))
+        assert np.array_equal(np.array(part.boundaries).view(np.int64), want.view(np.int64))
+        assert part.source_token == hashlib.sha256(x).hexdigest()[:16]
+
+
 @st.composite
 def tied_collections(draw):
     """Batches over at most three distinct values (often one), plus a

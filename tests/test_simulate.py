@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import robust_batches as rb
 from robust_batches.clean import clean_pipeline
+from robust_batches.cli import main
+from robust_batches.distance import _k_run_unions
 from robust_batches.simulate import (
     ClassificationTarget,
     FkTargetedAttack,
@@ -94,7 +99,7 @@ def test_fk_targeted_attack_deviates_above_tau():
     assert len(adversarial) == 12
     tau = rb.CorruptionParams(beta, n, int(good.sum())).tau
     ctx = SimContext(target=target, beta=beta, n=n, good_rows=coll.samples[good])
-    plan = _fk_attack_plan(ctx, 0.3, 2)
+    plan = _fk_attack_plan(ctx)
     for xs in adversarial:
         assert xs.size == n
         dev = float(plan.region.contains(xs).mean()) - plan.med_good
@@ -107,7 +112,7 @@ def test_fk_targeted_attack_end_to_end():
 
     target = parse_target("uniform:0,1")
     mag, beta, n = 0.3, 0.2, 100
-    coll = rb.build_collection(target, FkTargetedAttack(mag, k=2), 400, n, beta, 7)
+    coll = rb.build_collection(target, FkTargetedAttack(), 400, n, beta, 7)
     pooled_part, disc = rb.discretize(coll, rb.choose_ell(2, n, beta, 400))
     naive = rb.fk_distance(disc.pooled(), target.bin_masses(pooled_part), 2)
     assert naive >= 0.5 * beta * mag
@@ -119,6 +124,55 @@ def test_fk_targeted_attack_end_to_end():
         )
     assert res.report.fk_after <= 10 * beta * np.sqrt(np.log(1 / beta) / n)
     assert res.report.fk_after <= 0.5 * res.report.fk_before
+
+
+def test_fk_targeted_region_is_the_witness_for_every_mass_and_k():
+    """The alternative scales the good pool's cell masses by 1 - mass and
+    adds mass to cell c = floor(ell/3) + 1.  Every cell but the last holds a
+    pooled point, so on exact masses each union of at most k runs with the
+    largest sum is {c} plus empty cells (or, when c holds the whole pool,
+    the alternative is the pool and the sum is 0): the plan's region."""
+    rng = np.random.default_rng(30)
+    target = parse_target("uniform:0,1")
+    for i in range(80):
+        rows = rng.integers(0, 1 + i % 5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 5))))
+        pool = np.sort(rows.ravel() / 4.0)  # few values: cuts land inside tie runs
+        part = rb.build_partition(pool, min(64, pool.size))
+        plan = _fk_attack_plan(SimContext(target, 0.2, rows.shape[1], rows / 4.0))
+        c = part.ell // 3 + 1
+        assert plan.region == rb.lift_subset(rb.BinSubset.of(c), part)
+        counts = np.bincount(part.bin_of(pool), minlength=part.ell)
+        assert (counts[:-1] > 0).all()
+        good = [Fraction(int(v), pool.size) for v in counts]
+        for mass in (Fraction(1, 10**6), Fraction(1, 20), Fraction(3, 10), Fraction(1)):
+            d = [mass * ((j == c) - g) for j, g in enumerate(good, start=1)]
+            for k in (1, 2, 3):
+                sums = {
+                    runs: sum((d[j - 1] for a, b in runs for j in range(a, b + 1)), Fraction(0))
+                    for runs in _k_run_unions(part.ell, min(k, (part.ell + 1) // 2))
+                }
+                best = max(sums.values())
+                assert best == (mass * (1 - good[c - 1]))
+                for runs, v in sums.items():
+                    if v == best and best > 0:
+                        held = {j for a, b in runs for j in range(a, b + 1) if counts[j - 1]}
+                        assert held == {c}
+
+
+@pytest.mark.parametrize(
+    "target_spec", ["gm:0.6N(0,1)+0.4N(3,0.5)", "uniform:0,1", "hist:0,0.3,0.7,1|0.2,0.5,0.3"],
+)
+def test_fk_targeted_draw_depends_on_neither_mass_nor_k(tmp_path, target_spec):
+    files = set()
+    for mass in ("0.05", "0.3", "1.0"):
+        for k in ("1", "2", "6"):
+            out = tmp_path / f"{mass}_{k}.jsonl"
+            assert main([
+                "simulate", "--target", target_spec, "--attack", f"fk_targeted:{mass}@{k}",
+                "--m", "50", "--n", "40", "--beta", "0.2", "--seed", "3", "--out", str(out),
+            ]) == 0
+            files.add(out.read_bytes())
+    assert len(files) == 1
 
 
 def test_metrics_trivials():
@@ -238,6 +292,54 @@ def test_ndtri_matches_scipy_bitwise():
     assert _ndtri(np.empty(0)).shape == (0,)
 
 
+def _gm_pdf_cdf_unscoped(target, x):
+    """GaussianMixtureTarget.pdf and .cdf as written before their overflows
+    were scoped, run with every floating-point warning off."""
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    pdf, cdf = np.zeros_like(x), np.zeros_like(x)
+    with np.errstate(all="ignore"):
+        for w, mu, sd in zip(target.weights, target.means, target.sds):
+            z = (x - mu) / sd
+            pdf += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+            cdf += w * 0.5 * erfc(-((x - mu) / sd) * math.sqrt(0.5))
+    return pdf, cdf
+
+
+@pytest.mark.parametrize("spec", [
+    "gm:1N(0,1e-300)",
+    "gm:1N(0,1e-320)",
+    "gm:1N(1e308,1e308)",
+    "gm:0.5N(-1e308,1e-320)+0.5N(3,0.5)",
+    "gm:0.6N(0,1)+0.4N(3,0.5)",
+])
+def test_gaussian_mixture_overflow_is_silent_and_bit_identical(spec):
+    """z = (x - mu)/sd and z*z overflow to inf on these valid targets; under
+    the suite's error::RuntimeWarning filter pdf and cdf must not warn, and
+    their values equal the unscoped expressions' bit for bit."""
+    target = parse_target(spec)
+    x = np.array([
+        -np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 0.5, 3.0, 1e308,
+        np.inf, *target.breakpoints,
+    ])
+    for got, want in zip((target.pdf(x), target.cdf(x)), _gm_pdf_cdf_unscoped(target, x)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_estimate_against_a_near_point_mass_target_prints_no_warning(tmp_path, capsys):
+    batches = tmp_path / "b.jsonl"
+    assert main([
+        "simulate", "--target", "gm:0.6N(0,1)+0.4N(3,0.5)", "--attack", "mean_shift:1.0@1.4,1.6",
+        "--m", "60", "--n", "30", "--beta", "0.2", "--seed", "1", "--out", str(batches),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "estimate", "--input", str(batches), "--t", "2", "--d", "2", "--beta", "0.2",
+        "--trigger", "5", "--stop", "4", "--target", "gm:1N(0,1e-300)",
+        "--out", str(tmp_path / "e.json"),
+    ]) == 0
+    assert "overflow" not in capsys.readouterr().err
+
+
 # an attack per target, so that each attack's generate is drawn batched
 BATCHED_ATTACKS = {
     "gm:0.6N(0,1)+0.4N(3,0.5)": ["fk_targeted:0.3@2", "spike:0.3@0.5"],
@@ -284,7 +386,7 @@ def _one_batch(spec: str, target, rng, good_rows: np.ndarray, n: int, beta: floa
         return row
     if isinstance(attack, FkTargetedAttack):
         row = target.sample((rng,), n)[0]
-        plan = _fk_attack_plan(SimContext(target, beta, n, good_rows), attack.magnitude, attack.k)
+        plan = _fk_attack_plan(SimContext(target, beta, n, good_rows))
         inside = plan.region.contains(row)
         goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
         need = int(np.ceil(goal * n)) - int(inside.sum())
@@ -362,7 +464,7 @@ def test_parse_target_and_attack():
         "mean_shift:oops", "mean_shift:-1@0,1", "spike:1.5@0.5", "fk_targeted:nan@2",
         "mean_shift:1@1,0", "replay_skew:0.5@2,1", "label_flip:0.5@0.25,0.25",
         "spike:0.5@nan", "spike:0.5@inf", "mean_shift:0.5@0,inf", "replay_skew:0.5@-inf,0",
-        "label_flip:0.5@nan,1",
+        "label_flip:0.5@nan,1", "fk_targeted:0.5@0", "fk_targeted:0.5@-1",
     ):
         with pytest.raises(rb.UsageError):
             parse_attack(spec)
