@@ -14,10 +14,10 @@ each piece in that local coordinate, so no piece is ever rewritten in
 monomials of x.  Minimizing the squared bin residuals is a surrogate for
 the interval-union distance the selection theory wants; the achieved
 distance is computed exactly afterwards and reported alongside the fit.
-Every integral of a piecewise polynomial (CDF, bin masses, total mass,
-inverse-CDF sampling) reads one antiderivative table, and the
-total-variation distance to a target is computed from CDFs at the sign
-changes (Scheffé's identity).
+A piecewise polynomial is evaluated from two tables built once, its
+padded coefficients and their antiderivatives, with no loop over the
+pieces, and the total-variation distance to a target is computed from
+CDFs at the sign changes (Scheffé's identity).
 """
 
 from __future__ import annotations
@@ -59,22 +59,24 @@ def _cheb_nodes(a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (CHEB_POINTS - 1))
 
 
-def _dips_below_zero(coef) -> bool:
-    """Whether a piece falls below zero at a check-point by more than
-    rounding at the piece's own height."""
-    values = npoly.polyval(_cheb_nodes(-1.0, 1.0), np.asarray(coef))
-    return bool(values.min() < -_NONNEG_TOL * max(1.0, values.max()))
-
-
-def _antiderivative_table(bp, coefs) -> tuple[np.ndarray, np.ndarray]:
-    """Per piece, the ascending coefficients (zero-padded), in the piece's
-    s, of the mass between its left end and s; and the cumulative mass at
-    every breakpoint.  At s = 1 a row sums to its piece's mass."""
-    anti = np.zeros((len(coefs), max(len(c) for c in coefs) + 1))
+def _tables(bp, coefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per piece, its ascending coefficients zero-padded to one width; the
+    ascending coefficients (zero-padded), in the piece's s, of the mass
+    between its left end and s; and the cumulative mass at every
+    breakpoint.  At s = 1 an antiderivative row sums to its piece's mass."""
+    table = np.zeros((len(coefs), max(len(c) for c in coefs)))
+    anti = np.zeros((len(coefs), table.shape[1] + 1))
     for j, c in enumerate(coefs):
-        row = npoly.polyint(np.asarray(c, dtype=float), lbnd=-1.0, scl=0.5 * (bp[j + 1] - bp[j]))
+        table[j, : len(c)] = c
+        row = npoly.polyint(table[j, : len(c)], lbnd=-1.0, scl=0.5 * (bp[j + 1] - bp[j]))
         anti[j, : row.size] = row
-    return anti, np.concatenate(([0.0], np.cumsum(anti.sum(axis=1))))
+    return table, anti, np.concatenate(([0.0], np.cumsum(anti.sum(axis=1))))
+
+
+def _horner(rows, s) -> np.ndarray:
+    """Each ``s`` evaluated on its own row of ascending coefficients; the
+    zero padding of a shorter row adds nothing, bit for bit, at finite s."""
+    return npoly.polyval(s, np.moveaxis(rows, -1, 0), tensor=False)
 
 
 def _bisect(f, lo, hi) -> np.ndarray:
@@ -99,16 +101,18 @@ class PiecewisePolynomial:
     unit x on piece j = ``[breakpoints[j], breakpoints[j+1]]`` = [a, b],
     as a polynomial in the piece's own coordinate s = 2(x - a)/(b - a) - 1;
     a constant piece reads the same in s as in x.  ``from_monomials``
-    builds one from monomials in x.  Construction checks nonnegativity at
-    Chebyshev check-points of every piece and that the total mass is 1
-    within 1e-6, and builds the antiderivative table that ``cdf``,
-    ``integral``, ``bin_masses`` and ``sample`` read.  It is its own
-    simulation target: uniform and histogram targets are its
-    constant-piece case.
+    builds one from monomials in x.  Construction builds two tables: the
+    coefficients zero-padded to one width, which ``pdf`` and ``sample``
+    read, and the antiderivatives, which ``cdf``, ``integral``,
+    ``bin_masses`` and ``sample`` read.  It checks nonnegativity at
+    Chebyshev check-points of every piece on the first, and that the total
+    mass is 1 within 1e-6 on the second.  It is its own simulation target:
+    uniform and histogram targets are its constant-piece case.
     """
 
     breakpoints: tuple[float, ...]
     coefficients: tuple[tuple[float, ...], ...]
+    coefficient_table: np.ndarray = field(init=False, repr=False, compare=False)
     antiderivatives: np.ndarray = field(init=False, repr=False, compare=False)
     cum_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -123,10 +127,13 @@ class PiecewisePolynomial:
             raise UsageError("breakpoints must be strictly increasing")
         if not all(math.isfinite(x) for x in bp):
             raise UsageError("breakpoints must be finite")
-        for j, piece in enumerate(coefs):
-            if _dips_below_zero(piece):
-                raise UsageError(f"piece {j} dips below zero at a check-point")
-        anti, cum = _antiderivative_table(bp, coefs)
+        table, anti, cum = _tables(bp, coefs)
+        # below zero by more than rounding at the piece's own height
+        values = npoly.polyval(_cheb_nodes(-1.0, 1.0), table.T)
+        dips = np.flatnonzero(values.min(1) < -_NONNEG_TOL * np.maximum(1.0, values.max(1)))
+        if dips.size:
+            raise UsageError(f"piece {dips[0]} dips below zero at a check-point")
+        object.__setattr__(self, "coefficient_table", table)
         object.__setattr__(self, "antiderivatives", anti)
         object.__setattr__(self, "cum_mass", cum)
         if not abs(self.integral() - 1.0) <= _MASS_TOL:  # NaN fails too
@@ -140,34 +147,27 @@ class PiecewisePolynomial:
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def _local(self, j, x) -> np.ndarray:
-        """The coordinate s of ``x`` in piece ``j``."""
+    def piece_of(self, x) -> np.ndarray:
+        """The piece that holds each ``x``; points outside the support get
+        the nearer end piece."""
+        return np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, self.t - 1)
+
+    def _locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The piece j of each ``x`` and the coordinate s of ``x`` in it."""
+        j = self.piece_of(x)
         bp = np.asarray(self.breakpoints)
-        return 2.0 * (x - bp[j]) / (bp[j + 1] - bp[j]) - 1.0
+        return j, 2.0 * (x - bp[j]) / (bp[j + 1] - bp[j]) - 1.0
 
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, self.t - 1)
-        s = self._local(idx, np.clip(x, lo, hi))
-        out = np.zeros_like(x)
-        for j in range(self.t):
-            sel = inside & (idx == j)
-            if sel.any():
-                out[sel] = npoly.polyval(s[sel], np.asarray(self.coefficients[j]))
-        return out
-
-    def piece_mass(self, j, x) -> np.ndarray:
-        """Mass of piece ``j`` between its left end and ``x`` (inside it);
-        an array ``j`` pairs one piece with each ``x``."""
-        return npoly.polyval(self._local(j, x), self.antiderivatives[j].T, tensor=False)
+        j, s = self._locate(np.clip(x, lo, hi))
+        return np.where((x >= lo) & (x <= hi), _horner(self.coefficient_table[j], s), 0.0)
 
     def cdf(self, x) -> np.ndarray:
         """Mass of the density below ``x``."""
-        x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support)
-        j = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, self.t - 1)
-        return self.cum_mass[j] + self.piece_mass(j, x)
+        j, s = self._locate(np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support))
+        return self.cum_mass[j] + _horner(self.antiderivatives[j], s)
 
     def integral(self) -> float:
         return float(self.cum_mass[-1])
@@ -179,18 +179,19 @@ class PiecewisePolynomial:
 
     def sample(self, rngs, size: int) -> np.ndarray:
         """``size`` points per generator, one row each, by inverse CDF:
-        each uniform picks a piece, then solves piece_mass(j, x) = residual
-        inside it, in closed form up to degree 1 and by bisection above."""
+        each uniform picks a piece j, then solves for the x at which the
+        mass of piece j below x is the residual, in closed form up to
+        degree 1 and by bisection on its antiderivative row above."""
         u = uniforms(rngs, size).ravel()
         j = np.searchsorted(self.cum_mass[1:-1], u, side="right")
         residual = u - self.cum_mass[j]
         bp = np.asarray(self.breakpoints)
         a, b = bp[j], bp[j + 1]
-        c01 = np.array([(*c, 0.0)[:2] for c in self.coefficients])
+        coef = np.pad(self.coefficient_table, ((0, 0), (0, 1)))  # a constant piece has slope 0
         piece_kinds = np.where(
-            [any(c[2:]) for c in self.coefficients],
+            np.any(coef[:, 2:] != 0, axis=1),
             _CURVED,
-            np.where(np.abs(c01[:, 1]) < 1e-14, _FLAT, _LINEAR),
+            np.where(np.abs(coef[:, 1]) < 1e-14, _FLAT, _LINEAR),
         )
         kinds = sorted(set(piece_kinds.tolist()))
         out = np.empty(u.size)
@@ -198,10 +199,12 @@ class PiecewisePolynomial:
             sel = piece_kinds[j] == k if len(kinds) > 1 else slice(None)
             r, lo, hi = residual[sel], a[sel], b[sel]
             if k == _CURVED:
-                js = j[sel]
-                out[sel] = _bisect(lambda y: self.piece_mass(js, y) - r, lo, hi)
+                rows = self.antiderivatives[j[sel]]  # each sample's row, gathered once
+                out[sel] = _bisect(
+                    lambda y: _horner(rows, 2.0 * (y - lo) / (hi - lo) - 1.0) - r, lo, hi
+                )
                 continue
-            c0, c1 = c01[j[sel]].T
+            c0, c1 = coef[j[sel], :2].T
             if k == _FLAT:  # c0 (x - a) = r
                 x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
             else:  # (b - a)/2 (left u + c1 u^2 / 2) = r in u = s + 1, solved without cancelling

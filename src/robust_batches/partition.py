@@ -126,12 +126,6 @@ class BinSubset:
     def bitmask(self) -> int:
         return sum(1 << (i - 1) for i in self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
 
 EMPTY_SUBSET = BinSubset(frozenset())
 
@@ -255,7 +249,7 @@ def build_partition(all_samples: np.ndarray, ell: int) -> IntervalPartition:
         raise DomainError("ell must be at least 1")
     if s < ell:
         raise UsageError(f"need at least ell={ell} samples, got {s}")
-    if np.any(x[1:] < x[:-1]):
+    if not np.all(x[1:] >= x[:-1]):  # NaN fails too
         raise UsageError("samples must be sorted non-decreasing")
     delta = math.ceil(s / ell)
     vals = x[np.minimum(np.arange(1, ell) * delta, s) - 1]

@@ -111,8 +111,10 @@ class GaussianMixtureTarget:
             raise DomainError("mixture weights must be a probability vector")
         if len(w) != len(self.means) or len(w) != len(self.sds):
             raise DomainError("weights, means, sds must have one length")
-        if any(s <= 0 for s in self.sds):
-            raise DomainError("component sds must be positive")
+        if not all(0 < s < math.inf for s in self.sds):  # NaN fails too
+            raise DomainError("component sds must be positive and finite")
+        if not all(math.isfinite(m) for m in self.means):
+            raise DomainError("component means must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "sds", tuple(float(v) for v in self.sds))
@@ -150,10 +152,14 @@ class GaussianMixtureTarget:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        """The means and 12 sds beyond the outermost components."""
-        lo = min(m - 12.0 * s for m, s in zip(self.means, self.sds))
-        hi = max(m + 12.0 * s for m, s in zip(self.means, self.sds))
-        return tuple(sorted({lo, hi, *self.means}))
+        """The means and 12 sds beyond the outermost components.  A mean
+        that ± 12 sds rounds back to also gets the next float on each side,
+        so the TV quadrature has a cell on each side of it."""
+        lo = [m - 12.0 * s for m, s in zip(self.means, self.sds)]
+        hi = [m + 12.0 * s for m, s in zip(self.means, self.sds)]
+        tight = [m for m, a, b in zip(self.means, lo, hi) if m in (a, b)]
+        near = [math.nextafter(m, side) for m in tight for side in (-math.inf, math.inf)]
+        return tuple(sorted({min(lo), max(hi), *self.means, *near}))
 
     def bin_masses(self, partition: IntervalPartition) -> np.ndarray:
         return np.diff(self.cdf(partition.boundaries), prepend=0.0, append=1.0)
@@ -185,12 +191,7 @@ class ClassificationTarget:
         return x, y
 
     def eta_at(self, x) -> np.ndarray:
-        cell = np.clip(
-            np.searchsorted(np.asarray(self.edges), np.asarray(x, dtype=float), side="right") - 1,
-            0,
-            len(self.masses) - 1,
-        )
-        return np.asarray(self.eta)[cell]
+        return np.asarray(self.eta)[self.marginal.piece_of(np.asarray(x, dtype=float))]
 
     def optimal_risk(self) -> float:
         return float(sum(m * min(e, 1.0 - e) for m, e in zip(self.masses, self.eta)))

@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 import robust_batches as rb
 from robust_batches import estimate
+from robust_batches.core import uniforms
 from robust_batches.distance import fk_distance
 from robust_batches.estimate import (
     MAX_CUT_CANDIDATES,
@@ -18,7 +19,7 @@ from robust_batches.estimate import (
     _solve_piece,
     fit_piecewise,
 )
-from robust_batches.simulate import parse_target
+from robust_batches.simulate import ClassificationTarget, parse_target
 
 
 def test_piecewise_polynomial_invariants():
@@ -126,6 +127,17 @@ def test_evaluate_density_examples():
     assert rb.evaluate_density(flat, parse_target("uniform:0,1")) == pytest.approx(0.0, abs=1e-9)
     assert rb.evaluate_density(flat, parse_target("uniform:0.5,1.5")) == pytest.approx(0.5, abs=1e-7)
     assert rb.evaluate_density(flat, parse_target("uniform:5,6")) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec", ["gm:1N(10,1e-300)", "gm:1N(-20,1e-200)", "gm:0.5N(0.25,1e-300)+0.5N(30,1e-300)"]
+)
+def test_evaluate_density_counts_both_halves_of_a_degenerate_component(spec):
+    """Where mean ± 12 sd rounds to the mean, the quadrature still has a
+    cell on each side of the mean, so neither half of its mass is lost
+    (without them the three read 0.75, 0.75 and 0.375)."""
+    flat = rb.PiecewisePolynomial((0.0, 1.0), ((1.0,),))
+    assert rb.evaluate_density(flat, parse_target(spec)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _mass_below(bp, mono, x):
@@ -567,3 +579,178 @@ def test_solve_piece_exact_and_no_worse_than_slsqp():
                 density = npoly.polyval(s_nodes, a) * 2.0 / width
                 ref_density = npoly.polyval(_cheb_nodes(edges[0], edges[-1]), ref)
                 assert np.abs(density - ref_density).max() <= 1e-12 * w.sum() / width
+
+
+def _per_piece_local(bp, j, x):
+    bp = np.asarray(bp)
+    return 2.0 * (x - bp[j]) / (bp[j + 1] - bp[j]) - 1.0
+
+
+def _per_piece_first_dip(coefs):
+    """The first piece that the per-piece check-point test refuses."""
+    for j, coef in enumerate(coefs):
+        values = npoly.polyval(_cheb_nodes(-1.0, 1.0), np.asarray(coef))
+        if values.min() < -1e-9 * max(1.0, values.max()):
+            return j
+    return None
+
+
+def _per_piece_antiderivatives(bp, coefs):
+    anti = np.zeros((len(coefs), max(len(c) for c in coefs) + 1))
+    for j, c in enumerate(coefs):
+        row = npoly.polyint(np.asarray(c, dtype=float), lbnd=-1.0, scl=0.5 * (bp[j + 1] - bp[j]))
+        anti[j, : row.size] = row
+    return anti, np.concatenate(([0.0], np.cumsum(anti.sum(axis=1))))
+
+
+def _per_piece_pdf(dens, x):
+    """pdf by one masked polyval per piece, on its unpadded coefficients."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = dens.support
+    inside = (x >= lo) & (x <= hi)
+    idx = np.clip(np.searchsorted(dens.breakpoints, x, side="right") - 1, 0, dens.t - 1)
+    s = _per_piece_local(dens.breakpoints, idx, np.clip(x, lo, hi))
+    out = np.zeros_like(x)
+    for j in range(dens.t):
+        sel = inside & (idx == j)
+        if sel.any():
+            out[sel] = npoly.polyval(s[sel], np.asarray(dens.coefficients[j]))
+    return out
+
+
+def _per_piece_cdf(dens, x):
+    anti, cum = _per_piece_antiderivatives(dens.breakpoints, dens.coefficients)
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *dens.support)
+    j = np.clip(np.searchsorted(dens.breakpoints, x, side="right") - 1, 0, dens.t - 1)
+    return cum[j] + npoly.polyval(_per_piece_local(dens.breakpoints, j, x), anti[j].T, tensor=False)
+
+
+def _per_piece_sample(dens, rngs, size):
+    """Inverse-CDF sampling with piece kinds read from the coefficient
+    tuples, bisecting through a piece-mass call that gathers each sample's
+    antiderivative row and breakpoints again at every step."""
+    anti, cum = _per_piece_antiderivatives(dens.breakpoints, dens.coefficients)
+    u = uniforms(rngs, size).ravel()
+    j = np.searchsorted(cum[1:-1], u, side="right")
+    residual = u - cum[j]
+    bp = np.asarray(dens.breakpoints)
+    a, b = bp[j], bp[j + 1]
+    c01 = np.array([(*c, 0.0)[:2] for c in dens.coefficients])
+    piece_kinds = np.where(
+        [any(c[2:]) for c in dens.coefficients], 2, np.where(np.abs(c01[:, 1]) < 1e-14, 0, 1)
+    )
+    kinds = sorted(set(piece_kinds.tolist()))
+    out = np.empty(u.size)
+    for k in kinds:
+        sel = piece_kinds[j] == k if len(kinds) > 1 else slice(None)
+        r, lo, hi = residual[sel], a[sel], b[sel]
+        if k == 2:
+            js = j[sel]
+
+            def excess(y):
+                return npoly.polyval(_per_piece_local(bp, js, y), anti[js].T, tensor=False) - r
+
+            out[sel] = estimate._bisect(excess, lo, hi)
+            continue
+        c0, c1 = c01[j[sel]].T
+        if k == 0:
+            x = lo + np.where(c0 > 0, r / np.maximum(c0, 1e-300), 0.5 * (hi - lo))
+        else:
+            left, q = c0 - c1, 4.0 * r / (hi - lo)
+            root = left + np.sqrt(np.clip(left * left + c1 * q, 0.0, None))
+            x = lo + 0.5 * (hi - lo) * np.divide(q, root, out=np.zeros_like(q), where=q > 0)
+        out[sel] = np.clip(x, lo, hi)
+    return out.reshape(len(rngs), size)
+
+
+def _random_mixed_pieces(rng, t, d):
+    """Breakpoints and t pieces in local coordinates of degree at most d:
+    zero, flat, linear (some with a slope near the flat threshold) and
+    curved, each nonnegative at the check-points, of total mass 1."""
+    widths = rng.uniform(0.01, 2.0, t) * 10.0 ** rng.integers(-3, 3, t)
+    bp = np.concatenate(([0.0], np.cumsum(widths)))
+    bp -= bp[rng.integers(0, t + 1)] if rng.random() < 0.5 else rng.uniform(0, bp[-1])
+    pieces, tiny = [], []
+    for _ in range(t):
+        kind = int(rng.integers(0, 5 if d >= 2 else 4 if d == 1 else 2))
+        if kind == 0:
+            c = np.zeros(int(rng.integers(1, d + 2)))
+        elif kind == 1:
+            c = np.array([rng.uniform(0.1, 3.0)])
+        elif kind == 2:  # its slope is set after scaling; in s a slope adds no mass
+            c = np.array([rng.uniform(0.1, 3.0), 0.0])
+            tiny.append(len(pieces))
+        elif kind == 3:
+            c0 = rng.uniform(0.1, 3.0)
+            c = np.array([c0, rng.uniform(-c0, c0)])
+        else:
+            c = rng.normal(size=int(rng.integers(3, d + 2)))
+            c[0] += rng.uniform(0.0, 0.5) - npoly.polyval(np.linspace(-1, 1, 513), c).min()
+        pieces.append(c)
+    if not any(p.any() for p in pieces):
+        pieces[0] = np.array([1.0])
+    mass = _per_piece_antiderivatives(tuple(bp), pieces)[1][-1]
+    pieces = [p / mass for p in pieces]
+    for j in tiny:  # on either side of the flat threshold 1e-14
+        pieces[j][1] = rng.choice([5e-15, -8e-15, 2e-14])
+    return tuple(bp), tuple(tuple(p) for p in pieces)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_table_evaluation_equals_the_per_piece_code_bitwise():
+    """pdf, cdf, sample, the check-point refusal and eta_at read the
+    coefficient and antiderivative tables; every value is bit for bit the
+    per-piece code's, off the support, at ±inf, -0.0 and NaN too."""
+    rng = np.random.default_rng(31)
+    curved = refused = 0
+    for _ in range(160):
+        t, d = int(rng.integers(1, 41)), int(rng.integers(0, 9))
+        bp, coefs = _random_mixed_pieces(rng, t, d)
+        dens = PiecewisePolynomial(bp, coefs)
+        curved += any(len(c) > 2 and any(c[2:]) for c in coefs)
+        lo, hi = dens.support
+        span = hi - lo
+        xs = np.concatenate([
+            rng.uniform(lo - 0.2 * span, hi + 0.2 * span, 300),
+            bp,
+            np.nextafter(bp, -np.inf),
+            np.nextafter(bp, np.inf),
+            [-0.0, 0.0, np.inf, -np.inf, np.nan, lo - 1e300, hi + 1e300],
+        ])
+        assert _same_bits(dens.pdf(xs), _per_piece_pdf(dens, xs))
+        assert _same_bits(dens.cdf(xs), _per_piece_cdf(dens, xs))
+        seeds = rng.integers(0, 2**32, 3)
+        got = dens.sample([np.random.default_rng(s) for s in seeds], 64)
+        want = _per_piece_sample(dens, [np.random.default_rng(s) for s in seeds], 64)
+        assert _same_bits(got, want)
+        # pieces lowered to touch zero, or dip by about the tolerance or by
+        # far more: both refuse or pass alike, naming the same first piece
+        bad = list(coefs)
+        for j in rng.choice(t, size=min(t, int(rng.integers(1, 4))), replace=False):
+            c = np.array(bad[j] + (0.0,) * int(rng.integers(0, 3)))
+            low = npoly.polyval(_cheb_nodes(-1.0, 1.0), c).min()
+            c[0] -= low + rng.choice([0.0, 5e-10, 2e-9, 1.0]) * max(1.0, np.abs(c).sum())
+            bad[j] = tuple(c)
+        first = _per_piece_first_dip(bad)
+        if first is None:
+            try:
+                PiecewisePolynomial(bp, tuple(bad))
+            except rb.UsageError as exc:
+                assert "dips" not in str(exc)
+        else:
+            refused += 1
+            with pytest.raises(rb.UsageError, match=f"^piece {first} dips below zero at a check-point$"):
+                PiecewisePolynomial(bp, tuple(bad))
+        # eta_at: the cell of each x, looked up by the marginal's piece_of
+        masses = rng.dirichlet(np.ones(t))
+        target = ClassificationTarget(bp, tuple(masses), tuple(rng.uniform(0, 1, t)))
+        cell = np.clip(np.searchsorted(np.asarray(target.edges), xs, side="right") - 1, 0, t - 1)
+        assert _same_bits(target.eta_at(xs), np.asarray(target.eta)[cell])
+        grid = xs[:300].reshape(20, 15)
+        cell = np.clip(np.searchsorted(np.asarray(target.edges), grid, side="right") - 1, 0, t - 1)
+        assert _same_bits(target.eta_at(grid), np.asarray(target.eta)[cell])
+    assert curved > 40 and 40 < refused < 150

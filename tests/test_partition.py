@@ -64,6 +64,8 @@ def test_build_partition_requires_enough_samples():
         rb.build_partition(np.arange(3.0), 5)
     with pytest.raises(rb.UsageError):
         rb.build_partition(np.array([2.0, 1.0]), 2)
+    with pytest.raises(rb.UsageError, match="sorted"):  # every comparison with NaN is false
+        rb.build_partition(np.array([1.0, np.nan, 0.0, 2.0]), 4)
 
 
 def _cut_loop(x, ell):

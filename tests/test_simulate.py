@@ -325,6 +325,14 @@ def test_gaussian_mixture_overflow_is_silent_and_bit_identical(spec):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_gaussian_mixture_breakpoints_give_a_degenerate_mean_a_cell_on_each_side():
+    below, above = math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf)
+    spiked = parse_target("gm:0.5N(0,1)+0.2N(1,1e-300)+0.3N(5,1)")
+    assert spiked.breakpoints == (-12.0, 0.0, below, 1.0, above, 5.0, 17.0)
+    assert parse_target("gm:1N(1,1e-300)").breakpoints == (below, 1.0, above)
+    assert parse_target("gm:0.6N(0,1)+0.4N(3,0.5)").breakpoints == (-12.0, 0.0, 3.0, 12.0)
+
+
 def test_estimate_against_a_near_point_mass_target_prints_no_warning(tmp_path, capsys):
     batches = tmp_path / "b.jsonl"
     assert main([
@@ -457,9 +465,15 @@ def test_parse_target_and_attack():
     assert parse_attack("none") is None
     with pytest.raises(rb.UsageError):
         parse_target("weibull:1,2")
-    for spec in ("pwpoly:0,1|", "pwpoly:0,1|1;", "pwpoly:0,1,2|1"):
+    for spec in (
+        "pwpoly:0,1|", "pwpoly:0,1|1;", "pwpoly:0,1,2|1",
+        "gm:1N(1e999,1)", "gm:1N(-1e999,1)", "gm:1N(0,1e999)",
+    ):
         with pytest.raises(rb.UsageError):
             parse_target(spec)
+    for mean, sd in ((math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(rb.DomainError):
+            GaussianMixtureTarget((1.0,), (mean,), (sd,))
     for spec in (
         "mean_shift:oops", "mean_shift:-1@0,1", "spike:1.5@0.5", "fk_targeted:nan@2",
         "mean_shift:1@1,0", "replay_skew:0.5@2,1", "label_flip:0.5@0.25,0.25",
