@@ -6,7 +6,7 @@ masses).  The segment costs stream through it: they are solved for a
 block of right ends at a time, from prefix sums kept at the candidate
 cuts only, and folded into every layer before the next block, so no cost
 matrix is held (at t=3, d=1 on 600 cells the fit's heap peaks near
-0.47 MiB).  It then solves each piece's coefficients under a
+0.43 MiB).  It then solves each piece's coefficients under a
 mass-preserving equality constraint with nonnegativity enforced at
 Chebyshev check-points: a small convex QP, posed in a coordinate local to
 the piece and solved exactly by an active-set method.  The density keeps
@@ -256,23 +256,6 @@ class PiecewiseFitResult:
         }
 
 
-def _merge_cells(edges: list[float], masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop zero-width cells (support edge equal to a boundary), folding
-    their mass into the nearest real cell."""
-    kept_edges = [edges[0]]
-    kept_mass: list[float] = []
-    pending = 0.0
-    for j, w in enumerate(masses):
-        pending += float(w)
-        if edges[j + 1] > kept_edges[-1]:
-            kept_edges.append(edges[j + 1])
-            kept_mass.append(pending)
-            pending = 0.0
-    if pending:
-        kept_mass[-1] += pending
-    return np.asarray(kept_edges), np.asarray(kept_mass)
-
-
 def _candidate_prefix_sums(
     edges: np.ndarray, w: np.ndarray, cand: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,18 +313,17 @@ def _breakpoint_dp(pg: np.ndarray, pb: np.ndarray, pww: np.ndarray, t: int) -> l
     best = np.full((t + 1, nc), np.inf)
     parent = np.zeros((t + 1, nc), dtype=int)
     best[0, 0] = 0.0
-    before = np.arange(nc + 1) * np.arange(-1, nc) // 2  # pairs i < j with right end below j
-    per_block = _COST_BLOCK // (dim * dim)
-    j0 = 1  # no piece ends at candidate 0: its column stays (inf, 0)
-    while j0 < nc:
-        j1 = max(j0 + 1, int(np.searchsorted(before, before[j0] + per_block, side="right")) - 1)
+    # a right end has fewer than nc starts, so a block holds at most
+    # _COST_BLOCK // (dim * dim) systems
+    step = max(1, _COST_BLOCK // (dim * dim * nc))
+    for j0 in range(1, nc, step):  # no piece ends at candidate 0: its column stays (inf, 0)
+        j1 = min(j0 + step, nc)
         cost = _segment_costs(pg, pb, pww, j0, j1)
         # r pieces cannot end before candidate r: those columns stay (inf, 0)
         for r in range(1, min(t, j1 - 1) + 1):
             options = best[r - 1, :j1, None] + cost
             parent[r, j0:j1] = np.argmin(options, axis=0)
             best[r, j0:j1] = options.min(axis=0)
-        j0 = j1
     cuts = [nc - 1]
     for r in range(1 + int(np.argmin(best[1:, nc - 1])), 0, -1):
         cuts.append(int(parent[r, cuts[-1]]))
@@ -458,8 +440,10 @@ def fit_piecewise(
 
     Piece breakpoints are restricted to the partition boundaries (thinned
     to at most MAX_CUT_CANDIDATES cut positions when the partition is very
-    fine).  ``support`` bounds the density: every cell is clipped to it,
-    and a cell lying wholly outside it must carry no mass.  Each piece is
+    fine).  ``support`` (lo, hi) bounds the density: the cells fitted are
+    cut at the boundaries strictly inside it, a cell that clips to zero
+    width gives its mass to the cell at that end, and a cell lying wholly
+    outside the support must carry no mass.  Each piece is
     solved and stored in its own coordinate s on [-1, 1].  A piece the
     solver cannot fit within its checks falls back to the always-feasible
     constant density and flags the result instead of failing.
@@ -480,7 +464,14 @@ def fit_piecewise(
     edges = np.array([-math.inf, *partition.boundaries, math.inf])
     if w[(edges[1:] < lo) | (edges[:-1] > hi)].any():
         raise UsageError("support must cover every partition cell that carries mass")
-    edges_x, w_m = _merge_cells([lo, *np.clip(edges[1:-1], lo, hi).tolist(), hi], w)
+    # boundaries p+1..q lie strictly inside (lo, hi); the cells before p and
+    # after q clip to zero width and join cell p or q.  Only a cell ending at
+    # lo or starting at hi holds mass, so each sum has at most two nonzero
+    # terms; the cells past hi come last, as in a left-to-right sum
+    p, q = np.searchsorted(edges[1:-1], lo, "right"), np.searchsorted(edges[1:-1], hi, "left")
+    edges_x = np.concatenate(([lo], edges[p + 1 : q + 1], [hi]))
+    w_m = np.add.reduceat(w[: q + 1], np.r_[0, p + 1 : q + 1])
+    w_m[-1] += w[q + 1 :].sum()
     ncells = w_m.size
     dim = d + 1
 

@@ -56,7 +56,9 @@ class IntervalUnion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", tuple(self.intervals))
-        for a, b in zip(self.intervals, self.intervals[1:]):
+        # empty intervals are skipped: each other is compared with the last nonempty one
+        held = [iv for iv in self.intervals if iv.lo < iv.hi or (iv.lo_closed and iv.hi_closed)]
+        for a, b in zip(held, held[1:]):
             if b.lo < a.hi or (b.lo == a.hi and (a.hi_closed and b.lo_closed)):
                 raise UsageError("intervals must be sorted and disjoint")
 

@@ -29,7 +29,7 @@ from .core import (
     UsageError, median, uniforms,
 )
 from .estimate import PiecewisePolynomial
-from .partition import BinSubset, IntervalPartition, IntervalUnion, build_partition, lift_subset
+from .partition import IntervalPartition, build_partition
 
 _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
@@ -311,14 +311,13 @@ class FkTargetedAttack:
     fixed cell, each batch deviating just above tau inside that cell."""
 
     def generate(self, rngs, ctx: SimContext) -> np.ndarray:
-        plan = _fk_attack_plan(ctx)
+        lo, hi, med_good, tau = _fk_attack_plan(ctx)
         rows = ctx.target.sample(rngs, ctx.n)
-        goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
-        inside = plan.region.contains(rows)
+        goal = min(1.0, med_good + _FK_MARGIN * tau)
+        inside = (rows > lo) & (rows <= hi)
         needs = int(math.ceil(goal * ctx.n)) - inside.sum(axis=1)
-        iv = plan.region.intervals[0]
-        lo = iv.lo if math.isfinite(iv.lo) else float(ctx.good_x.min()) - 1.0
-        hi = iv.hi if math.isfinite(iv.hi) else float(ctx.good_x.max()) + 1.0
+        lo = lo if math.isfinite(lo) else float(ctx.good_x.min()) - 1.0
+        hi = hi if math.isfinite(hi) else float(ctx.good_x.max()) + 1.0
         for rng, row, outside, need in zip(rngs, rows, ~inside, needs):
             if need > 0:
                 idx = np.nonzero(outside)[0][:need]
@@ -329,23 +328,19 @@ class FkTargetedAttack:
         return rows
 
 
-@dataclass(frozen=True)
-class _FkAttackPlan:
-    region: IntervalUnion
-    med_good: float
-    tau: float
-
-
-def _fk_attack_plan(ctx: SimContext) -> _FkAttackPlan:
-    """Region, good-median and tau of a context.  The region is cell
-    floor(ell/3) + 1 of the good pool's min(64, s)-cell partition, the cell
-    the alternative inflates; every other cell but the last holds a pooled
-    point, so it is the alternative's F_k witness for every mass and k."""
+def _fk_attack_plan(ctx: SimContext) -> tuple[float, float, float, float]:
+    """The cell (lo, hi] the alternative inflates, the good batches' median
+    mass in it, and tau.  The cell is number floor(ell/3) + 1 of the good
+    pool's min(64, s)-cell partition, read off its boundaries (an end is
+    infinite where that cell is the first or the last); every other cell
+    but the last holds a pooled point, so it is the alternative's F_k
+    witness for every mass and k."""
     pool = np.sort(ctx.good_x)
     part = build_partition(pool, min(64, pool.size))
-    region = lift_subset(BinSubset.of(part.ell // 3 + 1), part)
-    med = median(region.contains(ctx.good_rows).mean(axis=1))
-    return _FkAttackPlan(region, med, CorruptionParams(ctx.beta, ctx.n, 1).tau)
+    bnd = (-math.inf, *part.boundaries, math.inf)
+    lo, hi = bnd[part.ell // 3], bnd[part.ell // 3 + 1]
+    med = median(((ctx.good_rows > lo) & (ctx.good_rows <= hi)).mean(axis=1))
+    return lo, hi, med, CorruptionParams(ctx.beta, ctx.n, 1).tau
 
 
 def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
@@ -372,7 +367,7 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
         raise UsageError("label_flip needs a labeled: target, every other attack an unlabeled one")
     rows = target.sample([batch_rng(seed, i) for i in range(n_good)], n)
     if n_adv > 0:
-        ctx = SimContext(target, max(beta, 1e-9), n, rows[0] if labeled else rows)
+        ctx = SimContext(target, beta, n, rows[0] if labeled else rows)
         adv = attack.generate([batch_rng(seed, i) for i in range(n_good, m)], ctx)
         rows = tuple(map(np.vstack, zip(rows, adv))) if labeled else np.vstack([rows, adv])
     truth = [GOOD] * n_good + [ADVERSARIAL] * n_adv

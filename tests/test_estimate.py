@@ -15,7 +15,6 @@ from robust_batches.estimate import (
     PiecewisePolynomial,
     _cheb_nodes,
     _local_cell_integrals,
-    _merge_cells,
     _solve_piece,
     fit_piecewise,
 )
@@ -293,6 +292,24 @@ def _segment_cost_matrix(cand, pg, pb, pww):
     return cost
 
 
+def _merge_cells(edges: list[float], masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop zero-width cells (support edge equal to a boundary), folding
+    their mass into the nearest real cell: the fitter's cell grouping
+    before it read the cells off the boundaries inside the support."""
+    kept_edges = [edges[0]]
+    kept_mass: list[float] = []
+    pending = 0.0
+    for j, w in enumerate(masses):
+        pending += float(w)
+        if edges[j + 1] > kept_edges[-1]:
+            kept_edges.append(edges[j + 1])
+            kept_mass.append(pending)
+            pending = 0.0
+    if pending:
+        kept_mass[-1] += pending
+    return np.asarray(kept_edges), np.asarray(kept_mass)
+
+
 def _full_matrix_fit(masses, partition, t, d, support):
     """fit_piecewise with the full cost matrix and a full (t+1) x nc sweep
     per layer, the way it was fitted before costs were streamed."""
@@ -391,6 +408,44 @@ def test_fit_equals_the_full_matrix_fit_bitwise(monkeypatch, block, ell, t, degr
         assert _fit_bits(fit_piecewise(masses, part, t, d, support)) == _fit_bits(reference)
     if t >= ell // 2:
         assert t >= ncells
+
+
+def test_fit_groups_clipped_cells_as_the_merge_loop_did():
+    """Seeded supports that cut the partition, fitted at d = 0..8, give the
+    full-matrix fit with its cell-merging loop bit for bit.  A support
+    starts on a boundary whose cell, ending there, holds mass; ends on one
+    whose next cell, starting there, holds mass (which the support check
+    lets through); spans exactly one cell with mass on both sides; or lies
+    past every boundary.  Boundaries of -0.0 and masses of -0.0 appear too."""
+    rng = np.random.default_rng(32)
+    kinds = set()
+    for _ in range(160):
+        bnd = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(3, 60))))
+        if rng.random() < 0.3:
+            bnd[np.argmin(np.abs(bnd))] = -0.0
+        bnd = np.unique(bnd)
+        edges = np.array([-np.inf, *bnd, np.inf])
+        a, b = sorted(rng.choice(bnd.size, 2, replace=False))
+        kind = int(rng.integers(0, 5))
+        lo, hi = [
+            (bnd[a], 0.5 * (bnd[b] + edges[b + 2]) if b + 1 < bnd.size else 2.0),
+            (0.5 * (bnd[a] + edges[a]) if a else -2.0, bnd[b]),
+            (bnd[a], bnd[a + 1]),
+            (bnd[-1] + 0.1 * rng.random(), 2.0),
+            (-2.0, bnd[0] - 0.1 * rng.random()),
+        ][kind]
+        masses = rng.dirichlet(np.full(bnd.size + 1, 0.7))
+        masses[(edges[1:] < lo) | (edges[:-1] > hi)] = -0.0
+        masses /= masses.sum()
+        d = int(rng.integers(0, MAX_DEGREE + 1))
+        t = int(rng.integers(1, 5))
+        while 2 * t * d > bnd.size + 1:
+            d -= 1
+        part = rb.IntervalPartition(tuple(bnd))
+        reference, _ = _full_matrix_fit(masses, part, t, d, (lo, hi))
+        assert _fit_bits(fit_piecewise(masses, part, t, d, (lo, hi))) == _fit_bits(reference)
+        kinds.add(kind)
+    assert kinds == set(range(5))
 
 
 @pytest.mark.parametrize("block", [None, 1])

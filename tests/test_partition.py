@@ -351,12 +351,13 @@ def test_contains_matches_one_mask_per_interval():
             unions.append(rb.IntervalUnion(tuple(singles[i] for i in picks)))
         except rb.UsageError:
             continue
-    # an empty (1, 1) between two intervals passes the adjacent-pair check, so
-    # x = 1, inside [0.5, 1], also passes the lower end of a later interval
-    # and must stay inside
+    # an empty (1, 1) between two intervals: x = 1, inside [0.5, 1], also
+    # passes the lower end of the empty [1, 1) after it and must stay inside;
+    # [1, 2] after it overlaps [0.5, 1] at x = 1 and is refused
     empty = rb.Interval(1.0, 1.0, False, False)
-    for last in (rb.Interval(1.0, 1.0, True, False), rb.Interval(1.0, 2.0)):
-        unions.append(rb.IntervalUnion((rb.Interval(0.5, 1.0), empty, last)))
+    unions.append(rb.IntervalUnion((rb.Interval(0.5, 1.0), empty, rb.Interval(1.0, 1.0, True, False))))
+    with pytest.raises(rb.UsageError, match="sorted and disjoint"):
+        rb.IntervalUnion((rb.Interval(0.5, 1.0), empty, rb.Interval(1.0, 2.0)))
     x = np.array([*ends, -2.0, -0.5, 0.25, 0.75, 2.0, np.nan, 5e-324, -5e-324])
     for union in unions:
         expected = _contains_with_one_mask_per_interval(union, x)

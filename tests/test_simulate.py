@@ -91,18 +91,27 @@ def test_replay_skew_reuses_good_samples():
 
 
 def test_fk_targeted_attack_deviates_above_tau():
+    _assert_fk_targeted_batches_deviate_above_tau(0.2, 60, 100, 12)
+
+
+def test_fk_targeted_attack_deviates_above_the_tau_of_a_tiny_beta():
+    """tau is taken at the collection's own beta, also below 1e-9, where it
+    is larger than at 1e-9."""
+    _assert_fk_targeted_batches_deviate_above_tau(1e-11, 200, 400, 1)
+
+
+def _assert_fk_targeted_batches_deviate_above_tau(beta, m, n, n_adv):
     target = parse_target("uniform:0,1")
-    beta, n = 0.2, 100
-    coll = rb.build_collection(target, parse_attack("fk_targeted:0.3@2"), 60, n, beta, 42)
+    coll = rb.build_collection(target, parse_attack("fk_targeted:0.3@2"), m, n, beta, 42)
     good = np.array(coll.truth) == "good"
     adversarial = coll.samples[~good]
-    assert len(adversarial) == 12
+    assert len(adversarial) == n_adv
     tau = rb.CorruptionParams(beta, n, int(good.sum())).tau
     ctx = SimContext(target=target, beta=beta, n=n, good_rows=coll.samples[good])
-    plan = _fk_attack_plan(ctx)
+    lo, hi, med_good, _ = _fk_attack_plan(ctx)
     for xs in adversarial:
         assert xs.size == n
-        dev = float(plan.region.contains(xs).mean()) - plan.med_good
+        dev = float(((xs > lo) & (xs <= hi)).mean()) - med_good
         assert dev > tau
 
 
@@ -138,9 +147,10 @@ def test_fk_targeted_region_is_the_witness_for_every_mass_and_k():
         rows = rng.integers(0, 1 + i % 5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 5))))
         pool = np.sort(rows.ravel() / 4.0)  # few values: cuts land inside tie runs
         part = rb.build_partition(pool, min(64, pool.size))
-        plan = _fk_attack_plan(SimContext(target, 0.2, rows.shape[1], rows / 4.0))
+        lo, hi, _, _ = _fk_attack_plan(SimContext(target, 0.2, rows.shape[1], rows / 4.0))
         c = part.ell // 3 + 1
-        assert plan.region == rb.lift_subset(rb.BinSubset.of(c), part)
+        (cell,) = rb.lift_subset(rb.BinSubset.of(c), part).intervals
+        assert (lo, hi) == (cell.lo, cell.hi)
         counts = np.bincount(part.bin_of(pool), minlength=part.ell)
         assert (counts[:-1] > 0).all()
         good = [Fraction(int(v), pool.size) for v in counts]
@@ -394,13 +404,12 @@ def _one_batch(spec: str, target, rng, good_rows: np.ndarray, n: int, beta: floa
         return row
     if isinstance(attack, FkTargetedAttack):
         row = target.sample((rng,), n)[0]
-        plan = _fk_attack_plan(SimContext(target, beta, n, good_rows))
-        inside = plan.region.contains(row)
-        goal = min(1.0, plan.med_good + _FK_MARGIN * plan.tau)
+        lo, hi, med_good, tau = _fk_attack_plan(SimContext(target, beta, n, good_rows))
+        inside = (row > lo) & (row <= hi)
+        goal = min(1.0, med_good + _FK_MARGIN * tau)
         need = int(np.ceil(goal * n)) - int(inside.sum())
         idx = np.nonzero(~inside)[0][:need]
-        iv = plan.region.intervals[0]
-        row[idx] = np.maximum(iv.lo + (iv.hi - iv.lo) * rng.random(idx.size), np.nextafter(iv.lo, iv.hi))
+        row[idx] = np.maximum(lo + (hi - lo) * rng.random(idx.size), np.nextafter(lo, hi))
         return row
     if isinstance(attack, LabelFlipAttack):
         row, y = (rows[0] for rows in target.sample((rng,), n))
