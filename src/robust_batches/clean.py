@@ -86,9 +86,9 @@ def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionPa
 
     Returns the partition size ell and the corruption parameters.  ``beta
     = 0`` declares the collection uncontaminated: both are sized with
-    ELL_BETA_FLOOR in place of beta, and callers run no deletion.  Below
-    the batch-count guidance the error bound may not hold, which is
-    reported as a UserWarning.
+    ELL_BETA_FLOOR in place of beta, and callers run no deletion.  A k and
+    beta with no finite batch-count guidance are refused.  It warns about
+    nothing: :func:`clean_pipeline` warns when m falls below the guidance.
     """
     if not 0.0 <= beta <= BETA_MAX:
         raise DomainError(
@@ -99,16 +99,8 @@ def prepare_cleaning(collection, k: int, beta: float) -> tuple[int, CorruptionPa
     n, m = collection.n, collection.m
     sizing_beta = beta if beta > 0.0 else ELL_BETA_FLOOR
     ell = choose_ell(k, n, sizing_beta, m)
-    if beta > 0.0:
-        guide = guidance_batches(k, n, beta)
-        if not np.isfinite(guide):
-            raise DomainError(f"k={k}, beta={beta} refused: no finite batch-count guidance")
-        if m < guide:
-            warnings.warn(
-                f"m={m} batches is below the sample-size guidance {guide:.0f} "
-                f"for k={k}, n={n}, beta={beta}; the error bound may not hold",
-                stacklevel=3,
-            )
+    if beta > 0.0 and not np.isfinite(guidance_batches(k, n, beta)):
+        raise DomainError(f"k={k}, beta={beta} refused: no finite batch-count guidance")
     return ell, CorruptionParams(sizing_beta, n, m)
 
 
@@ -166,8 +158,16 @@ def clean_pipeline(
     no deletion runs.  A labeled collection is cleaned over its per-label
     product domain (see :func:`partition.cut_partition`).  ``reference``
     (simulation mode) is a density target, scored by :func:`reference_fk`.
+    Below the batch-count guidance the error bound may not hold, which is
+    reported as a UserWarning.
     """
     ell, params = prepare_cleaning(collection, k, beta)
+    if beta > 0.0 and collection.m < (guide := guidance_batches(k, collection.n, beta)):
+        warnings.warn(
+            f"m={collection.m} batches is below the sample-size guidance {guide:.0f} "
+            f"for k={k}, n={collection.n}, beta={beta}; the error bound may not hold",
+            stacklevel=2,
+        )
     partition, disc = discretize(collection, ell)
     cleaned, retained, rounds = clean_counts(
         collection, disc, beta, params, rng, trigger_factor, stop_factor

@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .distance import fk_distance, fk_distance_brute, iter_k_run_subsets
 from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import (
-    FileFormatError, canonical_json, read_batches, read_json, write_batches, write_csv, write_json,
+    FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
 )
 from .partition import (
     BinSubset, Interval, IntervalUnion, count_cells, cut_partition, discretize, lift_subset,
@@ -111,12 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, args) -> None:
+    text = (csv_text if args.format == "csv" else canonical_json)(report)
     if args.out is None:
-        sys.stdout.write(canonical_json(report))
-    elif args.format == "csv":
-        write_csv(report, args.out)
+        sys.stdout.write(text)
     else:
-        write_json(report, args.out)
+        Path(args.out).write_text(text, newline="")
 
 
 def _cmd_simulate(args) -> int:
@@ -176,7 +176,7 @@ def _cmd_clean(args) -> int:
     if args.retained:
         write_batches(result.retained, args.retained)
     if args.partition_out:
-        write_json(result.partition.to_dict(), args.partition_out)
+        Path(args.partition_out).write_text(canonical_json(result.partition.to_dict()))
     _emit(report, args)
     return 0
 
@@ -197,7 +197,7 @@ def _cmd_estimate(args) -> int:
     if target is not None:
         report["tv_to_target"] = float(evaluate_density(fit.density, target))
     if args.fit_out:
-        write_json(fit.density.to_dict(), args.fit_out)
+        Path(args.fit_out).write_text(canonical_json(fit.density.to_dict()))
     _emit(report, args)
     return 0
 

@@ -59,6 +59,12 @@ def _cheb_nodes(a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (CHEB_POINTS - 1))
 
 
+def check_steps(bp) -> None:
+    """Refuse unless every step b - a is positive and finite, in Python floats (no warning)."""
+    if not all(0.0 < b - a < math.inf for a, b in zip(bp, bp[1:])):
+        raise UsageError("breakpoint steps must be positive and finite")
+
+
 def _tables(bp, coefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per piece, its ascending coefficients zero-padded to one width; the
     ascending coefficients (zero-padded), in the piece's s, of the mass
@@ -123,10 +129,7 @@ class PiecewisePolynomial:
         object.__setattr__(self, "coefficients", coefs)
         if len(bp) != len(coefs) + 1 or len(coefs) < 1 or not all(coefs):
             raise UsageError("need t+1 breakpoints for t nonempty coefficient lists")
-        if any(x >= y for x, y in zip(bp, bp[1:])):
-            raise UsageError("breakpoints must be strictly increasing")
-        if not all(math.isfinite(x) for x in bp):
-            raise UsageError("breakpoints must be finite")
+        check_steps(bp)
         table, anti, cum = _tables(bp, coefs)
         # below zero by more than rounding at the piece's own height
         values = npoly.polyval(_cheb_nodes(-1.0, 1.0), table.T)
@@ -231,6 +234,7 @@ class PiecewisePolynomial:
         bp = tuple(float(x) for x in breakpoints)
         if len(bp) != len(coefficients) + 1:
             raise UsageError("need t+1 breakpoints for t coefficient lists")
+        check_steps(bp)
         pieces = tuple(
             tuple(Polynomial(c)(Polynomial([0.5 * (a + b), 0.5 * (b - a)])).coef)
             for a, b, c in zip(bp, bp[1:], coefficients)
@@ -441,17 +445,18 @@ def fit_piecewise(
     Piece breakpoints are restricted to the partition boundaries (thinned
     to at most MAX_CUT_CANDIDATES cut positions when the partition is very
     fine).  ``support`` (lo, hi) bounds the density: the cells fitted are
-    cut at the boundaries strictly inside it, a cell that clips to zero
-    width gives its mass to the cell at that end, and a cell lying wholly
-    outside the support must carry no mass.  Each piece is
+    cut at the boundaries strictly inside it.  Cells are (a, b], so a cell
+    ending below lo or starting at or above hi lies wholly outside the
+    support and must carry no mass; the cell ending exactly at lo may, and
+    its mass joins the first fitted cell.  Each piece is
     solved and stored in its own coordinate s on [-1, 1].  A piece the
     solver cannot fit within its checks falls back to the always-feasible
     constant density and flags the result instead of failing.
     """
     check_fit_shape(t, d, partition.ell)
     lo, hi = float(support[0]), float(support[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise UsageError("support must be a finite nonempty interval")
+    if not 0.0 < hi - lo < math.inf:  # NaN, an infinite end and an overflowing width fail
+        raise UsageError("support must be a nonempty interval of finite width")
     w = np.asarray(masses, dtype=float)
     if w.shape != (partition.ell,):
         raise UsageError("masses must match the partition size")
@@ -462,16 +467,15 @@ def fit_piecewise(
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     edges = np.array([-math.inf, *partition.boundaries, math.inf])
-    if w[(edges[1:] < lo) | (edges[:-1] > hi)].any():
+    # cells are (a, b]: those ending below lo or starting at or above hi lie
+    # wholly outside [lo, hi] and must be empty.  Boundaries p+1..q lie strictly
+    # inside (lo, hi); cells 0..p-1 clip to zero width and join cell p, and
+    # only the one of them ending at lo may hold mass
+    if w[(edges[1:] < lo) | (edges[:-1] >= hi)].any():
         raise UsageError("support must cover every partition cell that carries mass")
-    # boundaries p+1..q lie strictly inside (lo, hi); the cells before p and
-    # after q clip to zero width and join cell p or q.  Only a cell ending at
-    # lo or starting at hi holds mass, so each sum has at most two nonzero
-    # terms; the cells past hi come last, as in a left-to-right sum
     p, q = np.searchsorted(edges[1:-1], lo, "right"), np.searchsorted(edges[1:-1], hi, "left")
     edges_x = np.concatenate(([lo], edges[p + 1 : q + 1], [hi]))
     w_m = np.add.reduceat(w[: q + 1], np.r_[0, p + 1 : q + 1])
-    w_m[-1] += w[q + 1 :].sum()
     ncells = w_m.size
     dim = d + 1
 

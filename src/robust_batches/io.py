@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -190,10 +191,6 @@ def canonical_json(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(obj, path) -> None:
-    Path(path).write_text(canonical_json(obj))
-
-
 def read_json(path) -> dict:
     try:
         return _decode(Path(path).read_text())
@@ -209,11 +206,10 @@ def _flatten(obj, prefix: str, out: list[tuple[str, str]]) -> None:
         out.append((prefix, json.dumps(obj)))
 
 
-def write_csv(obj, path) -> None:
-    """Flattened key,value convenience export of a report."""
-    rows: list[tuple[str, str]] = []
+def csv_text(obj) -> str:
+    """Flattened key,value convenience export of a report (rows end in CRLF)."""
+    rows = [("key", "value")]
     _flatten(_sanitize(obj), "", rows)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerows(rows)
+    out = StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()

@@ -28,7 +28,7 @@ from .core import (
     ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, CorruptionParams, DomainError, LabeledCollection,
     UsageError, median, uniforms,
 )
-from .estimate import PiecewisePolynomial
+from .estimate import PiecewisePolynomial, check_steps
 from .partition import IntervalPartition, build_partition
 
 _FLOOR_SLACK = 1e-9
@@ -91,8 +91,7 @@ def _histogram_density(edges, masses) -> PiecewisePolynomial:
     masses = tuple(float(w) for w in masses)
     if len(edges) != len(masses) + 1 or len(masses) < 1:
         raise DomainError("need one more edge than mass")
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise DomainError("edges must be strictly increasing")
+    check_steps(edges)
     if any(w < 0 for w in masses) or not abs(sum(masses) - 1.0) <= 1e-9:
         raise DomainError("masses must be a probability vector")
     heights = tuple((w / (b - a),) for w, a, b in zip(masses, edges, edges[1:]))

@@ -169,3 +169,10 @@ def test_beta_zero_sizes_with_the_floor():
     assert params.beta == ELL_BETA_FLOOR
     with pytest.raises(rb.DomainError):
         prepare_cleaning(coll, 2, float("nan"))
+
+
+def test_small_m_warning_names_the_caller_of_the_pipeline():
+    coll = small_collection(seed=1, m=10)
+    with pytest.warns(UserWarning, match="guidance") as caught:
+        clean_pipeline(coll, 2, 0.2, np.random.default_rng(0), trigger_factor=5, stop_factor=4)
+    assert [w.filename for w in caught] == [__file__]

@@ -463,8 +463,7 @@ def test_clean_rounds_after_the_first_allocate_no_gram_matrix(monkeypatch):
     before the first detection, not in a fresh array."""
     target = parse_target("gm:0.6N(0,1)+0.4N(3,0.5)")
     coll = rb.build_collection(target, MeanShiftAttack(1.0, (1.4, 1.6)), 1000, 100, 0.2, 1)
-    with pytest.warns(UserWarning, match="guidance"):
-        ell, params = clean.prepare_cleaning(coll, 6, 0.2)  # ell = 600, as estimate --t 3 --d 1
+    ell, params = clean.prepare_cleaning(coll, 6, 0.2)  # ell = 600, as estimate --t 3 --d 1
     disc = rb.discretize(coll, ell)[1]
     q = min(disc.counts.shape)
     peaks, before, detect_spectral = [], [0], clean.max_corruption_subset_heuristic

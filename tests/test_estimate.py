@@ -396,11 +396,11 @@ def test_fit_equals_the_full_matrix_fit_bitwise(monkeypatch, block, ell, t, degr
     support = (-0.01, 1.01)
     if clip:
         # the support starts inside cell a + 1 and ends on boundary b, so
-        # every cell past b clips to zero width and is merged
+        # every cell past b lies outside it, is empty and clips to zero width
         a, b = ell // 3, ell // 3 + min(ell // 3, 100)
         support = (bnd[a] + 0.3 * (bnd[a + 1] - bnd[a]), bnd[b])
         masses[: a + 1] = 0.0
-        masses[b + 2 :] = 0.0
+        masses[b + 1 :] = 0.0
     masses /= masses.sum()
     part = rb.IntervalPartition(tuple(bnd))
     for d in degrees:
@@ -414,9 +414,10 @@ def test_fit_groups_clipped_cells_as_the_merge_loop_did():
     """Seeded supports that cut the partition, fitted at d = 0..8, give the
     full-matrix fit with its cell-merging loop bit for bit.  A support
     starts on a boundary whose cell, ending there, holds mass; ends on one
-    whose next cell, starting there, holds mass (which the support check
-    lets through); spans exactly one cell with mass on both sides; or lies
-    past every boundary.  Boundaries of -0.0 and masses of -0.0 appear too."""
+    whose next cell, starting there, is empty as every cell wholly outside
+    must be; spans exactly one cell, the cell ending at its lower end
+    holding mass; or lies past every boundary.  Boundaries of -0.0 and
+    masses of -0.0 appear too."""
     rng = np.random.default_rng(32)
     kinds = set()
     for _ in range(160):
@@ -435,7 +436,7 @@ def test_fit_groups_clipped_cells_as_the_merge_loop_did():
             (-2.0, bnd[0] - 0.1 * rng.random()),
         ][kind]
         masses = rng.dirichlet(np.full(bnd.size + 1, 0.7))
-        masses[(edges[1:] < lo) | (edges[:-1] > hi)] = -0.0
+        masses[(edges[1:] < lo) | (edges[:-1] >= hi)] = -0.0
         masses /= masses.sum()
         d = int(rng.integers(0, MAX_DEGREE + 1))
         t = int(rng.integers(1, 5))
@@ -512,6 +513,27 @@ def test_fit_piecewise_support_inside_the_outer_boundaries():
     for masses in ([0.1, 0.5, 0.4, 0.0, 0.0], [0.0, 0.5, 0.4, 0.1, 0.0], [0.0, 0.5, 0.4, 0.0, 0.1]):
         with pytest.raises(rb.UsageError, match="support must cover every partition cell"):
             fit_piecewise(masses, part, 1, 0, (0.2, 1.8))
+
+
+def test_fit_piecewise_refuses_mass_in_the_cell_starting_at_hi():
+    """Cells are (a, b]: the cell starting exactly at the support's upper
+    end lies wholly outside it and must be empty, while the cell ending
+    exactly at its lower end holds mass that joins the first fitted cell."""
+    part = rb.IntervalPartition((0.0, 1.0, 2.0, 3.0))
+    with pytest.raises(rb.UsageError, match="support must cover every partition cell"):
+        fit_piecewise([0.0, 0.5, 0.4, 0.1, 0.0], part, 1, 0, (0.5, 2.0))
+    res = fit_piecewise([0.0, 0.2, 0.4, 0.4, 0.0], part, 1, 0, (1.0, 2.5))
+    assert res.density.breakpoints == (1.0, 2.5)
+    assert res.density.bin_masses(part) == pytest.approx([0.0, 0.0, 2 / 3, 1 / 3, 0.0])
+
+
+def test_fit_piecewise_refuses_a_support_of_infinite_width():
+    """A support whose width hi - lo overflows is refused before any cell is
+    integrated, as are an infinite end, a NaN end and an empty support."""
+    part = rb.IntervalPartition((0.0, 1.0))
+    for support in ((-1e308, 1e308), (-np.inf, 0.5), (0.5, np.nan), (0.5, 0.5)):
+        with pytest.raises(rb.UsageError, match="support must be a nonempty interval of finite width"):
+            fit_piecewise([0.0, 1.0, 0.0], part, 1, 1, support)
 
 
 def test_degree_8_fit_of_a_clean_mixture():

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -972,3 +973,144 @@ def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, argv):
         main([*argv, "--seed", "-1"])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+def _unlabeled_file(tmp_path, m=300):
+    path = tmp_path / "b.jsonl"
+    assert main([
+        "simulate", "--target", "uniform:0,1", "--attack", "mean_shift:1.0@0.45,0.55",
+        "--m", str(m), "--n", "100", "--beta", "0.2", "--seed", "1", "--out", str(path),
+    ]) == 0
+    return path
+
+
+def test_cli_format_csv_holds_on_stdout(tmp_path, capsys):
+    batches = _unlabeled_file(tmp_path)
+    argv = ["clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+            "--trigger", "5", "--stop", "4", "--format", "csv"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("key,value")
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    # the same rows, but for the --out path the report records
+    assert out.read_bytes().decode() == text.replace("config.out,null", f'config.out,"""{out}"""')
+
+
+@pytest.mark.parametrize(
+    "spec", ["uniform:-1e308,1e308", "pwpoly:-1e308,1e308|1e-308", "labeled:-1e308,1e308|1|0.5"]
+)
+def test_cli_simulate_refuses_targets_whose_piece_widths_overflow(tmp_path, capsys, spec):
+    # b - a overflows to inf; the refusal must come before any numpy arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([
+            "simulate", "--target", spec, "--attack", "none",
+            "--m", "4", "--n", "5", "--beta", "0", "--out", str(tmp_path / "b.jsonl"),
+        ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot parse target" in err and "steps must be positive and finite" in err
+
+
+def test_cli_eval_warns_about_nothing(tmp_path):
+    """eval sizes the report's partition but cleans nothing, so the batch
+    count below the guidance (m=300 here) is not warned about."""
+    batches = _unlabeled_file(tmp_path)
+    report = tmp_path / "r.json"
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report),
+    ]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "eval", "--input", str(batches), "--report", str(report),
+            "--target", "uniform:0,1", "--out", str(tmp_path / "e.json"),
+        ]) == 0
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "command, labeled, message",
+    [
+        (["clean", "--k", "2"], True, "clean expects an unlabeled batch file"),
+        (["estimate", "--t", "1", "--d", "1"], True, "estimate expects an unlabeled batch file"),
+        (["classify", "--k", "1"], False, "classify expects a labeled batch file"),
+    ],
+)
+def test_cli_cleaning_commands_refuse_the_other_kind_of_file(tmp_path, capsys, command, labeled, message):
+    path = tmp_path / "b.jsonl"
+    if labeled:
+        _write_labeled(path)
+    else:
+        path.write_text('{"n": 2, "m": 2}\n{"id": 0, "samples": [1, 2]}\n{"id": 1, "samples": [3, 4]}\n')
+    rc = main([*command, "--input", str(path), "--beta", "0.2", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_clean_partition_out_is_the_runs_partition(tmp_path):
+    batches = _unlabeled_file(tmp_path)
+    report, part_out = tmp_path / "r.json", tmp_path / "p.json"
+    assert main([
+        "clean", "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+        "--trigger", "5", "--stop", "4", "--out", str(report), "--partition-out", str(part_out),
+    ]) == 0
+    written = rb.IntervalPartition.from_dict(read_json(part_out))
+    run = rb.clean_pipeline(read_batches(batches), 2, 0.2, np.random.default_rng(1), 5, 4)
+    assert written == run.partition
+    cleaning = read_json(report)["cleaning"]
+    assert (written.ell, written.source_token) == (cleaning["ell"], cleaning["source_token"])
+
+
+@pytest.mark.parametrize(
+    "target, attack, message",
+    [
+        ("uniform:0,1", "bogus:1.0@0,1", "unknown attack kind 'bogus'"),
+        ("gm:0.5N(0,1)+x", "none", "cannot parse target 'gm:0.5N(0,1)+x': bad mixture component 'x'"),
+    ],
+)
+def test_cli_simulate_names_an_unknown_attack_and_a_malformed_component(
+    tmp_path, capsys, target, attack, message
+):
+    rc = main([
+        "simulate", "--target", target, "--attack", attack, "--m", "4", "--n", "5",
+        "--beta", "0.2", "--out", str(tmp_path / "b.jsonl"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "b.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("", "", "empty file"),
+        ('{"n": 2, "m": 1}\n[1, 2]\n', ":2", "expected a JSON object"),
+    ],
+)
+def test_cli_refuses_an_empty_file_and_a_batch_line_that_is_no_object(
+    tmp_path, capsys, text, where, message
+):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    rc = main(["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+
+
+def test_cli_estimate_refuses_samples_whose_range_overflows(tmp_path, capsys):
+    """Samples at -1e308 and 1e308 give the fit a support whose width
+    overflows to inf: exit 2, not an internal error."""
+    path = tmp_path / "wide.jsonl"
+    rows = [{"id": i, "samples": [0.1 * i, 0.1 * i + 0.05]} for i in range(10)]
+    rows[0]["samples"] = [-1e308, 1e308]
+    path.write_text("\n".join(json.dumps(r) for r in [{"n": 2, "m": 10}, *rows]) + "\n")
+    rc = main(["estimate", "--input", str(path), "--t", "1", "--d", "0", "--beta", "0",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: support must be a nonempty interval of finite width\n"
