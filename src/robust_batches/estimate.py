@@ -17,18 +17,19 @@ distance is computed exactly afterwards and reported alongside the fit.
 A piecewise polynomial is evaluated from two tables built once, its
 padded coefficients and their antiderivatives, with no loop over the
 pieces, and the total-variation distance to a target is computed from
-CDFs at the sign changes (Scheffé's identity).
+CDFs at the sign changes (Scheffé's identity).  Evaluation (Horner), the
+antiderivatives and the 5-point Gauss-Legendre rule are this module's
+own, bit for bit numpy.polynomial's polyval, polyint and leggauss(5), so
+no command loads numpy.polynomial except to read a ``pwpoly:`` target's
+monomials (``PiecewisePolynomial.from_monomials``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial import polynomial as npoly
 
 from .core import DomainError, UsageError, sorted_unique, uniforms
 from .distance import fk_distance
@@ -51,6 +52,15 @@ _MULTIPLIER_TOL = 1e-12
 _BISECT_STEPS = 100
 # how PiecewisePolynomial.sample inverts a piece's CDF, by degree
 _FLAT, _LINEAR, _CURVED = 0, 1, 2
+# numpy.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1), bit for bit: exact
+# up to degree 9 >= MAX_DEGREE
+_GL_NODES = np.array(
+    [-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]
+)
+_GL_WEIGHTS = np.array(
+    [0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+     0.23692688505618928]
+)
 
 
 def _cheb_nodes(a: float, b: float) -> np.ndarray:
@@ -74,15 +84,34 @@ def _tables(bp, coefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     anti = np.zeros((len(coefs), table.shape[1] + 1))
     for j, c in enumerate(coefs):
         table[j, : len(c)] = c
-        row = npoly.polyint(table[j, : len(c)], lbnd=-1.0, scl=0.5 * (bp[j + 1] - bp[j]))
+        row = _antiderivative(table[j, : len(c)], 0.5 * (bp[j + 1] - bp[j]))
         anti[j, : row.size] = row
     return table, anti, np.concatenate(([0.0], np.cumsum(anti.sum(axis=1))))
 
 
 def _horner(rows, s) -> np.ndarray:
-    """Each ``s`` evaluated on its own row of ascending coefficients; the
-    zero padding of a shorter row adds nothing, bit for bit, at finite s."""
-    return npoly.polyval(s, np.moveaxis(rows, -1, 0), tensor=False)
+    """Each ``s`` evaluated on its own row of ascending coefficients, in
+    the operation order of numpy.polynomial's polyval; the zero padding of
+    a shorter row adds nothing, bit for bit, at finite s."""
+    value = rows[..., -1] + s * 0
+    for k in range(rows.shape[-1] - 2, -1, -1):
+        value = rows[..., k] + value * s
+    return value
+
+
+def _antiderivative(c: np.ndarray, scl: float) -> np.ndarray:
+    """The ascending coefficients of the integral from -1 of ``scl`` times
+    the polynomial ``c``, in the operation order of numpy.polynomial's
+    polyint(c, lbnd=-1, scl=scl); like it, a constant that scales to zero
+    comes back as one coefficient."""
+    c = c * scl
+    if c.size == 1 and c[0] == 0:
+        return c + 0.0
+    tmp = np.empty(c.size + 1)
+    tmp[0] = c[0] * 0
+    tmp[1:] = c / np.arange(1, c.size + 1)
+    tmp[0] += 0.0 - _horner(tmp, -1.0)
+    return tmp
 
 
 def _bisect(f, lo, hi) -> np.ndarray:
@@ -132,7 +161,7 @@ class PiecewisePolynomial:
         check_steps(bp)
         table, anti, cum = _tables(bp, coefs)
         # below zero by more than rounding at the piece's own height
-        values = npoly.polyval(_cheb_nodes(-1.0, 1.0), table.T)
+        values = _horner(table[:, None, :], _cheb_nodes(-1.0, 1.0))
         dips = np.flatnonzero(values.min(1) < -_NONNEG_TOL * np.maximum(1.0, values.max(1)))
         if dips.size:
             raise UsageError(f"piece {dips[0]} dips below zero at a check-point")
@@ -231,6 +260,8 @@ class PiecewisePolynomial:
     def from_monomials(cls, breakpoints, coefficients) -> "PiecewisePolynomial":
         """The density that is ``sum(c[k] * x**k)`` on piece j, for the
         ascending monomial coefficients ``c = coefficients[j]`` in x."""
+        from numpy.polynomial import Polynomial  # loaded for pwpoly: targets only
+
         bp = tuple(float(x) for x in breakpoints)
         if len(bp) != len(coefficients) + 1:
             raise UsageError("need t+1 breakpoints for t coefficient lists")
@@ -334,14 +365,6 @@ def _breakpoint_dp(pg: np.ndarray, pb: np.ndarray, pww: np.ndarray, t: int) -> l
     return cuts[::-1]
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights exact up to degree 2*(MAX_DEGREE//2 + 1) - 1 >=
-    MAX_DEGREE; computed on first use, not at import, because the
-    eigensolver call costs 1 MiB of RSS."""
-    return np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
-
-
 def _local_cell_integrals(edges: np.ndarray, dim: int, cells: slice = slice(None)) -> np.ndarray:
     """Integrals of s**0 .. s**(dim-1) over each cell of a piece, or over
     the slice ``cells`` of them, where s = 2(x - x_a)/(x_b - x_a) - 1 maps
@@ -350,10 +373,9 @@ def _local_cell_integrals(edges: np.ndarray, dim: int, cells: slice = slice(None
     cells.  Each cell's row is the same whatever slice it is taken in."""
     s = 2.0 * (edges - edges[0]) / (edges[-1] - edges[0]) - 1.0
     lo, hi = s[:-1][cells], s[1:][cells]
-    nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)[:, None]
-    q = 0.5 * (hi + lo)[:, None] + half * nodes
-    return np.einsum("cq,cqk->ck", half * weights, q[..., None] ** np.arange(dim))
+    q = 0.5 * (hi + lo)[:, None] + half * _GL_NODES
+    return np.einsum("cq,cqk->ck", half * _GL_WEIGHTS, q[..., None] ** np.arange(dim))
 
 
 def _solve_piece(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -52,22 +52,26 @@ def _loads(line: str, path, lineno: int) -> dict:
     return obj
 
 
+# one encoder for every line written: json.dumps(obj, sort_keys=True) builds
+# a new one per call, and a batch line holds no container twice
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def write_batches(collection, path) -> None:
     labeled = isinstance(collection, LabeledCollection)
     path = Path(path)
     with path.open("w") as fh:
         header = {"n": collection.n, "m": collection.m, "labeled": labeled}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(_ENCODER.encode(header) + "\n")
         for i, batch_id in enumerate(collection.ids):
-            if labeled:
-                x, y = collection.x[i].tolist(), collection.y[i].tolist()
-                samples = [list(p) for p in zip(x, y)]
+            if labeled:  # (x, y) tuples write as [x, y] pairs
+                samples = list(zip(collection.x[i].tolist(), collection.y[i].tolist()))
             else:
                 samples = collection.samples[i].tolist()
             row: dict = {"id": batch_id, "samples": samples}
             if collection.truth is not None:
                 row["truth"] = collection.truth[i]
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(_ENCODER.encode(row) + "\n")
 
 
 def _row_values(obj: dict, n: int, labeled: bool, where: str) -> list:

@@ -112,8 +112,10 @@ class GaussianMixtureTarget:
             raise DomainError("weights, means, sds must have one length")
         if not all(0 < s < math.inf for s in self.sds):  # NaN fails too
             raise DomainError("component sds must be positive and finite")
-        if not all(math.isfinite(m) for m in self.means):
-            raise DomainError("component means must be finite")
+        # a finite mean ± 12 sds also keeps breakpoints and samples finite
+        if not all(math.isfinite(m - 12.0 * s) and math.isfinite(m + 12.0 * s)
+                   for m, s in zip(self.means, self.sds)):
+            raise DomainError("component means and mean ± 12 sds must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "sds", tuple(float(v) for v in self.sds))

@@ -781,9 +781,14 @@ def _same_bits(a, b):
 def test_table_evaluation_equals_the_per_piece_code_bitwise():
     """pdf, cdf, sample, the check-point refusal and eta_at read the
     coefficient and antiderivative tables; every value is bit for bit the
-    per-piece code's, off the support, at ±inf, -0.0 and NaN too."""
+    per-piece code's, off the support, at ±inf, -0.0 and NaN too.  The
+    tables and the module's Horner loop on them, at s = ±1 and beyond,
+    are bit for bit numpy.polynomial's polyint and polyval, for the
+    random pieces and for the same pieces with every zero coefficient
+    negated (-0.0 pieces, the zero constant among them)."""
     rng = np.random.default_rng(31)
-    curved = refused = 0
+    curved = refused = signed_zero_pieces = 0
+    s_beyond = np.array([-1e3, -1.5, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 1e3])
     for _ in range(160):
         t, d = int(rng.integers(1, 41)), int(rng.integers(0, 9))
         bp, coefs = _random_mixed_pieces(rng, t, d)
@@ -798,8 +803,16 @@ def test_table_evaluation_equals_the_per_piece_code_bitwise():
             np.nextafter(bp, np.inf),
             [-0.0, 0.0, np.inf, -np.inf, np.nan, lo - 1e300, hi + 1e300],
         ])
-        assert _same_bits(dens.pdf(xs), _per_piece_pdf(dens, xs))
-        assert _same_bits(dens.cdf(xs), _per_piece_cdf(dens, xs))
+        signed = tuple(tuple(-c if c == 0 else c for c in p) for p in coefs)
+        signed_zero_pieces += sum(not any(p) for p in coefs)
+        for pieces, dens_p in ((coefs, dens), (signed, PiecewisePolynomial(bp, signed))):
+            anti, cum = _per_piece_antiderivatives(bp, pieces)
+            assert _same_bits(dens_p.antiderivatives, anti) and _same_bits(dens_p.cum_mass, cum)
+            for rows in (dens_p.coefficient_table, dens_p.antiderivatives):
+                got = estimate._horner(rows[:, None, :], s_beyond)
+                assert _same_bits(got, npoly.polyval(s_beyond, rows.T))
+            assert _same_bits(dens_p.pdf(xs), _per_piece_pdf(dens_p, xs))
+            assert _same_bits(dens_p.cdf(xs), _per_piece_cdf(dens_p, xs))
         seeds = rng.integers(0, 2**32, 3)
         got = dens.sample([np.random.default_rng(s) for s in seeds], 64)
         want = _per_piece_sample(dens, [np.random.default_rng(s) for s in seeds], 64)
@@ -830,4 +843,17 @@ def test_table_evaluation_equals_the_per_piece_code_bitwise():
         grid = xs[:300].reshape(20, 15)
         cell = np.clip(np.searchsorted(np.asarray(target.edges), grid, side="right") - 1, 0, t - 1)
         assert _same_bits(target.eta_at(grid), np.asarray(target.eta)[cell])
-    assert curved > 40 and 40 < refused < 150
+    assert curved > 40 and 40 < refused < 150 and signed_zero_pieces > 100
+
+
+def test_antiderivative_corners_and_gauss_rule_equal_numpy_polynomial_bitwise():
+    """Constants that scale to zero (+0.0, -0.0, or one that underflows)
+    come back unextended, as from polyint, and -0.0 coefficients take its
+    order; the module's Gauss-Legendre rule is leggauss(5) to the bit."""
+    for c in ([0.0], [-0.0], [5e-324], [-0.0, 0.0], [0.0, -0.0, -0.0], [1.0, -0.0, 3.0],
+              [5e-324, -5e-324], [-2.0, 0.5, -0.0, 1e-300]):
+        for scl in (0.25, 1.0, 3e5):
+            want = npoly.polyint(np.array(c), lbnd=-1.0, scl=scl)
+            assert _same_bits(estimate._antiderivative(np.array(c), scl), want), (c, scl)
+    nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
+    assert _same_bits(estimate._GL_NODES, nodes) and _same_bits(estimate._GL_WEIGHTS, weights)

@@ -1014,6 +1014,26 @@ def test_cli_simulate_refuses_targets_whose_piece_widths_overflow(tmp_path, caps
     assert "cannot parse target" in err and "steps must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["gm:0.5N(-1e308,1e307)+0.5N(1e308,1e307)", "gm:1N(0,1e308)", "gm:1N(1e308,1e308)"]
+)
+def test_cli_refuses_gaussian_components_whose_12_sd_range_overflows(tmp_path, capsys, spec):
+    # mu ± 12 sd would be an infinite breakpoint, and inf - inf in the TV quadrature
+    batches = _unlabeled_file(tmp_path)
+    for argv in (
+        ["simulate", "--attack", "none", "--m", "4", "--n", "5", "--beta", "0",
+         "--out", str(tmp_path / "g.jsonl")],
+        ["estimate", "--input", str(batches), "--t", "3", "--d", "1", "--beta", "0.2",
+         "--trigger", "5", "--stop", "4", "--out", str(tmp_path / "e.json")],
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--target", spec]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "cannot parse target" in err and "mean ± 12 sds must be finite" in err
+
+
 def test_cli_eval_warns_about_nothing(tmp_path):
     """eval sizes the report's partition but cleans nothing, so the batch
     count below the guidance (m=300 here) is not warned about."""
