@@ -41,4 +41,4 @@ from .partition import (
     discretize,
     lift_subset,
 )
-from .simulate import build_collection, metrics, parse_attack, parse_target
+from .simulate import build_collection, parse_attack, parse_target

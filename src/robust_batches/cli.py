@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .classify import KIntervalHypothesis, erm_k_intervals, risk, robust_classify
-from .clean import clean_pipeline, guidance_batches, prepare_cleaning
+from .clean import clean_pipeline, guidance_batches, prepare_cleaning, reference_fk
 from .core import (
     BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError, per_batch_probs,
 )
@@ -33,7 +33,7 @@ from .io import (
 from .partition import (
     BinSubset, Interval, IntervalUnion, count_cells, cut_partition, discretize, lift_subset,
 )
-from .simulate import ClassificationTarget, build_collection, metrics, parse_attack, parse_target
+from .simulate import ClassificationTarget, build_collection, parse_attack, parse_target
 
 
 def _seed(text: str) -> int:
@@ -256,11 +256,14 @@ def _cmd_eval(args) -> int:
     fk = scored and not isinstance(collection, LabeledCollection)
     disc = count_cells(partition, collection) if fk or members is not None else None
     out: dict = {"config": {"command": "eval", "input": args.input, "report": args.report}}
-    if scored:
-        pair = (partition, disc) if fk else None
-        out["metrics"] = metrics(collection, retained_ids, target, k, pair)
-    elif collection.truth is not None:
-        out["metrics"] = {"retention_good": collection.retention_good(retained_ids)}
+    if collection.truth is not None:
+        retained = set(retained_ids)
+        scores = out["metrics"] = {"retention_good": collection.retention_good(retained)}
+        if scored:
+            scores.update(retained=len(retained), m=collection.m)
+        if fk:
+            kept = disc.subset(np.isin(disc.ids, retained_ids))
+            scores["fk_before"], scores["fk_after"] = reference_fk(disc, kept, target, partition, k)
     if members is not None:
         if not all(1 <= j <= partition.ell for j in members):
             raise UsageError(f"--subset bins must lie in 1..{partition.ell}")

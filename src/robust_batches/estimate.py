@@ -66,7 +66,7 @@ _GL_WEIGHTS = np.array(
 def _cheb_nodes(a: float, b: float) -> np.ndarray:
     # second-kind (Lobatto) nodes: the piece endpoints are check-points too
     i = np.arange(CHEB_POINTS)
-    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(i * np.pi / (CHEB_POINTS - 1))
+    return 0.5 * a + 0.5 * b + 0.5 * (b - a) * np.cos(i * np.pi / (CHEB_POINTS - 1))
 
 
 def check_steps(bp) -> None:
@@ -119,13 +119,13 @@ def _bisect(f, lo, hi) -> np.ndarray:
     which ``f > 0`` flips, to the point where it flips."""
     lo_pos = f(lo) > 0
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi overflows on brackets near the float maximum
         if not np.any((mid != lo) & (mid != hi)):
             break
         same = (f(mid) > 0) == lo_pos
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,8 @@ class PiecewisePolynomial:
         if len(bp) != len(coefs) + 1 or len(coefs) < 1 or not all(coefs):
             raise UsageError("need t+1 breakpoints for t nonempty coefficient lists")
         check_steps(bp)
+        if not all(math.isfinite(c) for piece in coefs for c in piece):
+            raise UsageError("coefficients must be finite")
         table, anti, cum = _tables(bp, coefs)
         # below zero by more than rounding at the piece's own height
         values = _horner(table[:, None, :], _cheb_nodes(-1.0, 1.0))
@@ -188,7 +190,8 @@ class PiecewisePolynomial:
         """The piece j of each ``x`` and the coordinate s of ``x`` in it."""
         j = self.piece_of(x)
         bp = np.asarray(self.breakpoints)
-        return j, 2.0 * (x - bp[j]) / (bp[j + 1] - bp[j]) - 1.0
+        # divided before doubled: 2 (x - a) overflows on a piece wider than half the float range
+        return j, (x - bp[j]) / (bp[j + 1] - bp[j]) * 2.0 - 1.0
 
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -233,7 +236,7 @@ class PiecewisePolynomial:
             if k == _CURVED:
                 rows = self.antiderivatives[j[sel]]  # each sample's row, gathered once
                 out[sel] = _bisect(
-                    lambda y: _horner(rows, 2.0 * (y - lo) / (hi - lo) - 1.0) - r, lo, hi
+                    lambda y: _horner(rows, (y - lo) / (hi - lo) * 2.0 - 1.0) - r, lo, hi
                 )
                 continue
             c0, c1 = coef[j[sel], :2].T
@@ -371,7 +374,7 @@ def _local_cell_integrals(edges: np.ndarray, dim: int, cells: slice = slice(None
     the piece onto [-1, 1].  Gauss-Legendre on each cell is exact at these
     degrees and, unlike differences of powers, does not cancel on narrow
     cells.  Each cell's row is the same whatever slice it is taken in."""
-    s = 2.0 * (edges - edges[0]) / (edges[-1] - edges[0]) - 1.0
+    s = (edges - edges[0]) / (edges[-1] - edges[0]) * 2.0 - 1.0
     lo, hi = s[:-1][cells], s[1:][cells]
     half = 0.5 * (hi - lo)[:, None]
     q = 0.5 * (hi + lo)[:, None] + half * _GL_NODES

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clean import reference_fk
 from .core import (
     ADVERSARIAL, BETA_MAX, GOOD, BatchCollection, CorruptionParams, DomainError, LabeledCollection,
     UsageError, median, uniforms,
@@ -377,26 +376,6 @@ def build_collection(target, attack, m: int, n: int, beta: float, seed: int):
     return BatchCollection(rows, range(m), truth)
 
 
-def metrics(collection, retained_ids, target, k: int, discretized=None) -> dict:
-    """Simulation-mode scoring of a cleaning / estimation / classification
-    run.  Given ``discretized``, an unlabeled run's (partition, count table)
-    pair from ``discretize``, ``target`` is a density target and the F_k
-    distance to it is scored before and after cleaning."""
-    if collection.truth is None:
-        raise UsageError("metrics need truth flags (simulation mode)")
-    retained = set(retained_ids)
-    out: dict = {
-        "retention_good": collection.retention_good(retained),
-        "retained": len(retained),
-        "m": collection.m,
-    }
-    if discretized is not None:
-        partition, disc = discretized
-        kept = disc.subset(np.isin(disc.ids, list(retained)))
-        out["fk_before"], out["fk_after"] = reference_fk(disc, kept, target, partition, k)
-    return out
-
-
 _GM_RE = re.compile(r"^([\d.eE+-]+)N\(([\d.eE+-]+),([\d.eE+-]+)\)$")
 
 
@@ -452,14 +431,21 @@ def _region(param: str) -> tuple[float, float]:
     lo, hi = (_finite(v) for v in param.split(","))
     if not lo < hi:
         raise ValueError(f"the region needs lo < hi, got {lo}, {hi}")
+    if not math.isfinite(hi - lo):  # a draw lo + (hi - lo) u would be inf
+        raise ValueError(f"the region {lo}, {hi} is wider than a float holds")
     return lo, hi
 
 
 def parse_attack(spec: str):
-    """Build an attack from its CLI spelling 'kind:magnitude@params'."""
+    """Build an attack from its CLI spelling 'kind:magnitude@params', or
+    bare 'fk_targeted'."""
     if spec in ("none", ""):
         return None
+    if spec == "fk_targeted":
+        return FkTargetedAttack()
     kind, _, rest = spec.partition(":")
+    if kind == "fk_targeted":
+        raise UsageError(f"cannot parse attack {spec!r}: it takes no parameters, spell it 'fk_targeted'")
     mag_s, _, param = rest.partition("@")
     try:
         mag = float(mag_s)
@@ -473,10 +459,6 @@ def parse_attack(spec: str):
             return ReplaySkewAttack(mag, _region(param))
         if kind == "label_flip":
             return LabelFlipAttack(mag, _region(param))
-        if kind == "fk_targeted":  # neither the mass nor k moves the draw
-            if int(param or 2) < 1:
-                raise ValueError("k must be at least 1")
-            return FkTargetedAttack()
     except (ValueError, DomainError) as exc:
         raise UsageError(f"cannot parse attack {spec!r}: {exc}") from exc
     raise UsageError(f"unknown attack kind {kind!r}")

@@ -223,7 +223,7 @@ def test_cleaning_flag_values_never_exit_1(
 
 
 ATTACKS = ["mean_shift:{}@0.4,0.6", "spike:{}@0.5", "replay_skew:{}@0.4,0.6",
-           "label_flip:{}@0,0.25", "fk_targeted:{}@2"]
+           "label_flip:{}@0,0.25", "fk_targeted"]
 
 
 @settings(max_examples=100, deadline=None)

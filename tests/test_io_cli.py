@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 import warnings
@@ -241,7 +242,7 @@ def test_cli_estimate_when_cleaning_deletes_the_pooled_maximum(tmp_path):
     gm = "gm:0.6N(0,1)+0.4N(3,0.5)"
     batches, out = tmp_path / "b.jsonl", tmp_path / "est.json"
     assert main([
-        "simulate", "--target", gm, "--attack", "fk_targeted:0.5@2", "--m", "1000",
+        "simulate", "--target", gm, "--attack", "fk_targeted", "--m", "1000",
         "--n", "100", "--beta", "0.2", "--seed", "5", "--out", str(batches),
     ]) == 0
     assert main([
@@ -372,22 +373,48 @@ def test_cli_simulate_checks_out_before_generating(monkeypatch, capsys):
     assert "requires --out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("beta", ["0", "0.2"])
-def test_cli_simulate_refuses_fk_targeted_k_below_one_before_drawing(
-    tmp_path, monkeypatch, capsys, beta,
-):
+def _refuses_attack_before_drawing(monkeypatch, capsys, out, target, attack, beta):
+    """simulate exits 2 on ``attack`` without drawing a batch; returns its stderr."""
     def fail(*args, **kwargs):
         raise AssertionError("simulate drew a collection for a refused attack")
 
     monkeypatch.setattr(cli, "build_collection", fail)
-    out = tmp_path / "b.jsonl"
     rc = main([
-        "simulate", "--target", "uniform:0,1", "--attack", "fk_targeted:0.5@0",
+        "simulate", "--target", target, "--attack", attack,
         "--m", "10", "--n", "5", "--beta", beta, "--out", str(out),
     ])
     assert rc == 2
-    assert "k must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attack", ["fk_targeted:0.5@2", "fk_targeted:0.5@0", "fk_targeted:"])
+@pytest.mark.parametrize("beta", ["0", "0.2"])
+def test_cli_simulate_refuses_fk_targeted_parameters_before_drawing(
+    tmp_path, monkeypatch, capsys, beta, attack,
+):
+    err = _refuses_attack_before_drawing(
+        monkeypatch, capsys, tmp_path / "b.jsonl", "uniform:0,1", attack, beta
+    )
+    assert "takes no parameters, spell it 'fk_targeted'" in err
+
+
+@pytest.mark.parametrize(
+    "target, attack",
+    [
+        ("uniform:0,1", "mean_shift:1@-1e308,1e308"),
+        ("uniform:0,1", "replay_skew:1@-1e308,1e308"),
+        ("labeled:0,0.5,1|0.5,0.5|0.8,0.2", "label_flip:1@-1e308,1e308"),
+    ],
+)
+def test_cli_simulate_refuses_attack_regions_whose_width_overflows_before_drawing(
+    tmp_path, monkeypatch, capsys, target, attack,
+):
+    # lo + (hi - lo) u would be inf in every relocated sample
+    err = _refuses_attack_before_drawing(
+        monkeypatch, capsys, tmp_path / "b.jsonl", target, attack, "0.2"
+    )
+    assert "cannot parse attack" in err and "wider than a float holds" in err
 
 
 def test_cli_clean_input_directory_exits_2(tmp_path, capsys):
@@ -670,6 +697,45 @@ def test_cli_eval_counts_nothing_to_match_a_report(tmp_path, monkeypatch):
     assert main(["eval", "--input", str(labeled), "--report", str(cls), "--target", LABELED_TARGET]) == 0
 
 
+def test_cli_eval_metrics_keys_follow_truth_and_target(tmp_path):
+    """No truth flags: no metrics.  Truth alone: retention_good.  A target
+    adds retained and m, and a density target fk_before and fk_after."""
+    unlabeled = _unlabeled_file(tmp_path)
+    (labeled,) = _labeled_files(tmp_path, 1)
+    coll = read_batches(unlabeled)
+    truthless = tmp_path / "truthless.jsonl"
+    write_batches(rb.BatchCollection(coll.samples, coll.ids), truthless)
+    reports = {}
+    for batches, verb in ((unlabeled, "clean"), (truthless, "clean"), (labeled, "classify")):
+        reports[batches] = tmp_path / f"{batches.stem}.report.json"
+        assert main([
+            verb, "--input", str(batches), "--k", "2", "--beta", "0.2", "--seed", "1",
+            "--trigger", "5", "--stop", "4", "--out", str(reports[batches]),
+        ]) == 0
+    cases = [
+        (truthless, ["--target", "uniform:0,1"], None),
+        (unlabeled, [], {"retention_good"}),
+        (labeled, ["--target", LABELED_TARGET], {"retention_good", "retained", "m"}),
+        (unlabeled, ["--target", "uniform:0,1"],
+         {"retention_good", "retained", "m", "fk_before", "fk_after"}),
+    ]
+    for batches, flags, keys in cases:
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--input", str(batches), "--report", str(reports[batches]),
+                     *flags, "--out", str(out)]) == 0
+        data = read_json(out)
+        if keys is None:
+            assert "metrics" not in data
+            continue
+        assert set(data["metrics"]) == keys
+        cleaning = read_json(reports[batches])["cleaning"]
+        assert data["metrics"]["retention_good"] == cleaning["retention_good"] == 1.0
+        if "m" in keys:
+            assert data["metrics"]["retained"] == len(cleaning["retained_ids"])
+            assert data["metrics"]["m"] == read_batches(batches).m
+    assert data["metrics"]["fk_after"] <= data["metrics"]["fk_before"]
+
+
 def test_cli_eval_estimate_report_uses_recorded_partition(tmp_path):
     batches = tmp_path / "b.jsonl"
     report = tmp_path / "est.json"
@@ -925,7 +991,7 @@ def test_cli_simulate_refuses_mismatched_or_nonfinite_attacks(tmp_path, capsys, 
     assert err.startswith("error: ") and "internal error" not in err
 
 
-@pytest.mark.parametrize("attack", ["replay_skew:0.5@0,1", "fk_targeted:0.3@2"])
+@pytest.mark.parametrize("attack", ["replay_skew:0.5@0,1", "fk_targeted"])
 def test_cli_simulate_refuses_attacks_on_no_good_batch(tmp_path, capsys, attack):
     # floor((1 - 0.4) * 1) = 0 good batches: nothing for the attack to read
     out = tmp_path / "s.jsonl"
@@ -1012,6 +1078,54 @@ def test_cli_simulate_refuses_targets_whose_piece_widths_overflow(tmp_path, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert "cannot parse target" in err and "steps must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["uniform:0,1e-320", "hist:0,1e-320,1|0.5,0.5", "labeled:0,1e-320,1|0.5,0.5|0.5,0.5",
+     "pwpoly:0,1|1e320"],
+)
+@pytest.mark.parametrize("strict", [False, True])
+def test_cli_simulate_refuses_targets_whose_coefficients_overflow(tmp_path, capsys, spec, strict):
+    # a mass over a subnormal width, or a spelled-out 1e320, is an infinite height
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error", RuntimeWarning)
+        rc = main([
+            "simulate", "--target", spec, "--attack", "none",
+            "--m", "4", "--n", "5", "--beta", "0", "--out", str(tmp_path / "b.jsonl"),
+        ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot parse target" in err and "coefficients must be finite" in err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_cli_estimate_on_pieces_wider_than_half_the_float_range(tmp_path, strict):
+    """A fit or target piece whose width exceeds the float maximum / 2 is
+    located, integrated and sampled without overflow: exit 0, finite TV."""
+    desk = _unlabeled_file(tmp_path)
+    runs = [(desk, "3", "1", spec)
+            for spec in ("uniform:-5e307,5e307", "uniform:1e308,1.5e308", "gm:1N(1e308,1e306)")]
+    for point, t, d in (("1e308", "1", "1"), ("-1e308", "2", "3")):
+        spiked = tmp_path / f"spike{point}.jsonl"
+        assert main([
+            "simulate", "--target", "gm:1N(0,1)", "--attack", f"spike:0.5@{point}", "--m", "40",
+            "--n", "30", "--beta", "0.2", "--seed", "1", "--out", str(spiked),
+        ]) == 0
+        runs.append((spiked, t, d, "gm:1N(0,1)"))
+    for batches, t, d, target in runs:
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # below the batch-count guidance
+            if strict:
+                warnings.simplefilter("error", RuntimeWarning)
+            assert main([
+                "estimate", "--input", str(batches), "--t", t, "--d", d, "--beta", "0.2",
+                "--seed", "1", "--trigger", "5", "--stop", "4", "--target", target,
+                "--out", str(out),
+            ]) == 0, (batches.name, target)
+        assert math.isfinite(read_json(out)["tv_to_target"]), (batches.name, target)
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,7 @@ def test_fk_targeted_attack_deviates_above_the_tau_of_a_tiny_beta():
 
 def _assert_fk_targeted_batches_deviate_above_tau(beta, m, n, n_adv):
     target = parse_target("uniform:0,1")
-    coll = rb.build_collection(target, parse_attack("fk_targeted:0.3@2"), m, n, beta, 42)
+    coll = rb.build_collection(target, parse_attack("fk_targeted"), m, n, beta, 42)
     good = np.array(coll.truth) == "good"
     adversarial = coll.samples[~good]
     assert len(adversarial) == n_adv
@@ -167,51 +167,6 @@ def test_fk_targeted_region_is_the_witness_for_every_mass_and_k():
                     if v == best and best > 0:
                         held = {j for a, b in runs for j in range(a, b + 1) if counts[j - 1]}
                         assert held == {c}
-
-
-@pytest.mark.parametrize(
-    "target_spec", ["gm:0.6N(0,1)+0.4N(3,0.5)", "uniform:0,1", "hist:0,0.3,0.7,1|0.2,0.5,0.3"],
-)
-def test_fk_targeted_draw_depends_on_neither_mass_nor_k(tmp_path, target_spec):
-    files = set()
-    for mass in ("0.05", "0.3", "1.0"):
-        for k in ("1", "2", "6"):
-            out = tmp_path / f"{mass}_{k}.jsonl"
-            assert main([
-                "simulate", "--target", target_spec, "--attack", f"fk_targeted:{mass}@{k}",
-                "--m", "50", "--n", "40", "--beta", "0.2", "--seed", "3", "--out", str(out),
-            ]) == 0
-            files.add(out.read_bytes())
-    assert len(files) == 1
-
-
-def test_metrics_trivials():
-    target = parse_target("uniform:0,1")
-    coll = rb.build_collection(target, SpikeAttack(1.0, 0.5), 20, 50, 0.2, 9)
-    good = coll.good_ids()
-    out = rb.metrics(coll, good, target, 2)
-    assert out["retention_good"] == 1.0
-
-
-def test_metrics_needs_truth():
-    coll = rb.BatchCollection([[0.1, 0.2]], (0,))
-    with pytest.raises(rb.UsageError):
-        rb.metrics(coll, [0], parse_target("uniform:0,1"), 1)
-
-
-def test_metrics_fk_before_after():
-    target = parse_target("uniform:0,1")
-    attack = MeanShiftAttack(1.0, (0.45, 0.55))
-    coll = rb.build_collection(target, attack, 100, 100, 0.2, 4)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = clean_pipeline(
-            coll, 2, 0.2, np.random.default_rng(4), trigger_factor=5, stop_factor=4
-        )
-    out = rb.metrics(coll, res.report.retained_ids, target, 2, (res.partition, res.discretized))
-    assert out["fk_after"] <= out["fk_before"]
 
 
 def test_good_batches_satisfy_properties_most_seeds():
@@ -360,7 +315,7 @@ def test_estimate_against_a_near_point_mass_target_prints_no_warning(tmp_path, c
 
 # an attack per target, so that each attack's generate is drawn batched
 BATCHED_ATTACKS = {
-    "gm:0.6N(0,1)+0.4N(3,0.5)": ["fk_targeted:0.3@2", "spike:0.3@0.5"],
+    "gm:0.6N(0,1)+0.4N(3,0.5)": ["fk_targeted", "spike:0.3@0.5"],
     "hist:0,0.3,0.7,1|0.2,0.5,0.3": ["mean_shift:0.5@0.2,0.4"],
     "pwpoly:0,0.5,1|0 0 3;0 0 3": ["replay_skew:0.8@0.2,0.6"],
     "labeled:0,0.5,1|0.5,0.5|0.8,0.2": ["label_flip:0.5@0,0.25"],
@@ -434,7 +389,7 @@ def _one_batch(spec: str, target, rng, good_rows: np.ndarray, n: int, beta: floa
         ("gm:0.6N(0,1)+0.4N(3,0.5)", "mean_shift:0.5@1,2"),
         ("uniform:-1,2", "spike:0.3@0.5"),
         ("labeled:0,0.5,1|0.5,0.5|0.8,0.2", "label_flip:0.5@0,0.25"),
-        ("hist:0,0.3,0.7,1|0.2,0.5,0.3", "fk_targeted:0.3@2"),
+        ("hist:0,0.3,0.7,1|0.2,0.5,0.3", "fk_targeted"),
         ("gm:0.6N(0,1)+0.4N(3,0.5)", "replay_skew:0.8@1,2"),
     ],
 )
@@ -468,6 +423,7 @@ def test_parse_target_and_attack():
         "mean_shift:1.0@0.45,0.55": MeanShiftAttack(1.0, (0.45, 0.55)),
         "spike:0.3@1.5": SpikeAttack(0.3, 1.5),
         "label_flip:1.0@0,0.25": LabelFlipAttack(1.0, (0.0, 0.25)),
+        "fk_targeted": FkTargetedAttack(),
     }
     for s, attack in attacks.items():
         assert parse_attack(s) == attack
