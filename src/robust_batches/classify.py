@@ -37,6 +37,21 @@ class KIntervalHypothesis:
     def predict(self, x) -> np.ndarray:
         return self.decision_region.contains(x).astype(np.int64)
 
+    @classmethod
+    def of_runs(cls, pos, runs) -> "KIntervalHypothesis":
+        """Closed intervals that hold the sorted distinct positions ``pos[start:end]``
+        of each (start, end) run and no other: a cut is the midpoint of its two
+        neighbours where that lies strictly between them, else the inside one."""
+        def cut(inside: int, outside: int) -> float:
+            near, far = float(pos[inside]), float(pos[outside])  # overflow: inf, no warning
+            mid = 0.5 * (near + far)
+            return mid if min(near, far) < mid < max(near, far) else near
+
+        return cls(IntervalUnion(tuple(
+            Interval(cut(s, s - 1) if s else -math.inf, cut(e - 1, e) if e < len(pos) else math.inf)
+            for s, e in runs
+        )))
+
 
 def _labeled_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x as float and y as given, checked: matching nonempty 1-d arrays,
@@ -106,18 +121,15 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
     j, inside = divmod(best, 2)
     # Walk back one run per step to the last switch before i; ties keep the
     # current state (staying out beats closing, continuing beats opening).
-    intervals = []
-    i = g
+    runs, i = [], g
     while i > 0 and (inside or j > 0):
         switched = (opens if inside else closes)[j - 1]
         t = i - 1 - int(np.argmax(switched[i - 1 :: -1]))
         if inside:
-            lo = -math.inf if t == 0 else 0.5 * (pos[t - 1] + pos[t])
-            hi = math.inf if i == g else 0.5 * (pos[i - 1] + pos[i])
-            intervals.append(Interval(lo, hi))
+            runs.append((t, i))
             j -= 1
         i, inside = t, not inside
-    return KIntervalHypothesis(IntervalUnion(tuple(intervals[::-1])))
+    return KIntervalHypothesis.of_runs(pos, runs[::-1])
 
 
 @dataclass(frozen=True)

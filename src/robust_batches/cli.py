@@ -30,9 +30,7 @@ from .estimate import check_fit_shape, evaluate_density, fit_piecewise
 from .io import (
     FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
 )
-from .partition import (
-    BinSubset, Interval, IntervalUnion, count_cells, cut_partition, discretize, lift_subset,
-)
+from .partition import BinSubset, count_cells, cut_partition, discretize, lift_subset
 from .simulate import ClassificationTarget, build_collection, parse_attack, parse_target
 
 
@@ -292,20 +290,12 @@ def _selftest_erm(rng: np.random.Generator, rounds: int) -> bool:
         h = erm_k_intervals(x, y, k)
         dp_loss = risk(h, x, y)
         best = min(
-            risk(_hyp_from_subset(sub, x), x, y) for sub in iter_k_run_subsets(s, k)
+            risk(KIntervalHypothesis.of_runs(x, [(a - 1, b) for a, b in sub.runs()]), x, y)
+            for sub in iter_k_run_subsets(s, k)
         )
         if dp_loss != best:
             return False
     return True
-
-
-def _hyp_from_subset(sub, xs):
-    intervals = []
-    for a, b in sub.runs():
-        lo = -np.inf if a == 1 else 0.5 * (xs[a - 2] + xs[a - 1])
-        hi = np.inf if b == len(xs) else 0.5 * (xs[b - 1] + xs[b])
-        intervals.append(Interval(lo, hi))
-    return KIntervalHypothesis(IntervalUnion(tuple(intervals)))
 
 
 def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:

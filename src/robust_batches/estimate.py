@@ -18,10 +18,10 @@ A piecewise polynomial is evaluated from two tables built once, its
 padded coefficients and their antiderivatives, with no loop over the
 pieces, and the total-variation distance to a target is computed from
 CDFs at the sign changes (Scheffé's identity).  Evaluation (Horner), the
-antiderivatives and the 5-point Gauss-Legendre rule are this module's
-own, bit for bit numpy.polynomial's polyval, polyint and leggauss(5), so
-no command loads numpy.polynomial except to read a ``pwpoly:`` target's
-monomials (``PiecewisePolynomial.from_monomials``).
+antiderivatives, the composition that reads a ``pwpoly:`` target's
+monomials and the 5-point Gauss-Legendre rule are this module's own, bit
+for bit numpy.polynomial's polyval, polyint, composition and leggauss(5),
+so no command loads numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -262,18 +262,22 @@ class PiecewisePolynomial:
     @classmethod
     def from_monomials(cls, breakpoints, coefficients) -> "PiecewisePolynomial":
         """The density that is ``sum(c[k] * x**k)`` on piece j, for the
-        ascending monomial coefficients ``c = coefficients[j]`` in x."""
-        from numpy.polynomial import Polynomial  # loaded for pwpoly: targets only
-
+        ascending monomial coefficients ``c = coefficients[j]`` in x, composed
+        with x = mid + half * s by Horner's rule as numpy.polynomial does."""
         bp = tuple(float(x) for x in breakpoints)
         if len(bp) != len(coefficients) + 1:
             raise UsageError("need t+1 breakpoints for t coefficient lists")
         check_steps(bp)
-        pieces = tuple(
-            tuple(Polynomial(c)(Polynomial([0.5 * (a + b), 0.5 * (b - a)])).coef)
-            for a, b, c in zip(bp, bp[1:], coefficients)
-        )
-        return cls(bp, pieces)
+        pieces = []
+        for a, b, c in zip(bp, bp[1:], coefficients):
+            x = np.array([0.5 * a + 0.5 * b, 0.5 * (b - a)])
+            value = np.array(c[-1:], dtype=float) + 0.0  # numpy.polynomial adds x * 0 = +0.0
+            for ck in c[-2::-1]:
+                value = np.convolve(value, x)
+                value[0] = float(value[0]) + float(ck)  # Python floats: inf, no warning
+                value = value[: max(np.flatnonzero(value), default=0) + 1]  # trailing zeros go
+            pieces.append(tuple(value))
+        return cls(bp, tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -510,15 +514,18 @@ def fit_piecewise(
     nc = cand.size
     cuts = [cand[i] for i in _breakpoint_dp(pg, pb, pww, min(t, nc - 1))]
 
-    pieces: list[np.ndarray] = []
+    pieces: list[tuple[float, ...]] = []
     best_effort = False
-    for a_cell, b_cell in zip(cuts, cuts[1:]):
+    for j, (a_cell, b_cell) in enumerate(zip(cuts, cuts[1:])):
         phi = _local_cell_integrals(edges_x[a_cell : b_cell + 1], dim)
         coef_s, fell_back = _solve_piece(phi, w_m[a_cell:b_cell])
-        # a density per unit s becomes one per unit x
-        pieces.append(coef_s * 2.0 / (edges_x[b_cell] - edges_x[a_cell]))
+        # a density per unit s becomes one per unit x, in Python floats: inf, no warning
+        width = float(edges_x[b_cell] - edges_x[a_cell])
+        pieces.append(tuple(c * 2.0 / width for c in coef_s.tolist()))
+        if not all(map(math.isfinite, pieces[-1])):
+            raise UsageError(f"piece {j} is {width!r} wide: its density per unit x overflows")
         best_effort = best_effort or fell_back
-    density = PiecewisePolynomial(tuple(edges_x[cuts]), tuple(tuple(c) for c in pieces))
+    density = PiecewisePolynomial(tuple(edges_x[cuts]), tuple(pieces))
 
     fk_family_k = max(1, 2 * t * d)
     fitted = np.clip(density.bin_masses(partition), 0.0, None)

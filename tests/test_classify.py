@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,42 @@ def test_erm_examples():
     h0 = rb.erm_k_intervals(x, np.zeros(4, dtype=int), 1)
     assert h0.decision_region.intervals == ()
     assert rb.risk(h0, x, np.zeros(4, dtype=int)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "pos, runs, region",
+    [
+        ([1.0, 2.0, 3.0, 4.0], [(1, 3)], [(1.5, 3.5)]),
+        ([1.0, 2.0, 3.0, 4.0], [(0, 1), (2, 4)], [(-math.inf, 1.5), (2.5, math.inf)]),
+        ([1.0, 2.0, 3.0], [], []),
+        # the midpoint of adjacent floats rounds onto one of them: the inside one is the cut
+        ([1.0, 1.0000000000000002], [(1, 2)], [(1.0000000000000002, math.inf)]),
+        ([1.0, 1.0000000000000002], [(0, 1)], [(-math.inf, 1.0)]),
+        ([1.0000000000000002, 1.0000000000000004], [(0, 1)], [(-math.inf, 1.0000000000000002)]),
+        # the midpoint overflows to inf: the inside neighbour again
+        ([1.7e308, 1.75e308], [(1, 2)], [(1.75e308, math.inf)]),
+        ([-1.75e308, -1.7e308, 0.0], [(0, 1), (2, 3)], [(-math.inf, -1.75e308), (-8.5e307, math.inf)]),
+    ],
+)
+def test_of_runs_cuts_between_neighbours_or_at_the_inside_one(pos, runs, region):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = rb.KIntervalHypothesis.of_runs(np.array(pos), runs)
+    assert [(iv.lo, iv.hi) for iv in h.decision_region.intervals] == region
+    inside = np.zeros(len(pos), dtype=bool)
+    for start, end in runs:
+        inside[start:end] = True
+    assert h.decision_region.contains(np.array(pos)).tolist() == inside.tolist()
+
+
+def test_erm_on_adjacent_floats_classifies_what_its_dp_counts():
+    x = np.array([1.0, 1.0000000000000002] * 2)
+    y = np.array([0, 1] * 2)
+    h = rb.erm_k_intervals(x, y, 1)
+    assert rb.risk(h, x, y) == 0.0
+    assert [(iv.lo, iv.hi) for iv in h.decision_region.intervals] == [
+        (1.0000000000000002, math.inf)
+    ]
 
 
 def test_erm_loss_non_increasing_in_k():

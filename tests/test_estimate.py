@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
 import robust_batches as rb
@@ -857,3 +858,27 @@ def test_antiderivative_corners_and_gauss_rule_equal_numpy_polynomial_bitwise():
             assert _same_bits(estimate._antiderivative(np.array(c), scl), want), (c, scl)
     nodes, weights = np.polynomial.legendre.leggauss(MAX_DEGREE // 2 + 1)
     assert _same_bits(estimate._GL_NODES, nodes) and _same_bits(estimate._GL_WEIGHTS, weights)
+
+
+def test_from_monomials_composes_as_numpy_polynomial_bitwise():
+    """Each piece's coefficients in s are numpy.polynomial's composition of
+    its monomials with x = mid + half * s, to the bit and the sign of zero,
+    trailing zeros trimmed alike; the density checks are bypassed so that
+    any coefficients can be composed."""
+    compose = PiecewisePolynomial.from_monomials.__func__
+    rng = np.random.default_rng(36)
+    for _ in range(2000):
+        deg = int(rng.integers(0, MAX_DEGREE + 1))
+        c = rng.choice([-1.0, 1.0], deg + 1) * 10.0 ** rng.uniform(-5, 4, deg + 1)
+        c[rng.random(deg + 1) < 0.2] = rng.choice([0.0, -0.0])
+        a, b = sorted(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), 2).tolist())
+        (got,) = compose(lambda bp, pieces: pieces, (a, b), (tuple(c),))
+        want = Polynomial(c)(Polynomial([0.5 * a + 0.5 * b, 0.5 * (b - a)])).coef
+        assert _same_bits(np.array(got), want), (c, a, b)
+
+
+def test_from_monomials_near_the_float_maximum_and_on_an_empty_piece():
+    dens = PiecewisePolynomial.from_monomials((1.7e308, 1.75e308), ((2e-307,),))
+    assert dens.coefficients == ((2e-307,),) and dens.integral() == pytest.approx(1.0)
+    with pytest.raises(rb.UsageError, match="nonempty coefficient lists"):
+        PiecewisePolynomial.from_monomials((0.0, 1.0), ((),))

@@ -2,8 +2,8 @@
 the pwpoly: simulate + estimate path (constrained piece solves included)
 and the gm: simulate + estimate path run without it.  Nor do they load
 numpy.ma (which np.median and a plain np.unique import) unless
-`import numpy` already did, nor numpy.polynomial until a pwpoly: target,
-whose monomials it rewrites, is parsed."""
+`import numpy` already did, nor numpy.polynomial on any path, a pwpoly:
+target's monomials included."""
 
 import os
 import subprocess
@@ -22,10 +22,10 @@ def scipy_modules():
 import numpy
 MA_WITH_NUMPY = "numpy.ma" in sys.modules
 
-def check_modules(pwpoly_parsed=False):
+def check_modules():
     assert not scipy_modules(), scipy_modules()[:5]
     assert MA_WITH_NUMPY or "numpy.ma" not in sys.modules
-    assert pwpoly_parsed or "numpy.polynomial" not in sys.modules
+    assert "numpy.polynomial" not in sys.modules
 
 import robust_batches.cli as cli
 """
@@ -53,12 +53,12 @@ with tempfile.TemporaryDirectory() as tmp:
         "simulate", "--target", target, "--m", "50", "--n", "20", "--beta", "0",
         "--seed", "1", "--out", batches,
     ]) == 0
-    check_modules(pwpoly_parsed=True)
+    check_modules()
     assert cli.main([
         "estimate", "--input", batches, "--t", "2", "--d", "1", "--beta", "0",
         "--seed", "1", "--target", target, "--out", str(Path(tmp) / "est.json"),
     ]) == 0
-    check_modules(pwpoly_parsed=True)
+    check_modules()
 """
 
 
@@ -76,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "estimate", "--input", batches, "--t", "1", "--d", "2", "--beta", "0",
         "--seed", "1", "--target", target, "--out", str(Path(tmp) / "tri.json"),
     ]) == 0
-    check_modules(pwpoly_parsed=True)
+    check_modules()
 """
 
 GM = "gm:0.6N(0,1)+0.4N(3,0.5)"

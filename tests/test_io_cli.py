@@ -859,6 +859,7 @@ def test_cli_eval_refuses_fractional_report_integers(tmp_path, capsys, field):
         "labeled:-inf,0,1|0.5,0.5|0.8,0.2",
         "hist:0,1|nan",
         "pwpoly:0,1|nan",
+        "pwpoly:0,1|",  # an empty piece
     ],
 )
 def test_cli_simulate_refuses_malformed_targets(tmp_path, capsys, spec):
@@ -1083,11 +1084,12 @@ def test_cli_simulate_refuses_targets_whose_piece_widths_overflow(tmp_path, caps
 @pytest.mark.parametrize(
     "spec",
     ["uniform:0,1e-320", "hist:0,1e-320,1|0.5,0.5", "labeled:0,1e-320,1|0.5,0.5|0.5,0.5",
-     "pwpoly:0,1|1e320"],
+     "pwpoly:0,1|1e320", "pwpoly:0,1|-1e308 1.7e308 1.7e308"],
 )
 @pytest.mark.parametrize("strict", [False, True])
 def test_cli_simulate_refuses_targets_whose_coefficients_overflow(tmp_path, capsys, spec, strict):
-    # a mass over a subnormal width, or a spelled-out 1e320, is an infinite height
+    # a mass over a subnormal width, a spelled-out 1e320, or monomials whose
+    # composition overflows, is an infinite height
     with warnings.catch_warnings():
         if strict:
             warnings.simplefilter("error", RuntimeWarning)
@@ -1248,3 +1250,66 @@ def test_cli_estimate_refuses_samples_whose_range_overflows(tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert capsys.readouterr().err == "error: support must be a nonempty interval of finite width\n"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_cli_simulate_pwpoly_near_the_float_maximum(tmp_path, strict):
+    # mid = 0.5 a + 0.5 b: a + b would overflow
+    out = tmp_path / "b.jsonl"
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error", RuntimeWarning)
+        assert main([
+            "simulate", "--target", "pwpoly:1.7e308,1.75e308|2e-307", "--beta", "0",
+            "--m", "4", "--n", "5", "--out", str(out),
+        ]) == 0
+    samples = read_batches(out).samples
+    assert np.all((samples >= 1.7e308) & (samples <= 1.75e308))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_cli_estimate_refuses_a_support_of_subnormal_width(tmp_path, capsys, strict):
+    """A piece whose density per unit x overflows is refused, naming the
+    piece and its width, with no warning on the way."""
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text(
+        '{"n": 2, "m": 2}\n'
+        '{"id": 0, "samples": [1e-320, 2e-320]}\n{"id": 1, "samples": [3e-320, 4e-320]}\n'
+    )
+    narrow = tmp_path / "narrow.jsonl"
+    runs = [(flat, "0", []), (flat, "1", []), (narrow, "1", ["--target", "gm:1N(0,1e-320)"])]
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error", RuntimeWarning)
+        assert main([
+            "simulate", "--target", "gm:1N(0,1e-320)", "--beta", "0", "--m", "40", "--n", "50",
+            "--out", str(narrow),
+        ]) == 0
+        for batches, d, extra in runs:
+            capsys.readouterr()
+            rc = main([
+                "estimate", "--input", str(batches), "--t", "1", "--d", d, "--beta", "0", *extra,
+            ])
+            assert rc == 2, (batches.name, d)
+            assert "piece 0 is " in capsys.readouterr().err, (batches.name, d)
+
+
+@pytest.mark.parametrize(
+    "outside, inside",
+    [(1.0, 1.0000000000000002), (1.7e308, 1.75e308)],  # the midpoint rounds onto 1.0, or overflows
+)
+def test_cli_classify_cuts_at_the_inside_neighbour(tmp_path, outside, inside):
+    batches = tmp_path / "pairs.jsonl"
+    rows = f"[[{outside!r}, 0], [{inside!r}, 1]]"
+    batches.write_text('{"n": 2, "m": 2, "labeled": true}\n' + "".join(
+        f'{{"id": {i}, "samples": {rows}}}\n' for i in (0, 1)
+    ))
+    out = tmp_path / "c.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([
+            "classify", "--input", str(batches), "--k", "1", "--beta", "0", "--out", str(out),
+        ]) == 0
+    report = read_json(out)
+    assert report["classification"]["train_risk"] == 0.0
+    assert report["decision_region"] == [{"lo": inside, "hi": "inf"}]
