@@ -3,8 +3,8 @@
 The empirical risk minimizer over hypotheses whose positive region is a
 union of at most k intervals is exact: its loss is W1 - sum_inside(w1 - w0)
 over the sorted distinct sample positions, so it runs the interval-union
-layers of ``distance`` (the F_k kernel) on w1 - w0, keeps two boolean
-masks per layer (2k bytes per position) and walks them back.
+layers of ``distance`` (the F_k kernel) on w1 - w0 summed over sign runs,
+keeps two boolean masks per layer (2k bytes per sign run) and walks back.
 The robust variant first cleans the batches with the cleaning pipeline,
 over a per-label discretized product domain, then runs the ERM on the
 surviving samples.
@@ -75,37 +75,67 @@ def risk(h: KIntervalHypothesis, x, y) -> float:
     return float(np.broadcast_to(1.0 / x.size, wrong).sum())
 
 
+def _count_dtype(size: int):
+    """int32 for counts over fewer than 2^31 samples, else int64."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _tallies(v, count):
+    """Sorted distinct values of v and their counts, in ``count``."""
+    v = np.sort(v)
+    last = np.empty(v.size, bool)
+    last[-1:] = True
+    np.not_equal(v[1:], v[:-1], out=last[:-1])
+    v = v[last]
+    tally = np.arange(1, last.size + 1, dtype=count)[last]
+    tally[1:] -= tally[:-1]
+    return v, tally
+
+
 def _group_by_position(x: np.ndarray, y: np.ndarray):
     """Distinct positions, sorted, and at each the label-count difference
-    w1 - w0 (tied x values must be classified together).  A group of
-    zeros is represented by its first sample, as a stable sort would."""
-    xs = np.sort(x)
-    first = np.concatenate(([True], xs[1:] != xs[:-1]))
-    pos = xs[first]
-    del xs
-    # w1 - w0 = 2 * w1 - (all samples); sorted queries search fastest
-    d = 2 * np.bincount(np.searchsorted(pos, np.sort(x[y == 1])), minlength=pos.size)
-    d -= np.diff(np.flatnonzero(first), append=x.size)
+    w1 - w0 in :func:`_count_dtype` (tied x values must be classified
+    together).  A group of zeros is represented by its first sample, as a
+    stable sort would."""
+    count = _count_dtype(x.size)
+    pos, d = _tallies(x, count)
+    ones, w1 = _tallies(x[y == 1], count)
+    at = np.searchsorted(pos, ones)  # sorted queries search fastest
+    del ones
+    d[at] -= w1  # group sizes less the 1-labels: w0
+    np.negative(d, out=d)
+    d[at] += w1
     pos[pos == 0.0] = x[np.argmax(x == 0.0)]
-    return pos, d.astype(float)
+    return pos, d
 
 
 def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
     """Exact loss minimizer over k-interval decision regions.
 
     The loss is W1 - sum_inside(w1 - w0), so the region is the best union
-    of the per-position label-count differences w1 - w0:
-    :func:`distance.union_layers` over the s distinct sample positions, k
-    numpy passes of O(s) each keeping two boolean masks per layer, plus at
-    most 2k+1 mask searches to recover the region; endpoints land at
-    midpoints between consecutive distinct x values (the outermost runs
-    extend to the infinities).  Ties prefer fewer intervals.  The losses
-    are exact integers.
+    of the per-position label-count differences w1 - w0.  No best union
+    opens or closes a run inside a run of one strict sign (Ruzzo & Tompa
+    1999), so :func:`distance.union_layers` runs over the r sign-run sums
+    and zeros, k numpy passes of O(r) each keeping two boolean masks per
+    layer, plus at most 2k+1 mask searches to recover the region; endpoints
+    land at midpoints between consecutive distinct x values (the outermost
+    runs extend to the infinities).  Ties prefer fewer intervals, as over
+    the positions.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
     pos, d = _group_by_position(*_labeled_samples(x, y))
-    g = pos.size
+    up, down = d > 0, d < 0
+    edge = np.ones(d.size + 1, bool)  # edge[i]: a sign run ends before pos[i]
+    edge[1:-1] = ~(up[1:] & up[:-1] | down[1:] & down[:-1])
+    del up, down
+    d = np.add.reduceat(d, np.flatnonzero(edge[:-1]), dtype=d.dtype)
+    # sign run e spans pos ends[2e] to ends[2e + 1]
+    ends = np.empty(2 * d.size)
+    ends[0::2] = pos[edge[:-1]]
+    ends[1::2] = pos[edge[1:]]
+    del pos, edge
+    r = d.size
     layers = union_layers(d, k)
     del d  # the layers keep only its prefix sums
     # per layer j: where a best union ending inside opened its run there
@@ -114,22 +144,22 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
     for prev, ins, out in layers:
         opens.append(ins < prev)
         closes.append(out < ins)
-        out_ends.append(out[g])
-        in_ends.append(ins[g])
+        out_ends.append(out[r])
+        in_ends.append(ins[r])
     # first maximum in (j, outside before inside) order: fewer intervals win
     best = int(np.argmax(np.stack([out_ends, in_ends], axis=1)))
     j, inside = divmod(best, 2)
     # Walk back one run per step to the last switch before i; ties keep the
     # current state (staying out beats closing, continuing beats opening).
-    runs, i = [], g
+    runs, i = [], r
     while i > 0 and (inside or j > 0):
         switched = (opens if inside else closes)[j - 1]
         t = i - 1 - int(np.argmax(switched[i - 1 :: -1]))
         if inside:
-            runs.append((t, i))
+            runs.append((2 * t, 2 * i))
             j -= 1
         i, inside = t, not inside
-    return KIntervalHypothesis.of_runs(pos, runs[::-1])
+    return KIntervalHypothesis.of_runs(ends, runs[::-1])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ _FLOOR_SLACK = 1e-9
 _SQRT_HALF = math.sqrt(0.5)
 _FK_MARGIN = 1.05  # how many tau an fk_targeted batch puts above the good median mass
 _erfc = np.vectorize(math.erfc, otypes=[float])
-_log = np.vectorize(math.log, otypes=[float])
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242
 # Cephes ndtri's rational approximations P/Q, highest power first; np.polyval
@@ -61,6 +60,11 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099
 def batch_rng(seed: int, batch_id: int) -> np.random.Generator:
     """Generator for one batch, derived from (seed, batch id)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch_id,))))
+
+
+def _log(v: np.ndarray) -> np.ndarray:
+    """libm's log of each entry of a 1-d array."""
+    return np.fromiter(map(math.log, v.tolist()), float, v.size)
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.classify import _group_by_position
+from robust_batches import classify
+from robust_batches.classify import _count_dtype, _group_by_position
 from robust_batches.distance import iter_k_run_subsets
 from robust_batches.partition import Interval, IntervalUnion
 from robust_batches.simulate import ClassificationTarget, LabelFlipAttack
@@ -209,6 +211,38 @@ def test_group_by_position_keeps_the_first_zero_bitwise():
         assert np.array_equal(d, np.add.reduceat(2.0 * y[order] - 1.0, start))
 
 
+def test_counts_are_int32_below_two_to_the_31_samples(monkeypatch):
+    """The rule at its boundary, and the int64 counts of 2^31 samples and
+    more, run on small inputs, give the same regions."""
+    assert _count_dtype(0) is np.int32 and _count_dtype(2**31 - 1) is np.int32
+    assert _count_dtype(2**31) is np.int64 and _count_dtype(2**40) is np.int64
+    rng = np.random.default_rng(31)
+    cases = [(rng.integers(-6, 7, 300) * 0.5, rng.integers(0, 2, 300), k) for k in (1, 2, 5)]
+    assert _group_by_position(*cases[0][:2])[1].dtype == np.int32
+    want = [regions_of(rb.erm_k_intervals(x, y, k)) for x, y, k in cases]
+    monkeypatch.setattr(classify, "_count_dtype", lambda size: np.int64)
+    assert _group_by_position(*cases[0][:2])[1].dtype == np.int64
+    got = [regions_of(rb.erm_k_intervals(x, y, k)) for x, y, k in cases]
+    assert all(same_regions(a, b) for a, b in zip(got, want))
+
+
+def test_erm_heap_at_desk_shape_is_under_three_times_x():
+    """On the desk target's 10^5 pooled samples (all distinct) the heap holds
+    the sorted copy of x and its distinct positions, int32 tallies and then
+    the layer rows over the sign runs: about 2.5 times x.nbytes at k=2.
+    int64 and float64 tables of one entry per position took 5.5 times."""
+    target = rb.parse_target("labeled:0,0.5,1|0.5,0.5|0.8,0.2")
+    attack = rb.parse_attack("label_flip:1.0@0,0.25")
+    x, y = rb.build_collection(target, attack, 1000, 100, 0.2, 1).pooled()
+    tracemalloc.start()
+    try:
+        rb.erm_k_intervals(x, y, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.nbytes
+
+
 def loop_erm_regions(x, y, k):
     """Reference: the per-position dynamic program as a plain Python loop,
     with the same tie rules (stay out over close, continue over open, fewer
@@ -335,9 +369,10 @@ def test_erm_region_is_an_exhaustive_optimum_property(s, k, seed):
 
 
 def test_erm_equals_the_full_table_walk_back():
-    """Streamed layers and their masks give the region the full tables
-    gave, endpoint bits included: heavy ties, signed zeros, one label only,
-    and k at or beyond (g + 1) // 2."""
+    """Streamed layers over the sign runs and their masks give the region
+    the full per-position tables gave, endpoint bits included: heavy ties,
+    signed zeros, one label only, k at or beyond (g + 1) // 2, and long sign
+    runs split and bounded by zero differences."""
     rng = np.random.default_rng(2027)
     for size in (1, 2, 7, 60, 800, 4000):
         for grid in (3, 40, None):
@@ -347,6 +382,28 @@ def test_erm_equals_the_full_table_walk_back():
             g = np.unique(x).size
             for y in (rng.integers(0, 2, size), np.zeros(size, np.uint8), np.ones(size, np.uint8)):
                 for k in (1, 2, 6, (g + 1) // 2, g + 3):
+                    want = full_table_erm_regions(x, y, k)
+                    assert same_regions(regions_of(rb.erm_k_intervals(x, y, k)), want)
+    # Few, long sign runs: labels constant over ranges of x (some flipped),
+    # and positions holding both labels equally (zero differences) at the
+    # range boundaries, at both ends and inside the ranges; k at, below and
+    # beyond the number of positive sign runs.
+    for size in (5, 60, 800, 4000):
+        for ranges in (1, 2, 5, 12):
+            for flip in (0.0, 0.03):
+                x = rng.integers(-40, 41, size) * 0.25
+                cuts = np.sort(rng.choice(np.arange(-40, 41) * 0.25 + 0.125, ranges, replace=False))
+                y = np.searchsorted(cuts, x) % 2
+                y[rng.random(size) < flip] ^= 1
+                both = np.concatenate((cuts, [x.min() - 0.125, x.max() + 0.125],
+                                       rng.integers(-40, 41, 3) * 0.25 + 0.125))
+                x = np.concatenate((x, both, both, both[:2], both[:2]))
+                y = np.concatenate((y, np.zeros(both.size, int), np.ones(both.size, int), [0, 0], [1, 1]))
+                order = rng.permutation(x.size)
+                x, y = x[order], y[order]
+                up = _group_by_position(x, y)[1] > 0
+                runs = int(np.count_nonzero(up[1:] & ~up[:-1]) + up[0])
+                for k in {1, max(runs - 1, 1), max(runs, 1), runs + 1, runs + 4}:
                     want = full_table_erm_regions(x, y, k)
                     assert same_regions(regions_of(rb.erm_k_intervals(x, y, k)), want)
 
