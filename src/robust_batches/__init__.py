@@ -18,18 +18,15 @@ from .core import (
     DiscretizedCollection,
     DomainError,
     UsageError,
-    binomial_variance,
 )
 from .corruption import (
     CorruptionReport,
     batch_deletion,
-    check_properties,
-    corruption_batch,
     corruption_collection,
     median_prob,
 )
-from .detect import max_corruption_subset_brute, max_corruption_subset_heuristic
-from .distance import fk_distance, fk_distance_brute, tv_distance
+from .detect import max_corruption_subset_heuristic
+from .distance import fk_distance, fk_distance_brute
 from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import (
     BinSubset,

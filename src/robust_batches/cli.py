@@ -26,7 +26,7 @@ from .core import (
 )
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .distance import fk_distance, fk_distance_brute, iter_k_run_subsets
-from .estimate import check_fit_shape, evaluate_density, fit_piecewise
+from .estimate import check_fit_shape, evaluate_density, fit_piecewise, fk_family_k
 from .io import (
     FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
 )
@@ -182,7 +182,7 @@ def _cmd_clean(args) -> int:
 def _cmd_estimate(args) -> int:
     collection, target, rng = _cleaning_run(args, BatchCollection)
     check_fit_shape(args.t, args.d, collection.n * collection.m)
-    k_clean = max(1, 2 * args.t * args.d)
+    k_clean = fk_family_k(args.t, args.d)
     result = clean_pipeline(collection, k_clean, args.beta, rng, args.trigger, args.stop, target)
     samples = result.retained.samples
     support = (float(samples.min()), float(samples.max()))
@@ -220,13 +220,10 @@ def _cmd_classify(args) -> int:
 
 def _eval_section(report) -> dict:
     """The cleaning section that clean, estimate and classify reports share."""
-    report = report if isinstance(report, dict) else {}
-    section, classification = report.get("cleaning"), report.get("classification")
+    section = report.get("cleaning") if isinstance(report, dict) else None
     keys = {"retained_ids", "beta", "k", "ell", "source_token"}
     if isinstance(section, dict) and keys <= section.keys():
         return section
-    if isinstance(classification, dict) and "retained_ids" in classification:
-        raise UsageError("the classify report predates the shared cleaning section; rerun classify")
     raise UsageError("eval expects a report written by clean, estimate or classify")
 
 

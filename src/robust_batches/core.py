@@ -291,13 +291,3 @@ def per_batch_probs(sub, subset) -> np.ndarray:
             raise UsageError("raw collections require an interval-union subset")
         return np.count_nonzero(subset.contains(sub.samples), axis=1) / sub.n
     raise UsageError(f"unsupported collection type {type(sub).__name__}")
-
-
-def binomial_variance(r: float, n: int) -> float:
-    """Variance r(1-r)/n of the mean of n Bernoulli(r) draws."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
-    if n < 1:
-        raise DomainError("n must be positive")
-    return r * (1.0 - r) / n
-

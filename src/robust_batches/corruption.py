@@ -17,17 +17,14 @@ down for the filter to engage at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    GOOD,
     CorruptionParams,
     DiscretizedCollection,
     UsageError,
-    binomial_variance,
     median,
     per_batch_probs,
 )
@@ -38,11 +35,12 @@ STOP_FACTOR = 20.0
 
 def corruption_scores(mu: np.ndarray, tau: float, med) -> np.ndarray:
     """Per-batch corruption scores of subset masses, the one scoring rule
-    that the detectors, the filter and the property checks share.
+    that spectral detection, the filter and :func:`corruption_collection`
+    share.
 
     ``mu`` holds per-batch masses and ``med`` the medians they are scored
-    against, in any shapes that broadcast, in the unit of ``tau`` (the
-    detectors pass counts and tau*n).  A batch scores zero while it sits
+    against, in any shapes that broadcast, in the unit of ``tau``
+    (detection passes counts and tau*n).  A batch scores zero while it sits
     within ``tau`` of ``med`` and the squared deviation beyond that.
     """
     dev = mu - med
@@ -57,24 +55,6 @@ def median_prob(sub, subset) -> float:
     """
     mu = per_batch_probs(sub, subset)
     return median(mu)
-
-
-def corruption_batch(counts, subset, med: float, params: CorruptionParams) -> float:
-    """Corruption score of one batch, given as its row of bin counts: 0
-    inside the tau-ball around ``med``, else the squared deviation.  The
-    scalar reference for :func:`corruption_scores`."""
-    if not 0.0 <= med <= 1.0:
-        raise UsageError(f"median must lie in [0, 1], got {med}")
-    row = np.asarray(counts, dtype=np.int64)
-    idx = subset.indices0()
-    if row.ndim != 1 or np.any(row < 0) or row.sum() < 1:
-        raise UsageError("counts must be a 1-d row of nonnegative counts, not all zero")
-    if idx.size and idx.max() >= row.size:
-        raise UsageError("bin subset exceeds the batch's bin count")
-    dev = int(row[idx].sum()) / int(row.sum()) - med
-    if abs(dev) <= params.tau:
-        return 0.0
-    return dev * dev
 
 
 @dataclass(frozen=True)
@@ -147,76 +127,3 @@ def batch_deletion(
             "batch deletion removed every batch; thresholds are inconsistent with the data"
         )
     return sub.subset(alive)
-
-
-@dataclass(frozen=True)
-class PropertyCheckReport:
-    """The worst error of each concentration property over the checked
-    subsets, and the largest total corruption, with their bounds.  Every
-    bound is the same for every subset, so the worst error decides."""
-
-    median_error: float
-    median_bound: float
-    mean_error: float
-    mean_bound: float
-    msd_error: float
-    msd_bound: float
-    max_corruption: float
-    kappa_g: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.median_error <= self.median_bound
-            and self.mean_error <= self.mean_bound
-            and self.msd_error <= self.msd_bound
-            and self.max_corruption <= self.kappa_g
-        )
-
-
-def check_properties(
-    good_sub: DiscretizedCollection,
-    target: np.ndarray,
-    subsets,
-    params: CorruptionParams,
-) -> PropertyCheckReport:
-    """Check the three concentration properties of a good-only collection.
-
-    Per subset S with true probability p(S): the median of the per-batch
-    estimates must sit within sqrt(ln(6)/n) of p(S); the mean within
-    (beta/2)*sqrt(ln(6e/beta)/n); the mean squared deviation within
-    6*beta*ln(6e/beta)/n of the binomial variance; and the largest total
-    corruption over the subsets must stay below kappa_g.
-
-    Requires truth flags and refuses collections containing adversarial
-    batches: the properties are claims about good batches only.
-    """
-    if good_sub.truth is None:
-        raise UsageError("property checks need truth flags (simulation mode)")
-    if any(t != GOOD for t in good_sub.truth):
-        raise UsageError("property checks apply to good-only collections")
-    target = np.asarray(target, dtype=float)
-    if target.size != good_sub.ell:
-        raise UsageError("target distribution must match the partition size")
-    n = params.n
-    med_bound = math.sqrt(math.log(6.0) / n)
-    mean_bound = (params.beta / 2.0) * math.sqrt(params.log_term / n)
-    msd_bound = 6.0 * params.beta * params.log_term / n
-    worst = np.zeros(4)  # median, mean and msd errors, corruption total
-    for subset in subsets:
-        p_s = float(target[subset.indices0()].sum())
-        mu = per_batch_probs(good_sub, subset)
-        med = median(mu)
-        msd = float(np.mean((mu - p_s) ** 2))
-        row = (
-            abs(med - p_s),
-            abs(float(mu.mean()) - p_s),
-            abs(msd - binomial_variance(p_s, n)),
-            float(corruption_scores(mu, params.tau, med).sum()),
-        )
-        worst = np.maximum(worst, row)
-    med_error, mean_error, msd_error, max_corruption = (float(v) for v in worst)
-    return PropertyCheckReport(
-        med_error, med_bound, mean_error, mean_bound, msd_error, msd_bound,
-        max_corruption, params.kappa_g,
-    )

@@ -1,14 +1,12 @@
 """Finding bin subsets with high corruption score.
 
-Two detectors; the detect-and-delete loop that runs them is
-:func:`clean.clean_counts`.  The exhaustive search is exact but
-exponential in the bin count, so it is kept as an oracle for small
-domains.  The polynomial-time spectral detector, the one the loop runs,
-takes the leading eigenvector v of the per-batch probability matrix,
-centered on its column medians and deflated by its row means, by power
-iteration run to convergence, and scores two candidate families, each
-streamed in tables of at most _CHUNK candidates, one row of per-batch
-subset counts per candidate, read from the count table in place:
+The spectral detector, run by the detect-and-delete loop of
+:func:`clean.clean_counts`, is polynomial in m and ell.  It takes the
+leading eigenvector v of the per-batch probability matrix, centered on
+its column medians and deflated by its row means, by power iteration run
+to convergence, and scores two candidate families, each streamed in
+tables of at most _CHUNK candidates, one row of per-batch subset counts
+per candidate, read from the count table in place:
 
 - all singletons, so single-bin attacks are always found, scored in the
   pass that yields the column medians v is centred on;
@@ -35,12 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CorruptionParams, DiscretizedCollection, UsageError, sorted_unique
+from .core import CorruptionParams, DiscretizedCollection, sorted_unique
 from .corruption import corruption_scores
 from .partition import EMPTY_SUBSET, BinSubset
 
-_BRUTE_MAX_ELL = 20
-_BRUTE_CHUNK = 2048
 _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _POWER_TOL
 _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # picks among the threshold sets of v and -v; keeps huge partitions tractable
@@ -84,32 +80,6 @@ def _candidate_scores(table: np.ndarray, n: int, tau: float) -> tuple[np.ndarray
         return twice, corruption_scores(table, tau * n, med).sum(axis=1) / (n * n)
     grid = base + np.arange(hist.shape[1])
     return twice, (hist * corruption_scores(grid, tau * n, med)).sum(axis=1) / (n * n)
-
-
-def max_corruption_subset_brute(
-    sub: DiscretizedCollection, params: CorruptionParams
-) -> tuple[BinSubset, float]:
-    """Exact argmax of the corruption score over all 2^ell bin subsets.
-
-    Ties go to the smallest bitmask, so an uncorrupted collection returns
-    the empty subset.  Refused for ell > 20.
-    """
-    ell = sub.ell
-    if ell > _BRUTE_MAX_ELL:
-        raise UsageError(f"brute-force detection refused for ell > {_BRUTE_MAX_ELL}")
-    best_score = 0.0
-    best_mask = 0
-    bit = np.arange(ell, dtype=np.uint32)
-    for start in range(0, 1 << ell, _BRUTE_CHUNK):
-        ints = np.arange(start, min(start + _BRUTE_CHUNK, 1 << ell), dtype=np.uint32)
-        masks = (ints[:, None] >> bit) & 1
-        scores = _candidate_scores(masks @ sub.counts.T, sub.n, params.tau)[1]
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_score = float(scores[i])
-            best_mask = int(ints[i])
-    members = frozenset(int(i) + 1 for i in range(ell) if best_mask >> i & 1)
-    return (BinSubset(members) if members else EMPTY_SUBSET), best_score
 
 
 class GramWorkspace:

@@ -124,9 +124,3 @@ def fk_distance_brute(p, q, k: int) -> float:
             v += prefix[b] - prefix[a - 1]
         best = max(best, abs(v))
     return float(best)
-
-
-def tv_distance(p, q) -> float:
-    """Total-variation distance, half the L1 distance."""
-    p, q = _check_pair(p, q)
-    return 0.5 * float(np.abs(p - q).sum())

@@ -449,6 +449,12 @@ def _solve_piece(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
     return const, True
 
 
+def fk_family_k(t: int, d: int) -> int:
+    """The k of a t-piece degree-d fit: ``estimate`` cleans at it, and the
+    fit's ``fk_to_input`` is measured in F_k at it."""
+    return max(1, 2 * t * d)
+
+
 def check_fit_shape(t: int, d: int, cells: int) -> None:
     """Refuse a t-piece degree-d fit that ``cells`` partition cells cannot
     carry: t >= 1, 0 <= d <= MAX_DEGREE and 2*t*d <= cells.  A batch file
@@ -527,11 +533,11 @@ def fit_piecewise(
         best_effort = best_effort or fell_back
     density = PiecewisePolynomial(tuple(edges_x[cuts]), tuple(pieces))
 
-    fk_family_k = max(1, 2 * t * d)
+    k = fk_family_k(t, d)
     fitted = np.clip(density.bin_masses(partition), 0.0, None)
     fitted = fitted / fitted.sum()
-    achieved = fk_distance(fitted, w, fk_family_k)
-    return PiecewiseFitResult(density, float(achieved), fk_family_k, best_effort)
+    achieved = fk_distance(fitted, w, k)
+    return PiecewiseFitResult(density, float(achieved), k, best_effort)
 
 
 def evaluate_density(fit: PiecewisePolynomial, target) -> float:

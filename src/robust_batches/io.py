@@ -33,22 +33,34 @@ def _reject_constant(name: str):
 # builds a new one per call)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
-
-def _decode(text: str):
-    """``json.loads`` with the shared decoder, which refuses a leading
-    UTF-8 BOM as ``json.loads`` does and ``decode`` alone does not."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+# Files are read as UTF-8 whatever the locale.  A byte that is not UTF-8 is
+# kept as a lone surrogate and refused by _parse, so the error names its own
+# line, not the one the text layer was reading when it decoded 8 KiB ahead.
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
-def _loads(line: str, path, lineno: int) -> dict:
+def _parse(text: str, where: str):
+    """``json.loads`` with the shared decoder, one guard for every way the
+    text of a line or a report can fail to be JSON: a byte that is not
+    UTF-8, a leading BOM (refused as ``json.loads`` does and ``decode``
+    alone does not), invalid JSON, a non-finite constant, nesting deeper
+    than the decoder's recursion limit, and an integer of more digits than
+    Python converts.  Each is a FileFormatError that names ``where``."""
     try:
-        obj = _decode(line)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not text.isascii():  # O(1); every file the package writes is ASCII
+            # the reader's bytes again: one that is not UTF-8 raises here
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def _loads(line: str, where: str) -> dict:
+    obj = _parse(line, where)
     if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}:{lineno}: expected a JSON object")
+        raise FileFormatError(f"{where}: expected a JSON object")
     return obj
 
 
@@ -106,12 +118,12 @@ def read_batches(path):
     the samples and uint8 for labels, allocated once the first batch line
     has confirmed n; no copy of the text is held."""
     path = Path(path)
-    with path.open() as fh:
+    with path.open(**_TEXT) as fh:
         lines = enumerate(fh, start=1)
         _, first = next(lines, (1, ""))
         if not first:
             raise FileFormatError(f"{path}: empty file")
-        header = _loads(first, path, 1)
+        header = _loads(first, f"{path}:1")
         for field in ("n", "m"):
             if field not in header:
                 raise FileFormatError(f"{path}:1: header is missing {field!r}")
@@ -132,7 +144,7 @@ def read_batches(path):
                 found = m + 1 + sum(1 for _, rest in lines if rest.strip())
                 raise FileFormatError(f"{path}: header says m={m} but found {found} batches")
             where = f"{path}:{lineno}"
-            obj = _loads(line, path, lineno)
+            obj = _loads(line, where)
             for field in ("id", "samples"):
                 if field not in obj:
                     raise FileFormatError(f"{where}: batch is missing {field!r}")
@@ -196,10 +208,7 @@ def canonical_json(obj) -> str:
 
 
 def read_json(path) -> dict:
-    try:
-        return _decode(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return _parse(Path(path).read_text(**_TEXT), str(path))
 
 
 def _flatten(obj, prefix: str, out: list[tuple[str, str]]) -> None:

@@ -33,6 +33,7 @@ from robust_batches.simulate import (
     MeanShiftAttack,
     parse_target,
 )
+from oracles import check_properties
 
 warnings.filterwarnings("ignore", message="m=.*guidance")
 
@@ -172,7 +173,7 @@ def test_c04_concentration_properties():
                 )
                 for _ in range(100)
             ]
-            rep = rb.check_properties(disc, target.bin_masses(part), subsets, params)
+            rep = check_properties(disc, target.bin_masses(part), subsets, params)
             passes += rep.all_ok
         results[name] = passes
     elapsed = time.perf_counter() - started

@@ -238,3 +238,61 @@ def test_simulate_attack_magnitudes_never_exit_1(workdir, target, attack, magnit
         "--n", "5", "--beta", "0.2", "--seed", "1", "--out", str(workdir / "sim.jsonl"),
     ]
     assert _exit_code(argv) in (0, 2)
+
+
+# the json module fails on these with UnicodeDecodeError, RecursionError and
+# ValueError, not JSONDecodeError
+UNDECODABLE = {
+    "non-UTF-8 byte": b'{"id": 0, "note": "\xff"}',
+    "200,000 nested arrays": b"[" * 200_000,
+    "4,301-digit integer": b'{"id": ' + b"1" * 4301 + b"}",
+}
+READERS = [  # (argv before --input, whether the batch file is labeled)
+    (["clean", "--k", "1", "--beta", "0.2"], False),
+    (["estimate", "--t", "1", "--d", "1", "--beta", "0.2"], False),
+    (["classify", "--k", "1", "--beta", "0.2"], True),
+    (["eval"], False),
+]
+
+
+@pytest.mark.parametrize("reader, labeled", READERS, ids=[argv[0] for argv, _ in READERS])
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_files_exit_2_with_their_line(
+    workdir, clean_run, classify_run, capsys, reader, labeled, case
+):
+    """In place of the header, of a batch line, or of the whole report of
+    eval --report: exit 2, and the message names the file, and for a batch
+    file the line."""
+    batches, report = classify_run if labeled else clean_run
+    lines = batches.read_bytes().splitlines(keepends=True)
+    for lineno in (1, 2):
+        bad = workdir / "undecodable.jsonl"
+        bad.write_bytes(b"".join(lines[: lineno - 1]) + UNDECODABLE[case] + b"\n"
+                        + b"".join(lines[lineno:]))
+        argv = [*reader, "--input", str(bad), "--out", str(workdir / "u.json")]
+        if reader == ["eval"]:
+            argv += ["--report", str(report)]
+        capsys.readouterr()
+        assert _exit_code(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{lineno}: invalid JSON: ")
+    if reader == ["eval"]:
+        bad = workdir / "undecodable.json"
+        bad.write_bytes(UNDECODABLE[case])
+        assert _exit_code(["eval", "--input", str(batches), "--report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, M), st.binary(max_size=40))
+@example(1, b"\xff")
+@example(0, b"[" * 200_000)
+def test_any_bytes_in_place_of_a_line_never_exit_1(workdir, lineno, data):
+    rng = np.random.default_rng(0)
+    path = workdir / "bytes.jsonl"
+    _write(path, {"n": N, "m": M}, _rows(lambda i: rng.random(N).tolist(), lambda i: "good"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno] = data + b"\n"
+    path.write_bytes(b"".join(lines))
+    argv = ["clean", "--input", str(path), "--k", "1", "--beta", "0.2",
+            "--trigger", "5", "--stop", "4", "--out", str(workdir / "bytes.json")]
+    assert _exit_code(argv) in (0, 2)

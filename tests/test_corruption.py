@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
+from oracles import binomial_variance, check_properties, corruption_batch
 
 
 def collection_from_probs(probs, n, truth=None):
@@ -27,26 +28,26 @@ def test_median_prob():
 def test_corruption_batch_examples():
     params = rb.CorruptionParams(0.1, 10000, 500)
     batch = [5000, 5000]
-    assert rb.corruption_batch(batch, BIN1, 0.5, params) == 0.0
+    assert corruption_batch(batch, BIN1, 0.5, params) == 0.0
     shifted = [6000, 4000]
-    assert rb.corruption_batch(shifted, BIN1, 0.5, params) == pytest.approx(0.01)
+    assert corruption_batch(shifted, BIN1, 0.5, params) == pytest.approx(0.01)
     # a deviation of exactly tau still scores zero
     n = 10000
     dev_counts = int(round(params.tau * n))
     at_tau = [dev_counts, n - dev_counts]
     med = 0.0
     assert dev_counts / n <= params.tau
-    assert rb.corruption_batch(at_tau, BIN1, med, params) == 0.0
+    assert corruption_batch(at_tau, BIN1, med, params) == 0.0
     with pytest.raises(rb.UsageError):
-        rb.corruption_batch(batch, BIN1, 1.5, params)
+        corruption_batch(batch, BIN1, 1.5, params)
     with pytest.raises(rb.UsageError):
-        rb.corruption_batch(batch, rb.BinSubset.of(3), 0.5, params)
+        corruption_batch(batch, rb.BinSubset.of(3), 0.5, params)
 
 
 def test_corruption_batch_continuous_outside_ball():
     params = rb.CorruptionParams(0.2, 100, 10)
     batch = [80, 20]
-    score = rb.corruption_batch(batch, BIN1, 0.0, params)
+    score = corruption_batch(batch, BIN1, 0.0, params)
     assert score == pytest.approx(0.64)
     assert score >= 0.0
 
@@ -100,7 +101,7 @@ def test_batch_deletion_seed_determinism():
     assert a.ids == b.ids
     np.testing.assert_array_equal(a.counts, b.counts)
     # a different seed still stops below the same threshold
-    after_c = sum(rb.corruption_batch(c.counts[i], BIN1, med, params) for i in range(c.m))
+    after_c = sum(corruption_batch(c.counts[i], BIN1, med, params) for i in range(c.m))
     assert after_c < 20 * params.kappa_g
 
 
@@ -116,7 +117,7 @@ def test_batch_deletion_total_never_increases():
     out = rb.batch_deletion(coll, BIN1, med, params, np.random.default_rng(0))
     # med recomputed on the survivors may shift; score with the frozen med
     after = sum(
-        rb.corruption_batch(out.counts[i], BIN1, med, params) for i in range(out.m)
+        corruption_batch(out.counts[i], BIN1, med, params) for i in range(out.m)
     )
     assert after <= before
     assert after < 20 * params.kappa_g
@@ -128,7 +129,7 @@ def test_batch_deletion_samples_in_proportion_to_score():
     probs = [0.0, 0.1, 0.3, 0.5, 0.6, 0.8]  # the first two sit inside tau
     params = rb.CorruptionParams(0.1, n, len(probs))
     coll = collection_from_probs(probs, n)
-    scores = np.array([rb.corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
+    scores = np.array([corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
     assert scores[:2].tolist() == [0.0, 0.0] and (scores[2:] > 0).all()
     total = scores.sum()
     # stop anywhere in (total - smallest positive score, total]
@@ -152,7 +153,7 @@ def test_batch_deletion_samples_two_without_replacement():
     probs = [0.0, 0.5, 0.55, 0.6, 0.65]  # the first sits inside tau
     params = rb.CorruptionParams(0.1, n, len(probs))
     coll = collection_from_probs(probs, n)
-    s = np.array([rb.corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
+    s = np.array([corruption_batch(row, BIN1, 0.0, params) for row in coll.counts])
     assert s[0] == 0.0 and (s[1:] > 0).all()
     pos = np.sort(s[1:])
     assert pos[-1] < pos[0] + pos[1]
@@ -203,11 +204,11 @@ def test_batch_deletion_invariants_property(inputs):
     kept = set(out.ids)
     assert list(out.ids) == [i for i in coll.ids if i in kept]
     score = {
-        i: rb.corruption_batch(row, subset, med, params) for i, row in zip(coll.ids, coll.counts)
+        i: corruption_batch(row, subset, med, params) for i, row in zip(coll.ids, coll.counts)
     }
     assert all(score[i] > 0.0 for i in coll.ids if i not in kept)
     before = sum(score[i] for i in coll.ids)
-    after = sum(rb.corruption_batch(out.counts[i], subset, med, params) for i in range(out.m))
+    after = sum(corruption_batch(out.counts[i], subset, med, params) for i in range(out.m))
     assert after <= before
     assert after < stop * params.kappa_g
 
@@ -220,12 +221,12 @@ def test_removing_batches_reduces_corruption_for_any_subset():
     coll = rb.DiscretizedCollection(counts, tuple(range(12)), n)
     med = rb.median_prob(coll, rb.BinSubset.of(2, 3))
     full = sum(
-        rb.corruption_batch(coll.counts[i], rb.BinSubset.of(2, 3), med, params)
+        corruption_batch(coll.counts[i], rb.BinSubset.of(2, 3), med, params)
         for i in range(coll.m)
     )
     sub = coll.subset(np.arange(12) < 6)
     reduced = sum(
-        rb.corruption_batch(sub.counts[i], rb.BinSubset.of(2, 3), med, params)
+        corruption_batch(sub.counts[i], rb.BinSubset.of(2, 3), med, params)
         for i in range(sub.m)
     )
     assert reduced <= full
@@ -235,10 +236,10 @@ def test_check_properties_requires_good_only():
     coll = collection_from_probs([0.5, 0.6], 100, truth=("good", "adversarial"))
     params = rb.CorruptionParams(0.2, 100, 2)
     with pytest.raises(rb.UsageError):
-        rb.check_properties(coll, np.array([0.5, 0.5]), [BIN1], params)
+        check_properties(coll, np.array([0.5, 0.5]), [BIN1], params)
     untagged = collection_from_probs([0.5, 0.6], 100)
     with pytest.raises(rb.UsageError):
-        rb.check_properties(untagged, np.array([0.5, 0.5]), [BIN1], params)
+        check_properties(untagged, np.array([0.5, 0.5]), [BIN1], params)
 
 
 def test_check_properties_self_consistent_collection():
@@ -246,11 +247,11 @@ def test_check_properties_self_consistent_collection():
     m = 6
     coll = collection_from_probs([0.5] * m, n, truth=("good",) * m)
     params = rb.CorruptionParams(0.1, n, m)
-    report = rb.check_properties(coll, np.array([0.5, 0.5]), [BIN1], params)
+    report = check_properties(coll, np.array([0.5, 0.5]), [BIN1], params)
     assert report.all_ok
     assert report.max_corruption == 0.0
     assert report.median_error == 0.0 and report.mean_error == 0.0
-    assert report.msd_error == pytest.approx(rb.binomial_variance(0.5, n), abs=1e-9)
+    assert report.msd_error == pytest.approx(binomial_variance(0.5, n), abs=1e-9)
 
 
 def test_check_properties_one_failing_subset_decides():
@@ -263,8 +264,8 @@ def test_check_properties_one_failing_subset_decides():
     params = rb.CorruptionParams(0.1, n, m)
     target = np.array([0.5, 0.25, 0.25])
     passing = [BIN1, rb.BinSubset.of(1, 2, 3)]
-    assert rb.check_properties(coll, target, passing, params).all_ok
-    report = rb.check_properties(coll, target, [*passing, rb.BinSubset.of(2)], params)
+    assert check_properties(coll, target, passing, params).all_ok
+    report = check_properties(coll, target, [*passing, rb.BinSubset.of(2)], params)
     assert not report.all_ok
     assert report.median_error == pytest.approx(0.05) and report.median_bound < 0.05
     assert report.mean_error == pytest.approx(0.05) and report.mean_bound < 0.05

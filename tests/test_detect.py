@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import robust_batches as rb
 from robust_batches import clean, detect
 from robust_batches.corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_scores
-from robust_batches.detect import max_corruption_subset_brute, max_corruption_subset_heuristic
+from robust_batches.detect import max_corruption_subset_heuristic
 from robust_batches.simulate import FkTargetedAttack, MeanShiftAttack, parse_target
+from oracles import max_corruption_subset_brute
 
 
 def good_counts(rng, m, n, ell):

@@ -10,6 +10,7 @@ import pytest
 import robust_batches as rb
 from robust_batches import cli
 from robust_batches.cli import main
+from robust_batches.estimate import fk_family_k
 from robust_batches.io import FileFormatError, read_batches, read_json, write_batches
 from robust_batches.simulate import SpikeAttack, parse_target
 
@@ -278,6 +279,17 @@ def test_cli_estimate_checks_the_fit_before_cleaning(tmp_path, monkeypatch, caps
     ])
     assert rc == 2
     assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("t, d, k", [(2, 0, 1), (2, 1, 4), (2, 3, 12)])
+def test_cli_estimate_cleans_at_the_fit_family_k(tmp_path, t, d, k):
+    batches, out = _unlabeled_file(tmp_path, m=60), tmp_path / "e.json"
+    assert main([
+        "estimate", "--input", str(batches), "--t", str(t), "--d", str(d), "--beta", "0.2",
+        "--seed", "1", "--trigger", "5", "--stop", "4", "--out", str(out),
+    ]) == 0
+    report = read_json(out)
+    assert report["cleaning"]["k"] == report["fit"]["fk_family_k"] == fk_family_k(t, d) == k
 
 
 def test_cli_beta_guard_exits_2(tmp_path, capsys):
@@ -668,7 +680,7 @@ def test_cli_eval_refuses_a_classify_report_without_a_cleaning_section(tmp_path,
     capsys.readouterr()
     assert main(["eval", "--input", str(labeled), "--report", str(report)]) == 2
     err = capsys.readouterr().err
-    assert "predates the shared cleaning section" in err and "rerun classify" in err
+    assert "eval expects a report written by clean, estimate or classify" in err
 
 
 def test_cli_eval_counts_nothing_to_match_a_report(tmp_path, monkeypatch):

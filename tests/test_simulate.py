@@ -24,6 +24,7 @@ from robust_batches.simulate import (
     parse_attack,
     parse_target,
 )
+from oracles import check_properties
 
 
 def test_build_collection_counts():
@@ -184,7 +185,7 @@ def test_good_batches_satisfy_properties_most_seeds():
             rb.BinSubset(frozenset(int(j) + 1 for j in np.nonzero(rng.random(part.ell) < 0.5)[0]))
             for _ in range(30)
         ]
-        report = rb.check_properties(disc, target.bin_masses(part), subsets, params)
+        report = check_properties(disc, target.bin_masses(part), subsets, params)
         passes += report.all_ok
     assert passes >= 4
 
