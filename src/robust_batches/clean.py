@@ -121,7 +121,7 @@ def clean_counts(
     if not 0.0 < stop_factor <= trigger_factor:
         raise UsageError("need 0 < stop_factor <= trigger_factor")
     sub, rounds = disc, 0
-    workspace = GramWorkspace(*disc.counts.shape)
+    workspace = GramWorkspace(*disc.counts.shape, disc.n)
     while beta > 0.0:
         subset, score = max_corruption_subset_heuristic(sub, params, workspace)
         if score < trigger_factor * params.kappa_g or not subset.members:

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -338,6 +339,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process's own entry: what the imports built lives until exit,
+        # so no collection, the one at shutdown included, walks it again
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

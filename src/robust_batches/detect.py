@@ -18,7 +18,8 @@ per candidate, read from the count table in place:
 The Gram matrix v comes from is built in a :class:`GramWorkspace`, which
 the loop allocates once per cleaning run: q*q float64 values for q =
 min(m, ell) of the run's first table, one block of _GRAM_BLOCK values of
-rows and one product of _GRAM_TILE rows, reused by every round.
+rows and one product of _GRAM_TILE rows, reused by every round; blocks
+and products are float32 when n allows enough exact rows per block.
 
 A row's median and total score follow from its histogram over the table's
 occupied value range, each value scored once by
@@ -41,8 +42,10 @@ _POWER_ITERATIONS = 200  # a cap only; the iteration stops once v moves by <= _P
 _POWER_TOL = 1e-12
 _CANDIDATE_CAP = 4096  # picks among the threshold sets of v and -v; keeps huge partitions tractable
 _CHUNK = 64  # candidates scored at once; small key tables lower peak RSS
-_GRAM_BLOCK = 1 << 17  # float64 values per block of rows of D (or of D.T)
+_GRAM_BLOCK = 1 << 17  # values per block of rows of E, in the block dtype
 _GRAM_TILE = 96  # rows of the Gram matrix per tile product
+_FLOAT32_EXACT = 1 << 24  # every integer up to this is a float32
+_FLOAT32_MIN_ROWS = 128  # float32 blocks of fewer rows build the Gram matrix slower than float64
 
 
 def _middle_order_stats(table: np.ndarray):
@@ -84,40 +87,61 @@ def _candidate_scores(table: np.ndarray, n: int, tau: float) -> tuple[np.ndarray
 
 class GramWorkspace:
     """The buffers spectral detection writes into, for every table of one
-    cleaning run: a flat Gram matrix of q*q float64 values, where q =
-    min(m, ell) of the run's first (m, ell) table, one block of rows of E
-    under the _GRAM_BLOCK budget and one tile product of _GRAM_TILE rows.
-    Later tables of a run only lose batches, so neither q nor max(m, ell)
-    grows, and each call takes contiguous views of the first elements.
+    cleaning run of batch size n: a flat Gram matrix of q*q float64 values,
+    where q = min(m, ell) of the run's first (m, ell) table, one block of
+    rows of E under the _GRAM_BLOCK budget and one tile product of
+    _GRAM_TILE rows.  Later tables of a run only lose batches, so neither q
+    nor max(m, ell) grows, and each call takes contiguous views of the first
+    elements.
+
+    Blocks and tiles are float32 where their products are exact: E holds
+    integers with |E| <= 2n, so in a block of at most ``cap`` =
+    floor(2**24 / (2n)**2) rows every partial sum of a product is an integer
+    within 2**24, in any summation order.  Where that cap is below
+    _FLOAT32_MIN_ROWS (n > 181), they are float64.  The block storage is
+    float64 and holds at least one row of q float64 values, for the m x m
+    side's back-map.
     """
 
-    def __init__(self, m: int, ell: int) -> None:
+    def __init__(self, m: int, ell: int, n: int) -> None:
         q, p = min(m, ell), max(m, ell)
+        self.cap = _FLOAT32_EXACT // max(2 * n, 1) ** 2
+        self.dtype = np.dtype(np.float32 if self.cap >= _FLOAT32_MIN_ROWS else np.float64)
+        values = min(max(_GRAM_BLOCK, q), p * q)
         self._gram = np.empty(q * q)
-        self._block = np.empty(min(max(_GRAM_BLOCK, q), p * q))
-        self._tile = np.empty(min(_GRAM_TILE, q) * q)
+        self._block = np.empty(max(-(-values * self.dtype.itemsize // 8), q))
+        self._tile = np.empty(min(_GRAM_TILE, q) * q, self.dtype)
 
     def gram(self, q: int) -> np.ndarray:
         return self._gram[: q * q].reshape(q, q)
 
-    def block(self, rows: int, q: int) -> np.ndarray:
-        return self._block[: rows * q].reshape(rows, q)
+    def block_rows(self, q: int, dtype: np.dtype) -> int:
+        """Rows of q values of ``dtype`` per block: float32 ones under the
+        _GRAM_BLOCK budget and within the cap, float64 ones as many as the
+        storage holds; at least one."""
+        if dtype == np.float32:
+            return max(1, min(_GRAM_BLOCK // q, self.cap))
+        return self._block.size // q
+
+    def block(self, rows: int, q: int, dtype: np.dtype) -> np.ndarray:
+        return self._block.view(dtype)[: rows * q].reshape(rows, q)
 
     def tile(self, rows: int, cols: int) -> np.ndarray:
         return self._tile[: rows * cols].reshape(rows, cols)
 
 
 def _exact_gram(blocks, q: int, workspace: GramWorkspace) -> np.ndarray:
-    """E.T @ E for an integer matrix E with q columns, given as float64
-    blocks of its rows, written into ``workspace``.
+    """E.T @ E for an integer matrix E with q columns, given as blocks of
+    its rows in the workspace dtype, written into ``workspace``.
 
-    Each block adds its product to the q x q result one tile of _GRAM_TILE
-    rows at a time, on and above the diagonal only; the lower tiles are
-    mirrored at the end.  Every tile is multiplied into the workspace's
-    tile buffer and added in place, so no array of the result's size is
-    allocated, and every partial sum is an integer: while the sum of the
-    absolute products in every entry stays below 2**53, the result is
-    exact in any block shape, tile width and summation order.
+    Each block adds its product to the q x q float64 result one tile of
+    _GRAM_TILE rows at a time, on and above the diagonal only; the lower
+    tiles are mirrored at the end.  Every tile is multiplied into the
+    workspace's tile buffer and added in place, so no array of the result's
+    size is allocated, and every partial sum is an integer: float32 tiles
+    are exact by the workspace's row cap, and while the sum of the absolute
+    products in every entry stays below 2**53, the result is exact in any
+    block shape, tile width and summation order.
     """
     gram = workspace.gram(q)
     gram.fill(0.0)
@@ -149,35 +173,36 @@ def _leading_eigvec(
     |D| <= 2n and b = r/ell, r being the common row sum of D.  Power
     iteration runs on the smaller Gram side: that of E = D, or of E = D.T
     when there are more bins than batches.  :func:`_exact_gram` builds
-    E.T @ E in ``workspace`` (a fresh one sized for ``counts`` if None)
-    from blocks of E, and rank-one terms from the column sums of E
-    correct it to 4n^2 times the Gram matrix of ``centered`` (or of its
-    transpose).  E.T @ E is exact while m*(2n)^2 < 2**53 (ell*(2n)^2 when
-    E = D.T); past that its partial sums round, as any float product's
-    do, and the input is not refused.
+    E.T @ E in ``workspace`` (a fresh one sized for ``counts`` and n if
+    None) from blocks of E in the workspace dtype, and rank-one terms from
+    the column sums of E correct it to 4n^2 times the Gram matrix of
+    ``centered`` (or of its transpose).  E.T @ E is exact while
+    m*(2n)^2 < 2**53 (ell*(2n)^2 when E = D.T); past that its partial sums
+    round, as any float product's do, and the input is not refused.
 
     The iteration starts from the Gram column with the largest diagonal
     entry and stops once the unit vector moves by at most _POWER_TOL; on
-    the m x m side the result is mapped back a block of bins at a time,
-    in the same block buffer.  A zero Gram matrix gives v = 0.
+    the m x m side the result is mapped back a block of bins at a time, in
+    float64 blocks in the same storage.  A zero Gram matrix gives v = 0.
     """
     m, ell = counts.shape
     if workspace is None:
-        workspace = GramWorkspace(m, ell)
+        workspace = GramWorkspace(m, ell, n)
     r = 2 * n - int(a.sum())
     b = r / ell
     wide = ell > m
     offset = np.broadcast_to(a, counts.shape)
     table, offset = (counts.T, offset.T) if wide else (counts, offset)  # E = 2*table - offset
     p, q = table.shape
-    step = max(1, _GRAM_BLOCK // q)
 
-    def rows_of_e(i: int) -> np.ndarray:
-        rows = table[i : i + step]
-        block = np.multiply(rows, 2.0, out=workspace.block(rows.shape[0], q))
-        return np.subtract(block, offset[i : i + step], out=block)
+    def blocks_of_e(dtype: np.dtype):
+        step = workspace.block_rows(q, dtype)
+        for i in range(0, p, step):
+            rows = table[i : i + step]
+            block = np.multiply(rows, 2, out=workspace.block(rows.shape[0], q, dtype), dtype=dtype)
+            yield i, np.subtract(block, offset[i : i + step], out=block, dtype=dtype)
 
-    gram = _exact_gram((rows_of_e(i) for i in range(0, p, step)), q, workspace)
+    gram = _exact_gram((block for _, block in blocks_of_e(workspace.dtype)), q, workspace)
     # E.T @ E - b*(s 1' + 1 s') + p*b^2 1 1', s the column sums of E
     sums = 2 * table.sum(axis=0, dtype=np.int64) - (int(a.sum()) if wide else m * a)
     bs = b * sums
@@ -200,10 +225,9 @@ def _leading_eigvec(
         # E @ v - b*sum(v), each row summed in order by cumsum, so that v
         # does not depend on the block size
         out = np.empty(ell)
-        for i in range(0, ell, step):
-            block = rows_of_e(i)
+        for i, block in blocks_of_e(np.dtype(np.float64)):
             block *= v
-            out[i : i + step] = np.cumsum(block, axis=1, out=block)[:, -1]
+            out[i : i + block.shape[0]] = np.cumsum(block, axis=1, out=block)[:, -1]
         out -= b * v.sum()
         v = out / np.linalg.norm(out)
     return v

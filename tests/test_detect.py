@@ -414,10 +414,15 @@ def _planted_counts(rng, m, n, ell):
     return counts
 
 
+@pytest.mark.parametrize("n, dtype", [(100, np.float32), (255, np.float64)])
 @pytest.mark.parametrize("m, ell", [(61, 23), (40, 40), (13, 57)])  # ell < m, ell = m, ell > m
-def test_tiled_gram_is_exact_for_every_block_size(monkeypatch, m, ell):
+def test_tiled_gram_is_exact_for_every_block_size(monkeypatch, m, ell, n, dtype):
+    """In float32 blocks (n = 100, a cap of 419 rows) and in float64 ones
+    (n = 255, where the cap of 64 rows is below _FLOAT32_MIN_ROWS), E.T @ E
+    is exact and v, back-mapped in float64 on the m x m side, is the same
+    for every block and tile size."""
+    assert detect.GramWorkspace(m, ell, n).dtype == dtype
     rng = np.random.default_rng(m + ell)
-    n = 255
     counts = _planted_counts(rng, m, n, ell)
     reference = _gram_of_d(counts).astype(np.float64)
     q = min(m, ell)
@@ -434,8 +439,9 @@ def test_tiled_gram_is_exact_for_every_block_size(monkeypatch, m, ell):
     assert abs(vectors[0] @ _reference_eigvec(counts / n)) >= 1 - 1e-12
 
 
+@pytest.mark.parametrize("n", [100, 255])  # float32 and float64 blocks
 @pytest.mark.parametrize("block, tile", [(7 * 23, 5), (1 << 17, 96)])
-def test_one_workspace_serves_a_run_of_shrinking_tables(monkeypatch, block, tile):
+def test_one_workspace_serves_a_run_of_shrinking_tables(monkeypatch, block, tile, n):
     """A workspace sized for a tall table serves that table, then one with
     fewer batches, then a wide one (fewer batches than bins), as the rounds
     of one cleaning run do: each Gram matrix is a contiguous view of the
@@ -443,9 +449,9 @@ def test_one_workspace_serves_a_run_of_shrinking_tables(monkeypatch, block, tile
     monkeypatch.setattr(detect, "_GRAM_BLOCK", block)
     monkeypatch.setattr(detect, "_GRAM_TILE", tile)
     rng = np.random.default_rng(5)
-    n, ell = 255, 23
+    ell = 23
     counts = _planted_counts(rng, 61, n, ell).astype(np.uint8)
-    workspace = detect.GramWorkspace(61, ell)
+    workspace = detect.GramWorkspace(61, ell, n)
     for m in (61, 40, 13):
         table = counts[rng.permutation(61)[:m]]
         fresh_v, fresh = _eigvec_and_grams(monkeypatch, table, n)
@@ -455,6 +461,39 @@ def test_one_workspace_serves_a_run_of_shrinking_tables(monkeypatch, block, tile
         assert np.array_equal(v, fresh_v)
         # the recording hands _leading_eigvec a copy, so the workspace keeps E.T @ E
         assert np.array_equal(workspace.gram(min(m, ell)), reference)
+
+
+def test_float32_blocks_never_pass_the_row_cap(monkeypatch):
+    """At n = 165 the cap is floor(2**24 / 330**2) = 154 rows.  The first
+    309 rows of E are (329, -329), odd: 154 of them sum to 154 * 329**2 <
+    2**24 in every entry, but 155 sum to 2**24 + 139, which float32 cannot
+    hold.  So the Gram matrix is exact, and one row past the cap rounds it."""
+    n, m = 165, 620
+    cap = 2**24 // (2 * n) ** 2
+    past = (cap + 1) * (2 * n - 1) ** 2
+    assert cap == 154 and int(np.float32(past)) != past
+    column = np.array([n] * (m // 2 - 1) + [1] + [0] * (m // 2))
+    counts = np.stack([column, n - column], axis=1).astype(np.uint8)
+    e = 2 * counts.astype(np.int64) - twice_medians(counts)
+    assert (e[: m // 2 - 1] == [2 * n - 1, 1 - 2 * n]).all() and abs(e[m // 2 - 1 :]).max() == 1
+    reference = _gram_of_d(counts).astype(np.float64)
+    workspace = detect.GramWorkspace(m, 2, n)
+    assert workspace.dtype == np.float32 and workspace.block_rows(2, workspace.dtype) == cap
+    grams = _eigvec_and_grams(monkeypatch, counts, n, workspace)[1]
+    assert np.array_equal(grams[0], reference)
+    workspace.cap = cap + 1
+    grams = _eigvec_and_grams(monkeypatch, counts, n, workspace)[1]
+    assert not np.array_equal(grams[0], reference)
+
+
+def test_block_rule_keeps_float32_within_its_cap_for_every_n():
+    """For every n, float32 blocks have at most floor(2**24 / (2n)**2) rows,
+    so their products are exact; from n = 182 on, blocks are float64."""
+    for n in range(2200):  # n = 0 too: a table of zeros
+        workspace = detect.GramWorkspace(10**5, 2, n)
+        assert workspace.dtype == (np.float32 if n <= 181 else np.float64)
+        if workspace.dtype == np.float32:
+            assert workspace.block_rows(2, workspace.dtype) * (2 * n) ** 2 <= 2**24
 
 
 def test_clean_rounds_after_the_first_allocate_no_gram_matrix(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -361,6 +362,23 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_cli_freezes_the_heap_only_as_the_process_entry(tmp_path, monkeypatch):
+    """main(argv) from a caller's process leaves its collector alone; main()
+    reading sys.argv, as ``python -m`` and the console script run it, moves
+    everything built so far out of the collector's reach."""
+    argv = ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
+            "--out", str(tmp_path / "s.jsonl")]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr("sys.argv", ["robust-batches", *argv])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_cli_simulate_out_directory_exits_2(tmp_path, capsys):
