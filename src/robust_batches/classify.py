@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clean import CleaningReport, clean_pipeline
-from .core import DomainError, LabeledCollection, UsageError, labels_ok
+from .core import LabeledCollection, UsageError, check_labeled
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR
 from .distance import union_layers
 from .partition import Interval, IntervalUnion
@@ -59,10 +59,7 @@ def _labeled_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.asarray(x, dtype=float), np.asarray(y)
     if x.ndim != 1 or x.size == 0 or y.shape != x.shape:
         raise UsageError("x and y must be matching nonempty 1-d arrays")
-    if not np.all(np.isfinite(x)):
-        raise UsageError("x contains NaN or infinity")
-    if not labels_ok(y):
-        raise UsageError("labels must be 0 or 1")
+    check_labeled(x, y)
     return x, y
 
 
@@ -122,8 +119,6 @@ def erm_k_intervals(x, y, k: int) -> KIntervalHypothesis:
     runs extend to the infinities).  Ties prefer fewer intervals, as over
     the positions.
     """
-    if k < 1:
-        raise DomainError("k must be at least 1")
     pos, d = _group_by_position(*_labeled_samples(x, y))
     up, down = d > 0, d < 0
     edge = np.ones(d.size + 1, bool)  # edge[i]: a sign run ends before pos[i]

@@ -56,10 +56,14 @@ def uniforms(rngs, *shape: int) -> np.ndarray:
     return out
 
 
-def labels_ok(y: np.ndarray) -> bool:
-    """Whether every entry of the array ``y`` is 0 or 1 (LABELS), tested in
-    y's own dtype: a cast to integers would truncate 1.5 to 1."""
-    return y.dtype.kind in "biuf" and bool(((y == 0) | (y == 1)).all())
+def check_labeled(x: np.ndarray, y: np.ndarray) -> None:
+    """Refuse labeled samples unless every x is finite and every label in
+    the array ``y`` is 0 or 1 (LABELS), tested in y's own dtype: a cast to
+    integers would truncate 1.5 to 1."""
+    if not np.all(np.isfinite(x)):
+        raise UsageError("x contains NaN or infinity")
+    if not (y.dtype.kind in "biuf" and ((y == 0) | (y == 1)).all()):
+        raise UsageError("labels must be 0 or 1")
 
 
 def row_array(values, dtype, what: str) -> np.ndarray:
@@ -114,17 +118,12 @@ class Collection:
     def m(self) -> int:
         return len(self.ids)
 
-    def good_ids(self) -> frozenset[int]:
-        if self.truth is None:
-            raise UsageError("collection carries no truth flags")
-        return frozenset(i for i, t in zip(self.ids, self.truth) if t == GOOD)
-
     def retention_good(self, kept_ids) -> float | None:
         """Fraction of the good batches among ``kept_ids``; None without
         truth flags or good batches."""
         if self.truth is None:
             return None
-        good = self.good_ids()
+        good = {i for i, t in zip(self.ids, self.truth) if t == GOOD}
         return len(good & set(kept_ids)) / len(good) if good else None
 
     def subset(self, keep):
@@ -184,8 +183,8 @@ class DiscretizedCollection(Collection):
 
     def __post_init__(self) -> None:
         cell = np.min_scalar_type(self.n)
-        if cell.kind != "u":
-            raise UsageError(f"n must be a nonnegative integer, got {self.n!r}")
+        if cell.kind != "u" or self.n < 1:
+            raise UsageError(f"n must be a positive integer, got {self.n!r}")
         arr = row_array(self.counts, None, "counts")
         # checked in the table's own dtype: a cast would truncate 1.5 to 1
         if arr.dtype.kind not in "iu":
@@ -225,10 +224,7 @@ class LabeledCollection(Collection):
         y = row_array(self.y, None, "y")
         if y.shape != x.shape:
             raise UsageError("x and y must have the same shape")
-        if not np.all(np.isfinite(x)):
-            raise UsageError("x contains NaN or infinity")
-        if not labels_ok(y):
-            raise UsageError("labels must be 0 or 1")
+        check_labeled(x, y)
         self._freeze(x=x, y=y.astype(np.uint8, copy=False))
 
     @property

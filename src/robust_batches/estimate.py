@@ -450,22 +450,22 @@ def _solve_piece(phi: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def fk_family_k(t: int, d: int) -> int:
-    """The k of a t-piece degree-d fit: ``estimate`` cleans at it, and the
-    fit's ``fk_to_input`` is measured in F_k at it."""
+    """The k of a t-piece degree-d fit: ``estimate`` cleans at it, the fit's
+    ``fk_to_input`` is measured in F_k at it, and the fit needs that many cells."""
     return max(1, 2 * t * d)
 
 
 def check_fit_shape(t: int, d: int, cells: int) -> None:
     """Refuse a t-piece degree-d fit that ``cells`` partition cells cannot
-    carry: t >= 1, 0 <= d <= MAX_DEGREE and 2*t*d <= cells.  A batch file
-    of n*m samples bounds every partition of it to n*m cells, so callers
-    can check before any partition is built."""
+    carry: t >= 1, 0 <= d <= MAX_DEGREE and ``fk_family_k(t, d)`` <= cells.
+    A batch file of n*m samples bounds every partition of it to n*m cells,
+    so callers can check before any partition is built."""
     if t < 1:
         raise DomainError("t must be at least 1")
     if not 0 <= d <= MAX_DEGREE:
         raise DomainError(f"d must lie in 0..{MAX_DEGREE}")
-    if cells < 2 * t * d:
-        raise UsageError(f"{cells} partition cells, need at least 2*t*d={2 * t * d}")
+    if cells < (k := fk_family_k(t, d)):
+        raise UsageError(f"{cells} partition cells, need at least 2*t*d={k}")
 
 
 def fit_piecewise(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from io import StringIO
 from pathlib import Path
 
@@ -187,24 +186,18 @@ def _rows_array(m: int, n: int, dtype, path) -> np.ndarray:
         raise FileFormatError(f"{path}:1: header says m={m}, too many batches to hold") from exc
 
 
-def _sanitize(obj):
-    """JSON-ready copy: numpy scalars unwrapped, non-finite floats rejected."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise UsageError("reports must not contain non-finite numbers")
-    return obj
+def _dumps(obj, **kwargs) -> str:
+    """``json.dumps`` refusing NaN and the infinities at any depth; json writes
+    a numpy float64 (a float subclass) as its float, and a tuple as an array."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise UsageError("reports must not contain non-finite numbers") from exc
 
 
 def canonical_json(obj) -> str:
     """Stable serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
+    return _dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def read_json(path) -> dict:
@@ -216,13 +209,13 @@ def _flatten(obj, prefix: str, out: list[tuple[str, str]]) -> None:
         for k in sorted(obj):
             _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), out)
     else:
-        out.append((prefix, json.dumps(obj)))
+        out.append((prefix, _dumps(obj)))
 
 
 def csv_text(obj) -> str:
     """Flattened key,value convenience export of a report (rows end in CRLF)."""
     rows = [("key", "value")]
-    _flatten(_sanitize(obj), "", rows)
+    _flatten(obj, "", rows)
     out = StringIO()
     csv.writer(out).writerows(rows)
     return out.getvalue()

@@ -304,5 +304,5 @@ def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnio
     for a, b in subset.runs():
         lo = -math.inf if a == 1 else partition.boundaries[a - 2]
         hi = math.inf if b == ell else partition.boundaries[b - 1]
-        intervals.append(Interval(lo, hi, lo_closed=False, hi_closed=not math.isinf(hi)))
+        intervals.append(Interval(lo, hi, lo_closed=False))
     return IntervalUnion(tuple(intervals))

@@ -180,6 +180,15 @@ def test_erm_and_risk_refuse_malformed_samples(x, y, message):
         rb.risk(hyp((0.0, 1.0)), x, y)
 
 
+def test_erm_checks_its_samples_before_k():
+    """The samples are checked first; k < 1 is refused by the union layers."""
+    with pytest.raises(rb.UsageError, match="labels must be 0 or 1"):
+        rb.erm_k_intervals([1.0, 2.0], [2, 0], 0)
+    for k in (0, -1):
+        with pytest.raises(rb.DomainError, match="^k must be at least 1$"):
+            rb.erm_k_intervals([1.0, 2.0], [1, 0], k)
+
+
 def test_group_by_position_matches_unique_reference():
     rng = np.random.default_rng(8)
     for size in (1, 2, 50, 3000):

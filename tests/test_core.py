@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robust_batches as rb
-from robust_batches.core import per_batch_probs
+from robust_batches.core import check_labeled, per_batch_probs
 from robust_batches.partition import Interval, IntervalUnion
 from oracles import binomial_variance
 
@@ -124,10 +124,11 @@ def test_discretized_counts_are_checked_in_their_own_dtype():
         ([[1.5, 1.5]], 2, "integers"),  # a cast to int64 would truncate it to [[1, 1]]
         ([[1.0, 1.0]], 2, "integers"),
         ([[2**70, 0]], 2, "integers"),  # above int64, once an OverflowError
-        ([[2**63, 2**63]], 0, "sum to n"),  # would wrap to 0 in an unsigned sum
+        ([[2**63, 2**63]], 1, "sum to n"),  # would wrap to 0 in an unsigned sum
         ([[3, -1]], 2, "nonnegative"),
-        ([[1, 1]], 2.0, "nonnegative integer"),
-        ([[1, 1]], -2, "nonnegative integer"),
+        ([[1, 1]], 2.0, "positive integer"),
+        ([[1, 1]], -2, "positive integer"),
+        ([[0, 0]], 0, "positive integer"),
     ]:
         with pytest.raises(rb.UsageError, match=match):
             rb.DiscretizedCollection(counts, (0,), n)
@@ -196,3 +197,42 @@ def test_corruption_params():
         rb.CorruptionParams(0.0, 10, 10)
     with pytest.raises(rb.DomainError):
         rb.CorruptionParams(0.5, 10, 10)
+
+
+def test_retention_good_counts_the_good_batches_kept():
+    truth = ("good", "adversarial", "good", "good")
+    coll = rb.BatchCollection(np.zeros((4, 2)), (10, 11, 12, 13), truth)
+    assert coll.retention_good([10, 11, 13]) == 2 / 3
+    assert coll.retention_good([]) == 0.0
+    assert rb.BatchCollection(np.zeros((4, 2)), (10, 11, 12, 13)).retention_good([10]) is None
+    bad_only = rb.BatchCollection(np.zeros((1, 2)), (0,), ("adversarial",))
+    assert bad_only.retention_good([0]) is None
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: rb.BatchCollection(np.zeros(3), (0, 1, 2)), rb.UsageError,
+         r"samples must be a 2-d array with one row per batch, not \(3,\)"),
+        (lambda: rb.BatchCollection(np.zeros((1, 0)), (0,)), rb.UsageError,
+         r"samples must be a 2-d array with one row per batch, not \(1, 0\)"),
+        (lambda: rb.LabeledCollection([[np.nan, 0.0]], [[0, 1]], (0,)), rb.UsageError,
+         "x contains NaN or infinity"),
+        (lambda: rb.LabeledCollection([[-np.inf, 0.0]], [[0, 1]], (0,)), rb.UsageError,
+         "x contains NaN or infinity"),
+        (lambda: rb.CorruptionParams(0.2, 0, 5), rb.DomainError, "n and m must be positive"),
+        (lambda: rb.CorruptionParams(0.2, 5, 0), rb.DomainError, "n and m must be positive"),
+        (lambda: per_batch_probs(rb.LabeledCollection([[0.0]], [[1]], (0,)), union((0.0, 1.0))),
+         rb.UsageError, "unsupported collection type LabeledCollection"),
+    ],
+)
+def test_core_refusals_name_their_rule(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+def test_check_labeled_checks_x_before_the_labels():
+    with pytest.raises(rb.UsageError, match="x contains NaN or infinity"):
+        check_labeled(np.array([np.nan]), np.array([2]))
+    with pytest.raises(rb.UsageError, match="labels must be 0 or 1"):
+        check_labeled(np.array([0.0]), np.array([None]))  # an object array

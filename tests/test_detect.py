@@ -94,6 +94,16 @@ def test_heuristic_zero_corruption():
         assert score == 0.0 and subset.members == frozenset()
 
 
+def test_a_table_of_zero_sample_batches_never_reaches_detection():
+    """Detection divides by n*n: a table at n = 0 would score 0/0, a
+    RuntimeWarning (an error here), so the collection refuses n < 1."""
+    with pytest.raises(rb.UsageError, match="n must be a positive integer, got 0"):
+        max_corruption_subset_heuristic(
+            rb.DiscretizedCollection(np.zeros((5, 3), int), range(5), 0),
+            rb.CorruptionParams(0.2, 1, 5),
+        )
+
+
 def test_brute_upper_bounds_heuristic_and_half_ratio():
     rng = np.random.default_rng(31)
     at_least_half = 0

@@ -195,3 +195,20 @@ def test_tv_distance_examples():
     assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
     assert tv_distance([0.3, 0.7], [0.3, 0.7]) == 0.0
     assert tv_distance([0.7, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rb.fk_distance([], [1.0], 1), "p must be a nonempty 1-d vector"),
+        (lambda: rb.fk_distance([[0.5, 0.5]], [0.5, 0.5], 1), "p must be a nonempty 1-d vector"),
+        (lambda: rb.fk_distance([1.0], np.float64(1.0), 1), "q must be a nonempty 1-d vector"),
+        (lambda: rb.fk_distance([1.5, -0.5], [0.5, 0.5], 1), "p has negative entries"),
+        (lambda: rb.fk_distance([0.5, 0.5], [-0.5, 1.5], 1), "q has negative entries"),
+        (lambda: rb.fk_distance([1.0], [0.5, 0.5], 1), "p and q must have the same length"),
+        (lambda: rb.fk_distance_brute([0.5, 0.5], [0.5, 0.5], 0), "k must be at least 1"),
+    ],
+)
+def test_distance_refusals_name_their_rule(call, message):
+    with pytest.raises(rb.DomainError, match=f"^{message}$"):
+        call()

@@ -882,3 +882,37 @@ def test_from_monomials_near_the_float_maximum_and_on_an_empty_piece():
     assert dens.coefficients == ((2e-307,),) and dens.integral() == pytest.approx(1.0)
     with pytest.raises(rb.UsageError, match="nonempty coefficient lists"):
         PiecewisePolynomial.from_monomials((0.0, 1.0), ((),))
+
+
+@pytest.mark.parametrize(
+    "masses, message",
+    [
+        ([1.0], "masses must match the partition size"),
+        ([[0.5, 0.5]], "masses must match the partition size"),
+        ([1.5, -0.5], "masses must be nonnegative"),
+        ([0.5, 0.6], "masses must sum to 1"),
+    ],
+)
+def test_fit_refuses_masses_that_are_not_a_distribution_over_the_cells(masses, message):
+    with pytest.raises(rb.UsageError, match=f"^{message}$"):
+        fit_piecewise(masses, rb.IntervalPartition((0.5,)), 1, 0, (0.0, 1.0))
+
+
+def test_a_piece_the_solver_cannot_fit_falls_back_to_the_constant(monkeypatch):
+    """No seeded fit reaches the fallback, so it is forced: a least-squares
+    step of NaN leaves an iterate that fails the mass check."""
+    part = rb.IntervalPartition(tuple(np.linspace(0.125, 0.875, 7)))
+    masses = np.array([0.05, 0.1, 0.2, 0.15, 0.1, 0.2, 0.15, 0.05])
+    assert not fit_piecewise(masses, part, 1, 2, (0.0, 1.0)).best_effort
+
+    def nan_lstsq(a, b, rcond=None):
+        return (np.full(a.shape[1], np.nan),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    phi = _local_cell_integrals(np.linspace(0.0, 1.0, 9), 3)
+    coef, fell_back = _solve_piece(phi, masses)
+    assert fell_back and coef.tolist() == [0.5, 0.0, 0.0]
+    res = fit_piecewise(masses, part, 1, 2, (0.0, 1.0))
+    assert isinstance(res, PiecewiseFitResult) and res.best_effort
+    assert res.density.coefficients == ((1.0, 0.0, 0.0),)
+    assert res.density.breakpoints == (0.0, 1.0)

@@ -12,7 +12,9 @@ import robust_batches as rb
 from robust_batches import cli
 from robust_batches.cli import main
 from robust_batches.estimate import fk_family_k
-from robust_batches.io import FileFormatError, read_batches, read_json, write_batches
+from robust_batches.io import (
+    FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
+)
 from robust_batches.simulate import SpikeAttack, parse_target
 
 LABELED_TARGET = "labeled:0,0.5,1|0.5,0.5|0.8,0.2"
@@ -462,6 +464,58 @@ def test_cli_unknown_flag_exits_2():
 
 def test_cli_selftest():
     assert main(["selftest", "--seed", "1"]) == 0
+
+
+def test_cli_selftest_fails_with_exit_1_when_a_suite_disagrees_with_its_oracle(monkeypatch, capsys):
+    everything = rb.KIntervalHypothesis(rb.IntervalUnion((rb.Interval(-math.inf, math.inf),)))
+    monkeypatch.setattr(cli, "fk_distance_brute", lambda p, q, k: -1.0)
+    monkeypatch.setattr(cli, "erm_k_intervals", lambda x, y, k: everything)
+    monkeypatch.setattr(cli, "lift_subset", lambda subset, part: rb.IntervalUnion())
+    assert main(["selftest", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        "FAIL fk distance vs exhaustive oracle",
+        "FAIL interval ERM vs exhaustive oracle",
+        "FAIL discretize/lift round trip",
+    ]
+
+
+def test_cli_an_unexpected_exception_is_an_internal_error_with_exit_1(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("a defect, not a usage error")
+
+    monkeypatch.setitem(cli._COMMANDS, "selftest", broken)
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: a defect, not a usage error\n"
+
+
+@pytest.mark.parametrize("encode", [canonical_json, csv_text])
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), [1.0, {"deep": (2.0, -math.inf)}]],
+)
+def test_reports_refuse_non_finite_numbers(encode, value):
+    with pytest.raises(rb.UsageError, match="^reports must not contain non-finite numbers$"):
+        encode({"a": 1.0, "z": value})
+
+
+def test_reports_encode_numpy_floats_and_tuples_as_python_floats_and_lists():
+    report = {"b": (1, np.float64(0.1)), "a": {"c": np.float64(-2.5e-300)}}
+    plain = {"b": [1, 0.1], "a": {"c": -2.5e-300}}
+    for encode in (canonical_json, csv_text):
+        assert encode(report) == encode(plain)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_refuses_a_non_finite_report_with_exit_2(tmp_path, monkeypatch, capsys, fmt):
+    batches, out = _unlabeled_file(tmp_path, m=60), tmp_path / "r.out"
+    monkeypatch.setattr(cli, "evaluate_density", lambda fit, target: math.nan)
+    assert main([
+        "estimate", "--input", str(batches), "--t", "2", "--d", "1", "--beta", "0.2",
+        "--seed", "1", "--target", "uniform:0,1", "--format", fmt, "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == "error: reports must not contain non-finite numbers\n"
+    assert not out.exists()
 
 
 def test_cli_reports_byte_identical_across_reruns(tmp_path):

@@ -385,3 +385,24 @@ def test_contains_holds_two_boolean_arrays_of_x():
     finally:
         tracemalloc.stop()
     assert peak < 2 * x.size + (64 << 10)  # one mask per interval held three
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: rb.Interval(np.nan, 1.0), rb.UsageError, "interval endpoints must not be NaN"),
+        (lambda: rb.Interval(0.0, np.nan), rb.UsageError, "interval endpoints must not be NaN"),
+        (lambda: rb.Interval(1.0, 0.0), rb.UsageError, r"empty interval \(1.0, 0.0\)"),
+        (lambda: rb.BinSubset.of(0, 2), rb.UsageError, "bin indices are 1-based"),
+        (lambda: rb.BinSubset.of(3).as_mask(2), rb.UsageError, "bin subset exceeds ell=2"),
+        (lambda: rb.choose_ell(0, 100, 0.2, 10), rb.DomainError, "k must be at least 1"),
+        (lambda: rb.choose_ell(1, 0, 0.2, 10), rb.DomainError, "n must be positive"),
+        (lambda: rb.build_partition(np.zeros((2, 2)), 1), rb.UsageError, "samples must be 1-d"),
+        (lambda: rb.build_partition(np.zeros(3), 0), rb.DomainError, "ell must be at least 1"),
+        (lambda: rb.lift_subset(rb.BinSubset.of(1, 3), rb.IntervalPartition((0.5,))),
+         rb.UsageError, "bin subset exceeds ell=2"),
+    ],
+)
+def test_partition_refusals_name_their_rule(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -511,3 +511,30 @@ def test_classification_target_risks():
     assert ct.risk_of(wrong) == pytest.approx(0.8)
     x, y = (rows[0] for rows in ct.sample((np.random.default_rng(0),), 30))
     assert x.shape == y.shape == (30,)
+
+
+_GM = GaussianMixtureTarget((1.0,), (0.0,), (1.0,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianMixtureTarget((0.5, 0.6), (0.0, 1.0), (1.0, 1.0)),
+         "mixture weights must be a probability vector"),
+        (lambda: GaussianMixtureTarget((1.5, -0.5), (0.0, 1.0), (1.0, 1.0)),
+         "mixture weights must be a probability vector"),
+        (lambda: GaussianMixtureTarget((1.0,), (0.0, 1.0), (1.0,)),
+         "weights, means, sds must have one length"),
+        (lambda: ClassificationTarget((0.0, 0.5, 1.0), (0.5, 0.5), (0.8,)),
+         "eta must give one probability per cell"),
+        (lambda: ClassificationTarget((0.0, 0.5, 1.0), (0.5, 0.5), (0.8, 1.2)),
+         "eta must give one probability per cell"),
+        (lambda: rb.build_collection(_GM, None, 10, 5, 0.5, 1),
+         r"beta must lie in \[0, 0.4\], got 0.5"),
+        (lambda: rb.build_collection(_GM, None, 0, 5, 0.2, 1), "m and n must be positive"),
+        (lambda: rb.build_collection(_GM, None, 10, 0, 0.2, 1), "m and n must be positive"),
+    ],
+)
+def test_simulate_refusals_name_their_rule(call, message):
+    with pytest.raises(rb.DomainError, match=f"^{message}$"):
+        call()

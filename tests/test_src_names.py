@@ -1,5 +1,6 @@
 """Every top-level name of the package's modules is used by the package:
-a definition that only tests reach belongs in ``tests/oracles.py``.
+a definition that only tests reach belongs in ``tests/oracles.py``.  And
+every name a module imports at its top level is read by that module.
 
 A reference is a name, an attribute or a ``from ... import`` in a module
 other than ``__init__.py``, outside the name's own definition; docstrings
@@ -52,6 +53,47 @@ def unreferenced_names(package: Path) -> list[str]:
         f"{module}.{name}" for module, name, own in definitions
         if not any(name in refs for i, refs in enumerate(references) if i != own)
     ]
+
+
+def _imported(stmt) -> list[str]:
+    """The names that one module statement binds by import (none for
+    ``from __future__``)."""
+    if isinstance(stmt, ast.Import):
+        return [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` for each name that a top-level import of a
+    non-``__init__`` module of ``package`` binds and that module never reads."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name}" for stmt in tree.body for name in _imported(stmt)
+            if name not in read
+        ]
+    return unused
+
+
+def test_every_src_import_is_read_by_its_module():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_unused_imports_finds_each_unread_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("import math\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nimport numpy as np\n"
+        "from .core import A, B as C\n\n"
+        "def f():\n    return np.zeros(A)\n"
+    )
+    assert unused_imports(tmp_path) == ["mod.math", "mod.os", "mod.C"]
 
 
 def test_every_src_name_is_used_by_src():
