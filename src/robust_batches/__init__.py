@@ -26,7 +26,7 @@ from .corruption import (
     median_prob,
 )
 from .detect import max_corruption_subset_heuristic
-from .distance import fk_distance, fk_distance_brute
+from .distance import fk_distance
 from .estimate import PiecewisePolynomial, evaluate_density, fit_piecewise
 from .partition import (
     BinSubset,
@@ -36,6 +36,5 @@ from .partition import (
     build_partition,
     choose_ell,
     discretize,
-    lift_subset,
 )
 from .simulate import build_collection, parse_attack, parse_target

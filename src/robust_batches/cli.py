@@ -1,9 +1,9 @@
-"""Command-line surface: simulate, clean, estimate, classify, eval, selftest.
+"""Command-line surface: simulate, clean, estimate, classify, eval.
 
-simulate, clean, estimate, classify and selftest draw randomness; they
-take --seed and are deterministic given it.  Each command takes only the
-flags it reads.  Reports embed the resolved configuration; the output
-format (--format) is excluded, so reruns stay byte-identical.
+simulate, clean, estimate and classify draw randomness; they take --seed
+and are deterministic given it.  Each command takes only the flags it
+reads.  Reports embed the resolved configuration; the output format
+(--format) is excluded, so reruns stay byte-identical.
 Exit codes: 0 success, 2 usage, file-format or file-system error, 1 runtime
 failure.
 """
@@ -14,24 +14,20 @@ import argparse
 import gc
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classify import KIntervalHypothesis, erm_k_intervals, risk, robust_classify
+from .classify import robust_classify
 from .clean import clean_pipeline, guidance_batches, prepare_cleaning, reference_fk
-from .core import (
-    BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError, per_batch_probs,
-)
+from .core import BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
-from .distance import fk_distance, fk_distance_brute, iter_k_run_subsets
 from .estimate import check_fit_shape, evaluate_density, fit_piecewise, fk_family_k
 from .io import (
     FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
 )
-from .partition import BinSubset, count_cells, cut_partition, discretize, lift_subset
+from .partition import BinSubset, count_cells, cut_partition
 from .simulate import ClassificationTarget, build_collection, parse_attack, parse_target
 
 
@@ -105,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", default=None, help="comma-separated 1-based bins for a corruption report")
     _add_report_out(p)
 
-    p = sub.add_parser("selftest", help="run the oracle-equivalence suites")
-    _add_seed(p)
     return parser
 
 
@@ -268,73 +262,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _selftest_fk(rng: np.random.Generator, rounds: int) -> bool:
-    for _ in range(rounds):
-        ell = int(rng.integers(1, 13))
-        k = int(rng.integers(1, 4))
-        p = rng.multinomial(64, np.full(ell, 1.0 / ell)) / 64.0
-        q = rng.multinomial(64, np.full(ell, 1.0 / ell)) / 64.0
-        if fk_distance(p, q, k) != fk_distance_brute(p, q, k):
-            return False
-    return True
-
-
-def _selftest_erm(rng: np.random.Generator, rounds: int) -> bool:
-    for _ in range(rounds):
-        s = int(rng.integers(2, 13))
-        k = int(rng.integers(1, 3))
-        x = np.sort(rng.random(s))
-        y = rng.integers(0, 2, s)
-        h = erm_k_intervals(x, y, k)
-        dp_loss = risk(h, x, y)
-        best = min(
-            risk(KIntervalHypothesis.of_runs(x, [(a - 1, b) for a, b in sub.runs()]), x, y)
-            for sub in iter_k_run_subsets(s, k)
-        )
-        if dp_loss != best:
-            return False
-    return True
-
-
-def _selftest_roundtrip(rng: np.random.Generator, rounds: int) -> bool:
-    for _ in range(rounds):
-        n, m = 40, 6
-        coll = BatchCollection(rng.standard_normal((m, n)), range(m))
-        part, disc = discretize(coll, 12)
-        members = frozenset(
-            int(j) + 1 for j in np.nonzero(rng.random(part.ell) < 0.5)[0]
-        )
-        subset = BinSubset(members)
-        region = lift_subset(subset, part)
-        if not np.array_equal(per_batch_probs(coll, region), per_batch_probs(disc, subset)):
-            return False
-    return True
-
-
-def _cmd_selftest(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    suites = [
-        ("fk distance vs exhaustive oracle", lambda: _selftest_fk(rng, 200)),
-        ("interval ERM vs exhaustive oracle", lambda: _selftest_erm(rng, 200)),
-        ("discretize/lift round trip", lambda: _selftest_roundtrip(rng, 40)),
-    ]
-    failed = 0
-    for name, fn in suites:
-        start = time.perf_counter()
-        ok = fn()
-        took = time.perf_counter() - start
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({took:.1f}s)")
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 1
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "clean": _cmd_clean,
     "estimate": _cmd_estimate,
     "classify": _cmd_classify,
     "eval": _cmd_eval,
-    "selftest": _cmd_selftest,
 }
 
 

@@ -269,11 +269,9 @@ class CorruptionParams:
 
 
 def per_batch_probs(sub, subset) -> np.ndarray:
-    """Empirical probability of ``subset`` under each batch, one entry per row.
-
-    Discretized collections pair with bin subsets (a sum of count columns),
-    raw collections with interval unions (each row's samples inside); mixing
-    representations is a usage error.  Each entry is a count divided by n.
+    """Empirical probability of the bin subset ``subset`` under each batch
+    of the discretized collection ``sub``, one entry per row: a sum of count
+    columns divided by n.  Any other collection or subset is a usage error.
     """
     if isinstance(sub, DiscretizedCollection):
         if not hasattr(subset, "members"):
@@ -282,8 +280,4 @@ def per_batch_probs(sub, subset) -> np.ndarray:
         if idx.size and idx.max() >= sub.ell:
             raise UsageError("bin subset exceeds the collection's bin count")
         return sub.counts[:, idx].sum(axis=1) / sub.n
-    if isinstance(sub, BatchCollection):
-        if not hasattr(subset, "contains"):
-            raise UsageError("raw collections require an interval-union subset")
-        return np.count_nonzero(subset.contains(sub.samples), axis=1) / sub.n
     raise UsageError(f"unsupported collection type {type(sub).__name__}")

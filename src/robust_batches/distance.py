@@ -6,22 +6,18 @@ finds the best union of at most k runs of a signed vector: k running-
 maximum passes over its prefix sums, O(ell*k) time in three reused rows.
 Each caller keeps what it reads: F_k the last entry of each layer on
 d = p - q and on -d, and interval ERM (``classify``) two boolean masks per
-layer over the label-count differences.  A combinatorial enumeration
-doubles as a test oracle.
+layer over the label-count differences.
 
-Every run's sum is a difference of prefix sums, as in the enumeration
-oracle, so on inputs whose entries are exactly representable (e.g. dyadic
-rationals) the two agree bit-for-bit.
+Every run's sum is a difference of prefix sums, so on inputs whose
+entries are exactly representable (e.g. dyadic rationals) F_k agrees
+bit-for-bit with an enumeration of every union.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .core import DomainError, UsageError
-from .partition import BinSubset
+from .core import DomainError
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -80,47 +76,3 @@ def fk_distance(p, q, k: int) -> float:
     p, q = _check_pair(p, q)
     d = p - q
     return max(_best_union_sum(d, k), _best_union_sum(-d, k))
-
-
-@lru_cache(maxsize=256)
-def _k_run_unions(ell: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All unions of at most k runs in [ell], as tuples of 1-based (a, b) runs."""
-    unions: list[tuple[tuple[int, int], ...]] = [()]
-
-    def extend(prefix: tuple[tuple[int, int], ...], start: int, left: int) -> None:
-        if left == 0:
-            return
-        for a in range(start, ell + 1):
-            for b in range(a, ell + 1):
-                cur = prefix + ((a, b),)
-                unions.append(cur)
-                extend(cur, b + 2, left - 1)
-
-    extend((), 1, k)
-    return tuple(unions)
-
-
-def iter_k_run_subsets(ell: int, k: int):
-    """Yield every subset of [ell] with at most k runs as a BinSubset."""
-    for runs in _k_run_unions(ell, k):
-        members = frozenset(i for a, b in runs for i in range(a, b + 1))
-        yield BinSubset(members)
-
-
-def fk_distance_brute(p, q, k: int) -> float:
-    """Exhaustive oracle for :func:`fk_distance`; refuses ell > 20."""
-    p, q = _check_pair(p, q)
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    ell = p.size
-    if ell > 20:
-        raise UsageError("brute-force distance refused for ell > 20")
-    d = p - q
-    prefix = np.concatenate(([0.0], np.cumsum(d)))
-    best = 0.0
-    for runs in _k_run_unions(ell, min(k, (ell + 1) // 2)):
-        v = 0.0
-        for a, b in runs:
-            v += prefix[b] - prefix[a - 1]
-        best = max(best, abs(v))
-    return float(best)

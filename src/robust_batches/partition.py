@@ -6,7 +6,6 @@ points.  Cells are left-open/right-closed: (-inf, c1], (c1, c2], ...,
 (c_{ell-1}, inf).  :func:`discretize` cuts it from one sort of a
 collection's pooled samples and counts every batch in it; a labeled
 collection gets one partition per label slice, their cells side by side.
-Bin subsets D of [ell] lift back to unions of at most |D| real intervals.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ class Interval:
             object.__setattr__(self, "lo_closed", False)
         if math.isinf(self.hi) and self.hi_closed:
             object.__setattr__(self, "hi_closed", False)
-
-    def contains(self, x) -> np.ndarray:
-        return IntervalUnion((self,)).contains(x)
 
 
 @dataclass(frozen=True)
@@ -98,11 +94,6 @@ class BinSubset:
     @classmethod
     def of(cls, *indices: int) -> "BinSubset":
         return cls(frozenset(indices))
-
-    @classmethod
-    def from_mask(cls, mask) -> "BinSubset":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(frozenset(int(i) + 1 for i in np.nonzero(mask)[0]))
 
     def indices0(self) -> np.ndarray:
         """Sorted 0-based index array."""
@@ -293,16 +284,3 @@ def discretize(collection, ell: int) -> tuple:
     :func:`count_cells` in it."""
     partition = cut_partition(collection, ell)
     return partition, count_cells(partition, collection)
-
-
-def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:
-    """The real-line union of the cells named by ``subset``, runs merged."""
-    ell = partition.ell
-    if subset.members and max(subset.members) > ell:
-        raise UsageError(f"bin subset exceeds ell={ell}")
-    intervals = []
-    for a, b in subset.runs():
-        lo = -math.inf if a == 1 else partition.boundaries[a - 2]
-        hi = math.inf if b == ell else partition.boundaries[b - 1]
-        intervals.append(Interval(lo, hi, lo_closed=False))
-    return IntervalUnion(tuple(intervals))

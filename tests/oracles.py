@@ -3,8 +3,10 @@
 Nothing in ``robust_batches`` calls them: the scalar corruption score,
 the concentration-property checks of good-only collections (which need
 truth flags and true bin masses, so only simulation has them), the
-exhaustive detector and the total-variation distance.  The oracles that
-the ``selftest`` command runs stay in the package.
+exhaustive detector, the total-variation distance, the exhaustive F_k
+distance and its enumeration of every union of at most k runs, and the
+lift of bin subsets to real intervals with the raw per-batch count that
+the discretization round trip compares against.
 
 Test modules import this one as ``oracles``: pytest puts ``tests/`` on
 the import path.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +32,9 @@ from robust_batches.core import (
 from robust_batches.corruption import corruption_scores
 from robust_batches.detect import _candidate_scores
 from robust_batches.distance import _check_pair
-from robust_batches.partition import EMPTY_SUBSET, BinSubset
+from robust_batches.partition import (
+    EMPTY_SUBSET, BinSubset, Interval, IntervalPartition, IntervalUnion,
+)
 
 
 def binomial_variance(r: float, n: int) -> float:
@@ -166,3 +171,67 @@ def tv_distance(p, q) -> float:
     """Total-variation distance, half the L1 distance."""
     p, q = _check_pair(p, q)
     return 0.5 * float(np.abs(p - q).sum())
+
+
+@lru_cache(maxsize=256)
+def _k_run_unions(ell: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All unions of at most k runs in [ell], as tuples of 1-based (a, b) runs."""
+    unions: list[tuple[tuple[int, int], ...]] = [()]
+
+    def extend(prefix: tuple[tuple[int, int], ...], start: int, left: int) -> None:
+        if left == 0:
+            return
+        for a in range(start, ell + 1):
+            for b in range(a, ell + 1):
+                cur = prefix + ((a, b),)
+                unions.append(cur)
+                extend(cur, b + 2, left - 1)
+
+    extend((), 1, k)
+    return tuple(unions)
+
+
+def iter_k_run_subsets(ell: int, k: int):
+    """Yield every subset of [ell] with at most k runs as a BinSubset."""
+    for runs in _k_run_unions(ell, k):
+        members = frozenset(i for a, b in runs for i in range(a, b + 1))
+        yield BinSubset(members)
+
+
+def fk_distance_brute(p, q, k: int) -> float:
+    """Exhaustive oracle for :func:`fk_distance`; refuses ell > 20."""
+    p, q = _check_pair(p, q)
+    if k < 1:
+        raise DomainError("k must be at least 1")
+    ell = p.size
+    if ell > 20:
+        raise UsageError("brute-force distance refused for ell > 20")
+    d = p - q
+    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    best = 0.0
+    for runs in _k_run_unions(ell, min(k, (ell + 1) // 2)):
+        v = 0.0
+        for a, b in runs:
+            v += prefix[b] - prefix[a - 1]
+        best = max(best, abs(v))
+    return float(best)
+
+
+def lift_subset(subset: BinSubset, partition: IntervalPartition) -> IntervalUnion:
+    """The real-line union of the cells named by ``subset``, runs merged."""
+    ell = partition.ell
+    if subset.members and max(subset.members) > ell:
+        raise UsageError(f"bin subset exceeds ell={ell}")
+    intervals = []
+    for a, b in subset.runs():
+        lo = -math.inf if a == 1 else partition.boundaries[a - 2]
+        hi = math.inf if b == ell else partition.boundaries[b - 1]
+        intervals.append(Interval(lo, hi, lo_closed=False))
+    return IntervalUnion(tuple(intervals))
+
+
+def raw_batch_probs(coll, region: IntervalUnion) -> np.ndarray:
+    """Empirical probability of ``region`` under each batch of the raw
+    collection ``coll``: the count of each row's samples inside, over n.
+    The raw-sample reference for :func:`per_batch_probs`."""
+    return np.count_nonzero(region.contains(coll.samples), axis=1) / coll.n

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import robust_batches as rb
 from robust_batches import classify
 from robust_batches.classify import _count_dtype, _group_by_position
-from robust_batches.distance import iter_k_run_subsets
 from robust_batches.partition import Interval, IntervalUnion
 from robust_batches.simulate import ClassificationTarget, LabelFlipAttack
+from oracles import iter_k_run_subsets
 
 
 def hyp(*pairs):

@@ -184,7 +184,7 @@ def _mask_matmul_heuristic(sub, params, budget=4096):
         best_score, best_mask = float(single[j]), np.eye(ell)[j]
     if best_mask is None or best_score <= 0.0:
         return rb.BinSubset(frozenset()), 0.0
-    return rb.BinSubset.from_mask(best_mask), best_score
+    return rb.BinSubset(frozenset(int(i) + 1 for i in np.flatnonzero(best_mask))), best_score
 
 
 def _equivalence_cases(rng):

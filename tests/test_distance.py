@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robust_batches as rb
-from robust_batches.distance import _k_run_unions, iter_k_run_subsets, union_layers
-from oracles import tv_distance
+from robust_batches.distance import union_layers
+from oracles import _k_run_unions, fk_distance_brute, iter_k_run_subsets, tv_distance
 
 
 def stacked_tables(d, k):
@@ -62,7 +62,7 @@ def test_fk_matches_brute_on_dyadic_grid():
         ell = int(rng.integers(1, 13))
         k = int(rng.integers(1, 4))
         p, q = dyadic_pair(rng, ell)
-        assert rb.fk_distance(p, q, k) == rb.fk_distance_brute(p, q, k)
+        assert rb.fk_distance(p, q, k) == fk_distance_brute(p, q, k)
         assert rb.fk_distance(p, q, k) == rb.fk_distance(q, p, k)
     # off the grid the kernel and the oracle add in different orders
     rng = np.random.default_rng(22)
@@ -70,7 +70,7 @@ def test_fk_matches_brute_on_dyadic_grid():
         ell = int(rng.integers(1, 13))
         k = int(rng.integers(1, 4))
         p, q = rng.dirichlet(np.ones(ell)), rng.dirichlet(np.ones(ell))
-        assert abs(rb.fk_distance(p, q, k) - rb.fk_distance_brute(p, q, k)) <= 1e-12
+        assert abs(rb.fk_distance(p, q, k) - fk_distance_brute(p, q, k)) <= 1e-12
 
 
 def test_fk_monotone_in_k_and_caps_at_tv():
@@ -111,7 +111,7 @@ def test_fk_is_a_metric():
 def test_fk_brute_equivalence_property(ell, k, seed):
     rng = np.random.default_rng(seed)
     p, q = dyadic_pair(rng, ell)
-    assert rb.fk_distance(p, q, k) == rb.fk_distance_brute(p, q, k)
+    assert rb.fk_distance(p, q, k) == fk_distance_brute(p, q, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,7 +124,7 @@ def test_union_tables_clamp_huge_k(ell, seed):
     tight = (ell + 1) // 2
     for a, b in zip(stacked_tables(p - q, 10**12), stacked_tables(p - q, tight)):
         assert np.array_equal(a, b)
-    assert rb.fk_distance(p, q, 10**12) == rb.fk_distance_brute(p, q, tight)
+    assert rb.fk_distance(p, q, 10**12) == fk_distance_brute(p, q, tight)
 
 
 def bitwise_equal(a, b):
@@ -174,14 +174,14 @@ def test_union_layers_refuse_k_below_one():
 def test_brute_refuses_large_domains():
     p = np.full(21, 1.0 / 21)
     with pytest.raises(rb.UsageError):
-        rb.fk_distance_brute(p, p, 2)
+        fk_distance_brute(p, p, 2)
 
 
 def test_brute_trivial_cases():
-    assert rb.fk_distance_brute([1.0], [1.0], 1) == 0.0
+    assert fk_distance_brute([1.0], [1.0], 1) == 0.0
     p = np.array([0.25, 0.25, 0.25, 0.25])
     q = np.array([0.5, 0.0, 0.25, 0.25])
-    assert rb.fk_distance_brute(p, q, 2) == tv_distance(p, q)
+    assert fk_distance_brute(p, q, 2) == tv_distance(p, q)
 
 
 def test_iter_k_run_subsets_counts():
@@ -206,7 +206,7 @@ def test_tv_distance_examples():
         (lambda: rb.fk_distance([1.5, -0.5], [0.5, 0.5], 1), "p has negative entries"),
         (lambda: rb.fk_distance([0.5, 0.5], [-0.5, 1.5], 1), "q has negative entries"),
         (lambda: rb.fk_distance([1.0], [0.5, 0.5], 1), "p and q must have the same length"),
-        (lambda: rb.fk_distance_brute([0.5, 0.5], [0.5, 0.5], 0), "k must be at least 1"),
+        (lambda: fk_distance_brute([0.5, 0.5], [0.5, 0.5], 0), "k must be at least 1"),
     ],
 )
 def test_distance_refusals_name_their_rule(call, message):

@@ -462,30 +462,12 @@ def test_cli_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_selftest():
-    assert main(["selftest", "--seed", "1"]) == 0
-
-
-def test_cli_selftest_fails_with_exit_1_when_a_suite_disagrees_with_its_oracle(monkeypatch, capsys):
-    everything = rb.KIntervalHypothesis(rb.IntervalUnion((rb.Interval(-math.inf, math.inf),)))
-    monkeypatch.setattr(cli, "fk_distance_brute", lambda p, q, k: -1.0)
-    monkeypatch.setattr(cli, "erm_k_intervals", lambda x, y, k: everything)
-    monkeypatch.setattr(cli, "lift_subset", lambda subset, part: rb.IntervalUnion())
-    assert main(["selftest", "--seed", "1"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" (")[0] for line in lines] == [
-        "FAIL fk distance vs exhaustive oracle",
-        "FAIL interval ERM vs exhaustive oracle",
-        "FAIL discretize/lift round trip",
-    ]
-
-
 def test_cli_an_unexpected_exception_is_an_internal_error_with_exit_1(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("a defect, not a usage error")
 
-    monkeypatch.setitem(cli._COMMANDS, "selftest", broken)
-    assert main(["selftest"]) == 1
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    assert main(["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0"]) == 1
     assert capsys.readouterr().err == "internal error: RuntimeError: a defect, not a usage error\n"
 
 
@@ -1093,8 +1075,7 @@ def test_cli_simulate_refuses_attacks_on_no_good_batch(tmp_path, capsys, attack)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest", "--out", "r.json"],
-        ["selftest", "--format", "csv"],
+        ["selftest"],
         ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
          "--out", "s.csv", "--format", "csv"],
         ["eval", "--input", "b.jsonl", "--report", "r.json", "--seed", "1"],
@@ -1112,7 +1093,6 @@ def test_cli_offers_flags_only_where_read(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["selftest"],
         ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
          "--out", "s.jsonl"],
         ["clean", "--input", "b.jsonl", "--k", "1", "--beta", "0"],

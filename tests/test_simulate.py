@@ -7,7 +7,6 @@ import pytest
 import robust_batches as rb
 from robust_batches.clean import clean_pipeline
 from robust_batches.cli import main
-from robust_batches.distance import _k_run_unions
 from robust_batches.simulate import (
     ClassificationTarget,
     FkTargetedAttack,
@@ -24,7 +23,7 @@ from robust_batches.simulate import (
     parse_attack,
     parse_target,
 )
-from oracles import check_properties
+from oracles import _k_run_unions, check_properties, lift_subset
 
 
 def test_build_collection_counts():
@@ -150,7 +149,7 @@ def test_fk_targeted_region_is_the_witness_for_every_mass_and_k():
         part = rb.build_partition(pool, min(64, pool.size))
         lo, hi, _, _ = _fk_attack_plan(SimContext(target, 0.2, rows.shape[1], rows / 4.0))
         c = part.ell // 3 + 1
-        (cell,) = rb.lift_subset(rb.BinSubset.of(c), part).intervals
+        (cell,) = lift_subset(rb.BinSubset.of(c), part).intervals
         assert (lo, hi) == (cell.lo, cell.hi)
         counts = np.bincount(part.bin_of(pool), minlength=part.ell)
         assert (counts[:-1] > 0).all()

@@ -101,6 +101,6 @@ def test_every_src_name_is_used_by_src():
 
 
 def test_test_oracles_are_not_exported():
-    oracles = ("binomial_variance", "check_properties", "corruption_batch",
-               "max_corruption_subset_brute", "tv_distance")
+    oracles = ("binomial_variance", "check_properties", "corruption_batch", "fk_distance_brute",
+               "iter_k_run_subsets", "lift_subset", "max_corruption_subset_brute", "tv_distance")
     assert [name for name in oracles if hasattr(rb, name)] == []
