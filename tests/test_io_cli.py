@@ -462,12 +462,23 @@ def test_cli_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_an_unexpected_exception_is_an_internal_error_with_exit_1(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0"],
+        ["clean", "--input", "b.jsonl", "--k", "1", "--beta", "0"],
+        ["estimate", "--input", "b.jsonl", "--t", "1", "--d", "0", "--beta", "0"],
+        ["classify", "--input", "b.jsonl", "--k", "1", "--beta", "0"],
+        ["eval", "--input", "b.jsonl", "--report", "r.json"],
+    ],
+)
+def test_cli_an_unexpected_exception_is_an_internal_error_with_exit_1(monkeypatch, capsys, argv):
     def broken(args):
         raise RuntimeError("a defect, not a usage error")
 
-    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
-    assert main(["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0"]) == 1
+    assert set(cli._COMMANDS) == {"simulate", "clean", "estimate", "classify", "eval"}
+    monkeypatch.setitem(cli._COMMANDS, argv[0], broken)
+    assert main(argv) == 1
     assert capsys.readouterr().err == "internal error: RuntimeError: a defect, not a usage error\n"
 
 
@@ -1096,13 +1107,16 @@ def test_cli_offers_flags_only_where_read(tmp_path, monkeypatch, argv):
         ["simulate", "--target", "uniform:0,1", "--m", "4", "--n", "5", "--beta", "0",
          "--out", "s.jsonl"],
         ["clean", "--input", "b.jsonl", "--k", "1", "--beta", "0"],
+        ["estimate", "--input", "b.jsonl", "--t", "1", "--d", "0", "--beta", "0"],
+        ["classify", "--input", "b.jsonl", "--k", "1", "--beta", "0"],
     ],
 )
-def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, argv):
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--seed", "-1"])
     assert exc.value.code == 2
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
