@@ -24,9 +24,7 @@ from .clean import clean_pipeline, guidance_batches, prepare_cleaning, reference
 from .core import BETA_MAX, BatchCollection, DomainError, LabeledCollection, UsageError
 from .corruption import STOP_FACTOR, TRIGGER_FACTOR, corruption_collection
 from .estimate import check_fit_shape, evaluate_density, fit_piecewise, fk_family_k
-from .io import (
-    FileFormatError, canonical_json, csv_text, read_batches, read_json, write_batches,
-)
+from .io import canonical_json, csv_text, read_batches, read_json, write_batches
 from .partition import BinSubset, count_cells, cut_partition
 from .simulate import ClassificationTarget, build_collection, parse_attack, parse_target
 
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError, FileFormatError, OSError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

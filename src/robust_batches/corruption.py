@@ -83,7 +83,7 @@ def corruption_collection(sub, subset, params: CorruptionParams) -> CorruptionRe
     scores = corruption_scores(mu, params.tau, med)
     per_batch = {int(i): float(s) for i, s in zip(sub.ids, scores)}
     return CorruptionReport(
-        subset=frozenset(getattr(subset, "members", frozenset())),
+        subset=subset.members,
         median=med,
         per_batch_scores=per_batch,
         total=float(scores.sum()),

@@ -419,7 +419,7 @@ def parse_target(spec: str):
                 tuple(float(v) for v in masses_s.split(",")),
                 tuple(float(v) for v in eta_s.split(",")),
             )
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:
         raise UsageError(f"cannot parse target {spec!r}: {exc}") from exc
     raise UsageError(f"unknown target kind {kind!r}")
 
@@ -463,6 +463,6 @@ def parse_attack(spec: str):
             return ReplaySkewAttack(mag, _region(param))
         if kind == "label_flip":
             return LabelFlipAttack(mag, _region(param))
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:
         raise UsageError(f"cannot parse attack {spec!r}: {exc}") from exc
     raise UsageError(f"unknown attack kind {kind!r}")

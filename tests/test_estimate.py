@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -255,7 +256,17 @@ def test_evaluate_density_matches_reference_on_recorded_fits(
 def test_fit_piecewise_never_raises_on_valid_masses():
     """Seeded random fits at d = 1..8, a third of the cells empty: each one
     returns a density whose every piece is the solver's own fit, kept in
-    the piece's coordinate s, so none falls back to the constant piece."""
+    the piece's coordinate s, so none falls back to the constant piece.
+    Then, on the same stream, the degree-8 checks that once ran as a CI
+    step of their own.  The breakpoint DP streams its segment costs a block
+    of right ends at a time and integrates the cells a block at a time, so
+    one t=3, d=8 fit on 4,800 cells may take 2.0 MiB of heap (1.72
+    measured, plus a sixth; node powers over all cells took 2.72, the full
+    matrix of 32,640 9x9 systems 48.0; a fresh stream's draw peaks at 1.88,
+    so the draws must stay in this order).  Then 352 fits on supports that
+    cut the partition may not fall back either, and the whole test finishes
+    within 60 s."""
+    start = time.perf_counter()
     rng = np.random.default_rng(0)
     fits = 0
     for _ in range(400):
@@ -274,6 +285,42 @@ def test_fit_piecewise_never_raises_on_valid_masses():
         assert not res.best_effort
         fits += 1
     assert fits == 348
+
+    ell = 4800
+    part = rb.IntervalPartition(tuple(np.sort(rng.uniform(0.0, 1.0, ell - 1))))
+    masses = rng.dirichlet(np.ones(ell))
+    tracemalloc.start()
+    try:
+        fit_piecewise(masses, part, 3, 8, (-0.01, 1.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2**20
+
+    # supports that cut the partition: each end on a boundary or inside a
+    # cell, every cell wholly outside empty, so the fitter groups the cells
+    # that clip to zero width into the cells at the ends
+    fits = 0
+    for _ in range(400):
+        ell = int(rng.integers(5, 120))
+        d = int(rng.integers(1, 9))
+        t = int(rng.integers(1, 4))
+        bnd = np.sort(rng.uniform(0.0, 1.0, ell - 1))
+        edges = np.array([-np.inf, *bnd, np.inf])
+        a, b = np.sort(rng.choice(ell - 1, 2, replace=False))
+        lo = bnd[a] - rng.choice([0.0, 0.5]) * (bnd[a] - edges[a].clip(-0.01))
+        hi = bnd[b] + rng.choice([0.0, 0.5]) * (edges[b + 2].clip(None, 1.01) - bnd[b])
+        masses = rng.dirichlet(np.ones(ell))
+        masses[rng.permutation(ell)[: ell // 3]] = 0.0
+        masses[(edges[1:] < lo) | (edges[:-1] >= hi)] = 0.0
+        if 2 * t * d > ell or not masses.any():
+            continue
+        part = rb.IntervalPartition(tuple(bnd))
+        res = fit_piecewise(masses / masses.sum(), part, t, d, (lo, hi))
+        assert not res.best_effort
+        fits += 1
+    assert fits == 352
+    assert time.perf_counter() - start < 60
 
 
 def _segment_cost_matrix(cand, pg, pb, pww):
