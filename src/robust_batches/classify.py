@@ -187,13 +187,16 @@ def robust_classify(
     per-label product domain of :func:`partition.cut_partition`, then run
     ERM on the surviving samples.  ``reference`` (simulation mode) must
     expose ``risk_of(hypothesis)`` and ``optimal_risk()`` for the
-    excess-risk entries of the report.
+    excess-risk entries of the report.  Only the retained samples and the
+    cleaning report outlive the cleaning: its count tables are freed before
+    ERM allocates.
     """
     result = clean_pipeline(collection, k, beta, rng, trigger_factor, stop_factor)
-    x, y = result.retained.pooled()
+    (x, y), report = result.retained.pooled(), result.report
+    del result
     hypothesis = erm_k_intervals(x, y, k)
     risk_target = excess = None
     if reference is not None:
         risk_target = float(reference.risk_of(hypothesis))
         excess = risk_target - float(reference.optimal_risk())
-    return hypothesis, ClassifyReport(result.report, risk(hypothesis, x, y), risk_target, excess)
+    return hypothesis, ClassifyReport(report, risk(hypothesis, x, y), risk_target, excess)

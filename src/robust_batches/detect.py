@@ -24,10 +24,15 @@ and products are float32 when n allows enough exact rows per block.
 A row's median and total score follow from its histogram over the table's
 occupied value range, each value scored once by
 :func:`corruption.corruption_scores`; every term is a multiple of 1/4, so
-totals are exact.  A table whose range is wider than the batch count is
-scored batch by batch against its partition median.  Tie rule: among the
-candidates with the largest score, if it is positive, the one with the
-smallest :meth:`BinSubset.bitmask` wins; only the final ties become subsets.
+totals are exact.  The histogram is counted from int64 keys written into
+the workspace's block storage, which both families use while the Gram
+build does not: a slab of as many batches as the storage holds for the
+chunk's rows at a time (1,024 batches of 64 rows in the 65,536 slots of
+n <= 181), so no key table grows with m.  A table whose range is wider
+than the batch count is scored batch by batch against its partition
+median.  Tie rule: among the candidates with the largest score, if it is
+positive, the one with the smallest :meth:`BinSubset.bitmask` wins; only
+the final ties become subsets.
 """
 
 from __future__ import annotations
@@ -48,11 +53,17 @@ _FLOAT32_EXACT = 1 << 24  # every integer up to this is a float32
 _FLOAT32_MIN_ROWS = 128  # float32 blocks of fewer rows build the Gram matrix slower than float64
 
 
-def _middle_order_stats(table: np.ndarray):
+def _middle_order_stats(table: np.ndarray, keys: np.ndarray | None = None):
     """(lo, hi, base, hist) for an integer table, one column per batch:
     each row's two middle order statistics lo <= hi as int64, and hist[c, j],
     the number of batches where row c holds base + j.  When the occupied range
     is wider than the batch count, rows are partitioned and hist is None.
+
+    hist counts int64 keys j + width*c, for row c holding base + j, written
+    into ``keys``, flat int64 storage (a fresh array of the table's size if
+    None), one slab of floor(keys.size / rows) batches at a time, in the
+    table's memory order; each slab's bincount is added into hist, so any
+    slab size gives the same counts.
     """
     nc, m = table.shape
     base = int(table.min())
@@ -61,22 +72,35 @@ def _middle_order_stats(table: np.ndarray):
         part = np.partition(table, ((m - 1) // 2, m // 2), axis=1)
         lo, hi = (part[:, k].astype(np.int64) for k in ((m - 1) // 2, m // 2))
         return lo, hi, base, None
-    keys = np.add(table, (width * np.arange(nc) - base)[:, None])
-    hist = np.bincount(keys.ravel(order="K"), minlength=nc * width).reshape(nc, width)
+    if keys is None:
+        keys = np.empty(table.size, dtype=np.int64)
+    step = keys.size // nc
+    # keys follow the table's memory order: F for a view of the count table's columns
+    order = "F" if table.strides[0] < table.strides[1] else "C"
+    shift = (width * np.arange(nc) - base)[:, None]
+    hist = np.zeros(nc * width, dtype=np.int64)
+    for i in range(0, m, step):
+        slab = table[:, i : i + step]
+        out = np.add(slab, shift, out=keys[: slab.size].reshape(slab.shape, order=order))
+        hist += np.bincount(out.ravel(order="K"), minlength=nc * width)
+    hist = hist.reshape(nc, width)
     cum = hist.cumsum(axis=1)
     return base + (cum <= (m - 1) // 2).sum(axis=1), base + (cum <= m // 2).sum(axis=1), base, hist
 
 
-def _candidate_scores(table: np.ndarray, n: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_scores(
+    table: np.ndarray, n: int, tau: float, keys: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Twice the median (lo + hi, int64) and the total corruption score of
-    each candidate, given one row of per-batch subset counts per candidate.
+    each candidate, given one row of per-batch subset counts per candidate;
+    ``keys`` is the median pass's key storage (see :func:`_middle_order_stats`).
 
     Scored in count units, where deviations from the median are exact
     half-integers and their squares sum exactly, and divided by n^2 last, so
     every tie is exact: a subset ties with its complement and with itself in
     any table.
     """
-    lo, hi, base, hist = _middle_order_stats(table)
+    lo, hi, base, hist = _middle_order_stats(table, keys)
     twice = lo + hi
     med = (twice / 2)[:, None]
     if hist is None:
@@ -100,7 +124,10 @@ class GramWorkspace:
     within 2**24, in any summation order.  Where that cap is below
     _FLOAT32_MIN_ROWS (n > 181), they are float64.  The block storage is
     float64 and holds at least one row of q float64 values, for the m x m
-    side's back-map.
+    side's back-map.  Outside the Gram build it holds the median pass's
+    int64 keys (:meth:`keys`), at least one batch for each of a chunk's
+    rows, so at m = 2*10^4, ell = 200 one detection call peaks at 3.7 MiB
+    of heap, not at the 12.4 MiB that a 64 x m key table per chunk took.
     """
 
     def __init__(self, m: int, ell: int, n: int) -> None:
@@ -109,7 +136,7 @@ class GramWorkspace:
         self.dtype = np.dtype(np.float32 if self.cap >= _FLOAT32_MIN_ROWS else np.float64)
         values = min(max(_GRAM_BLOCK, q), p * q)
         self._gram = np.empty(q * q)
-        self._block = np.empty(max(-(-values * self.dtype.itemsize // 8), q))
+        self._block = np.empty(max(-(-values * self.dtype.itemsize // 8), q, min(ell, _CHUNK)))
         self._tile = np.empty(min(_GRAM_TILE, q) * q, self.dtype)
 
     def gram(self, q: int) -> np.ndarray:
@@ -125,6 +152,10 @@ class GramWorkspace:
 
     def block(self, rows: int, q: int, dtype: np.dtype) -> np.ndarray:
         return self._block.view(dtype)[: rows * q].reshape(rows, q)
+
+    def keys(self) -> np.ndarray:
+        """The block storage as flat int64 slots, for the median pass's key slabs."""
+        return self._block.view(np.int64)
 
     def tile(self, rows: int, cols: int) -> np.ndarray:
         return self._tile[: rows * cols].reshape(rows, cols)
@@ -252,12 +283,18 @@ def _candidate_tables(counts: np.ndarray, n: int, tau: float, workspace: GramWor
     candidates, as (totals, bins_of), bins_of(c) being the 1-based bins of
     candidate c, or of its complement for a threshold set that holds the
     last bin.  Singletons come first; their twice-medians centre v.
-    Subset counts are summed in the dtype of ``counts``, which holds n."""
+    Subset counts are summed in the dtype of ``counts``, which holds n.
+    Both families write their median keys into the block storage of
+    ``workspace`` (a fresh one if None), which the Gram build uses only
+    between them."""
     m, ell = counts.shape
+    if workspace is None:
+        workspace = GramWorkspace(m, ell, n)
+    keys = workspace.keys()
     bins = counts.T  # one row per bin: a view, the table is never copied
     a = np.empty(ell, dtype=np.int64)
     for j in range(0, ell, _CHUNK):
-        a[j : j + _CHUNK], totals = _candidate_scores(bins[j : j + _CHUNK], n, tau)
+        a[j : j + _CHUNK], totals = _candidate_scores(bins[j : j + _CHUNK], n, tau, keys)
         yield totals, lambda c, j=j: (j + c + 1,)
     order, depth = _threshold_depths(_leading_eigvec(counts, n, a, workspace))
     last = int(np.flatnonzero(order == ell - 1)[0])  # order[:d] holds the last bin iff d > last
@@ -268,7 +305,7 @@ def _candidate_tables(counts: np.ndarray, n: int, tau: float, workspace: GramWor
         running = block[-1]
         cut = depth[(depth > start) & (depth <= start + _CHUNK)]
         if cut.size:
-            totals = _candidate_scores(block[cut - start - 1], n, tau)[1]
+            totals = _candidate_scores(block[cut - start - 1], n, tau, keys)[1]
             yield totals, lambda c, d=cut: (order[: d[c]] if d[c] <= last else order[d[c] :]) + 1
 
 
@@ -279,9 +316,9 @@ def max_corruption_subset_heuristic(
 
     Candidates are all singletons and eigenvector threshold sets, each
     standing for its complement, at most _CANDIDATE_CAP picks of them over
-    both signs (see the module docstring).  The Gram matrix is built in
-    ``workspace``, which a cleaning run allocates once for all its rounds;
-    without one, the call allocates its own.
+    both signs (see the module docstring).  The Gram matrix and the median
+    pass's keys are built in ``workspace``, which a cleaning run allocates
+    once for all its rounds; without one, the call allocates its own.
     """
     best_score, tied = 0.0, []
     for totals, bins_of in _candidate_tables(sub.counts, sub.n, params.tau, workspace):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -516,6 +517,30 @@ def test_robust_classify_label_flip_recovers():
     )
     assert naive > 0.1
     assert report.excess_risk <= 0.5 * naive
+
+
+def test_robust_classify_frees_the_cleaning_count_tables_before_erm(monkeypatch):
+    """Only the retained samples and the cleaning report outlive the
+    cleaning: its count tables, before and after deletion, are freed by the
+    time ERM runs."""
+    target = ClassificationTarget((0.0, 0.5, 1.0), (0.5, 0.5), (0.8, 0.2))
+    coll = rb.build_collection(target, LabelFlipAttack(1.0, (0.0, 0.25)), 200, 100, 0.2, 3)
+    tables, alive, pipeline, erm = [], [], classify.clean_pipeline, classify.erm_k_intervals
+
+    def cleaning(*args):
+        result = pipeline(*args)
+        tables.extend(weakref.ref(t.counts) for t in (result.discretized, result.cleaned))
+        return result
+
+    def fitting(x, y, k):
+        alive.extend(table() is not None for table in tables)
+        return erm(x, y, k)
+
+    monkeypatch.setattr(classify, "clean_pipeline", cleaning)
+    monkeypatch.setattr(classify, "erm_k_intervals", fitting)
+    report = rb.robust_classify(coll, 2, 0.2, np.random.default_rng(3), 5, 4)[1]
+    assert report.cleaning.rounds >= 1
+    assert alive == [False, False]
 
 
 def test_robust_classify_shares_the_cleaning_checks():

@@ -300,9 +300,9 @@ def test_singletons_are_scored_once_from_views_of_the_count_table(monkeypatch):
     coll = rb.DiscretizedCollection(good_counts(rng, m, n, ell).astype(np.uint8), tuple(range(m)), n)
     seen, middle = [], detect._middle_order_stats
 
-    def recording(table):
+    def recording(table, keys=None):
         seen.append(table)
-        return middle(table)
+        return middle(table, keys)
 
     monkeypatch.setattr(detect, "_middle_order_stats", recording)
     max_corruption_subset_heuristic(coll, rb.CorruptionParams(0.2, n, m))
@@ -325,6 +325,67 @@ def test_middle_order_stats_takes_both_branches():
         if has_hist:
             assert hist.sum(axis=1).tolist() == [m] * 5
             assert base == table.min()
+
+
+def test_median_keys_in_slabs_of_any_size_count_the_same():
+    """The median pass writes its keys into the storage it is given, a slab
+    of floor(size / rows) batches at a time: slabs of 1, 7 and at least m
+    batches give bit for bit the medians, histogram and totals of one
+    table-sized key array, for views of the count table's columns and for
+    row-major tables, with ties and an occupied range that starts above 0."""
+    rng = np.random.default_rng(21)
+    m, n, nc, tau = 50, 100, 9, 0.03
+    counts = (40 + rng.integers(0, 6, size=(m, 2 * nc))).astype(np.uint8)
+    counts[:, 3] = 42
+    for table in (counts.T[nc:], np.ascontiguousarray(counts.T[:nc])):
+        lo, hi, base, hist = detect._middle_order_stats(table)
+        twice, totals = detect._candidate_scores(table, n, tau)
+        assert base == table.min() > 0
+        assert np.array_equal(hist, (table[:, :, None] == base + np.arange(hist.shape[1])).sum(axis=1))
+        for batches in (1, 7, m, 3 * m):
+            keys = np.empty(batches * nc, dtype=np.int64)
+            lo_s, hi_s, base_s, hist_s = detect._middle_order_stats(table, keys)
+            twice_s, totals_s = detect._candidate_scores(table, n, tau, keys)
+            assert base_s == base
+            for got, want in ((lo_s, lo), (hi_s, hi), (hist_s, hist), (twice_s, twice)):
+                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+            assert totals_s.tobytes() == totals.tobytes()
+
+
+def test_tall_table_detection_keeps_its_keys_in_the_workspace():
+    """One detection call at m = 2*10^4, ell = 200, n = 100, given its
+    workspace, peaks below 5 MiB of heap (3.7 measured): the median pass
+    writes its keys into the workspace's 65,536-slot block storage, 1,024
+    batches per slab, where a key table per chunk took 64*m int64 values
+    (9.8 MiB, 12.4 MiB in all).  It finds the planted quarter of the bins."""
+    m, n, ell = 2 * 10**4, 100, 200
+    rng = np.random.default_rng(0)
+    hot = np.where(np.arange(ell) < ell // 4, 0.95 / (ell // 4), 0.05 / (ell - ell // 4))
+    counts = rng.multinomial(n, np.full(ell, 1.0 / ell), size=m).astype(np.uint8)
+    counts[: m // 5] = rng.multinomial(n, hot, size=m // 5)
+    coll = rb.DiscretizedCollection(counts, range(m), n)
+    del counts
+    workspace = detect.GramWorkspace(m, ell, n)
+    tracemalloc.start()
+    try:
+        subset = max_corruption_subset_heuristic(coll, rb.CorruptionParams(0.2, n, m), workspace)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert subset == rb.BinSubset.of(*range(1, ell // 4 + 1))
+    assert workspace.keys().size == 65536
+
+
+def test_one_batch_tables_have_key_room_for_every_chunk_row():
+    """A workspace sized for one batch still holds one batch of keys for
+    each row of a chunk, so a direct call on a constant one-batch table
+    scores it."""
+    for ell in (3, detect._CHUNK, 200):
+        assert detect.GramWorkspace(1, ell, ell).keys().size >= min(ell, detect._CHUNK)
+        coll = rb.DiscretizedCollection(np.ones((1, ell), dtype=np.uint8), (0,), ell)
+        subset, score = max_corruption_subset_heuristic(coll, rb.CorruptionParams(0.2, ell, 1))
+        assert not subset.members and score == 0.0
 
 
 def _reference_eigvec(P):
